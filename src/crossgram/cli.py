@@ -48,6 +48,8 @@ class RunConfig:
             raise ValueError(f"probes must be non-negative, got {self.probes}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -117,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--dims", type=_parse_range, default=(2, 8),
                    help="ambient dimension range LO..HI, e.g. 2..8")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (1 = serial)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the battery always runs serially")
     common(p)
 
     return parser
@@ -233,7 +236,6 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
             trials=config.trials,
             dims=(config.dim_low, config.dim_high),
             tol=config.tol,
-            jobs=config.jobs,
         )
         echo = {
             "seed": config.seed,

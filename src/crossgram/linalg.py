@@ -14,14 +14,6 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
-class SingularMatrixError(ValueError):
-    """Inversion was refused; carries the offending smallest singular value."""
-
-    def __init__(self, message: str, sigma_min: float):
-        super().__init__(message)
-        self.sigma_min = sigma_min
-
-
 def as_matrix(entries) -> np.ndarray:
     """Return a validated complex128 matrix, copying only when needed."""
     m = np.asarray(entries, dtype=np.complex128)
@@ -35,29 +27,13 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions must agree, got {a.shape} @ {b.shape}"
-        )
-    return a @ b
-
-
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values in nonincreasing order."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def hermitian_defect(m: np.ndarray) -> float:
     """||M - M*|| / max(1, ||M||) in the operator norm."""
-    m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"hermitian defect needs a square matrix, got {m.shape}")
     num = float(np.linalg.norm(m - m.conj().T, 2))
@@ -70,7 +46,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     The input must be Hermitian up to a relative defect of ``tol``; anything
     beyond that is rejected rather than silently symmetrized.
     """
-    m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigenvalues need a square matrix, got {m.shape}")
     defect = hermitian_defect(m)
@@ -86,7 +61,7 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(as_matrix(m), "fro"))
+    return float(np.linalg.norm(m, "fro"))
 
 
 def min_singular(m: np.ndarray) -> float:
@@ -96,22 +71,9 @@ def min_singular(m: np.ndarray) -> float:
 
 def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol * sigma_max; 0 for the zero matrix."""
-    s = singular_values(m)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _rank_of(singular_values(m), tol)
 
 
-def invert(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix that is nonsingular at tolerance ``tol``."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"inversion needs a square matrix, got {m.shape}")
-    s = singular_values(m)
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
-        raise SingularMatrixError(
-            f"matrix is singular at tolerance {tol:.3e}: "
-            f"sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e}",
-            sigma_min=float(s[-1]),
-        )
-    return np.linalg.inv(m)
+def _rank_of(s: np.ndarray, tol: float) -> int:
+    """numeric_rank read off already computed nonincreasing singular values."""
+    return 0 if s[0] == 0.0 else int(np.sum(s > tol * s[0]))

@@ -1,4 +1,4 @@
-"""Synthesis, analysis, frame, Gram, and cross-Gram operators.
+"""Synthesis, analysis, frame, Gram, and cross-Gram operators, and duals.
 
 In the truncation model a sequence is its synthesis matrix T (columns are
 the vectors), so the analysis operator is T*, the frame operator is TT*,
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sequences
 from .sequences import RealizedSequence
 
 
@@ -47,17 +47,17 @@ def synthesis(seq: RealizedSequence) -> np.ndarray:
 
 def analysis(seq: RealizedSequence) -> np.ndarray:
     """Analysis matrix: the adjoint of synthesis."""
-    return linalg.adjoint(seq.columns)
+    return seq.columns.conj().T
 
 
 def frame_operator(seq: RealizedSequence) -> np.ndarray:
     """S = T T*, a dim x dim Hermitian PSD matrix."""
-    return linalg.matmul(synthesis(seq), analysis(seq))
+    return seq.columns @ analysis(seq)
 
 
 def gram(seq: RealizedSequence) -> np.ndarray:
     """T* T, a count x count Hermitian PSD matrix."""
-    return linalg.matmul(analysis(seq), synthesis(seq))
+    return analysis(seq) @ seq.columns
 
 
 def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
@@ -66,16 +66,13 @@ def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
         raise ValueError(
             f"sequences live in different ambient dimensions: {f.dim} vs {g.dim}"
         )
-    return linalg.matmul(analysis(g), synthesis(f))
+    return analysis(g) @ f.columns
 
 
-def frame_bounds(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> FrameBounds:
-    """Optimal bounds A, B from the frame operator eigenvalues.
-
-    A tiny negative smallest eigenvalue is floating-point noise on a PSD
-    matrix and is clamped to zero.
-    """
-    evals = linalg.hermitian_eigenvalues(frame_operator(seq), tol)
+def _bounds_of(frame_op: np.ndarray, tol: float) -> FrameBounds:
+    # a tiny negative smallest eigenvalue is floating-point noise on a PSD
+    # matrix and is clamped to zero
+    evals = linalg.hermitian_eigenvalues(frame_op, tol)
     lower = max(float(evals[0]), 0.0)
     upper = max(float(evals[-1]), 0.0)
     return FrameBounds(
@@ -86,18 +83,49 @@ def frame_bounds(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> Fram
     )
 
 
+def frame_bounds(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> FrameBounds:
+    """Optimal bounds A, B from the frame operator eigenvalues."""
+    return _bounds_of(frame_operator(seq), tol)
+
+
 def canonical_dual(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> RealizedSequence:
     """Canonical dual sequence: columns of S^{-1} T, via a linear solve."""
-    bounds = frame_bounds(seq, tol)
+    frame_op = frame_operator(seq)
+    bounds = _bounds_of(frame_op, tol)
     if not bounds.spans_ambient:
         raise NotAFrameError(
             f"sequence is not a frame at tolerance {tol:.3e}: "
             f"lower bound {bounds.lower:.3e} against upper bound {bounds.upper:.3e}",
             lower=bounds.lower,
         )
-    dual = np.linalg.solve(frame_operator(seq), synthesis(seq))
+    dual = np.linalg.solve(frame_op, seq.columns)
     return RealizedSequence(
         dual, f"canonical_dual({seq.spec_ref})", seq.truncation
+    )
+
+
+def alternate_dual(
+    f: RealizedSequence,
+    seed: int,
+    *,
+    scale: float = 1.0,
+    tol: float = linalg.DEFAULT_TOL,
+) -> RealizedSequence:
+    """A dual of ``f``: canonical dual plus a seeded component of the
+    analysis-range complement, scaled by ``scale`` (0 gives the canonical dual)."""
+    path = sequences._seed_path(seed)
+    t = f.columns
+    dual = canonical_dual(f, tol).columns
+    if scale != 0.0:
+        # analysis range projection P = T* S^-1 T; rows outside it preserve T D* = I
+        proj = t.conj().T @ dual
+        rng = np.random.default_rng([*path, sequences._STREAM_DUAL])
+        y = sequences._complex_gaussian(rng, t.shape)
+        dual = dual + scale * (y @ (np.eye(t.shape[1]) - proj))
+    return RealizedSequence(
+        dual,
+        f"alternate_dual({f.spec_ref}, seed={seed}, scale={scale:g})",
+        f.truncation,
     )
 
 

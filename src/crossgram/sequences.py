@@ -680,33 +680,3 @@ def random_frame(
         np.random.default_rng([*path, _STREAM_FRAME]), dim, count, max_condition, attempts
     )
     return RealizedSequence(cols, f"random_frame(dim={dim}, count={count}, seed={seed})", count)
-
-
-def alternate_dual(
-    f: RealizedSequence,
-    seed: int,
-    *,
-    scale: float = 1.0,
-    tol: float = linalg.DEFAULT_TOL,
-) -> RealizedSequence:
-    """A dual of ``f``: canonical dual plus a seeded component of the
-    analysis-range complement, scaled by ``scale`` (0 gives the canonical dual)."""
-    path = _seed_path(seed)
-    t = f.columns
-    s = np.linalg.svd(t, compute_uv=False)
-    if t.shape[1] < t.shape[0] or s[-1] <= tol * s[0]:
-        raise ValueError(
-            f"alternate_dual needs a frame: row rank deficient at tolerance {tol:.3e}"
-        )
-    frame_op = t @ t.conj().T
-    dual = np.linalg.solve(frame_op, t)
-    if scale != 0.0:
-        # analysis range projection P = T* S^-1 T; rows outside it preserve T D* = I
-        proj = t.conj().T @ dual
-        y = _complex_gaussian(np.random.default_rng([*path, _STREAM_DUAL]), t.shape)
-        dual = dual + scale * (y @ (np.eye(t.shape[1]) - proj))
-    return RealizedSequence(
-        dual,
-        f"alternate_dual({f.spec_ref}, seed={seed}, scale={scale:g})",
-        f.truncation,
-    )

@@ -38,19 +38,8 @@ class SpecFileError(ValueError):
         self.field = field
 
 
-def _require(condition: bool, message: str, source: str, field: str | None) -> None:
-    if not condition:
-        raise SpecFileError(message, source=source, field=field)
-
-
-def _real(obj: Any, source: str, field: str) -> float:
-    _require(
-        isinstance(obj, (int, float)) and not isinstance(obj, bool),
-        f"expected a number, got {obj!r}",
-        source,
-        field,
-    )
-    return float(obj)
+# each check formats its message, a repr of the bad value, only once it has
+# failed, so a passing check on a large spec costs no repr
 
 
 def _complex(obj: Any, source: str, field: str) -> complex:
@@ -59,58 +48,63 @@ def _complex(obj: Any, source: str, field: str) -> complex:
         and len(obj) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     )
-    _require(ok, f"expected a complex scalar as [re, im], got {obj!r}", source, field)
+    if not ok:
+        raise SpecFileError(
+            f"expected a complex scalar as [re, im], got {obj!r}", source=source, field=field
+        )
     return complex(obj[0], obj[1])
 
 
 def _integer(obj: Any, source: str, field: str) -> int:
-    _require(
-        isinstance(obj, int) and not isinstance(obj, bool),
-        f"expected an integer, got {obj!r}",
-        source,
-        field,
-    )
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise SpecFileError(f"expected an integer, got {obj!r}", source=source, field=field)
     return obj
 
 
 def _string(obj: Any, source: str, field: str, allowed: tuple[str, ...] | None = None) -> str:
-    _require(isinstance(obj, str), f"expected a string, got {obj!r}", source, field)
-    if allowed is not None:
-        _require(obj in allowed, f"expected one of {sorted(allowed)}, got {obj!r}", source, field)
+    if not isinstance(obj, str):
+        raise SpecFileError(f"expected a string, got {obj!r}", source=source, field=field)
+    if allowed is not None and obj not in allowed:
+        raise SpecFileError(
+            f"expected one of {sorted(allowed)}, got {obj!r}", source=source, field=field
+        )
     return obj
 
 
 def _object(obj: Any, source: str, field: str) -> dict:
-    _require(isinstance(obj, dict), f"expected an object, got {obj!r}", source, field)
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"expected an object, got {obj!r}", source=source, field=field)
     return obj
 
 
 def _array(obj: Any, source: str, field: str) -> list:
-    _require(isinstance(obj, list), f"expected an array, got {obj!r}", source, field)
+    if not isinstance(obj, list):
+        raise SpecFileError(f"expected an array, got {obj!r}", source=source, field=field)
     return obj
 
 
 def _get(obj: dict, key: str, source: str, field: str) -> Any:
-    _require(key in obj, f"missing required key {key!r}", source, field)
+    if key not in obj:
+        raise SpecFileError(f"missing required key {key!r}", source=source, field=field)
     return obj[key]
 
 
 def _sized(data: dict, short: str, long_: str, source: str) -> int:
     """Integer stored under a short key with a long alias; exactly one allowed."""
     present = [k for k in (short, long_) if k in data]
-    _require(
-        len(present) != 2,
-        f"keys {short!r} and {long_!r} are aliases; give exactly one",
-        source,
-        None,
-    )
-    _require(bool(present), f"missing required key {short!r} (alias {long_!r})", source, None)
+    if len(present) == 2:
+        raise SpecFileError(
+            f"keys {short!r} and {long_!r} are aliases; give exactly one", source=source
+        )
+    if not present:
+        raise SpecFileError(f"missing required key {short!r} (alias {long_!r})", source=source)
     return _integer(data[present[0]], source, present[0])
 
 
 def _columns_from(obj: Any, source: str) -> tuple[tuple[complex, ...], ...]:
     cols = _array(obj, source, "columns")
-    _require(len(cols) > 0, "columns must be nonempty", source, "columns")
+    if not cols:
+        raise SpecFileError("columns must be nonempty", source=source, field="columns")
     out = []
     for j, col in enumerate(cols):
         entries = _array(col, source, f"columns[{j}]")
@@ -119,12 +113,12 @@ def _columns_from(obj: Any, source: str) -> tuple[tuple[complex, ...], ...]:
         )
     width = len(out[0])
     for j, col in enumerate(out):
-        _require(
-            len(col) == width,
-            f"column {j} has length {len(col)}, expected {width}",
-            source,
-            "columns",
-        )
+        if len(col) != width:
+            raise SpecFileError(
+                f"column {j} has length {len(col)}, expected {width}",
+                source=source,
+                field="columns",
+            )
     return tuple(out)
 
 
@@ -188,7 +182,8 @@ def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
         allowed=tuple(_SPEC_KEYS),
     )
     extra = set(data) - _SPEC_KEYS[kind]
-    _require(not extra, f"unexpected keys for kind {kind!r}: {sorted(extra)}", source, None)
+    if extra:
+        raise SpecFileError(f"unexpected keys for kind {kind!r}: {sorted(extra)}", source=source)
     try:
         if kind == "explicit":
             return SequenceSpec.explicit(_columns_from(_get(data, "columns", source, None), source))

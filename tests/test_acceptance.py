@@ -191,7 +191,7 @@ def test_criterion_09_duality_threshold_suite():
         dual = (
             ops.canonical_dual(f)
             if s % 2 == 0
-            else seq.alternate_dual(f, (9001, s), scale=1.0)
+            else ops.alternate_dual(f, (9001, s), scale=1.0)
         )
         m = ops.cross_gram(f, dual)
         min_op = min(min_op, operator_norm(m))

@@ -66,6 +66,30 @@ def test_load_sequence_file_rejects_bad_complex_encoding(tmp_path):
         serialize.load_sequence_file(path)
 
 
+@pytest.mark.parametrize(
+    "payload, field, expected",
+    [
+        ({"kind": "scaled_basis", "weight": [1, 0]}, "weight", "expected an object"),
+        ({"kind": "pattern", "head": {}, "tail": []}, "head", "expected an array"),
+        ({"kind": "random_frame", "d": 2.5, "n": 4, "seed": 1}, "d", "expected an integer"),
+        ({"kind": "paper_example", "example": 5, "role": "f"}, "example", "expected a string"),
+        # the only number check: each part of a complex scalar
+        ({"kind": "explicit", "columns": [[["1", 0]]]}, "columns[0][0]", r"\[re, im\]"),
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "constant", "value": 2.0}},
+            "weight.value",
+            r"\[re, im\]",
+        ),
+    ],
+    ids=["object", "array", "integer", "string", "number", "re-im"],
+)
+def test_spec_type_failures_name_their_field(payload, field, expected):
+    with pytest.raises(SpecFileError, match=expected) as exc:
+        serialize.spec_from_json(payload, source="<spec>")
+    assert exc.value.field == field
+    assert str(exc.value).startswith(f"<spec>: {field}: ")
+
+
 def test_load_sequence_file_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "explicit",\n  "columns": }')
@@ -299,6 +323,13 @@ def test_battery_rejects_malformed_dims():
     res = run_cli(["battery", "--seed", "1", "--trials", "2", "--dims", "2-8"])
     assert res.returncode == 2
     assert "dims" in res.stderr
+
+
+def test_battery_rejects_zero_jobs():
+    res = run_cli(["battery", "--seed", "1", "--trials", "2", "--jobs", "0"])
+    assert res.returncode == 2
+    assert "jobs" in res.stderr
+    assert res.stdout == ""
 
 
 # ----------------------------------------------------------------- plumbing

@@ -6,6 +6,8 @@ dual cross-Gram is a Hermitian projection; an index-weighted basis has
 Bessel bound N^2 at truncation N.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,11 +169,43 @@ def test_check_duality_scaled_dual_fails_all_three_residuals():
 def test_check_duality_residual_routes_agree_for_duals():
     for seed in range(8):
         f = seqs.random_frame(3, 6, seed=seed)
-        g = seqs.alternate_dual(f, seed=seed + 100)
+        g = ops.alternate_dual(f, seed=seed + 100)
         r = diag.check_duality(f, g, seed=seed)
         assert r.is_dual_pair is True
         assert r.reconstruction_residual_1 <= 10 * r.tol
         assert r.reconstruction_residual_2 <= 10 * r.tol
+
+
+def test_check_duality_residuals_are_the_worst_probe():
+    # reference: every basis vector, then each seeded probe drawn as
+    # real part then imaginary part and normalized, one matrix-vector product each
+    f, g = paper_example("ex-norm89", 9)
+    r = diag.check_duality(f, g, probes=5, seed=(6, 1))
+    dim = f.dim
+    rng = np.random.default_rng([6, 1])
+    vectors = list(np.eye(dim, dtype=complex).T)
+    for _ in range(5):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vectors.append(v / np.linalg.norm(v))
+    for res, a, b in (
+        (r.reconstruction_residual_1, f, g),
+        (r.reconstruction_residual_2, g, f),
+    ):
+        op = a.columns @ b.columns.conj().T - np.eye(dim)
+        worst = max(np.linalg.norm(op @ v) / np.linalg.norm(v) for v in vectors)
+        assert res == pytest.approx(worst, rel=1e-14, abs=0.0)
+
+
+def test_check_duality_memory_is_quadratic_in_dim():
+    f, g = paper_example("ex-identity", 256)
+    tracemalloc.start()
+    try:
+        diag.check_duality(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each dense 256 x 256 complex matrix is 1 MB; 16 * dim^3 bytes would be 268 MB
+    assert peak < 10 * 2**20
 
 
 def test_check_duality_requires_matching_counts():

@@ -47,21 +47,6 @@ def test_as_matrix_rejects_empty_and_non_2d():
         linalg.as_matrix([1.0, 2.0])
 
 
-def test_adjoint_is_conjugate_transpose_and_involution():
-    m = linalg.as_matrix([[1 + 2j, 3], [0, 4 - 1j], [5j, 6]])
-    a = linalg.adjoint(m)
-    assert a.shape == (2, 3)
-    assert a[0, 2] == -5j
-    np.testing.assert_array_equal(linalg.adjoint(a), m)
-
-
-def test_matmul_shape_mismatch_reports_shapes():
-    a = linalg.as_matrix(np.ones((2, 3)))
-    b = linalg.as_matrix(np.ones((2, 3)))
-    with pytest.raises(ValueError, match=r"\(2, 3\)"):
-        linalg.matmul(a, b)
-
-
 def test_singular_values_are_nonincreasing_known_case():
     s = linalg.singular_values(linalg.as_matrix([[3, 0], [0, 4]]))
     np.testing.assert_allclose(s, [4.0, 3.0], rtol=0, atol=1e-14)
@@ -113,38 +98,6 @@ def test_numeric_rank_relative_threshold():
     assert linalg.numeric_rank(linalg.as_matrix(1e6 * np.diag([1.0, 1e-3, 1e-14]))) == 2
     assert linalg.numeric_rank(m, tol=1e-4) == 2
     assert linalg.numeric_rank(m, tol=1e-2) == 1
-
-
-def test_invert_round_trip_well_conditioned():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = linalg.as_matrix(
-            rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        )
-        inv = linalg.invert(m)
-        resid = linalg.operator_norm(
-            linalg.matmul(inv, m) - np.eye(5, dtype=complex)
-        )
-        assert resid <= 1e-8
-
-
-def test_invert_round_trip_near_condition_limit():
-    m = linalg.as_matrix(np.diag([1.0, 1e-3, 1e-7]))  # condition 1e7
-    inv = linalg.invert(m)
-    resid = linalg.operator_norm(linalg.matmul(inv, m) - np.eye(3, dtype=complex))
-    assert resid <= 1e-8
-
-
-def test_invert_singular_reports_sigma_min():
-    m = linalg.as_matrix([[1, 1], [1, 1]])
-    with pytest.raises(linalg.SingularMatrixError) as exc:
-        linalg.invert(m)
-    assert exc.value.sigma_min <= 1e-12
-
-
-def test_invert_requires_square():
-    with pytest.raises(ValueError, match=r"\(2, 3\)"):
-        linalg.invert(linalg.as_matrix(np.ones((2, 3))))
 
 
 def test_hermitian_defect_values():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crossgram import sequences as seqs
+from crossgram.operators import NotAFrameError, alternate_dual
 from crossgram.sequences import (
     GenerationError,
     PatternProgram,
@@ -15,7 +16,6 @@ from crossgram.sequences import (
     SequenceSpec,
     TailSlot,
     WeightRule,
-    alternate_dual,
     example_entry,
     example_ids,
     monomial_terms,
@@ -346,5 +346,5 @@ def test_alternate_dual_satisfies_duality_and_differs_from_canonical():
 
 def test_alternate_dual_requires_a_frame():
     flat = realize(SequenceSpec.explicit([[1.0, 0.0], [2.0, 0.0]]), 2)
-    with pytest.raises(ValueError, match="frame"):
+    with pytest.raises(NotAFrameError, match="frame"):
         alternate_dual(flat, seed=1)
