@@ -26,6 +26,10 @@ from .sequences import RealizedSequence, SequenceSpec
 TOL_TIGHT = 1e-10
 TOL_SPECTRAL = 1e-9
 
+# the sweep holds about 72 bytes per term of its largest truncation (ex-hs
+# peaks at 72 MB for 10**6 terms)
+MAX_SWEEP_TRUNCATION = 10**7
+
 
 # --------------------------------------------------------------------------
 # classification
@@ -607,6 +611,7 @@ def truncation_sweep(
     yields the block structure directly: block i is rank one with singular
     value ||w_f restricted to i|| * ||w_g restricted to i||, and the Gram
     of either side is block diagonal with norms ||w restricted to i||^2.
+    The largest truncation may not exceed ``MAX_SWEEP_TRUNCATION``.
     """
     entry = sequences.example_entry(example_id)
     ns = tuple(int(n) for n in truncations)
@@ -619,23 +624,34 @@ def truncation_sweep(
             f"example {example_id} needs at least {entry.min_n} terms, got {ns[0]}"
         )
 
+    if ns[-1] > MAX_SWEEP_TRUNCATION:
+        raise ValueError(
+            f"largest truncation {ns[-1]} exceeds the sweep budget "
+            f"MAX_SWEEP_TRUNCATION = {MAX_SWEEP_TRUNCATION}"
+        )
+
+    # term m does not depend on n and the counts grow with n, so each row
+    # reads a prefix of the terms generated once at the largest truncation
+    fi, fw = sequences.monomial_terms(SequenceSpec.paper_example(example_id, "f"), ns[-1])
+    gi, gw = sequences.monomial_terms(SequenceSpec.paper_example(example_id, "g"), ns[-1])
+    fw_sq, gw_sq = np.abs(fw) ** 2, np.abs(gw) ** 2
+    del fw, gw
     rows = []
     for n in ns:
-        fi, fw = sequences.monomial_terms(SequenceSpec.paper_example(example_id, "f"), n)
-        gi, gw = sequences.monomial_terms(SequenceSpec.paper_example(example_id, "g"), n)
-        dim = int(max(fi.max(), gi.max()))
-        f_sq = np.bincount(fi, weights=np.abs(fw) ** 2, minlength=dim + 1)
-        g_sq = np.bincount(gi, weights=np.abs(gw) ** 2, minlength=dim + 1)
+        fc, gc = entry.f_count(n), entry.g_count(n)
+        dim = int(max(fi[:fc].max(), gi[:gc].max()))
+        f_sq = np.bincount(fi[:fc], weights=fw_sq[:fc], minlength=dim + 1)
+        g_sq = np.bincount(gi[:gc], weights=gw_sq[:gc], minlength=dim + 1)
         block_sq = f_sq * g_sq
         active = block_sq > 0.0
         rank = int(np.sum(active))
-        full = min(len(fi), len(gi))
+        full = min(fc, gc)
         rows.append(
             SweepRow(
                 truncation=n,
                 dim=dim,
-                f_count=len(fi),
-                g_count=len(gi),
+                f_count=fc,
+                g_count=gc,
                 op_norm=float(np.sqrt(block_sq.max())) if rank else 0.0,
                 sigma_min=(
                     float(np.sqrt(block_sq[active].min()))

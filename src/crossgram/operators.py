@@ -70,9 +70,10 @@ def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
 
 
 def _bounds_of(frame_op: np.ndarray, tol: float) -> FrameBounds:
+    # S = TT* is Hermitian by construction, so it needs no Hermitian check;
     # a tiny negative smallest eigenvalue is floating-point noise on a PSD
     # matrix and is clamped to zero
-    evals = linalg.hermitian_eigenvalues(frame_op, tol)
+    evals = np.linalg.eigvalsh(frame_op)
     lower = max(float(evals[0]), 0.0)
     upper = max(float(evals[-1]), 0.0)
     return FrameBounds(

@@ -60,10 +60,25 @@ def _seed_path(seed) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 # weight rules and pattern programs
 
+# basis indices are stored as int64
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+
+
+def _check_index(index: int) -> None:
+    if index < 1:
+        raise ValueError(f"basis index must be >= 1, got {index}")
+    if index > _MAX_INDEX:
+        raise ValueError(f"basis index must be <= {_MAX_INDEX}, got {index}")
+
 
 @dataclass(frozen=True)
 class WeightRule:
-    """Closed family of scalar weights w(k) for scaled basis sequences."""
+    """Closed family of scalar weights w(k) for scaled basis sequences.
+
+    Term k (starting at 1) is w(k) e_k with w(k) = 1/k (inverse_index),
+    k (index), ``value`` (constant), ``value * ratio**(k-1)`` (geometric),
+    or ``values[k-1]`` (table, which has no terms past its last entry).
+    """
 
     rule: str
     value: complex = 1.0
@@ -98,24 +113,6 @@ class WeightRule:
     def table(cls, values) -> "WeightRule":
         return cls(rule="table", values=tuple(complex(v) for v in values))
 
-    def weight(self, k: int) -> complex:
-        """Weight of the k-th term, k starting at 1."""
-        if k < 1:
-            raise ValueError(f"term index must be >= 1, got {k}")
-        if self.rule == "inverse_index":
-            return 1.0 / k
-        if self.rule == "index":
-            return complex(k)
-        if self.rule == "constant":
-            return self.value
-        if self.rule == "geometric":
-            return self.value * self.ratio ** (k - 1)
-        if k > len(self.values):
-            raise ValueError(
-                f"weight table has {len(self.values)} entries, term {k} requested"
-            )
-        return self.values[k - 1]
-
 
 @dataclass(frozen=True)
 class PatternTerm:
@@ -125,8 +122,7 @@ class PatternTerm:
     coeff: complex
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"basis index must be >= 1, got {self.index}")
+        _check_index(self.index)
         object.__setattr__(self, "coeff", complex(self.coeff))
 
 
@@ -147,10 +143,9 @@ class TailSlot:
     ratio: complex = 1.0
 
     def __post_init__(self):
-        if self.start_index < 1:
-            raise ValueError(f"basis index must be >= 1, got {self.start_index}")
-        if self.index_step < 0:
-            raise ValueError(f"index step must be >= 0, got {self.index_step}")
+        _check_index(self.start_index)
+        if not 0 <= self.index_step <= _MAX_INDEX:
+            raise ValueError(f"index step must lie in [0, {_MAX_INDEX}], got {self.index_step}")
         if self.coeff_rule not in _COEFF_RULES:
             raise ValueError(
                 f"unknown coefficient rule {self.coeff_rule!r}, expected one of {_COEFF_RULES}"
@@ -161,7 +156,13 @@ class TailSlot:
 
 @dataclass(frozen=True)
 class PatternProgram:
-    """Explicit head terms followed by an optional periodic tail."""
+    """Explicit head terms followed by an optional periodic tail.
+
+    Term m (starting at 1) is ``head[m-1]`` while m <= len(head).  Past the
+    head, term m comes from slot ``(m - len(head) - 1) % len(tail)`` in
+    cycle ``(m - len(head) - 1) // len(tail)``; without a tail the pattern
+    has no further terms.
+    """
 
     head: tuple = ()
     tail: tuple = ()
@@ -169,27 +170,6 @@ class PatternProgram:
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(self.head))
         object.__setattr__(self, "tail", tuple(self.tail))
-
-    def term(self, m: int) -> PatternTerm:
-        """The m-th term of the pattern, m starting at 1."""
-        if m < 1:
-            raise ValueError(f"term index must be >= 1, got {m}")
-        if m <= len(self.head):
-            return self.head[m - 1]
-        if not self.tail:
-            raise ValueError(
-                f"pattern provides only {len(self.head)} terms, term {m} requested"
-            )
-        cycle, slot_pos = divmod(m - len(self.head) - 1, len(self.tail))
-        slot = self.tail[slot_pos]
-        index = slot.start_index + cycle * slot.index_step
-        if slot.coeff_rule == "constant":
-            coeff = slot.coeff
-        elif slot.coeff_rule == "geometric":
-            coeff = slot.coeff * slot.ratio**cycle
-        else:
-            coeff = slot.coeff / m
-        return PatternTerm(index, coeff)
 
 
 # --------------------------------------------------------------------------
@@ -318,26 +298,48 @@ class RealizedSequence:
 # --------------------------------------------------------------------------
 # realization
 
+# A dense realization holds dim x count complex entries of 16 bytes, so the
+# budget is 256 MiB per matrix; the dense benchmark's largest shapes are
+# 256 x 256 and 128 x 192.
+MAX_DENSE_ENTRIES = 1 << 24
 
-def _pad_to_dim(columns: np.ndarray, dim: int) -> np.ndarray:
-    natural = columns.shape[0]
-    if dim < natural:
+
+def _check_dense(dim: int, count: int) -> None:
+    if dim * count > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"a dense {dim} x {count} realization exceeds the budget "
+            f"MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES} entries"
+        )
+
+
+def _ambient(dim: int | None, natural: int, count: int) -> int:
+    """The ambient dimension (``natural`` unless ``dim`` enlarges it),
+    checked against the dense budget."""
+    if dim is None:
+        dim = natural
+    elif dim < natural:
         raise ValueError(
             f"ambient override {dim} is smaller than the natural dimension {natural}"
         )
+    _check_dense(dim, count)
+    return dim
+
+
+def _pad_to_dim(columns: np.ndarray, dim: int) -> np.ndarray:
+    natural, count = columns.shape
+    dim = _ambient(dim, natural, count)
     if dim == natural:
         return columns
-    padded = np.zeros((dim, columns.shape[1]), dtype=complex)
+    padded = np.zeros((dim, count), dtype=complex)
     padded[:natural, :] = columns
     return padded
 
 
-def _pattern_columns(program: PatternProgram, n: int) -> np.ndarray:
-    terms = [program.term(m) for m in range(1, n + 1)]
-    dim = max(t.index for t in terms)
-    cols = np.zeros((dim, n), dtype=complex)
-    for k, t in enumerate(terms):
-        cols[t.index - 1, k] = t.coeff
+def _dense(idx: np.ndarray, coeff: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Columns of a term list: column k is coeff[k] on basis vector idx[k]."""
+    count = len(idx)
+    cols = np.zeros((_ambient(dim, int(idx.max()), count), count), dtype=complex)
+    cols[idx - 1, np.arange(count)] = coeff
     return cols
 
 
@@ -346,7 +348,8 @@ def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSe
 
     The ambient dimension is the highest basis index the terms reference
     (the stored column length for explicit specs, the declared dimension
-    for random specs); ``dim`` may enlarge it by zero padding.
+    for random specs); ``dim`` may enlarge it by zero padding.  A matrix
+    over ``MAX_DENSE_ENTRIES`` entries is refused before it is allocated.
     """
     if n < 1:
         raise ValueError(f"truncation must be >= 1, got {n}")
@@ -358,13 +361,15 @@ def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSe
             )
         cols = np.array(spec.columns, dtype=complex).T
         ref = f"explicit(count={n})"
-    elif spec.kind == "scaled_basis":
-        weights = [spec.weight.weight(k) for k in range(1, n + 1)]
-        cols = np.diag(np.asarray(weights, dtype=complex))
-        ref = f"scaled_basis({spec.weight.rule})"
-    elif spec.kind == "pattern":
-        cols = _pattern_columns(spec.program, n)
-        ref = f"pattern(head={len(spec.program.head)}, period={len(spec.program.tail)})"
+    elif spec.kind in ("scaled_basis", "pattern"):
+        _check_dense(dim or 1, n)  # the term arrays alone hold n entries each
+        cols = _dense(*monomial_terms(spec, n), dim)
+        ref = (
+            f"scaled_basis({spec.weight.rule})"
+            if spec.kind == "scaled_basis"
+            else f"pattern(head={len(spec.program.head)}, period={len(spec.program.tail)})"
+        )
+        return RealizedSequence(cols, ref, n)
     elif spec.kind == "paper_example":
         f, g = paper_example(spec.example, n)
         chosen = f if spec.role == "f" else g
@@ -410,22 +415,18 @@ def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSe
 def monomial_terms(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Term list (basis indices, coefficients) for one-index-per-term specs.
 
-    Sequences whose terms each touch a single basis vector admit exact
-    large-N diagnostics without materializing dim x count matrices; this
-    covers scaled_basis, pattern, and every registry example.
+    Term k is ``coeff[k]`` on basis vector ``idx[k]`` (indices from 1).
+    This is the one place terms are generated: dense realization scatters
+    these arrays, and the truncation sweep groups them by index without
+    materializing dim x count matrices.  It covers scaled_basis, pattern,
+    and every registry example.
     """
     if n < 1:
         raise ValueError(f"truncation must be >= 1, got {n}")
     if spec.kind == "scaled_basis":
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        coeff = np.asarray([spec.weight.weight(k) for k in idx], dtype=complex)
-        return idx, coeff
+        return _weight_terms(spec.weight, n)
     if spec.kind == "pattern":
-        terms = [spec.program.term(m) for m in range(1, n + 1)]
-        return (
-            np.asarray([t.index for t in terms], dtype=np.int64),
-            np.asarray([t.coeff for t in terms], dtype=complex),
-        )
+        return _pattern_terms(spec.program, n)
     if spec.kind == "paper_example":
         entry = example_entry(spec.example)
         if n < entry.min_n:
@@ -439,6 +440,82 @@ def monomial_terms(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
         f"kind {spec.kind!r} has no single-index term form (supported: "
         "scaled_basis, pattern, paper_example)"
     )
+
+
+def _weight_terms(rule: WeightRule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    k = np.arange(1, n + 1, dtype=np.int64)
+    if rule.rule == "inverse_index":
+        coeff = (1.0 / k).astype(complex)
+    elif rule.rule == "index":
+        coeff = k.astype(complex)
+    elif rule.rule == "constant":
+        coeff = np.full(n, rule.value, dtype=complex)
+    elif rule.rule == "geometric":
+        coeff = _geometric(rule.value, rule.ratio, n)
+    elif n > len(rule.values):
+        raise ValueError(
+            f"weight table has {len(rule.values)} entries, "
+            f"term {len(rule.values) + 1} requested"
+        )
+    else:
+        coeff = np.asarray(rule.values[:n], dtype=complex)
+    return k, coeff
+
+
+def _pattern_terms(program: PatternProgram, n: int) -> tuple[np.ndarray, np.ndarray]:
+    head, tail = program.head[:n], program.tail
+    h, period = len(head), len(tail)
+    if n > h and not tail:
+        raise ValueError(f"pattern provides only {h} terms, term {h + 1} requested")
+    idx = np.empty(n, dtype=np.int64)
+    coeff = np.empty(n, dtype=complex)
+    idx[:h] = [t.index for t in head]
+    coeff[:h] = [t.coeff for t in head]
+    for pos, slot in enumerate(tail):
+        at = slice(h + pos, n, period)
+        cycles = len(range(h + pos, n, period))
+        if cycles == 0:  # n ends before this slot's first term
+            break
+        last = slot.start_index + (cycles - 1) * slot.index_step
+        if last > _MAX_INDEX:
+            raise ValueError(f"tail slot {pos} reaches basis index {last}, past {_MAX_INDEX}")
+        idx[at] = slot.start_index + np.arange(cycles, dtype=np.int64) * slot.index_step
+        if slot.coeff_rule == "constant":
+            coeff[at] = slot.coeff
+        elif slot.coeff_rule == "geometric":
+            coeff[at] = _geometric(slot.coeff, slot.ratio, cycles)
+        else:  # inverse_term: coeff / m for the overall term number m
+            m = np.arange(h + pos + 1, n + 1, period, dtype=float)
+            coeff.real[at] = slot.coeff.real / m
+            coeff.imag[at] = slot.coeff.imag / m
+    return idx, coeff
+
+
+def _geometric(coeff: complex, ratio: complex, count: int) -> np.ndarray:
+    """``coeff * ratio**c`` for c = 0 .. count-1.
+
+    The powers repeat CPython's square-and-multiply for ``complex ** int``,
+    which takes the bits of c lowest first: ratio**c is ratio**(c - 2**b)
+    times ratio**(2**b) for the top bit b of c.  With the products written
+    as its component formulas, every coefficient up to c = 100 equals the
+    scalar expression exactly.  Past c = 100 CPython switches to polar
+    form, which agrees with this to a few ulp per unit of c.
+    """
+    re = np.empty(count)
+    im = np.empty(count)
+    re[0], im[0] = 1.0, 0.0
+    qr, qi, size = ratio.real, ratio.imag, 1  # q = ratio**size
+    while size < count:
+        top = min(2 * size, count)
+        low_re, low_im = re[: top - size], im[: top - size]
+        re[size:top] = low_re * qr - low_im * qi
+        im[size:top] = low_re * qi + low_im * qr
+        qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
+        size *= 2
+    out = np.empty(count, dtype=complex)
+    out.real = coeff.real * re - coeff.imag * im
+    out.imag = coeff.real * im + coeff.imag * re
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -596,16 +673,12 @@ def example_entry(example_id: str) -> ExampleEntry:
 
 def paper_example(example_id: str, n: int) -> tuple[RealizedSequence, RealizedSequence]:
     """Both roles of a registry example at truncation ``n``, sharing ambient dim."""
-    entry = example_entry(example_id)
-    if n < entry.min_n:
-        raise ValueError(
-            f"example {entry.example_id} needs at least {entry.min_n} terms, got {n}"
-        )
-    f0 = realize(entry.f, entry.f_count(n))
-    g0 = realize(entry.g, entry.g_count(n))
-    dim = max(f0.dim, g0.dim)
-    f = RealizedSequence(_pad_to_dim(f0.columns, dim), f"{example_id}.f(n={n})", n)
-    g = RealizedSequence(_pad_to_dim(g0.columns, dim), f"{example_id}.g(n={n})", n)
+    _check_dense(1, n)  # the term arrays alone hold about n entries each
+    f_idx, f_w = monomial_terms(SequenceSpec.paper_example(example_id, "f"), n)
+    g_idx, g_w = monomial_terms(SequenceSpec.paper_example(example_id, "g"), n)
+    dim = int(max(f_idx.max(), g_idx.max()))
+    f = RealizedSequence(_dense(f_idx, f_w, dim), f"{example_id}.f(n={n})", n)
+    g = RealizedSequence(_dense(g_idx, g_w, dim), f"{example_id}.g(n={n})", n)
     return f, g
 
 
@@ -625,6 +698,7 @@ def _screened_gaussian(
     attempts: int,
 ) -> np.ndarray:
     """Draw until the condition number (over the row space) passes the screen."""
+    _check_dense(dim, count)
     last = np.inf
     for _ in range(attempts):
         m = _complex_gaussian(rng, (dim, count))

@@ -276,6 +276,26 @@ def test_sweep_rejects_bad_dims(report_schema):
     assert "increasing" in res.stderr
 
 
+def test_sweep_budget_exits_2():
+    res = run_cli(["sweep", "--id", "ex-hs", "--dims", "10,100000000"])
+    assert res.returncode == 2
+    assert "sweep budget MAX_SWEEP_TRUNCATION = 10000000" in res.stderr
+
+
+def test_realize_budget_exits_2(tmp_path):
+    scaled = write_spec(
+        tmp_path, "scaled.json", {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}}
+    )
+    far = write_spec(
+        tmp_path, "far.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 10**9}]}
+    )
+    for path in (scaled, far):
+        res = run_cli(["classify", "--input", path, "--dim", "20000"])
+        assert res.returncode == 2, res.stderr
+        assert "budget MAX_DENSE_ENTRIES = 16777216" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 # ----------------------------------------------------------------- battery
 
 

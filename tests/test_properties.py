@@ -7,6 +7,7 @@ floating point rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +108,106 @@ def test_riesz_pair_cross_gram_is_invertible(seed, d):
     report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g))
     assert report.invertible
     assert report.sigma_min > 0
+
+
+# ------------------------------------------------------------ term generation
+#
+# monomial_terms is checked against a scalar restatement of the definitions
+# in the WeightRule, TailSlot and PatternProgram docstrings.  Both evaluate
+# the same CPython arithmetic, so they agree exactly, except for geometric
+# coefficients past cycle 100: there CPython's ``complex ** int`` switches
+# to polar form, whose relative error grows about one ulp per unit of the
+# exponent, so those are held to 4 * cycle ulp (and, once they underflow,
+# to the smallest normal float).
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+scalars = st.builds(
+    complex,
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+slots = st.builds(
+    sequences.TailSlot,
+    start_index=st.integers(min_value=1, max_value=50),
+    index_step=st.integers(min_value=0, max_value=3),
+    coeff=scalars,
+    coeff_rule=st.sampled_from(("constant", "geometric", "inverse_term")),
+    ratio=scalars,
+)
+programs = st.builds(
+    sequences.PatternProgram,
+    head=st.lists(
+        st.builds(sequences.PatternTerm, st.integers(min_value=1, max_value=50), scalars),
+        max_size=3,
+    ),
+    tail=st.lists(slots, max_size=3),
+)
+rules = st.one_of(
+    st.sampled_from((sequences.WeightRule.inverse_index(), sequences.WeightRule.index())),
+    st.builds(sequences.WeightRule.constant, scalars),
+    st.builds(sequences.WeightRule.geometric, scalars, scalars),
+    st.builds(sequences.WeightRule.table, st.lists(scalars, min_size=1, max_size=5)),
+)
+lengths = st.integers(min_value=1, max_value=400)
+
+
+def _pattern_term(program, m):
+    """Term m (from 1) of a pattern program, one scalar at a time."""
+    if m <= len(program.head):
+        term = program.head[m - 1]
+        return term.index, term.coeff, None
+    cycle, pos = divmod(m - len(program.head) - 1, len(program.tail))
+    slot = program.tail[pos]
+    index = slot.start_index + cycle * slot.index_step
+    if slot.coeff_rule == "constant":
+        return index, slot.coeff, None
+    if slot.coeff_rule == "geometric":
+        return index, slot.coeff * slot.ratio**cycle, cycle
+    return index, slot.coeff / m, None
+
+
+def _weight(rule, k):
+    """Weight k (from 1) of a weight rule, one scalar at a time."""
+    if rule.rule == "inverse_index":
+        return 1.0 / k, None
+    if rule.rule == "index":
+        return complex(k), None
+    if rule.rule == "constant":
+        return rule.value, None
+    if rule.rule == "geometric":
+        return rule.value * rule.ratio ** (k - 1), k - 1
+    return rule.values[k - 1], None
+
+
+def _assert_terms(got_idx, got_coeff, expected):
+    assert len(got_idx) == len(expected)
+    for i, c, (index, coeff, power) in zip(got_idx.tolist(), got_coeff, expected):
+        assert i == index
+        if power is None or power <= 100:
+            assert c == coeff
+        else:
+            assert abs(c - coeff) <= 4 * power * _EPS * abs(coeff) + _TINY
+
+
+@given(programs, lengths)
+def test_pattern_terms_match_scalar_definition(program, n):
+    spec = sequences.SequenceSpec.pattern(program)
+    available = n if program.tail else min(n, len(program.head))
+    if available < n:
+        with pytest.raises(ValueError, match=f"term {available + 1} requested"):
+            sequences.monomial_terms(spec, n)
+        return
+    idx, coeff = sequences.monomial_terms(spec, n)
+    _assert_terms(idx, coeff, [_pattern_term(program, m) for m in range(1, n + 1)])
+
+
+@given(rules, lengths)
+def test_weight_terms_match_scalar_definition(rule, n):
+    spec = sequences.SequenceSpec.scaled_basis(rule)
+    if rule.rule == "table" and n > len(rule.values):
+        with pytest.raises(ValueError, match=f"term {len(rule.values) + 1} requested"):
+            sequences.monomial_terms(spec, n)
+        return
+    idx, coeff = sequences.monomial_terms(spec, n)
+    _assert_terms(idx, coeff, [(k, *_weight(rule, k)) for k in range(1, n + 1)])

@@ -39,21 +39,32 @@ def cols(*vectors):
 # ---------------------------------------------------------------- weights
 
 
+def weights(rule, n):
+    idx, coeff = monomial_terms(SequenceSpec.scaled_basis(rule), n)
+    np.testing.assert_array_equal(idx, np.arange(1, n + 1))
+    return list(coeff)
+
+
+def pattern_terms(program, n):
+    idx, coeff = monomial_terms(SequenceSpec.pattern(program), n)
+    return list(zip(idx.tolist(), coeff))
+
+
 def test_weight_rules_frozen_values():
-    assert WeightRule.inverse_index().weight(4) == pytest.approx(0.25)
-    assert WeightRule.index().weight(7) == 7.0
-    assert WeightRule.constant(2.5).weight(3) == 2.5
-    assert WeightRule.constant().weight(9) == 1.0
+    assert weights(WeightRule.inverse_index(), 4)[3] == pytest.approx(0.25)
+    assert weights(WeightRule.index(), 7)[6] == 7.0
+    assert weights(WeightRule.constant(2.5), 3)[2] == 2.5
+    assert weights(WeightRule.constant(), 9)[8] == 1.0
     # geometric(r): value * r**(k-1), so the first weight equals value
-    assert WeightRule.geometric(0.5).weight(1) == 1.0
-    assert WeightRule.geometric(0.5).weight(4) == pytest.approx(0.125)
-    assert WeightRule.table([1.0, 2j, 3.0]).weight(2) == 2j
+    assert weights(WeightRule.geometric(0.5), 1)[0] == 1.0
+    assert weights(WeightRule.geometric(0.5), 4)[3] == pytest.approx(0.125)
+    assert weights(WeightRule.table([1.0, 2j, 3.0]), 2)[1] == 2j
 
 
 def test_weight_table_bounds_checked():
     rule = WeightRule.table([1.0, 2.0])
-    with pytest.raises(ValueError, match="table"):
-        rule.weight(3)
+    with pytest.raises(ValueError, match="table has 2 entries, term 3 requested"):
+        monomial_terms(SequenceSpec.scaled_basis(rule), 3)
 
 
 def test_weight_rule_rejects_unknown_name():
@@ -70,8 +81,7 @@ def test_pattern_head_then_periodic_tail():
         head=(PatternTerm(1, 1.0),),
         tail=(TailSlot(start_index=1, index_step=1),),
     )
-    got = [prog.term(m) for m in range(1, 5)]
-    assert [(t.index, t.coeff) for t in got] == [(1, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+    assert pattern_terms(prog, 4) == [(1, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
 
 
 def test_pattern_geometric_and_inverse_term_slots():
@@ -82,22 +92,49 @@ def test_pattern_geometric_and_inverse_term_slots():
             TailSlot(start_index=2, index_step=1),
         ),
     )
-    got = [(t.index, t.coeff) for t in (prog.term(m) for m in range(1, 7))]
+    got = pattern_terms(prog, 6)
     assert got == [(1, 0.5), (2, 1.0), (1, 0.25), (3, 1.0), (1, 0.125), (4, 1.0)]
 
     harmonic = PatternProgram(
         head=(PatternTerm(1, 0.5),),
         tail=(TailSlot(start_index=1, index_step=0, coeff_rule="inverse_term"),),
     )
-    got = [(t.index, t.coeff) for t in (harmonic.term(m) for m in range(1, 5))]
+    got = pattern_terms(harmonic, 4)
     assert got == [(1, 0.5), (1, 0.5), (1, pytest.approx(1 / 3)), (1, 0.25)]
 
 
 def test_pattern_without_tail_is_exhaustible():
     prog = PatternProgram(head=(PatternTerm(1, 1.0),), tail=())
     spec = SequenceSpec.pattern(prog)
-    with pytest.raises(ValueError, match="terms"):
+    with pytest.raises(ValueError, match="only 1 terms, term 2 requested"):
         realize(spec, 2)
+
+
+def test_pattern_indices_must_fit_int64():
+    with pytest.raises(ValueError, match="basis index"):
+        PatternTerm(2**63, 1.0)
+    with pytest.raises(ValueError, match="index step"):
+        TailSlot(start_index=1, index_step=2**63)
+    prog = PatternProgram(tail=(TailSlot(start_index=1, index_step=2**62),))
+    assert pattern_terms(prog, 2) == [(1, 1.0), (2**62 + 1, 1.0)]
+    with pytest.raises(ValueError, match="tail slot 0 reaches basis index"):
+        monomial_terms(SequenceSpec.pattern(prog), 3)
+
+
+def test_dense_realization_is_budgeted():
+    budget = seqs.MAX_DENSE_ENTRIES
+    side = int(budget**0.5)
+    assert realize(SequenceSpec.scaled_basis(WeightRule.constant()), 4, dim=side).count == 4
+    cases = [
+        lambda: realize(SequenceSpec.scaled_basis(WeightRule.constant()), side + 1),
+        lambda: realize(SequenceSpec.scaled_basis(WeightRule.constant()), 2, dim=budget),
+        lambda: realize(SequenceSpec.random_frame(side, side + 1, 0), side + 1),
+        lambda: paper_example("ex-identity", side + 1),
+        lambda: paper_example("ex-identity", budget + 1),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match=f"MAX_DENSE_ENTRIES = {budget}"):
+            case()
 
 
 # ---------------------------------------------------------------- realize

@@ -9,9 +9,13 @@ bound N^2 (growth), single-line example norm converging to
 sqrt(1/4 + pi^2/6 - 1), interleaved example hs^2 to 1/3 + pi^2/6 - 1.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from crossgram import cli
 from crossgram import diagnostics as diag
 from crossgram import operators as ops
 from crossgram.sequences import example_entry, example_ids, paper_example
@@ -96,3 +100,46 @@ def test_sweep_validates_inputs():
         diag.truncation_sweep("ex-identity", ())
     with pytest.raises(ValueError, match="two"):
         diag.truncation_sweep("ex-identity", (12,))
+
+
+def test_sweep_rows_do_not_depend_on_the_ladder():
+    # each row reads a prefix of terms generated once at the largest
+    # truncation; it must equal a sweep that ends at that row
+    ladder = (10, 100, 1000, 10000, 100000)
+    for ex_id in example_ids():
+        table = diag.truncation_sweep(ex_id, ladder)
+        for row in table.rows:
+            alone = diag.truncation_sweep(ex_id, (example_entry(ex_id).min_n, row.truncation))
+            assert alone.rows[-1] == row, (ex_id, row.truncation)
+
+
+def test_sweep_to_a_million_terms_is_linear_in_memory():
+    tracemalloc.start()
+    try:
+        table = diag.truncation_sweep("ex-hs", (10, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
+    assert table.rows[-1].hs ** 2 == pytest.approx(partial_hs_sq(10**6), rel=1e-12)
+
+
+# SHA-256 of `sweep --id <id> --dims 10,100,1000,10000,100000`, recorded
+# from the per-term scalar generator that the vectorized one replaced.  The
+# sweep makes no LAPACK call, so these bytes do not depend on the BLAS build;
+# they also held with numpy's AVX2 and AVX-512 loops disabled.
+SWEEP_DIGESTS = {
+    "ex-identity": "8947ad3665359745cc80b24e955b73585d36c113287ff614888117faab924132",
+    "ex-hs": "23c4678427088eef504f7975294422cc21dd2b548d1e78a460c32b989c828a6b",
+    "ex-blocked": "15a52cc3774c3a0f7f3f09b72851c5a22ad1908551dc682061cdb97ce9c8c8d4",
+    "ex-norm89": "d64f8731fb4db8dd7638fe7ebba1eba211e9149b5b863dfd3e2c5aa3b5f94b6d",
+    "ex-canonical": "ecdb75510a914aa0c25c76c8ae74babe2ec9266c1263d3b1e89ae73ee996c67c",
+}
+
+
+@pytest.mark.parametrize("ex_id", sorted(SWEEP_DIGESTS))
+def test_sweep_envelope_bytes_are_unchanged(ex_id, capsys):
+    code = cli.main(["sweep", "--id", ex_id, "--dims", "10,100,1000,10000,100000"])
+    assert code == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SWEEP_DIGESTS[ex_id]
