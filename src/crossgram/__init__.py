@@ -9,16 +9,7 @@ randomized battery of theorem-level identities with negative controls.
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    DEFAULT_TOL,
-    frobenius_norm,
-    hermitian_defect,
-    hermitian_eigenvalues,
-    min_singular,
-    numeric_rank,
-    operator_norm,
-    singular_values,
-)
+from .linalg import DEFAULT_TOL
 from .sequences import (
     ExampleEntry,
     GenerationError,
@@ -46,8 +37,6 @@ from .operators import (
     frame_bounds,
     frame_operator,
     gram,
-    hs_norm,
-    synthesis,
 )
 from .diagnostics import (
     CheckOutcome,
@@ -67,13 +56,6 @@ from .serialize import SpecFileError, load_sequence_file, spec_from_json, spec_t
 
 __all__ = [
     "DEFAULT_TOL",
-    "frobenius_norm",
-    "hermitian_defect",
-    "hermitian_eigenvalues",
-    "min_singular",
-    "numeric_rank",
-    "operator_norm",
-    "singular_values",
     "ExampleEntry",
     "GenerationError",
     "PatternProgram",
@@ -98,8 +80,6 @@ __all__ = [
     "frame_bounds",
     "frame_operator",
     "gram",
-    "hs_norm",
-    "synthesis",
     "CheckOutcome",
     "ConvergenceTable",
     "CrossGramReport",

@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from . import diagnostics, sequences, serialize
+from . import diagnostics, operators, sequences, serialize
 from .linalg import DEFAULT_TOL
 from .sequences import GenerationError
 
@@ -153,19 +153,14 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _realized_pair(config: RunConfig):
-    """Load both spec files and realize them at the requested truncation.
-
-    Ambient dimensions must agree; a mismatch is a validation error (the
-    operator layer raises, and main maps that to exit code 2).
-    """
-    f = sequences.realize(serialize.load_sequence_file(config.f), config.dim)
-    g = sequences.realize(serialize.load_sequence_file(config.g), config.dim)
-    if f.dim != g.dim:
-        raise ValueError(
-            f"sequences live in different ambient dimensions: {f.dim} vs {g.dim}"
-        )
-    return f, g
+def _realize(path: str, n: int):
+    """Load one spec file and realize it at truncation ``n``; a realization
+    error names the file, as a decoding error does."""
+    spec = serialize.load_sequence_file(path)
+    try:
+        return sequences.realize(spec, n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def run_command(config: RunConfig) -> tuple[int, dict]:
@@ -173,20 +168,19 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
     command = config.command
 
     if command == "classify":
-        spec = serialize.load_sequence_file(config.input)
-        seq = sequences.realize(spec, config.dim)
+        seq = _realize(config.input, config.dim)
         report = diagnostics.classify_sequence(seq, tol=config.tol)
         echo = {"input": config.input, "dim": config.dim, "tol": config.tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "cross-gram":
-        f, g = _realized_pair(config)
-        report = diagnostics.analyze_cross_gram(f, g, tol=config.tol)
+        f, g = _realize(config.f, config.dim), _realize(config.g, config.dim)
+        report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=config.tol)
         echo = {"f": config.f, "g": config.g, "dim": config.dim, "tol": config.tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "dual-check":
-        f, g = _realized_pair(config)
+        f, g = _realize(config.f, config.dim), _realize(config.g, config.dim)
         report = diagnostics.check_duality(
             f, g, tol=config.tol, probes=config.probes, seed=config.seed
         )
@@ -209,7 +203,9 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
             "tail_inferred": entry.tail_inferred,
             "f_classification": diagnostics.classify_sequence(f, tol=config.tol),
             "g_classification": diagnostics.classify_sequence(g, tol=config.tol),
-            "cross_gram": diagnostics.analyze_cross_gram(f, g, tol=config.tol),
+            "cross_gram": diagnostics.analyze_cross_gram(
+                operators.cross_gram(f, g), tol=config.tol
+            ),
             "duality": (
                 diagnostics.check_duality(f, g, tol=config.tol)
                 if f.count == g.count

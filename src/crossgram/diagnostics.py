@@ -32,6 +32,21 @@ MAX_SWEEP_TRUNCATION = 10**7
 
 
 # --------------------------------------------------------------------------
+# spectral rules
+
+
+def _rank_of(s: np.ndarray, tol: float) -> int:
+    """Numeric rank from nonincreasing singular values: the number above
+    tol * sigma_max, and 0 for the zero matrix."""
+    return 0 if s[0] == 0.0 else int(np.sum(s > tol * s[0]))
+
+
+def _hermitian_defect(m: np.ndarray, op: float) -> float:
+    """||M - M*|| / max(1, ||M||) in the operator norm, given op = ||M||."""
+    return float(np.linalg.norm(m - m.conj().T, 2)) / max(1.0, op)
+
+
+# --------------------------------------------------------------------------
 # classification
 
 
@@ -59,13 +74,13 @@ def classify_sequence(seq: RealizedSequence, tol: float = DEFAULT_TOL) -> Sequen
     numeric row rank, and the Riesz verdict additionally needs count == dim
     with a Gram spectrum bounded away from zero.
     """
-    t = operators.synthesis(seq)
+    t = seq.columns
     dim, count = t.shape
-    s = linalg.singular_values(t)
+    s = np.linalg.svd(t, compute_uv=False)
     top = float(s[0])
     bessel = top * top
     lower = float(s[-1]) ** 2 if count >= dim else 0.0
-    complete = linalg._rank_of(s, tol) == dim
+    complete = _rank_of(s, tol) == dim
     gram_gap = count == dim and float(s[-1]) ** 2 > tol * bessel
     col_norms = np.linalg.norm(t, axis=0)
     return SequenceClassification(
@@ -112,33 +127,18 @@ class CrossGramReport:
     tol: float
 
 
-def analyze_cross_gram(
-    subject,
-    g: RealizedSequence | None = None,
-    tol: float = DEFAULT_TOL,
-) -> CrossGramReport:
-    """Diagnostics of a cross-Gram matrix.
-
-    Call with a realized pair ``(f, g)`` to form the cross-Gram here
-    (ambient dimensions must agree), or with a precomputed matrix as the
-    only positional argument.
-    """
-    if g is not None:
-        m = operators.cross_gram(subject, g)
-    elif isinstance(subject, RealizedSequence):
-        raise ValueError("pass both sequences of the pair, or a precomputed matrix")
-    else:
-        m = linalg.as_matrix(subject)
+def analyze_cross_gram(m, tol: float = DEFAULT_TOL) -> CrossGramReport:
+    """Diagnostics of a cross-Gram matrix, such as ``operators.cross_gram(f, g)``."""
+    m = linalg.as_matrix(m)
     rows, cols = m.shape
-    s = linalg.singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     op = float(s[0])
     sigma_min = float(s[-1])
     square = rows == cols
     defect = idem = ident = None
     psd = False
     if square:
-        # hermitian_defect(m), with the denominator ||m|| = op already known
-        defect = float(np.linalg.norm(m - m.conj().T, 2)) / max(1.0, op)
+        defect = _hermitian_defect(m, op)
         idem = float(np.linalg.norm(m @ m - m, 2))
         ident = float(np.linalg.norm(m - np.eye(rows), 2))
         if defect <= tol:
@@ -149,7 +149,7 @@ def analyze_cross_gram(
         cols=cols,
         op_norm=op,
         sigma_min=sigma_min,
-        hs=linalg.frobenius_norm(m),
+        hs=float(np.linalg.norm(m, "fro")),
         invertible=bool(square and op > 0.0 and sigma_min > tol * op),
         hermitian_defect=defect,
         psd=psd,
@@ -196,6 +196,11 @@ def check_duality(
     if probes < 0:
         raise ValueError(f"probes must be >= 0, got {probes}")
     dim = f.dim
+    if dim * probes > sequences.MAX_DENSE_ENTRIES:  # the probe block is dim x probes
+        raise ValueError(
+            f"{probes} probes in dimension {dim} exceed the budget "
+            f"MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
+        )
     r1 = f.columns @ g.columns.conj().T - np.eye(dim)
     r2 = g.columns @ f.columns.conj().T - np.eye(dim)
     pairing = float(np.linalg.norm(r1, 2))
@@ -261,7 +266,7 @@ def _entrywise_cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarra
 def _check_riesz_product(seed, t, d, tol):
     f, g = sequences.random_riesz_pair(d, (seed, t, 10))
     m = operators.cross_gram(f, g)
-    s = linalg.singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     rel = float(np.linalg.norm(m - _entrywise_cross_gram(f, g), 2)) / float(s[0])
     ok = rel <= TOL_TIGHT and s[-1] > tol * s[0]
     margin = min(TOL_TIGHT - rel, float(s[-1] / s[0]) - tol)
@@ -274,13 +279,13 @@ def _check_rank_deficit(seed, t, d, tol):
     ng = d + 1 + int(rng.integers(d))
     f = sequences.random_frame(d, nf, (seed, t, 12))
     g = sequences.random_frame(d, ng, (seed, t, 13))
-    smin = linalg.min_singular(operators.cross_gram(f, g))
+    smin = float(np.linalg.svd(operators.cross_gram(f, g), compute_uv=False)[-1])
     return TOL_TIGHT - smin, smin <= TOL_TIGHT
 
 
 def _check_riesz_transfer(seed, t, d, tol):
     f, g = sequences.random_riesz_pair(d, (seed, t, 14))
-    s = linalg.singular_values(operators.cross_gram(f, g))
+    s = np.linalg.svd(operators.cross_gram(f, g), compute_uv=False)
     invertible = s[-1] > tol * s[0]
     cls = classify_sequence(g, tol)
     margin = cls.frame.lower / cls.bessel_bound - tol
@@ -297,9 +302,9 @@ def _check_rank_count(seed, t, d, tol):
     f2 = sequences.random_frame(d, n2, (seed, t, 18))
     w, _ = sequences.random_riesz_pair(d, (seed, t, 19))
     m2 = operators.cross_gram(f2, w)  # Riesz g side: rank must equal g.count
-    s1 = linalg.singular_values(m1)
-    s2 = linalg.singular_values(m2)
-    ok = linalg._rank_of(s1, tol) == d and linalg._rank_of(s2, tol) == d
+    s1 = np.linalg.svd(m1, compute_uv=False)
+    s2 = np.linalg.svd(m2, compute_uv=False)
+    ok = _rank_of(s1, tol) == d and _rank_of(s2, tol) == d
     margin = min(
         float(s1[d - 1] / s1[0]) - tol,
         float(s2[d - 1] / s2[0]) - tol,
@@ -313,7 +318,7 @@ def _check_hs_bound(seed, t, d, tol):
     ng = d + int(rng.integers(d + 1))
     f = sequences.random_frame(d, nf, (seed, t, 20))
     g = sequences.random_frame(d, ng, (seed, t, 21))
-    hs = operators.hs_norm(operators.cross_gram(f, g))
+    hs = float(np.linalg.norm(operators.cross_gram(f, g), "fro"))
     upper_g = operators.frame_bounds(g, tol).upper
     bound = float(np.sqrt(upper_g) * np.linalg.norm(f.columns, "fro"))
     m1 = bound + TOL_SPECTRAL - hs
@@ -322,7 +327,7 @@ def _check_hs_bound(seed, t, d, tol):
     q, _ = np.linalg.qr(
         sequences._complex_gaussian(np.random.default_rng([seed, t, 23]), (d, d))
     )
-    ortho = RealizedSequence(q, "battery orthonormal side", d)
+    ortho = RealizedSequence(q)
     op_sq = float(np.linalg.norm(operators.cross_gram(ortho, g), 2)) ** 2
     m2 = op_sq + TOL_SPECTRAL * max(1.0, op_sq) - upper_g
     return min(m1, m2), bool(m1 >= 0.0 and m2 >= 0.0)
@@ -334,11 +339,11 @@ def _check_norm_bounds(seed, t, d, tol):
     nf = 1 + int(rng.integers(ng))  # nf <= ng keeps sigma_min a true lower bound
     g = sequences.random_frame(d, ng, (seed, t, 24))
     cols = sequences._complex_gaussian(np.random.default_rng([seed, t, 25]), (d, nf))
-    f = RealizedSequence(cols, "battery raw columns", nf)
+    f = RealizedSequence(cols)
     m = operators.cross_gram(f, g)
     bounds = operators.frame_bounds(g, tol)
     col_sq = np.linalg.norm(cols, axis=0) ** 2
-    s = linalg.singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     op = float(s[0])
     smin = float(s[-1])
     m_up = op**2 / bounds.lower + TOL_SPECTRAL - float(col_sq.max())
@@ -375,7 +380,7 @@ def _check_canonical_projection(seed, t, d, tol):
     n = d + int(np.random.default_rng([seed, t, 33]).integers(d + 1))
     f = sequences.random_frame(d, n, (seed, t, 34))
     m = operators.cross_gram(f, operators.canonical_dual(f, tol))
-    defect = linalg.hermitian_defect(m)
+    defect = _hermitian_defect(m, float(np.linalg.norm(m, 2)))
     evals = np.linalg.eigvalsh(m)
     eig_dist = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
     near_one = int(np.sum(evals > 0.5))
@@ -397,7 +402,7 @@ def _check_canonical_projection(seed, t, d, tol):
 def _control_riesz_into_rank_deficit(seed, t, d, tol):
     # a Riesz pair must NOT satisfy the rank-deficit assertion
     f, g = sequences.random_riesz_pair(d, (seed, t, 40))
-    smin = linalg.min_singular(operators.cross_gram(f, g))
+    smin = float(np.linalg.svd(operators.cross_gram(f, g), compute_uv=False)[-1])
     underlying_ok = smin <= TOL_TIGHT
     return smin - TOL_TIGHT, not underlying_ok
 
@@ -407,7 +412,7 @@ def _control_shrunk_dual(seed, t, d, tol):
     nf = d + int(np.random.default_rng([seed, t, 41]).integers(d + 1))
     f = sequences.random_frame(d, nf, (seed, t, 42))
     dual = operators.canonical_dual(f, tol)
-    shrunk = RealizedSequence(0.9 * dual.columns, "control shrunk dual", dual.truncation)
+    shrunk = RealizedSequence(0.9 * dual.columns)
     op = float(np.linalg.norm(operators.cross_gram(f, shrunk), 2))
     verdict = check_duality(f, shrunk, tol=tol, probes=8, seed=(seed, t, 43))
     underlying_ok = op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair

@@ -1,10 +1,10 @@
-"""Validated complex matrices and the spectral helpers built on them.
+"""Validated complex matrices.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects with dtype complex128.
 ``as_matrix`` is the single entry point that enforces the representation
-invariants (two-dimensional, nonempty, every entry finite); the remaining
-functions assume validated input and delegate the numerics to LAPACK via
-numpy.
+invariants (two-dimensional, nonempty, every entry finite and at most
+``MAX_ENTRY`` in modulus); the spectral work on validated matrices calls
+numpy.linalg directly.
 """
 
 from __future__ import annotations
@@ -12,6 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+
+# A dense matrix holds at most 2**24 entries (sequences.MAX_DENSE_ENTRIES),
+# so no side of TT*, of a cross-Gram G or of G @ G sums more than 2**24
+# products.  Entries of modulus <= 1e64 keep TT* and G below
+# 2**24 * 1e128 ~ 1.7e135 and G @ G below 2**24 * (1.7e135)**2 ~ 4.7e277,
+# so every product, square and norm the reports take stays finite.
+MAX_ENTRY = 1e64
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -21,59 +28,13 @@ def as_matrix(entries) -> np.ndarray:
         raise ValueError(f"matrix must be 2-D, got {m.ndim}-D input")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    small = np.abs(m) <= MAX_ENTRY  # False for NaN and infinite entries too
+    if not small.all():
         bad = int(np.sum(~(np.isfinite(m.real) & np.isfinite(m.imag))))
-        raise ValueError(f"matrix entries must be finite ({bad} non-finite entries)")
-    return m
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in nonincreasing order."""
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def hermitian_defect(m: np.ndarray) -> float:
-    """||M - M*|| / max(1, ||M||) in the operator norm."""
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"hermitian defect needs a square matrix, got {m.shape}")
-    num = float(np.linalg.norm(m - m.conj().T, 2))
-    return num / max(1.0, float(np.linalg.norm(m, 2)))
-
-
-def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix in nondecreasing order.
-
-    The input must be Hermitian up to a relative defect of ``tol``; anything
-    beyond that is rejected rather than silently symmetrized.
-    """
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"eigenvalues need a square matrix, got {m.shape}")
-    defect = hermitian_defect(m)
-    if defect > tol:
+        if bad:
+            raise ValueError(f"matrix entries must be finite ({bad} non-finite entries)")
         raise ValueError(
-            f"matrix is not Hermitian: relative defect {defect:.3e} exceeds {tol:.3e}"
+            f"matrix entries must be at most MAX_ENTRY = {MAX_ENTRY:g} in modulus "
+            f"({int(np.sum(~small))} larger entries)"
         )
-    return np.linalg.eigvalsh(m)
-
-
-def operator_norm(m: np.ndarray) -> float:
-    return float(singular_values(m)[0])
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, "fro"))
-
-
-def min_singular(m: np.ndarray) -> float:
-    """Smallest of the min(rows, cols) singular values."""
-    return float(singular_values(m)[-1])
-
-
-def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above tol * sigma_max; 0 for the zero matrix."""
-    return _rank_of(singular_values(m), tol)
-
-
-def _rank_of(s: np.ndarray, tol: float) -> int:
-    """numeric_rank read off already computed nonincreasing singular values."""
-    return 0 if s[0] == 0.0 else int(np.sum(s > tol * s[0]))
+    return m

@@ -1,4 +1,4 @@
-"""Synthesis, analysis, frame, Gram, and cross-Gram operators, and duals.
+"""Analysis, frame, Gram, and cross-Gram operators, and duals.
 
 In the truncation model a sequence is its synthesis matrix T (columns are
 the vectors), so the analysis operator is T*, the frame operator is TT*,
@@ -40,13 +40,8 @@ class FrameBounds:
             )
 
 
-def synthesis(seq: RealizedSequence) -> np.ndarray:
-    """Synthesis matrix: dim x count, column k is the k-th vector."""
-    return seq.columns
-
-
 def analysis(seq: RealizedSequence) -> np.ndarray:
-    """Analysis matrix: the adjoint of synthesis."""
+    """Analysis matrix: the adjoint of the synthesis matrix ``seq.columns``."""
     return seq.columns.conj().T
 
 
@@ -99,10 +94,7 @@ def canonical_dual(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> Re
             f"lower bound {bounds.lower:.3e} against upper bound {bounds.upper:.3e}",
             lower=bounds.lower,
         )
-    dual = np.linalg.solve(frame_op, seq.columns)
-    return RealizedSequence(
-        dual, f"canonical_dual({seq.spec_ref})", seq.truncation
-    )
+    return RealizedSequence(np.linalg.solve(frame_op, seq.columns))
 
 
 def alternate_dual(
@@ -123,13 +115,4 @@ def alternate_dual(
         rng = np.random.default_rng([*path, sequences._STREAM_DUAL])
         y = sequences._complex_gaussian(rng, t.shape)
         dual = dual + scale * (y @ (np.eye(t.shape[1]) - proj))
-    return RealizedSequence(
-        dual,
-        f"alternate_dual({f.spec_ref}, seed={seed}, scale={scale:g})",
-        f.truncation,
-    )
-
-
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt norm: the Frobenius norm of the matrix."""
-    return linalg.frobenius_norm(m)
+    return RealizedSequence(dual)

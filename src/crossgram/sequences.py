@@ -276,15 +276,11 @@ class RealizedSequence:
     """First N terms of a sequence as the columns of a dim x count matrix."""
 
     columns: np.ndarray
-    spec_ref: str
-    truncation: int
 
     def __post_init__(self):
         m = linalg.as_matrix(self.columns).copy()
         m.setflags(write=False)
         object.__setattr__(self, "columns", m)
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
 
     @property
     def dim(self) -> int:
@@ -360,56 +356,33 @@ def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSe
                 f"explicit spec stores count {len(spec.columns)}, truncation {n} requested"
             )
         cols = np.array(spec.columns, dtype=complex).T
-        ref = f"explicit(count={n})"
     elif spec.kind in ("scaled_basis", "pattern"):
         _check_dense(dim or 1, n)  # the term arrays alone hold n entries each
-        cols = _dense(*monomial_terms(spec, n), dim)
-        ref = (
-            f"scaled_basis({spec.weight.rule})"
-            if spec.kind == "scaled_basis"
-            else f"pattern(head={len(spec.program.head)}, period={len(spec.program.tail)})"
-        )
-        return RealizedSequence(cols, ref, n)
+        return RealizedSequence(_dense(*monomial_terms(spec, n), dim))
     elif spec.kind == "paper_example":
         f, g = paper_example(spec.example, n)
         chosen = f if spec.role == "f" else g
         if dim is not None:
-            return RealizedSequence(
-                _pad_to_dim(chosen.columns, dim), chosen.spec_ref, chosen.truncation
-            )
+            return RealizedSequence(_pad_to_dim(chosen.columns, dim))
         return chosen
     elif spec.kind == "random_riesz":
         if n != spec.dim:
             raise ValueError(
                 f"random_riesz realizes exactly dim terms: truncation {n} != dim {spec.dim}"
             )
-        cols = _screened_gaussian(
-            np.random.default_rng([spec.seed, _STREAM_RIESZ_F]),
-            spec.dim,
-            spec.dim,
-            MAX_CONDITION,
-            MAX_ATTEMPTS,
-        )
-        ref = f"random_riesz(dim={spec.dim}, seed={spec.seed})"
+        cols = _screened_gaussian(spec.seed, _STREAM_RIESZ_F, spec.dim, spec.dim)
     elif spec.kind == "random_frame":
         if n != spec.count:
             raise ValueError(
                 f"random_frame realizes exactly count terms: truncation {n} != count {spec.count}"
             )
-        cols = _screened_gaussian(
-            np.random.default_rng([spec.seed, _STREAM_FRAME]),
-            spec.dim,
-            spec.count,
-            MAX_CONDITION,
-            MAX_ATTEMPTS,
-        )
-        ref = f"random_frame(dim={spec.dim}, count={spec.count}, seed={spec.seed})"
+        cols = _screened_gaussian(spec.seed, _STREAM_FRAME, spec.dim, spec.count)
     else:  # pragma: no cover - kinds are validated at construction
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
 
     if dim is not None:
         cols = _pad_to_dim(cols, dim)
-    return RealizedSequence(cols, ref, n)
+    return RealizedSequence(cols)
 
 
 def monomial_terms(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -522,23 +495,24 @@ def _geometric(coeff: complex, ratio: complex, count: int) -> np.ndarray:
 # worked example registry
 
 
+def _same(n: int) -> int:
+    return n
+
+
 @dataclass(frozen=True)
 class ExampleEntry:
-    """Registry entry: both roles of a worked example pair plus count rules."""
+    """Registry entry: both roles of a worked example pair plus count rules
+    (each side has n terms at truncation n unless its rule says otherwise)."""
 
     example_id: str
     title: str
     f: SequenceSpec
     g: SequenceSpec
-    f_count: Callable[[int], int]
-    g_count: Callable[[int], int]
+    f_count: Callable[[int], int] = _same
+    g_count: Callable[[int], int] = _same
     min_n: int = 1
     tail_inferred: bool = False
     notes: str = ""
-
-
-def _same(n: int) -> int:
-    return n
 
 
 _REGISTRY: dict[str, ExampleEntry] = {}
@@ -554,8 +528,6 @@ _register(
         title="reciprocal weights against index weights: identity cross-Gram",
         f=SequenceSpec.scaled_basis(WeightRule.inverse_index()),
         g=SequenceSpec.scaled_basis(WeightRule.index()),
-        f_count=_same,
-        g_count=_same,
         notes="g has unbounded Bessel bound (grows like N^2) while the "
         "cross-Gram stays the identity at every truncation",
     )
@@ -577,8 +549,6 @@ _register(
                 ),
             )
         ),
-        f_count=_same,
-        g_count=_same,
         tail_inferred=True,
         notes="the tail of g extends the two displayed periods: odd terms "
         "walk the geometric line (1/2^m) e1, even terms step through "
@@ -608,7 +578,6 @@ _register(
         # g repeats each basis vector twice, so N g-terms span ceil(N/2)
         # directions; f needs one extra leading repeat to cover the same span
         f_count=lambda n: (n + 1) // 2 + 1,
-        g_count=_same,
         notes="both sequences are frames of the shared span but the "
         "cross-Gram has determinant zero at every truncation",
     )
@@ -626,8 +595,6 @@ _register(
                 tail=(TailSlot(start_index=1, index_step=0, coeff_rule="inverse_term"),),
             )
         ),
-        f_count=_same,
-        g_count=_same,
         notes="g collapses onto e1 with weights (1/2, 1/2, 1/3, 1/4, ...); "
         "the cross-Gram norm converges to sqrt(1/4 + pi^2/6 - 1)",
     )
@@ -650,8 +617,6 @@ _register(
                 tail=(TailSlot(start_index=2, index_step=1),),
             )
         ),
-        f_count=_same,
-        g_count=_same,
         min_n=2,
         notes="g is the canonical dual of f in every truncation; the "
         "cross-Gram is the orthogonal projection onto the analysis range",
@@ -677,9 +642,7 @@ def paper_example(example_id: str, n: int) -> tuple[RealizedSequence, RealizedSe
     f_idx, f_w = monomial_terms(SequenceSpec.paper_example(example_id, "f"), n)
     g_idx, g_w = monomial_terms(SequenceSpec.paper_example(example_id, "g"), n)
     dim = int(max(f_idx.max(), g_idx.max()))
-    f = RealizedSequence(_dense(f_idx, f_w, dim), f"{example_id}.f(n={n})", n)
-    g = RealizedSequence(_dense(g_idx, g_w, dim), f"{example_id}.g(n={n})", n)
-    return f, g
+    return RealizedSequence(_dense(f_idx, f_w, dim)), RealizedSequence(_dense(g_idx, g_w, dim))
 
 
 # --------------------------------------------------------------------------
@@ -690,67 +653,37 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _screened_gaussian(
-    rng: np.random.Generator,
-    dim: int,
-    count: int,
-    max_condition: float,
-    attempts: int,
-) -> np.ndarray:
-    """Draw until the condition number (over the row space) passes the screen."""
+def _screened_gaussian(seed, stream: int, dim: int, count: int) -> np.ndarray:
+    """Draw from generator stream ``stream`` of ``seed`` until the condition
+    number (over the row space) is at most ``MAX_CONDITION``."""
     _check_dense(dim, count)
+    rng = np.random.default_rng([*_seed_path(seed), stream])
     last = np.inf
-    for _ in range(attempts):
+    for _ in range(MAX_ATTEMPTS):
         m = _complex_gaussian(rng, (dim, count))
         s = np.linalg.svd(m, compute_uv=False)
         last = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
-        if last <= max_condition:
+        if last <= MAX_CONDITION:
             return m
     raise GenerationError(
-        f"no {dim}x{count} draw met condition <= {max_condition:g} after "
-        f"{attempts} attempts (last condition {last:.3e})"
+        f"no {dim}x{count} draw met condition <= {MAX_CONDITION:g} after "
+        f"{MAX_ATTEMPTS} attempts (last condition {last:.3e})"
     )
 
 
-def random_riesz_pair(
-    dim: int,
-    seed: int,
-    *,
-    max_condition: float = MAX_CONDITION,
-    attempts: int = MAX_ATTEMPTS,
-) -> tuple[RealizedSequence, RealizedSequence]:
+def random_riesz_pair(dim: int, seed: int) -> tuple[RealizedSequence, RealizedSequence]:
     """Two independent well-conditioned bases of C^dim from one seed."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    path = _seed_path(seed)
-    u = _screened_gaussian(
-        np.random.default_rng([*path, _STREAM_RIESZ_F]), dim, dim, max_condition, attempts
-    )
-    w = _screened_gaussian(
-        np.random.default_rng([*path, _STREAM_RIESZ_G]), dim, dim, max_condition, attempts
-    )
-    ref = f"random_riesz_pair(dim={dim}, seed={seed})"
-    return (
-        RealizedSequence(u, f"{ref}.f", dim),
-        RealizedSequence(w, f"{ref}.g", dim),
-    )
+    u = _screened_gaussian(seed, _STREAM_RIESZ_F, dim, dim)
+    w = _screened_gaussian(seed, _STREAM_RIESZ_G, dim, dim)
+    return RealizedSequence(u), RealizedSequence(w)
 
 
-def random_frame(
-    dim: int,
-    count: int,
-    seed: int,
-    *,
-    max_condition: float = MAX_CONDITION,
-    attempts: int = MAX_ATTEMPTS,
-) -> RealizedSequence:
+def random_frame(dim: int, count: int, seed: int) -> RealizedSequence:
     """A well-conditioned spanning sequence of ``count`` vectors in C^dim."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if count < dim:
         raise ValueError(f"a frame needs count >= dim, got count {count} with dim {dim}")
-    path = _seed_path(seed)
-    cols = _screened_gaussian(
-        np.random.default_rng([*path, _STREAM_FRAME]), dim, count, max_condition, attempts
-    )
-    return RealizedSequence(cols, f"random_frame(dim={dim}, count={count}, seed={seed})", count)
+    return RealizedSequence(_screened_gaussian(seed, _STREAM_FRAME, dim, count))

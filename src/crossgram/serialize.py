@@ -14,7 +14,16 @@ import os
 import tempfile
 from typing import Any
 
-from .sequences import PatternProgram, PatternTerm, SequenceSpec, TailSlot, WeightRule
+from .sequences import (
+    _COEFF_RULES,
+    _ROLES,
+    _WEIGHT_RULES,
+    PatternProgram,
+    PatternTerm,
+    SequenceSpec,
+    TailSlot,
+    WeightRule,
+)
 
 TOOL_NAME = "crossgram"
 
@@ -128,7 +137,7 @@ def _weight_from(obj: Any, source: str, field: str) -> WeightRule:
         _get(data, "rule", source, field),
         source,
         f"{field}.rule",
-        allowed=("inverse_index", "index", "constant", "geometric", "table"),
+        allowed=_WEIGHT_RULES,
     )
     value = complex(_complex(data["value"], source, f"{field}.value")) if "value" in data else 1.0
     ratio = complex(_complex(data["ratio"], source, f"{field}.ratio")) if "ratio" in data else 0.5
@@ -161,7 +170,7 @@ def _slot_from(obj: Any, source: str, field: str) -> TailSlot:
         data.get("coeff_rule", "constant"),
         source,
         f"{field}.coeff_rule",
-        allowed=("constant", "geometric", "inverse_term"),
+        allowed=_COEFF_RULES,
     )
     ratio = _complex(data.get("ratio", [1.0, 0.0]), source, f"{field}.ratio")
     try:
@@ -199,7 +208,7 @@ def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
             return SequenceSpec.pattern(PatternProgram(head=head, tail=tail))
         if kind == "paper_example":
             example = _string(_get(data, "example", source, None), source, "example")
-            role = _string(_get(data, "role", source, None), source, "role", allowed=("f", "g"))
+            role = _string(_get(data, "role", source, None), source, "role", allowed=_ROLES)
             return SequenceSpec.paper_example(example, role)
         if kind == "random_riesz":
             return SequenceSpec.random_riesz(

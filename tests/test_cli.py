@@ -7,14 +7,19 @@ Reports must be byte-identical for identical (config, seed), including
 across serial and threaded battery execution.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crossgram import cli, serialize
 from crossgram.serialize import SpecFileError
@@ -294,6 +299,157 @@ def test_realize_budget_exits_2(tmp_path):
         assert res.returncode == 2, res.stderr
         assert "budget MAX_DENSE_ENTRIES = 16777216" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_entry_magnitude_bound_exits_2(tmp_path, capsys):
+    huge = write_spec(
+        tmp_path,
+        "huge.json",
+        {"kind": "scaled_basis", "weight": {"rule": "constant", "value": [1e200, 0]}},
+    )
+    assert cli.main(["classify", "--input", huge, "--dim", "3"]) == 2
+    assert f"{huge}: matrix entries must be at most MAX_ENTRY = 1e+64" in capsys.readouterr().err
+    ortho = write_spec(
+        tmp_path, "ortho.json", {"kind": "explicit", "columns": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    )
+    edge = write_spec(
+        tmp_path,
+        "edge.json",
+        {"kind": "explicit", "columns": [[[1e308, 0], [0, 0]], [[0, 0], [0, 1e308]]]},
+    )
+    for command in ("cross-gram", "dual-check"):
+        assert cli.main([command, "--f", ortho, "--g", edge, "--dim", "2"]) == 2
+        assert f"{edge}: matrix entries must be at most MAX_ENTRY" in capsys.readouterr().err
+
+
+def test_probe_budget_exits_2_before_allocating(tmp_path, capsys):
+    f = write_spec(tmp_path, "f.json", {"kind": "paper_example", "example": "ex-canonical", "role": "f"})
+    g = write_spec(tmp_path, "g.json", {"kind": "paper_example", "example": "ex-canonical", "role": "g"})
+    argv = ["dual-check", "--f", f, "--g", g, "--dim", "3", "--probes", "1000000000"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1000000000 probes in dimension 2 exceed the budget" in err
+    assert "MAX_DENSE_ENTRIES = 16777216" in err
+    assert peak < 2**20  # the 29.8 GiB probe block is never drawn
+
+
+def test_realize_errors_name_the_spec_file(tmp_path, capsys):
+    f = write_spec(tmp_path, "f.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
+    # decodes, but its second term lands on basis index 2**63, past int64
+    g = write_spec(
+        tmp_path,
+        "g.json",
+        {"kind": "pattern", "head": [], "tail": [{"start_index": 2**62, "index_step": 2**62}]},
+    )
+    for argv in (
+        ["cross-gram", "--f", f, "--g", g, "--dim", "2"],
+        ["dual-check", "--f", f, "--g", g, "--dim", "2"],
+        ["classify", "--input", g, "--dim", "2"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"crossgram: error: {g}: tail slot 0 reaches basis index"), err
+        assert f not in err
+
+
+# values at the edges of what a spec file can hold: zero, subnormals, the
+# largest doubles, NaN (which Python's json reads and writes), and basis
+# indices and index steps near 2**63
+_EXTREME = [0.0, -0.0, 1.0, 1e-320, -1e-320, 1e64, 1e308, -1e308, float("nan")]
+_INDICES = [1, 1, 2, 3, 2**62, 2**63 - 1, 2**63]
+
+
+def _complex_json():
+    return st.lists(st.sampled_from(_EXTREME), min_size=2, max_size=2)
+
+
+def _spec_json():
+    weight = st.fixed_dictionaries(
+        {"rule": st.sampled_from(["inverse_index", "index", "constant", "geometric", "table"])},
+        optional={
+            "value": _complex_json(),
+            "ratio": _complex_json(),
+            "values": st.lists(_complex_json(), min_size=1, max_size=4),
+        },
+    )
+    term = st.fixed_dictionaries(
+        {"index": st.sampled_from(_INDICES)}, optional={"coeff": _complex_json()}
+    )
+    slot = st.fixed_dictionaries(
+        {"start_index": st.sampled_from(_INDICES)},
+        optional={
+            "index_step": st.sampled_from([0, 1, 2**62, 2**63 - 1]),
+            "coeff": _complex_json(),
+            "coeff_rule": st.sampled_from(["constant", "geometric", "inverse_term"]),
+            "ratio": _complex_json(),
+        },
+    )
+    column = st.lists(_complex_json(), min_size=1, max_size=3)
+    sizes = st.sampled_from([0, 1, 2, 3, 6, 2**63])
+    return st.one_of(
+        st.builds(lambda c: {"kind": "scaled_basis", "weight": c}, weight),
+        st.builds(
+            lambda h, t: {"kind": "pattern", "head": h, "tail": t},
+            st.lists(term, max_size=3),
+            st.lists(slot, max_size=2),
+        ),
+        st.integers(1, 3).flatmap(
+            lambda w: st.builds(
+                lambda cols: {"kind": "explicit", "columns": cols},
+                st.lists(st.lists(_complex_json(), min_size=w, max_size=w), min_size=1, max_size=6),
+            )
+        ),
+        st.builds(
+            lambda e, r: {"kind": "paper_example", "example": e, "role": r},
+            st.sampled_from(["ex-identity", "ex-hs", "ex-blocked", "ex-norm89", "ex-canonical"]),
+            st.sampled_from(["f", "g"]),
+        ),
+        st.builds(
+            lambda d, s: {"kind": "random_riesz", "d": d, "seed": s},
+            sizes,
+            st.sampled_from([0, 2**63]),
+        ),
+        st.builds(
+            lambda d, n, s: {"kind": "random_frame", "d": d, "n": n, "seed": s},
+            sizes,
+            sizes,
+            st.sampled_from([0, 2**63]),
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("extreme")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f=_spec_json(), g=_spec_json(), n=st.integers(1, 6))
+def test_extreme_specs_end_in_an_envelope_or_exit_2(spec_dir, report_schema, f, g, n):
+    validator = jsonschema.Draft202012Validator(report_schema)
+    paths = []
+    for name, payload in (("f.json", f), ("g.json", g)):
+        path = spec_dir / name
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    fp, gp = paths
+    for argv in (
+        ["classify", "--input", fp, "--dim", str(n)],
+        ["cross-gram", "--f", fp, "--g", gp, "--dim", str(n)],
+        ["dual-check", "--f", fp, "--g", gp, "--dim", str(n), "--probes", "3"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2), argv
+        if code == 0:
+            validator.validate(json.loads(out.getvalue()))
 
 
 # ----------------------------------------------------------------- battery

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossgram import diagnostics, linalg, operators, sequences
+from crossgram import diagnostics, operators, sequences
+from crossgram.sequences import RealizedSequence
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -28,35 +29,41 @@ def _matrix(seed: int, rows: int, cols: int) -> np.ndarray:
 
 @given(seeds, dims, dims)
 def test_norm_sandwich(seed, m, n):
-    a = _matrix(seed, m, n)
-    op = linalg.operator_norm(a)
-    fro = linalg.frobenius_norm(a)
+    report = diagnostics.analyze_cross_gram(_matrix(seed, m, n))
+    op, fro = report.op_norm, report.hs
     assert op <= fro * (1 + 1e-12)
     assert fro <= np.sqrt(min(m, n)) * op * (1 + 1e-12)
 
 
 @given(seeds, dims, dims)
 def test_singular_values_match_gram_eigenvalues(seed, m, n):
-    a = _matrix(seed, m, n)
-    s = linalg.singular_values(a)
-    eig = linalg.hermitian_eigenvalues(a.conj().T @ a, tol=1e-8)
-    roots = np.sqrt(np.clip(eig[::-1], 0.0, None))
-    slack = 1e-7 * max(1.0, float(s[0]))
-    # the Gram has n eigenvalues; the extra n - min(m, n) are zeros
-    assert np.allclose(s, roots[: len(s)], atol=slack)
-    assert np.all(roots[len(s):] <= slack)
+    # classify_sequence reads the frame bounds off squared singular values of
+    # T, frame_bounds off the eigenvalues of TT*; both share the nonzero
+    # eigenvalues of the Gram T*T
+    seq = RealizedSequence(_matrix(seed, m, n))
+    c = diagnostics.classify_sequence(seq)
+    b = operators.frame_bounds(seq)
+    gram_top = float(np.linalg.eigvalsh(operators.gram(seq))[-1])
+    slack = 1e-7 * max(1.0, c.bessel_bound)
+    assert abs(c.bessel_bound - b.upper) <= slack
+    assert abs(c.bessel_bound - gram_top) <= slack
+    assert abs(c.frame.lower - b.lower) <= slack
 
 
 @given(seeds, dims, dims, st.integers(min_value=-40, max_value=40))
 def test_numeric_rank_ignores_scale(seed, m, n, power):
     a = _matrix(seed, m, n)
-    assert linalg.numeric_rank(a * 2.0**power) == linalg.numeric_rank(a)
+    scaled = a * 2.0**power
+    complete = diagnostics.classify_sequence(RealizedSequence(a)).complete
+    assert diagnostics.classify_sequence(RealizedSequence(scaled)).complete == complete
+    invertible = diagnostics.analyze_cross_gram(a).invertible
+    assert diagnostics.analyze_cross_gram(scaled).invertible == invertible
 
 
 @given(seeds, dims, extras)
 def test_gram_is_positive_semidefinite(seed, d, extra):
     f = sequences.random_frame(d, d + extra, seed)
-    eig = linalg.hermitian_eigenvalues(operators.gram(f))
+    eig = np.linalg.eigvalsh(operators.gram(f))
     assert eig[0] >= -1e-12 * max(1.0, eig[-1])
 
 
@@ -66,7 +73,7 @@ def test_cross_gram_swap_is_the_adjoint(seed, d, ef, eg):
     g = sequences.random_frame(d, d + eg, seed + 1)
     forward = operators.cross_gram(f, g)
     backward = operators.cross_gram(g, f)
-    scale = max(1.0, linalg.operator_norm(forward))
+    scale = max(1.0, float(np.linalg.norm(forward, 2)))
     assert np.allclose(backward.conj().T, forward, rtol=0.0, atol=1e-12 * scale)
 
 
@@ -74,9 +81,9 @@ def test_cross_gram_swap_is_the_adjoint(seed, d, ef, eg):
 def test_hs_norm_bounded_by_bessel_times_energy(seed, d, ef, eg):
     f = sequences.random_frame(d, d + ef, seed)
     g = sequences.random_frame(d, d + eg, seed + 1)
-    hs = operators.hs_norm(operators.cross_gram(f, g))
+    hs = diagnostics.analyze_cross_gram(operators.cross_gram(f, g)).hs
     bessel_f = diagnostics.classify_sequence(f).bessel_bound
-    energy_g = linalg.frobenius_norm(operators.synthesis(g)) ** 2
+    energy_g = float(np.linalg.norm(g.columns, "fro")) ** 2
     assert hs**2 <= bessel_f * energy_g * (1 + 1e-9) + 1e-12
 
 

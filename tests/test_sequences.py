@@ -143,7 +143,7 @@ def test_dense_realization_is_budgeted():
 def test_realize_scaled_basis_inverse_index():
     r = realize(SequenceSpec.scaled_basis(WeightRule.inverse_index()), 3)
     np.testing.assert_allclose(r.columns, np.diag([1.0, 0.5, 1 / 3]), atol=1e-15)
-    assert r.dim == 3 and r.count == 3 and r.truncation == 3
+    assert r.dim == 3 and r.count == 3
 
 
 def test_realize_pattern_dim_is_highest_index_used():
@@ -347,9 +347,10 @@ def test_random_frame_needs_enough_columns():
         random_frame(4, 3, seed=1)
 
 
-def test_generation_rejects_with_diagnostics_when_unsatisfiable():
+def test_generation_rejects_with_diagnostics_when_unsatisfiable(monkeypatch):
+    monkeypatch.setattr(seqs, "MAX_CONDITION", 1.0)
     with pytest.raises(GenerationError, match="64"):
-        random_riesz_pair(4, 0, max_condition=1.0)
+        random_riesz_pair(4, 0)
 
 
 # ---------------------------------------------------------------- duals
