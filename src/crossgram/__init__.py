@@ -1,9 +1,9 @@
 """Cross-Gram diagnostics for sequence pairs in finite-dimensional truncation.
 
 The package realizes structured vector sequences at a chosen truncation
-level, forms their synthesis/analysis/frame/Gram/cross-Gram operators,
-classifies sequences (Bessel, frame, Riesz, complete, norm-bounded), checks
-dual pairs, sweeps truncations for convergence behavior, and runs a seeded
+level, forms their cross-Gram matrices, frame bounds and duals, classifies
+sequences (Bessel, frame, Riesz, complete, norm-bounded), checks dual
+pairs, sweeps truncations for convergence behavior, and runs a seeded
 randomized battery of theorem-level identities with negative controls.
 """
 
@@ -31,12 +31,9 @@ from .operators import (
     FrameBounds,
     NotAFrameError,
     alternate_dual,
-    analysis,
     canonical_dual,
     cross_gram,
     frame_bounds,
-    frame_operator,
-    gram,
 )
 from .diagnostics import (
     CheckOutcome,
@@ -52,7 +49,7 @@ from .diagnostics import (
     theorem_battery,
     truncation_sweep,
 )
-from .serialize import SpecFileError, load_sequence_file, spec_from_json, spec_to_json
+from .serialize import SpecFileError, load_sequence_file, spec_from_json
 
 __all__ = [
     "DEFAULT_TOL",
@@ -74,12 +71,9 @@ __all__ = [
     "FrameBounds",
     "NotAFrameError",
     "alternate_dual",
-    "analysis",
     "canonical_dual",
     "cross_gram",
     "frame_bounds",
-    "frame_operator",
-    "gram",
     "CheckOutcome",
     "ConvergenceTable",
     "CrossGramReport",
@@ -95,6 +89,5 @@ __all__ = [
     "SpecFileError",
     "load_sequence_file",
     "spec_from_json",
-    "spec_to_json",
     "__version__",
 ]

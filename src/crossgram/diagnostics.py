@@ -77,24 +77,16 @@ def classify_sequence(seq: RealizedSequence, tol: float = DEFAULT_TOL) -> Sequen
     t = seq.columns
     dim, count = t.shape
     s = np.linalg.svd(t, compute_uv=False)
-    top = float(s[0])
-    bessel = top * top
-    lower = float(s[-1]) ** 2 if count >= dim else 0.0
+    frame = operators.bounds_from_singular_values(s, dim, tol)
     complete = _rank_of(s, tol) == dim
-    gram_gap = count == dim and float(s[-1]) ** 2 > tol * bessel
     col_norms = np.linalg.norm(t, axis=0)
     return SequenceClassification(
         count=count,
         dim=dim,
-        bessel_bound=bessel,
-        frame=FrameBounds(
-            lower=lower,
-            upper=bessel,
-            spans_ambient=bool(lower > tol * bessel),
-            tol=tol,
-        ),
+        bessel_bound=frame.upper,
+        frame=frame,
         complete=complete,
-        riesz=bool(complete and gram_gap),
+        riesz=bool(complete and count == dim and frame.spans_ambient),
         nba_sup=float(col_norms.max()),
         nbb_inf=float(col_norms.min()),
         tol=tol,
@@ -196,6 +188,7 @@ def check_duality(
     if probes < 0:
         raise ValueError(f"probes must be >= 0, got {probes}")
     dim = f.dim
+    sequences._check_dense(dim, dim, "dual-pair residual")
     if dim * probes > sequences.MAX_DENSE_ENTRIES:  # the probe block is dim x probes
         raise ValueError(
             f"{probes} probes in dimension {dim} exceed the budget "

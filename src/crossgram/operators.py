@@ -1,9 +1,10 @@
-"""Analysis, frame, Gram, and cross-Gram operators, and duals.
+"""Frame bounds, cross-Gram operators, and duals.
 
 In the truncation model a sequence is its synthesis matrix T (columns are
 the vectors), so the analysis operator is T*, the frame operator is TT*,
 the Gram matrix is T*T, and the cross-Gram of a pair (f, g) is T_g* T_f,
-whose (j, k) entry is <f_k, g_j>.
+whose (j, k) entry is <f_k, g_j>.  Frame bounds are read off the singular
+values of T, never off the eigenvalues of TT*.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ class NotAFrameError(ValueError):
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """Optimal truncation-level frame bounds from the frame operator spectrum."""
+    """Optimal truncation-level frame bounds: the extreme squared singular
+    values of the synthesis matrix, which are the extreme eigenvalues of
+    the frame operator S = TT*."""
 
     lower: float
     upper: float
@@ -40,37 +43,17 @@ class FrameBounds:
             )
 
 
-def analysis(seq: RealizedSequence) -> np.ndarray:
-    """Analysis matrix: the adjoint of the synthesis matrix ``seq.columns``."""
-    return seq.columns.conj().T
+def bounds_from_singular_values(s: np.ndarray, dim: int, tol: float) -> FrameBounds:
+    """Frame bounds of a dim-row synthesis matrix from its nonincreasing
+    singular values: B = sigma_max^2, and A = sigma_dim^2, or 0 when there
+    are fewer than dim of them (fewer vectors than dimensions).
 
-
-def frame_operator(seq: RealizedSequence) -> np.ndarray:
-    """S = T T*, a dim x dim Hermitian PSD matrix."""
-    return seq.columns @ analysis(seq)
-
-
-def gram(seq: RealizedSequence) -> np.ndarray:
-    """T* T, a count x count Hermitian PSD matrix."""
-    return analysis(seq) @ seq.columns
-
-
-def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
-    """Cross-Gram of the pair: g.count x f.count with entries <f_k, g_j>."""
-    if f.dim != g.dim:
-        raise ValueError(
-            f"sequences live in different ambient dimensions: {f.dim} vs {g.dim}"
-        )
-    return analysis(g) @ f.columns
-
-
-def _bounds_of(frame_op: np.ndarray, tol: float) -> FrameBounds:
-    # S = TT* is Hermitian by construction, so it needs no Hermitian check;
-    # a tiny negative smallest eigenvalue is floating-point noise on a PSD
-    # matrix and is clamped to zero
-    evals = np.linalg.eigvalsh(frame_op)
-    lower = max(float(evals[0]), 0.0)
-    upper = max(float(evals[-1]), 0.0)
+    Squaring singular values keeps A to the relative accuracy of the SVD;
+    eigenvalues of S = TT* would lose every A below eps * B to rounding.
+    """
+    top = float(s[0])
+    upper = top * top
+    lower = float(s[-1]) ** 2 if len(s) == dim else 0.0
     return FrameBounds(
         lower=lower,
         upper=upper,
@@ -79,22 +62,34 @@ def _bounds_of(frame_op: np.ndarray, tol: float) -> FrameBounds:
     )
 
 
+def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
+    """Cross-Gram of the pair: g.count x f.count with entries <f_k, g_j>,
+    refused before allocation when it exceeds ``MAX_DENSE_ENTRIES``."""
+    if f.dim != g.dim:
+        raise ValueError(
+            f"sequences live in different ambient dimensions: {f.dim} vs {g.dim}"
+        )
+    sequences._check_dense(g.count, f.count, "cross-Gram")
+    return g.columns.conj().T @ f.columns
+
+
 def frame_bounds(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> FrameBounds:
-    """Optimal bounds A, B from the frame operator eigenvalues."""
-    return _bounds_of(frame_operator(seq), tol)
+    """Optimal bounds A, B from the singular values of the synthesis matrix."""
+    s = np.linalg.svd(seq.columns, compute_uv=False)
+    return bounds_from_singular_values(s, seq.dim, tol)
 
 
 def canonical_dual(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> RealizedSequence:
     """Canonical dual sequence: columns of S^{-1} T, via a linear solve."""
-    frame_op = frame_operator(seq)
-    bounds = _bounds_of(frame_op, tol)
+    bounds = frame_bounds(seq, tol)
     if not bounds.spans_ambient:
         raise NotAFrameError(
             f"sequence is not a frame at tolerance {tol:.3e}: "
             f"lower bound {bounds.lower:.3e} against upper bound {bounds.upper:.3e}",
             lower=bounds.lower,
         )
-    return RealizedSequence(np.linalg.solve(frame_op, seq.columns))
+    t = seq.columns
+    return RealizedSequence(np.linalg.solve(t @ t.conj().T, t))
 
 
 def alternate_dual(

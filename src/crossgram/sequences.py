@@ -273,12 +273,17 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class RealizedSequence:
-    """First N terms of a sequence as the columns of a dim x count matrix."""
+    """First N terms of a sequence as the columns of a dim x count matrix.
+
+    ``columns`` becomes a read-only view of the validated matrix.  A
+    C-contiguous complex128 array is shared, not copied, so writing to it
+    afterwards changes the sequence; any other input is converted once.
+    """
 
     columns: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.columns).copy()
+        m = linalg.as_matrix(self.columns).view()
         m.setflags(write=False)
         object.__setattr__(self, "columns", m)
 
@@ -296,56 +301,35 @@ class RealizedSequence:
 
 # A dense realization holds dim x count complex entries of 16 bytes, so the
 # budget is 256 MiB per matrix; the dense benchmark's largest shapes are
-# 256 x 256 and 128 x 192.
+# 256 x 256 and 128 x 192.  The same budget bounds the matrices derived from
+# two sequences: the cross-Gram and the dual-pair residuals.
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-def _check_dense(dim: int, count: int) -> None:
-    if dim * count > MAX_DENSE_ENTRIES:
+def _check_dense(rows: int, cols: int, what: str = "realization") -> None:
+    if rows * cols > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"a dense {dim} x {count} realization exceeds the budget "
+            f"a dense {rows} x {cols} {what} exceeds the budget "
             f"MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES} entries"
         )
 
 
-def _ambient(dim: int | None, natural: int, count: int) -> int:
-    """The ambient dimension (``natural`` unless ``dim`` enlarges it),
-    checked against the dense budget."""
-    if dim is None:
-        dim = natural
-    elif dim < natural:
-        raise ValueError(
-            f"ambient override {dim} is smaller than the natural dimension {natural}"
-        )
-    _check_dense(dim, count)
-    return dim
-
-
-def _pad_to_dim(columns: np.ndarray, dim: int) -> np.ndarray:
-    natural, count = columns.shape
-    dim = _ambient(dim, natural, count)
-    if dim == natural:
-        return columns
-    padded = np.zeros((dim, count), dtype=complex)
-    padded[:natural, :] = columns
-    return padded
-
-
-def _dense(idx: np.ndarray, coeff: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Columns of a term list: column k is coeff[k] on basis vector idx[k]."""
+def _dense(idx: np.ndarray, coeff: np.ndarray, dim: int) -> np.ndarray:
+    """Columns of a term list in C^dim: column k is coeff[k] on basis vector idx[k]."""
     count = len(idx)
-    cols = np.zeros((_ambient(dim, int(idx.max()), count), count), dtype=complex)
+    _check_dense(dim, count)
+    cols = np.zeros((dim, count), dtype=complex)
     cols[idx - 1, np.arange(count)] = coeff
     return cols
 
 
-def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSequence:
+def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
     """Realize the first ``n`` terms of ``spec``.
 
     The ambient dimension is the highest basis index the terms reference
     (the stored column length for explicit specs, the declared dimension
-    for random specs); ``dim`` may enlarge it by zero padding.  A matrix
-    over ``MAX_DENSE_ENTRIES`` entries is refused before it is allocated.
+    for random specs).  A matrix over ``MAX_DENSE_ENTRIES`` entries is
+    refused before it is allocated.
     """
     if n < 1:
         raise ValueError(f"truncation must be >= 1, got {n}")
@@ -357,14 +341,12 @@ def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSe
             )
         cols = np.array(spec.columns, dtype=complex).T
     elif spec.kind in ("scaled_basis", "pattern"):
-        _check_dense(dim or 1, n)  # the term arrays alone hold n entries each
-        return RealizedSequence(_dense(*monomial_terms(spec, n), dim))
+        _check_dense(1, n)  # the term arrays alone hold n entries each
+        idx, coeff = monomial_terms(spec, n)
+        return RealizedSequence(_dense(idx, coeff, int(idx.max())))
     elif spec.kind == "paper_example":
         f, g = paper_example(spec.example, n)
-        chosen = f if spec.role == "f" else g
-        if dim is not None:
-            return RealizedSequence(_pad_to_dim(chosen.columns, dim))
-        return chosen
+        return f if spec.role == "f" else g
     elif spec.kind == "random_riesz":
         if n != spec.dim:
             raise ValueError(
@@ -379,9 +361,6 @@ def realize(spec: SequenceSpec, n: int, *, dim: int | None = None) -> RealizedSe
         cols = _screened_gaussian(spec.seed, _STREAM_FRAME, spec.dim, spec.count)
     else:  # pragma: no cover - kinds are validated at construction
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
-
-    if dim is not None:
-        cols = _pad_to_dim(cols, dim)
     return RealizedSequence(cols)
 
 

@@ -61,7 +61,12 @@ def _complex(obj: Any, source: str, field: str) -> complex:
         raise SpecFileError(
             f"expected a complex scalar as [re, im], got {obj!r}", source=source, field=field
         )
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:  # an integer past the float range
+        raise SpecFileError(
+            "[re, im] parts must be within the float range", source=source, field=field
+        ) from None
 
 
 def _integer(obj: Any, source: str, field: str) -> int:
@@ -226,55 +231,6 @@ def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
         raise SpecFileError(str(exc), source=source, field=None) from exc
 
 
-def _complex_to(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _weight_to(rule: WeightRule) -> dict:
-    out: dict[str, Any] = {"rule": rule.rule}
-    if rule.rule in ("constant", "geometric"):
-        out["value"] = _complex_to(rule.value)
-    if rule.rule == "geometric":
-        out["ratio"] = _complex_to(rule.ratio)
-    if rule.rule == "table":
-        out["values"] = [_complex_to(v) for v in rule.values]
-    return out
-
-
-def spec_to_json(spec: SequenceSpec) -> dict:
-    """Encode a sequence spec as a JSON-ready object (inverse of spec_from_json)."""
-    if spec.kind == "explicit":
-        return {
-            "kind": "explicit",
-            "columns": [[_complex_to(x) for x in col] for col in spec.columns],
-        }
-    if spec.kind == "scaled_basis":
-        return {"kind": "scaled_basis", "weight": _weight_to(spec.weight)}
-    if spec.kind == "pattern":
-        return {
-            "kind": "pattern",
-            "head": [
-                {"index": t.index, "coeff": _complex_to(t.coeff)} for t in spec.program.head
-            ],
-            "tail": [
-                {
-                    "start_index": s.start_index,
-                    "index_step": s.index_step,
-                    "coeff": _complex_to(s.coeff),
-                    "coeff_rule": s.coeff_rule,
-                    "ratio": _complex_to(s.ratio),
-                }
-                for s in spec.program.tail
-            ],
-        }
-    if spec.kind == "paper_example":
-        return {"kind": "paper_example", "example": spec.example, "role": spec.role}
-    if spec.kind == "random_riesz":
-        return {"kind": "random_riesz", "d": spec.dim, "seed": spec.seed}
-    return {"kind": "random_frame", "d": spec.dim, "n": spec.count, "seed": spec.seed}
-
-
 def load_sequence_file(path: str) -> SequenceSpec:
     """Read and decode one sequence spec from a JSON file."""
     try:
@@ -289,6 +245,8 @@ def load_sequence_file(path: str) -> SequenceSpec:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             source=path,
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SpecFileError(f"invalid JSON: {exc}", source=path) from exc
     return spec_from_json(obj, source=path)
 
 
@@ -307,7 +265,7 @@ def to_jsonable(obj: Any) -> Any:
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         return to_jsonable(obj.item())
     if isinstance(obj, complex):
-        return _complex_to(obj)
+        return [obj.real, obj.imag]
     if isinstance(obj, float):
         return float(obj)
     if obj is None or isinstance(obj, (int, str)):

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crossgram import cli, serialize
+from crossgram.sequences import PatternProgram, PatternTerm, SequenceSpec, TailSlot, WeightRule
 from crossgram.serialize import SpecFileError
 
 RUN = [sys.executable, "-m", "crossgram"]
@@ -85,8 +86,14 @@ def test_load_sequence_file_rejects_bad_complex_encoding(tmp_path):
             "weight.value",
             r"\[re, im\]",
         ),
+        # a JSON integer past the float range
+        (
+            {"kind": "explicit", "columns": [[[1, -(10**400)]]]},
+            "columns[0][0]",
+            "float range",
+        ),
     ],
-    ids=["object", "array", "integer", "string", "number", "re-im"],
+    ids=["object", "array", "integer", "string", "number", "re-im", "overflow"],
 )
 def test_spec_type_failures_name_their_field(payload, field, expected):
     with pytest.raises(SpecFileError, match=expected) as exc:
@@ -102,6 +109,17 @@ def test_load_sequence_file_reports_json_line(tmp_path):
         serialize.load_sequence_file(str(path))
 
 
+def test_json_integers_past_the_digit_limit_name_their_file(tmp_path, capsys):
+    # Python's json refuses integer literals over 4300 digits with a ValueError
+    path = tmp_path / "huge.json"
+    value = "1" + "0" * 5000
+    path.write_text(
+        '{"kind": "scaled_basis", "weight": {"rule": "constant", "value": [%s, 0]}}' % value
+    )
+    assert cli.main(["classify", "--input", str(path), "--dim", "3"]) == 2
+    assert f"{path}: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+
+
 def test_random_kinds_accept_short_and_long_size_keys():
     short = serialize.spec_from_json(
         {"kind": "random_frame", "d": 3, "n": 6, "seed": 9}, source="<short>"
@@ -109,8 +127,7 @@ def test_random_kinds_accept_short_and_long_size_keys():
     long_ = serialize.spec_from_json(
         {"kind": "random_frame", "dim": 3, "count": 6, "seed": 9}, source="<long>"
     )
-    assert short == long_
-    assert serialize.spec_to_json(short) == {"kind": "random_frame", "d": 3, "n": 6, "seed": 9}
+    assert short == long_ == SequenceSpec.random_frame(3, 6, 9)
     # the realized matrix is 3 x 6 with full row rank
     import numpy as np
 
@@ -130,28 +147,48 @@ def test_random_kind_alias_keys_are_exclusive():
         serialize.spec_from_json({"kind": "random_riesz", "seed": 1}, source="<none>")
 
 
-def test_spec_json_round_trip():
+def test_schema_valid_specs_decode_to_their_constructors():
     schema = json.loads(
         resources.files("crossgram").joinpath("schemas/sequence.schema.json").read_text()
     )
-    for payload in (
-        {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}},
-        {"kind": "scaled_basis", "weight": {"rule": "geometric", "ratio": [0.5, 0.0]}},
-        {
-            "kind": "pattern",
-            "head": [{"index": 1, "coeff": [0.5, 0.0]}],
-            "tail": [{"start_index": 1, "index_step": 0, "coeff_rule": "inverse_term"}],
-        },
-        {"kind": "paper_example", "example": "ex-hs", "role": "g"},
-        {"kind": "random_riesz", "dim": 4, "seed": 42},
-        {"kind": "random_frame", "dim": 3, "count": 6, "seed": 9},
-        {"kind": "explicit", "columns": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+    for payload, expected in (
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}},
+            SequenceSpec.scaled_basis(WeightRule.inverse_index()),
+        ),
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "geometric", "ratio": [0.5, 0.0]}},
+            SequenceSpec.scaled_basis(WeightRule.geometric(0.5)),
+        ),
+        (
+            {
+                "kind": "pattern",
+                "head": [{"index": 1, "coeff": [0.5, 0.0]}],
+                "tail": [{"start_index": 1, "index_step": 0, "coeff_rule": "inverse_term"}],
+            },
+            SequenceSpec.pattern(
+                PatternProgram(
+                    head=(PatternTerm(1, 0.5),),
+                    tail=(TailSlot(start_index=1, coeff_rule="inverse_term"),),
+                )
+            ),
+        ),
+        (
+            {"kind": "paper_example", "example": "ex-hs", "role": "g"},
+            SequenceSpec.paper_example("ex-hs", "g"),
+        ),
+        ({"kind": "random_riesz", "dim": 4, "seed": 42}, SequenceSpec.random_riesz(4, 42)),
+        (
+            {"kind": "random_frame", "dim": 3, "count": 6, "seed": 9},
+            SequenceSpec.random_frame(3, 6, 9),
+        ),
+        (
+            {"kind": "explicit", "columns": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+            SequenceSpec.explicit([[1, 0], [0, 1j]]),
+        ),
     ):
         jsonschema.validate(payload, schema)
-        spec = serialize.spec_from_json(payload, source="<memory>")
-        emitted = serialize.spec_to_json(spec)
-        jsonschema.validate(emitted, schema)
-        assert serialize.spec_from_json(emitted, source="<round>") == spec
+        assert serialize.spec_from_json(payload, source="<memory>") == expected
 
 
 # ----------------------------------------------------------------- classify
@@ -339,6 +376,32 @@ def test_probe_budget_exits_2_before_allocating(tmp_path, capsys):
     assert peak < 2**20  # the 29.8 GiB probe block is never drawn
 
 
+def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
+    # each side is a 1 x 4097 or 4097 x 1 matrix, far inside the budget; the
+    # cross-Gram (g.count x f.count) and the dual-pair residuals (dim x dim)
+    # would each hold 4097**2 > MAX_DENSE_ENTRIES entries
+    line = write_spec(
+        tmp_path, "line.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1}]}
+    )
+    far = write_spec(
+        tmp_path, "far.json", {"kind": "pattern", "head": [{"index": 4097}], "tail": []}
+    )
+    for argv, message in (
+        (["cross-gram", "--f", line, "--g", line, "--dim", "4097"], "4097 x 4097 cross-Gram"),
+        (["dual-check", "--f", far, "--g", far, "--dim", "1"], "4097 x 4097 dual-pair residual"),
+    ):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{message} exceeds the budget MAX_DENSE_ENTRIES = 16777216" in err
+        assert peak < 2**20
+
+
 def test_realize_errors_name_the_spec_file(tmp_path, capsys):
     f = write_spec(tmp_path, "f.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
     # decodes, but its second term lands on basis index 2**63, past int64
@@ -359,9 +422,11 @@ def test_realize_errors_name_the_spec_file(tmp_path, capsys):
 
 
 # values at the edges of what a spec file can hold: zero, subnormals, the
-# largest doubles, NaN (which Python's json reads and writes), and basis
-# indices and index steps near 2**63
-_EXTREME = [0.0, -0.0, 1.0, 1e-320, -1e-320, 1e64, 1e308, -1e308, float("nan")]
+# largest doubles, NaN (which Python's json reads and writes), integers past
+# the float range, and basis indices and index steps near 2**63
+_EXTREME = [
+    0.0, -0.0, 1.0, 1e-320, -1e-320, 1e64, 1e308, -1e308, float("nan"), 10**400, -(10**400),
+]
 _INDICES = [1, 1, 2, 3, 2**62, 2**63 - 1, 2**63]
 
 

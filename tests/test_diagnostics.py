@@ -65,9 +65,11 @@ def test_classify_agrees_with_frame_bounds_route():
     seq = seqs.random_frame(4, 9, seed=31)
     c = diag.classify_sequence(seq)
     b = ops.frame_bounds(seq)
-    assert c.frame.lower == pytest.approx(b.lower, rel=1e-10)
-    assert c.frame.upper == pytest.approx(b.upper, rel=1e-10)
-    assert c.bessel_bound == pytest.approx(b.upper, rel=1e-10)
+    assert c.frame == b
+    assert c.bessel_bound == b.upper
+    # against the eigenvalues of the frame operator, formed here
+    evals = np.linalg.eigvalsh(seq.columns @ seq.columns.conj().T)
+    assert (b.lower, b.upper) == pytest.approx((evals[0], evals[-1]), rel=1e-10)
 
 
 # ------------------------------------------------------------ cross-Gram

@@ -50,6 +50,10 @@ def test_as_matrix_bounds_entry_modulus():
     # the modulus counts: both parts within the bound, the entry beyond it
     with pytest.raises(ValueError, match="MAX_ENTRY"):
         linalg.as_matrix([[0.8e64 + 0.8e64j]])
+    # both parts past MAX_ENTRY / sqrt(2), the modulus within it
+    assert linalg.as_matrix([[0.7e64 - 0.7e64j]]).shape == (1, 1)
+    with pytest.raises(ValueError, match="finite"):
+        linalg.as_matrix([[1.0 + 0j, complex(0.0, float("nan"))]])
 
 
 def test_as_matrix_rejects_empty_and_non_2d():
@@ -77,8 +81,10 @@ def test_hermitian_eigenvalues_frame_operator_oracle():
     for k in range(4):
         s += np.outer(t[:, k], t[:, k].conj())
     seq = RealizedSequence(t)
-    np.testing.assert_array_equal(operators.frame_operator(seq), s)
+    np.testing.assert_array_equal(t @ t.conj().T, s)
+    evals = np.linalg.eigvalsh(s)
     bounds = operators.frame_bounds(seq)
+    assert (bounds.lower, bounds.upper) == pytest.approx((evals[0], evals[-1]), abs=1e-14)
     assert (bounds.lower, bounds.upper) == pytest.approx((1.0, 2.0), abs=1e-14)
 
 

@@ -1,9 +1,11 @@
-"""Checks for the analysis/frame/Gram/cross-Gram operator layer.
+"""Checks for the frame-bound, cross-Gram and dual operator layer.
 
 Orientation oracle: the cross-Gram of (f, g) carries <f_k, g_j> at row j,
-column k, so it equals analysis(g) @ f.columns and has shape
+column k, so it equals g.columns.conj().T @ f.columns and has shape
 g.count x f.count.  Frozen values come from the 4-term repeated-vector
 frame (frame operator diag(2,1,1), bounds A=1, B=2) and the blocked pair.
+The frame operator TT* and the Gram T*T are formed here, in the tests, as
+references for the frame bounds read off the singular values of T.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from crossgram import operators as ops
 from crossgram import sequences as seqs
-from crossgram.diagnostics import analyze_cross_gram
+from crossgram.diagnostics import analyze_cross_gram, classify_sequence
 from crossgram.sequences import SequenceSpec, WeightRule, paper_example, realize
 
 
@@ -21,22 +23,24 @@ def repeated_frame():
     return f
 
 
-def test_synthesis_and_analysis_are_adjoint(repeated_frame):
-    t = repeated_frame.columns
-    a = ops.analysis(repeated_frame)
-    assert t.shape == (3, 4)
-    assert a.shape == (4, 3)
-    np.testing.assert_array_equal(a, t.conj().T)
+def frame_operator(seq):
+    t = seq.columns
+    return t @ t.conj().T
+
+
+def gram(seq):
+    t = seq.columns
+    return t.conj().T @ t
 
 
 def test_frame_operator_frozen(repeated_frame):
-    s = ops.frame_operator(repeated_frame)
-    np.testing.assert_allclose(s, np.diag([2.0, 1.0, 1.0]), atol=0)
+    assert repeated_frame.columns.shape == (3, 4)
+    np.testing.assert_allclose(frame_operator(repeated_frame), np.diag([2.0, 1.0, 1.0]), atol=0)
 
 
 def test_gram_of_reciprocal_basis():
     r = realize(SequenceSpec.scaled_basis(WeightRule.inverse_index()), 3)
-    np.testing.assert_allclose(ops.gram(r), np.diag([1.0, 0.25, 1 / 9]), atol=1e-15)
+    np.testing.assert_allclose(gram(r), np.diag([1.0, 0.25, 1 / 9]), atol=1e-15)
 
 
 def test_cross_gram_entry_orientation_oracle():
@@ -85,10 +89,12 @@ def test_cross_gram_rejects_ambient_mismatch():
 
 def test_gram_and_frame_operator_share_nonzero_spectrum():
     seq = seqs.random_frame(3, 6, seed=8)
-    s_eigs = np.linalg.eigvalsh(ops.frame_operator(seq))
-    g_eigs = np.linalg.eigvalsh(ops.gram(seq))
+    s_eigs = np.linalg.eigvalsh(frame_operator(seq))
+    g_eigs = np.linalg.eigvalsh(gram(seq))
     np.testing.assert_allclose(np.sort(g_eigs)[-3:], np.sort(s_eigs), atol=1e-10)
     np.testing.assert_allclose(np.sort(g_eigs)[:3], 0.0, atol=1e-10)
+    b = ops.frame_bounds(seq)
+    assert (b.lower, b.upper) == pytest.approx((s_eigs[0], s_eigs[-1]), rel=1e-12)
 
 
 def test_frame_bounds_frozen(repeated_frame):
@@ -110,7 +116,24 @@ def test_frame_bounds_non_spanning():
 def test_frame_bounds_match_gram_norm():
     seq = seqs.random_frame(4, 9, seed=5)
     b = ops.frame_bounds(seq)
-    assert b.upper == pytest.approx(np.linalg.norm(ops.gram(seq), 2), rel=1e-12)
+    assert b.upper == pytest.approx(np.linalg.norm(gram(seq), 2), rel=1e-12)
+
+
+def test_frame_bounds_keep_relative_accuracy_at_condition_1e9():
+    # T = U [diag(1, 1e-4, 1e-9) | 0] V* in C^{3 x 5}: eigenvalues of TT*
+    # carry absolute errors near eps * B = 2e-16 and lose A = 1e-18 entirely
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    core = np.zeros((3, 5))
+    core[[0, 1, 2], [0, 1, 2]] = (1.0, 1e-4, 1e-9)
+    seq = seqs.RealizedSequence(u @ core @ v.conj().T)
+    b = ops.frame_bounds(seq)
+    assert b.lower == pytest.approx(1e-18, rel=1e-6, abs=0)
+    assert b.upper == pytest.approx(1.0, rel=1e-12)
+    assert b.spans_ambient is False  # 1e-18 <= tol * B
+    assert classify_sequence(seq).frame == b
+    assert ops.frame_bounds(seq, tol=1e-20).spans_ambient is True
 
 
 def test_canonical_dual_frozen(repeated_frame):

@@ -37,17 +37,20 @@ def test_norm_sandwich(seed, m, n):
 
 @given(seeds, dims, dims)
 def test_singular_values_match_gram_eigenvalues(seed, m, n):
-    # classify_sequence reads the frame bounds off squared singular values of
-    # T, frame_bounds off the eigenvalues of TT*; both share the nonzero
-    # eigenvalues of the Gram T*T
-    seq = RealizedSequence(_matrix(seed, m, n))
+    # classify_sequence and frame_bounds both read the frame bounds off the
+    # squared singular values of T; the eigenvalues of TT* (formed here) share
+    # the nonzero eigenvalues of the Gram T*T
+    t = _matrix(seed, m, n)
+    seq = RealizedSequence(t)
     c = diagnostics.classify_sequence(seq)
     b = operators.frame_bounds(seq)
-    gram_top = float(np.linalg.eigvalsh(operators.gram(seq))[-1])
+    assert c.frame == b
+    s_eigs = np.linalg.eigvalsh(t @ t.conj().T)
+    gram_top = float(np.linalg.eigvalsh(t.conj().T @ t)[-1])
     slack = 1e-7 * max(1.0, c.bessel_bound)
-    assert abs(c.bessel_bound - b.upper) <= slack
+    assert abs(c.bessel_bound - s_eigs[-1]) <= slack
     assert abs(c.bessel_bound - gram_top) <= slack
-    assert abs(c.frame.lower - b.lower) <= slack
+    assert abs(c.frame.lower - (s_eigs[0] if n >= m else 0.0)) <= slack
 
 
 @given(seeds, dims, dims, st.integers(min_value=-40, max_value=40))
@@ -63,7 +66,7 @@ def test_numeric_rank_ignores_scale(seed, m, n, power):
 @given(seeds, dims, extras)
 def test_gram_is_positive_semidefinite(seed, d, extra):
     f = sequences.random_frame(d, d + extra, seed)
-    eig = np.linalg.eigvalsh(operators.gram(f))
+    eig = np.linalg.eigvalsh(f.columns.conj().T @ f.columns)
     assert eig[0] >= -1e-12 * max(1.0, eig[-1])
 
 

@@ -4,6 +4,8 @@ Frozen realizations below come from expanding each rule by hand for small
 truncations (weights 1/k and k, interleaved tails, index-blocked repeats).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,10 +126,15 @@ def test_pattern_indices_must_fit_int64():
 def test_dense_realization_is_budgeted():
     budget = seqs.MAX_DENSE_ENTRIES
     side = int(budget**0.5)
-    assert realize(SequenceSpec.scaled_basis(WeightRule.constant()), 4, dim=side).count == 4
+
+    def far(index):  # one term on basis vector ``index``, then e1 terms
+        prog = PatternProgram(head=(PatternTerm(index, 1.0),), tail=(TailSlot(1),))
+        return SequenceSpec.pattern(prog)
+
+    assert realize(far(side), 4).columns.shape == (side, 4)
     cases = [
         lambda: realize(SequenceSpec.scaled_basis(WeightRule.constant()), side + 1),
-        lambda: realize(SequenceSpec.scaled_basis(WeightRule.constant()), 2, dim=budget),
+        lambda: realize(far(budget), 2),
         lambda: realize(SequenceSpec.random_frame(side, side + 1, 0), side + 1),
         lambda: paper_example("ex-identity", side + 1),
         lambda: paper_example("ex-identity", budget + 1),
@@ -161,14 +168,6 @@ def test_realize_pattern_dim_is_highest_index_used():
     assert r.dim == 3
 
 
-def test_realize_with_ambient_override_pads():
-    spec = SequenceSpec.scaled_basis(WeightRule.constant())
-    r = realize(spec, 2, dim=5)
-    assert r.columns.shape == (5, 2)
-    with pytest.raises(ValueError, match="ambient"):
-        realize(spec, 4, dim=2)
-
-
 def test_realize_explicit_checks_count():
     spec = SequenceSpec.explicit([[1.0, 0.0], [0.0, 1j]])
     r = realize(spec, 2)
@@ -186,6 +185,32 @@ def test_realized_columns_are_read_only():
     r = realize(SequenceSpec.scaled_basis(WeightRule.index()), 3)
     with pytest.raises(ValueError):
         r.columns[0, 0] = 9.0
+
+
+def test_realized_sequence_shares_a_complex_matrix():
+    # a C-contiguous complex128 matrix is kept as a read-only view; any
+    # other layout or dtype is converted once
+    m = np.arange(6, dtype=complex).reshape(2, 3)
+    seq = seqs.RealizedSequence(m)
+    assert np.shares_memory(seq.columns, m)
+    assert m.flags.writeable and not seq.columns.flags.writeable
+    for other in (m.T, m.real):
+        got = seqs.RealizedSequence(other).columns
+        assert got.flags.c_contiguous and got.dtype == np.complex128
+        assert not np.shares_memory(got, m)
+        np.testing.assert_array_equal(got, other)
+
+
+def test_realization_peaks_at_its_matrix():
+    n = 2048  # a 64 MiB matrix
+    tracemalloc.start()
+    try:
+        r = realize(SequenceSpec.scaled_basis(WeightRule.inverse_index()), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.columns.nbytes == n * n * 16
+    assert peak <= 1.1 * r.columns.nbytes
 
 
 # ---------------------------------------------------------------- registry
