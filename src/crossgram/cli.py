@@ -153,14 +153,32 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _realize(path: str, n: int):
-    """Load one spec file and realize it at truncation ``n``; a realization
-    error names the file, as a decoding error does."""
-    spec = serialize.load_sequence_file(path)
+def _named(path: str, make, *args):
+    """``make(*args)``; an error names the spec file, as a decoding error does."""
     try:
-        return sequences.realize(spec, n)
+        return make(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _side(path: str, n: int):
+    """One spec file at truncation ``n``: the term arrays of a monomial
+    kind, else its dense realization."""
+    spec = serialize.load_sequence_file(path)
+    monomial = spec.kind in sequences.MONOMIAL_KINDS
+    return _named(path, sequences.term_arrays if monomial else sequences.realize, spec, n)
+
+
+def _pair(config: RunConfig):
+    """Both sides of a pair command: term arrays when every field has a
+    block form, else dense realizations."""
+    f, g = _side(config.f, config.dim), _side(config.g, config.dim)
+    if isinstance(f, tuple) and isinstance(g, tuple) and diagnostics.has_block_form(f, g):
+        return f, g
+    return tuple(
+        _named(path, sequences.from_terms, *side) if isinstance(side, tuple) else side
+        for side, path in ((f, config.f), (g, config.g))
+    )
 
 
 def run_command(config: RunConfig) -> tuple[int, dict]:
@@ -168,22 +186,30 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
     command = config.command
 
     if command == "classify":
-        seq = _realize(config.input, config.dim)
-        report = diagnostics.classify_sequence(seq, tol=config.tol)
+        seq = _side(config.input, config.dim)
+        if isinstance(seq, tuple):
+            report = diagnostics.monomial_reports(seq, tol=config.tol)[0]
+        else:
+            report = diagnostics.classify_sequence(seq, tol=config.tol)
         echo = {"input": config.input, "dim": config.dim, "tol": config.tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "cross-gram":
-        f, g = _realize(config.f, config.dim), _realize(config.g, config.dim)
-        report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=config.tol)
+        f, g = _pair(config)
+        if isinstance(f, tuple):
+            report = diagnostics.monomial_reports(f, g, tol=config.tol)[2]
+        else:
+            report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=config.tol)
         echo = {"f": config.f, "g": config.g, "dim": config.dim, "tol": config.tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "dual-check":
-        f, g = _realize(config.f, config.dim), _realize(config.g, config.dim)
-        report = diagnostics.check_duality(
-            f, g, tol=config.tol, probes=config.probes, seed=config.seed
-        )
+        f, g = _pair(config)
+        probing = {"tol": config.tol, "probes": config.probes, "seed": config.seed}
+        if isinstance(f, tuple):
+            report = diagnostics.monomial_reports(f, g, **probing)[3]
+        else:
+            report = diagnostics.check_duality(f, g, **probing)
         echo = {
             "f": config.f, "g": config.g, "dim": config.dim,
             "tol": config.tol, "probes": config.probes, "seed": config.seed,
@@ -192,25 +218,31 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
 
     if command == "example":
         entry = sequences.example_entry(config.example_id)
-        f, g = sequences.paper_example(config.example_id, config.dim)
+        ft, gt = sequences.example_terms(entry.example_id, config.dim)
+        if diagnostics.has_block_form(ft, gt):
+            probes = 16 if len(ft[0]) == len(gt[0]) else None
+            reports = diagnostics.monomial_reports(ft, gt, tol=config.tol, probes=probes)
+        else:  # a square cross-Gram on different index arrays
+            f, g = sequences.from_terms(*ft), sequences.from_terms(*gt)
+            reports = (
+                diagnostics.classify_sequence(f, tol=config.tol),
+                diagnostics.classify_sequence(g, tol=config.tol),
+                diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=config.tol),
+                diagnostics.check_duality(f, g, tol=config.tol),
+            )
+        f_cls, g_cls, cross, duality = reports
         report = {
             "example_id": entry.example_id,
             "title": entry.title,
             "truncation": config.dim,
-            "dim": f.dim,
-            "f_count": f.count,
-            "g_count": g.count,
+            "dim": ft[2],
+            "f_count": f_cls.count,
+            "g_count": g_cls.count,
             "tail_inferred": entry.tail_inferred,
-            "f_classification": diagnostics.classify_sequence(f, tol=config.tol),
-            "g_classification": diagnostics.classify_sequence(g, tol=config.tol),
-            "cross_gram": diagnostics.analyze_cross_gram(
-                operators.cross_gram(f, g), tol=config.tol
-            ),
-            "duality": (
-                diagnostics.check_duality(f, g, tol=config.tol)
-                if f.count == g.count
-                else None
-            ),
+            "f_classification": f_cls,
+            "g_classification": g_cls,
+            "cross_gram": cross,
+            "duality": duality,
         }
         echo = {"id": config.example_id, "dim": config.dim, "tol": config.tol}
         return 0, serialize.build_envelope(command, echo, report)

@@ -1,12 +1,13 @@
 """Classification, cross-Gram reports, duality checks, battery, and sweep.
 
-Everything here reads off one synthesis-matrix SVD or a small set of dense
-matrix identities.  The theorem battery replays the structural facts about
-cross-Gram matrices on seeded random instances and reports the worst margin
-per check; two negative controls feed deliberately broken instances through
-the same assertions to prove the wiring can fail.  The truncation sweep
-evaluates the registry pairs exactly at large N by grouping terms per basis
-index, where the cross-Gram is block diagonal with rank-1 blocks.
+The dense route reads off one synthesis-matrix SVD or a small set of dense
+matrix identities; the block route reads the same reports off the term
+arrays of sequences whose terms each sit on one basis index, and the
+truncation sweep is the block route at each prefix.  The theorem battery
+replays the structural facts about cross-Gram matrices on seeded random
+instances and reports the worst margin per check; two negative controls
+feed deliberately broken instances through the same assertions to prove
+the wiring can fail.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import linalg, operators, sequences
 from .linalg import DEFAULT_TOL
 from .operators import FrameBounds
-from .sequences import RealizedSequence, SequenceSpec
+from .sequences import MAX_SWEEP_TRUNCATION, RealizedSequence, SequenceSpec
 
 # agreement thresholds used by the battery: identity-level comparisons are
 # held to TIGHT, spectral quantities (eigenvalues, idempotency, norm bounds)
@@ -26,9 +27,10 @@ from .sequences import RealizedSequence, SequenceSpec
 TOL_TIGHT = 1e-10
 TOL_SPECTRAL = 1e-9
 
-# the sweep holds about 72 bytes per term of its largest truncation (ex-hs
-# peaks at 72 MB for 10**6 terms)
-MAX_SWEEP_TRUNCATION = 10**7
+# trials x max(dim_high, 8)**3 of one battery: a trial takes ~5 ms up to 8
+# dimensions (call overhead) and grows with dim past that, so the default
+# 200 x 8**3 ~ 1e5 takes about a second and the budget about two minutes
+MAX_BATTERY_WORK = 10**7
 
 
 # --------------------------------------------------------------------------
@@ -78,18 +80,16 @@ def classify_sequence(seq: RealizedSequence, tol: float = DEFAULT_TOL) -> Sequen
     dim, count = t.shape
     s = np.linalg.svd(t, compute_uv=False)
     frame = operators.bounds_from_singular_values(s, dim, tol)
-    complete = _rank_of(s, tol) == dim
-    col_norms = np.linalg.norm(t, axis=0)
+    return _classification(dim, frame, _rank_of(s, tol) == dim, np.linalg.norm(t, axis=0))
+
+
+def _classification(dim: int, frame: FrameBounds, complete: bool, norms: np.ndarray):
+    """The verdicts from the frame bounds, completeness and the column norms."""
+    count = len(norms)
+    riesz = bool(complete and count == dim and frame.spans_ambient)
     return SequenceClassification(
-        count=count,
-        dim=dim,
-        bessel_bound=frame.upper,
-        frame=frame,
-        complete=complete,
-        riesz=bool(complete and count == dim and frame.spans_ambient),
-        nba_sup=float(col_norms.max()),
-        nbb_inf=float(col_norms.min()),
-        tol=tol,
+        count, dim, frame.upper, frame, bool(complete), riesz,
+        float(norms.max()), float(norms.min()), frame.tol,
     )
 
 
@@ -121,7 +121,7 @@ class CrossGramReport:
 
 def analyze_cross_gram(m, tol: float = DEFAULT_TOL) -> CrossGramReport:
     """Diagnostics of a cross-Gram matrix, such as ``operators.cross_gram(f, g)``."""
-    m = linalg.as_matrix(m)
+    m = linalg.as_matrix(m, gram=True)
     rows, cols = m.shape
     s = np.linalg.svd(m, compute_uv=False)
     op = float(s[0])
@@ -136,18 +136,14 @@ def analyze_cross_gram(m, tol: float = DEFAULT_TOL) -> CrossGramReport:
         if defect <= tol:
             lam_min = float(np.linalg.eigvalsh(m)[0])
             psd = bool(lam_min >= -tol * op)
+    hs = float(np.linalg.norm(m, "fro"))
+    return _cross_report(rows, cols, op, sigma_min, hs, defect, psd, idem, ident, tol)
+
+
+def _cross_report(rows, cols, op, sigma_min, hs, defect, psd, idem, ident, tol):
+    invertible = bool(rows == cols and op > 0.0 and sigma_min > tol * op)
     return CrossGramReport(
-        rows=rows,
-        cols=cols,
-        op_norm=op,
-        sigma_min=sigma_min,
-        hs=float(np.linalg.norm(m, "fro")),
-        invertible=bool(square and op > 0.0 and sigma_min > tol * op),
-        hermitian_defect=defect,
-        psd=psd,
-        idempotency_defect=idem,
-        identity_distance=ident,
-        tol=tol,
+        rows, cols, op, sigma_min, hs, invertible, defect, psd, idem, ident, tol
     )
 
 
@@ -185,15 +181,9 @@ def check_duality(
         )
     if f.count != g.count:
         raise ValueError(f"dual-pair counts differ: {f.count} vs {g.count}")
-    if probes < 0:
-        raise ValueError(f"probes must be >= 0, got {probes}")
     dim = f.dim
     sequences._check_dense(dim, dim, "dual-pair residual")
-    if dim * probes > sequences.MAX_DENSE_ENTRIES:  # the probe block is dim x probes
-        raise ValueError(
-            f"{probes} probes in dimension {dim} exceed the budget "
-            f"MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
-        )
+    _check_probes(dim, probes)
     r1 = f.columns @ g.columns.conj().T - np.eye(dim)
     r2 = g.columns @ f.columns.conj().T - np.eye(dim)
     pairing = float(np.linalg.norm(r1, 2))
@@ -210,14 +200,128 @@ def check_duality(
         random = np.linalg.norm(r @ v, axis=0) / np.linalg.norm(v, axis=0)
         return float(np.concatenate([basis, random]).max())
 
-    return DualityReport(
-        reconstruction_residual_1=worst(r1),
-        reconstruction_residual_2=worst(r2),
-        pairing_residual_3=pairing,
-        is_dual_pair=bool(pairing <= tol),
-        probes=probes,
-        tol=tol,
-    )
+    return DualityReport(worst(r1), worst(r2), pairing, bool(pairing <= tol), probes, tol)
+
+
+def _check_probes(dim: int, probes: int) -> None:
+    if probes < 0:
+        raise ValueError(f"probes must be >= 0, got {probes}")
+    if dim * probes > sequences.MAX_DENSE_ENTRIES:  # the probe block is dim x probes
+        raise ValueError(
+            f"{probes} probes in dimension {dim} exceed the budget "
+            f"MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
+        )
+
+
+# --------------------------------------------------------------------------
+# block route
+
+
+def has_block_form(f, g) -> bool:
+    """Whether every report of two ``sequences.term_arrays`` has a block form."""
+    return len(f[0]) != len(g[0]) or bool(np.array_equal(f[0], g[0]))
+
+
+def _bins(*idx: np.ndarray) -> tuple[int, int]:
+    """(base, size) of bins over the joint index span: bin j holds index
+    base + j, so bin 0 has no term (numpy's pairwise sums depend on it)."""
+    lo = min(int(i.min()) for i in idx)
+    return lo - 1, max(int(i.max()) for i in idx) - lo + 2
+
+
+def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
+    return np.bincount(idx - base if base else idx, weights=weights, minlength=size)
+
+
+def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[float, float, float]:
+    """op_norm, sigma_min and hs from the singular values sqrt(f_sq * g_sq)
+    of the blocks; ``full`` is min(rows, cols)."""
+    block_sq = f_sq * g_sq
+    active = block_sq > 0.0
+    rank = int(np.count_nonzero(active))
+    op = float(np.sqrt(block_sq.max())) if rank else 0.0
+    sigma_min = float(np.sqrt(block_sq[active].min())) if rank == full else 0.0
+    return op, sigma_min, float(np.sqrt(block_sq.sum()))
+
+
+def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None = None, seed=0):
+    """The dense route's reports, read off ``sequences.term_arrays``.
+
+    Returns the classifications of f and g, the cross-Gram report and, with
+    ``probes``, the duality report (None where not asked).  S = TT* is
+    diagonal.  A square cross-Gram needs both sides on the same index
+    arrays: block i of G is then conj(b) a^T for the coefficients on index
+    i, and T_f T_g* is diagonal with entries p_i = sum a conj(b).
+    """
+    sides, dim = ((f,) if g is None else (f, g)), f[2]
+    if g is not None and g[2] != dim:
+        raise ValueError(f"sequences live in different ambient dimensions: {dim} vs {g[2]}")
+    if g is not None and probes is not None and len(f[0]) != len(g[0]):
+        raise ValueError(f"dual-pair counts differ: {len(f[0])} vs {len(g[0])}")
+    base, size = _bins(*(i for i, _, _ in sides))
+    # bin 0 stands for the basis indices outside the span, if any
+    basis = slice(0 if base or dim > base + size - 1 else 1, None)
+    sq = [_index_sums(i, np.abs(c) ** 2, base, size) for i, c, _ in sides]
+    classes = []
+    for s_i, (_, c, _) in zip(sq, sides):
+        upper, lower = float(s_i[basis].max()), float(s_i[basis].min())
+        frame = FrameBounds(lower, upper, bool(lower > tol * upper), tol)
+        complete = np.sqrt(lower) > tol * np.sqrt(upper)
+        classes.append(_classification(dim, frame, complete, np.abs(c)))
+    if g is None:
+        return classes[0], None, None, None
+
+    (fi, a, _), (gi, b, _) = f, g
+    square = len(fi) == len(gi)
+    if square and not np.array_equal(fi, gi):
+        raise ValueError("a square cross-Gram has block forms only on shared index arrays")
+    op, sigma_min, hs = _block_spectrum(*sq, min(len(fi), len(gi)))
+    del sq
+    if not square:
+        cross = _cross_report(len(gi), len(fi), op, sigma_min, hs, None, False, None, None, tol)
+        return (*classes, cross, None)
+    # the parts of p as separate real products, so that a = b gives Im p = 0
+    p = np.empty(size, complex)
+    p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
+    p.imag = _index_sums(fi, a.imag * b.real - a.real * b.imag, base, size)
+    terms = _index_sums(fi, None, base, size)
+    # q^2 = |a|^2 |b|^2 - |p|^2 as |a|^2 |r|^2 (r: b off a) without cancellation
+    # on blocks of 2+ terms, q = 0 on the rest; a = b gives r = 0 exactly
+    at = fi - base
+    k = np.flatnonzero(terms[at] > 1)
+    at, ak = at[k], a[k]
+    alpha = np.bincount(at, ak.real * ak.real + ak.imag * ak.imag, size)
+    alpha_k, toward = alpha[at], np.zeros(len(k), complex)  # conj(p) / |a|^2
+    np.divide(p.real[at], alpha_k, out=toward.real, where=alpha_k > 0.0)
+    np.divide(-p.imag[at], alpha_k, out=toward.imag, where=alpha_k > 0.0)
+    q = np.sqrt(alpha * np.bincount(at, np.abs(b[k] - ak * toward) ** 2, size))
+    # in an orthonormal basis of a block that starts at conj(a), G is
+    # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
+    # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
+    im, x, one, rows = np.abs(p.imag), np.abs(p - 1.0), terms == 1, terms > 0
+    defect = float((im + np.hypot(q, im)).max()) / max(1.0, op)
+    idem = float((x * np.hypot(np.abs(p), q)).max())
+    wide = (np.hypot(x + 1.0, q) + np.hypot(x - 1.0, q)) / 2.0  # blocks of 2+ terms
+    ident = float(np.where(one, x, wide)[rows].max())
+    # a Hermitian G has the eigenvalues Re p (one per block) and 0
+    psd = defect <= tol and bool(p.real[rows].min() >= -tol * op)
+    cross = _cross_report(len(gi), len(fi), op, sigma_min, hs, defect, psd, idem, ident, tol)
+    if probes is None:
+        return (*classes, cross, None)
+
+    # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see |p - 1|
+    _check_probes(dim, probes)
+    pairing = worst = float(np.abs(p[basis] - 1.0).max())  # the basis probes
+    rng = np.random.default_rng(list(sequences._seed_path(seed)))
+    if probes:
+        r_sq = np.ones(dim)
+        r_sq[base : base + size - 1] = np.abs(p[1:] - 1.0) ** 2
+    for _ in range(probes):
+        # the dense route's stream, one probe at a time: real part, then imaginary part
+        z = rng.standard_normal((2, dim))
+        v_sq = z[0] ** 2 + z[1] ** 2
+        worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
+    return (*classes, cross, DualityReport(worst, worst, pairing, pairing <= tol, probes, tol))
 
 
 # --------------------------------------------------------------------------
@@ -507,6 +611,11 @@ def theorem_battery(
         raise ValueError(f"dims must satisfy 1 <= low <= high, got {dims}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if trials * max(hi, 8) ** 3 > MAX_BATTERY_WORK:
+        raise ValueError(
+            f"battery work trials x max(dim_high, 8)**3 = {trials} x {max(hi, 8)}**3 "
+            f"exceeds the budget MAX_BATTERY_WORK = {MAX_BATTERY_WORK}"
+        )
 
     everything = _CHECKS + _CONTROLS
 
@@ -605,10 +714,9 @@ def truncation_sweep(
 ) -> ConvergenceTable:
     """Exact cross-Gram metrics of a registry pair at each truncation.
 
-    Registry terms each touch a single basis vector, so grouping by index
-    yields the block structure directly: block i is rank one with singular
-    value ||w_f restricted to i|| * ||w_g restricted to i||, and the Gram
-    of either side is block diagonal with norms ||w restricted to i||^2.
+    Each row is the block route at a prefix of the terms: block i of the
+    cross-Gram is rank one with singular value ||w_f on i|| * ||w_g on i||,
+    and the Bessel bound of either side is its largest ||w on i||^2.
     The largest truncation may not exceed ``MAX_SWEEP_TRUNCATION``.
     """
     entry = sequences.example_entry(example_id)
@@ -637,30 +745,12 @@ def truncation_sweep(
     rows = []
     for n in ns:
         fc, gc = entry.f_count(n), entry.g_count(n)
-        dim = int(max(fi[:fc].max(), gi[:gc].max()))
-        f_sq = np.bincount(fi[:fc], weights=fw_sq[:fc], minlength=dim + 1)
-        g_sq = np.bincount(gi[:gc], weights=gw_sq[:gc], minlength=dim + 1)
-        block_sq = f_sq * g_sq
-        active = block_sq > 0.0
-        rank = int(np.sum(active))
-        full = min(fc, gc)
-        rows.append(
-            SweepRow(
-                truncation=n,
-                dim=dim,
-                f_count=fc,
-                g_count=gc,
-                op_norm=float(np.sqrt(block_sq.max())) if rank else 0.0,
-                sigma_min=(
-                    float(np.sqrt(block_sq[active].min()))
-                    if rank == full and rank > 0
-                    else 0.0
-                ),
-                hs=float(np.sqrt(block_sq.sum())),
-                f_bessel=float(f_sq.max()),
-                g_bessel=float(g_sq.max()),
-            )
-        )
+        base, size = _bins(fi[:fc], gi[:gc])
+        f_sq = _index_sums(fi[:fc], fw_sq[:fc], base, size)
+        g_sq = _index_sums(gi[:gc], gw_sq[:gc], base, size)
+        op, sigma_min, hs = _block_spectrum(f_sq, g_sq, min(fc, gc))
+        bessel = float(f_sq.max()), float(g_sq.max())
+        rows.append(SweepRow(n, base + size - 1, fc, gc, op, sigma_min, hs, *bessel))
 
     return ConvergenceTable(
         example_id=example_id,

@@ -17,14 +17,18 @@ DEFAULT_TOL = 1e-10
 # A dense matrix holds at most 2**24 entries (sequences.MAX_DENSE_ENTRIES),
 # so no side of TT*, of a cross-Gram G or of G @ G sums more than 2**24
 # products.  Entries of modulus <= 1e64 keep TT* and G below
-# 2**24 * 1e128 ~ 1.7e135 and G @ G below 2**24 * (1.7e135)**2 ~ 4.7e277,
-# so every product, square and norm the reports take stays finite.
+# MAX_GRAM_ENTRY = 2**24 * 1e128 ~ 1.7e135 and G @ G below 2**24 * (1.7e135)**2
+# ~ 4.7e277, so every product, square and norm the reports take stays finite.
+# The block route sums at most MAX_SWEEP_TRUNCATION = 1e7 < 2**24 products.
 MAX_ENTRY = 1e64
-_PART_EDGE = MAX_ENTRY / np.sqrt(2.0)
+MAX_GRAM_ENTRY = float(1 << 24) * MAX_ENTRY**2
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Return a validated C-contiguous complex128 matrix, copying only when needed."""
+def as_matrix(entries, *, gram: bool = False) -> np.ndarray:
+    """Return a validated C-contiguous complex128 matrix, copying only when
+    needed; ``gram`` holds entries to ``MAX_GRAM_ENTRY``, not ``MAX_ENTRY``."""
+    bound, name = (MAX_GRAM_ENTRY, "MAX_GRAM_ENTRY") if gram else (MAX_ENTRY, "MAX_ENTRY")
+    what = "cross-Gram" if gram else "matrix"
     m = np.asarray(entries, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {m.ndim}-D input")
@@ -34,15 +38,16 @@ def as_matrix(entries) -> np.ndarray:
     # within MAX_ENTRY / sqrt(2) prove the bound without allocating |m|; NaN
     # fails this screen, and only a failing matrix pays for the exact test
     parts = m.view(np.float64)
-    if -_PART_EDGE <= parts.min() and parts.max() <= _PART_EDGE:
+    edge = bound / np.sqrt(2.0)
+    if -edge <= parts.min() and parts.max() <= edge:
         return m
-    small = np.abs(m) <= MAX_ENTRY  # False for NaN and infinite entries too
+    small = np.abs(m) <= bound  # False for NaN and infinite entries too
     if not small.all():
         bad = int(np.sum(~(np.isfinite(m.real) & np.isfinite(m.imag))))
         if bad:
-            raise ValueError(f"matrix entries must be finite ({bad} non-finite entries)")
+            raise ValueError(f"{what} entries must be finite ({bad} non-finite entries)")
         raise ValueError(
-            f"matrix entries must be at most MAX_ENTRY = {MAX_ENTRY:g} in modulus "
+            f"{what} entries must be at most {name} = {bound:g} in modulus "
             f"({int(np.sum(~small))} larger entries)"
         )
     return m

@@ -31,6 +31,8 @@ _KINDS = (
     "random_frame",
 )
 _ROLES = ("f", "g")
+# kinds whose every term is one coefficient on one basis vector
+MONOMIAL_KINDS = ("scaled_basis", "pattern", "paper_example")
 
 # disjoint generator streams so equal seeds never alias across kinds
 _STREAM_RIESZ_F = 0
@@ -305,6 +307,10 @@ class RealizedSequence:
 # two sequences: the cross-Gram and the dual-pair residuals.
 MAX_DENSE_ENTRIES = 1 << 24
 
+# The term budget (term count and index span) of monomial sequences read
+# without a matrix: the block route and the sweep, ~72 bytes per term.
+MAX_SWEEP_TRUNCATION = 10**7
+
 
 def _check_dense(rows: int, cols: int, what: str = "realization") -> None:
     if rows * cols > MAX_DENSE_ENTRIES:
@@ -314,13 +320,14 @@ def _check_dense(rows: int, cols: int, what: str = "realization") -> None:
         )
 
 
-def _dense(idx: np.ndarray, coeff: np.ndarray, dim: int) -> np.ndarray:
-    """Columns of a term list in C^dim: column k is coeff[k] on basis vector idx[k]."""
+def from_terms(idx: np.ndarray, coeff: np.ndarray, dim: int) -> RealizedSequence:
+    """Dense realization of a term list in C^dim: column k is coeff[k] on
+    basis vector idx[k]."""
     count = len(idx)
     _check_dense(dim, count)
     cols = np.zeros((dim, count), dtype=complex)
     cols[idx - 1, np.arange(count)] = coeff
-    return cols
+    return RealizedSequence(cols)
 
 
 def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
@@ -343,10 +350,9 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
     elif spec.kind in ("scaled_basis", "pattern"):
         _check_dense(1, n)  # the term arrays alone hold n entries each
         idx, coeff = monomial_terms(spec, n)
-        return RealizedSequence(_dense(idx, coeff, int(idx.max())))
+        return from_terms(idx, coeff, int(idx.max()))
     elif spec.kind == "paper_example":
-        f, g = paper_example(spec.example, n)
-        return f if spec.role == "f" else g
+        return from_terms(*example_terms(spec.example, n)[_ROLES.index(spec.role)])
     elif spec.kind == "random_riesz":
         if n != spec.dim:
             raise ValueError(
@@ -390,7 +396,7 @@ def monomial_terms(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
         return monomial_terms(inner, count)
     raise ValueError(
         f"kind {spec.kind!r} has no single-index term form (supported: "
-        "scaled_basis, pattern, paper_example)"
+        f"{', '.join(MONOMIAL_KINDS)})"
     )
 
 
@@ -457,16 +463,19 @@ def _geometric(coeff: complex, ratio: complex, count: int) -> np.ndarray:
     im = np.empty(count)
     re[0], im[0] = 1.0, 0.0
     qr, qi, size = ratio.real, ratio.imag, 1  # q = ratio**size
-    while size < count:
-        top = min(2 * size, count)
-        low_re, low_im = re[: top - size], im[: top - size]
-        re[size:top] = low_re * qr - low_im * qi
-        im[size:top] = low_re * qi + low_im * qr
-        qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
-        size *= 2
     out = np.empty(count, dtype=complex)
-    out.real = coeff.real * re - coeff.imag * im
-    out.imag = coeff.real * im + coeff.imag * re
+    # powers past the float range become inf or NaN quietly; the entry
+    # bound MAX_ENTRY refuses them with a message naming the spec
+    with np.errstate(over="ignore", invalid="ignore"):
+        while size < count:
+            top = min(2 * size, count)
+            low_re, low_im = re[: top - size], im[: top - size]
+            re[size:top] = low_re * qr - low_im * qi
+            im[size:top] = low_re * qi + low_im * qr
+            qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
+            size *= 2
+        out.real = coeff.real * re - coeff.imag * im
+        out.imag = coeff.real * im + coeff.imag * re
     return out
 
 
@@ -618,10 +627,39 @@ def example_entry(example_id: str) -> ExampleEntry:
 def paper_example(example_id: str, n: int) -> tuple[RealizedSequence, RealizedSequence]:
     """Both roles of a registry example at truncation ``n``, sharing ambient dim."""
     _check_dense(1, n)  # the term arrays alone hold about n entries each
-    f_idx, f_w = monomial_terms(SequenceSpec.paper_example(example_id, "f"), n)
-    g_idx, g_w = monomial_terms(SequenceSpec.paper_example(example_id, "g"), n)
-    dim = int(max(f_idx.max(), g_idx.max()))
-    return RealizedSequence(_dense(f_idx, f_w, dim)), RealizedSequence(_dense(g_idx, g_w, dim))
+    f, g = example_terms(example_id, n)
+    return from_terms(*f), from_terms(*g)
+
+
+def _check_terms(size: int, what: str = "term count") -> None:
+    if size > MAX_SWEEP_TRUNCATION:
+        raise ValueError(
+            f"{what} {size} exceeds the term budget "
+            f"MAX_SWEEP_TRUNCATION = {MAX_SWEEP_TRUNCATION}"
+        )
+
+
+def example_terms(example_id: str, n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Terms ``(idx, coeff, dim)`` of both roles of a registry example at
+    truncation ``n``, on the pair's ambient dimension."""
+    _check_terms(n)
+    pair = [monomial_terms(SequenceSpec.paper_example(example_id, role), n) for role in _ROLES]
+    dim = max(int(idx.max()) for idx, _ in pair)
+    return [(idx, coeff, dim) for idx, coeff in pair]
+
+
+def term_arrays(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Terms ``(idx, coeff, dim)`` of a monomial spec at truncation ``n``
+    under the term budget, with ``dim`` the ambient dimension ``realize``
+    gives it and the coefficients held to the entry checks of a matrix."""
+    if spec.kind == "paper_example":
+        return example_terms(spec.example, n)[_ROLES.index(spec.role)]
+    _check_terms(n)
+    idx, coeff = monomial_terms(spec, n)
+    dim = int(idx.max())
+    _check_terms(dim - int(idx.min()) + 1, "index span")
+    linalg.as_matrix(coeff[None, :])
+    return idx, coeff, dim
 
 
 # --------------------------------------------------------------------------

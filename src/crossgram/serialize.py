@@ -238,6 +238,11 @@ def load_sequence_file(path: str) -> SequenceSpec:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read file: {exc.strerror}", source=path) from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(
+            f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}",
+            source=path,
+        ) from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -120,6 +120,26 @@ def test_json_integers_past_the_digit_limit_name_their_file(tmp_path, capsys):
     assert f"{path}: invalid JSON: Exceeds the limit" in capsys.readouterr().err
 
 
+def test_non_utf8_spec_files_name_their_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["classify", "--input", str(path), "--dim", "3"]) == 2
+    assert capsys.readouterr().err == f"crossgram: error: {path}: not UTF-8 text: byte 0xff at offset 0\n"
+
+
+def test_overflowing_geometric_weights_print_one_error_line(tmp_path):
+    path = write_spec(
+        tmp_path,
+        "geo.json",
+        {"kind": "scaled_basis", "weight": {"rule": "geometric", "ratio": [1e308, 1e308]}},
+    )
+    res = run_cli(["classify", "--input", path, "--dim", "4"])
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        f"crossgram: error: {path}: matrix entries must be finite (2 non-finite entries)"
+    ]
+
+
 def test_random_kinds_accept_short_and_long_size_keys():
     short = serialize.spec_from_json(
         {"kind": "random_frame", "d": 3, "n": 6, "seed": 9}, source="<short>"
@@ -325,17 +345,69 @@ def test_sweep_budget_exits_2():
 
 
 def test_realize_budget_exits_2(tmp_path):
+    # inputs of the dense route: a random frame over 2**24 entries, and two
+    # monomial sequences of equal count on different index arrays, whose
+    # square cross-Gram has no block form
+    frame = write_spec(
+        tmp_path, "frame.json", {"kind": "random_frame", "d": 4097, "n": 4097, "seed": 0}
+    )
     scaled = write_spec(
         tmp_path, "scaled.json", {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}}
     )
     far = write_spec(
         tmp_path, "far.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 10**9}]}
     )
-    for path in (scaled, far):
-        res = run_cli(["classify", "--input", path, "--dim", "20000"])
+    for argv in (
+        ["classify", "--input", frame, "--dim", "4097"],
+        ["cross-gram", "--f", scaled, "--g", far, "--dim", "20000"],
+    ):
+        res = run_cli(argv)
         assert res.returncode == 2, res.stderr
         assert "budget MAX_DENSE_ENTRIES = 16777216" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_monomial_specs_classify_past_the_dense_budget(tmp_path, capsys):
+    # 20000 x 20000 and 10**9 x 20000 dense realizations, read off the terms
+    scaled = write_spec(
+        tmp_path, "scaled.json", {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}}
+    )
+    far = write_spec(
+        tmp_path, "far.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 10**9}]}
+    )
+    assert cli.main(["classify", "--input", scaled, "--dim", "20000"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert (rep["dim"], rep["count"], rep["riesz"]) == (20000, 20000, True)
+    assert rep["frame"]["lower"] == pytest.approx(20000.0**-2, rel=1e-15)
+    assert rep["frame"]["upper"] == rep["nba_sup"] == 1.0
+    tracemalloc.start()
+    try:
+        code = cli.main(["classify", "--input", far, "--dim", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert (rep["dim"], rep["complete"], rep["frame"]["lower"]) == (10**9, False, 0.0)
+    assert rep["frame"]["upper"] == 20000.0
+    assert peak < 8 * 2**20  # nothing is sized by the basis index 10**9
+
+
+def test_term_budget_exits_2(tmp_path, capsys):
+    scaled = write_spec(tmp_path, "scaled.json", {"kind": "scaled_basis", "weight": {"rule": "index"}})
+    wide = write_spec(
+        tmp_path,
+        "wide.json",
+        {"kind": "pattern", "head": [{"index": 1}, {"index": 10**7 + 1}], "tail": []},
+    )
+    for argv, message in (
+        (["classify", "--input", scaled, "--dim", "10000001"], f"{scaled}: term count 10000001"),
+        (["example", "--id", "ex-identity", "--dim", "10000001"], "error: term count 10000001"),
+        (["classify", "--input", wide, "--dim", "2"], f"{wide}: index span 10000001"),
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{message} exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000" in err
 
 
 def test_entry_magnitude_bound_exits_2(tmp_path, capsys):
@@ -377,18 +449,20 @@ def test_probe_budget_exits_2_before_allocating(tmp_path, capsys):
 
 
 def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
-    # each side is a 1 x 4097 or 4097 x 1 matrix, far inside the budget; the
-    # cross-Gram (g.count x f.count) and the dual-pair residuals (dim x dim)
-    # would each hold 4097**2 > MAX_DENSE_ENTRIES entries
-    line = write_spec(
-        tmp_path, "line.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1}]}
-    )
-    far = write_spec(
-        tmp_path, "far.json", {"kind": "pattern", "head": [{"index": 4097}], "tail": []}
-    )
+    # each side is a 2 x 4097 or 4097 x 2 matrix, far inside the budget, and
+    # the two sides of a pair sit on different index arrays, so they take
+    # the dense route; the cross-Gram (g.count x f.count) and the dual-pair
+    # residuals (dim x dim) would each hold 4097**2 > MAX_DENSE_ENTRIES entries
+    def pattern(name, head, tail):
+        return write_spec(tmp_path, name, {"kind": "pattern", "head": head, "tail": tail})
+
+    zigzag = pattern("zigzag.json", [], [{"start_index": 1}, {"start_index": 2}])
+    zagzig = pattern("zagzig.json", [], [{"start_index": 2}, {"start_index": 1}])
+    far = pattern("far.json", [{"index": 4097}, {"index": 1}], [])
+    near = pattern("near.json", [{"index": 1}, {"index": 4097}], [])
     for argv, message in (
-        (["cross-gram", "--f", line, "--g", line, "--dim", "4097"], "4097 x 4097 cross-Gram"),
-        (["dual-check", "--f", far, "--g", far, "--dim", "1"], "4097 x 4097 dual-pair residual"),
+        (["cross-gram", "--f", zigzag, "--g", zagzig, "--dim", "4097"], "4097 x 4097 cross-Gram"),
+        (["dual-check", "--f", far, "--g", near, "--dim", "2"], "4097 x 4097 dual-pair residual"),
     ):
         tracemalloc.start()
         try:
@@ -400,6 +474,44 @@ def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{message} exceeds the budget MAX_DENSE_ENTRIES = 16777216" in err
         assert peak < 2**20
+
+
+def test_cross_gram_of_in_bound_sides_is_accepted(tmp_path, capsys):
+    # entries of 1e40 are within MAX_ENTRY; the cross-Gram's 1e80 is within
+    # its own bound, on the block route (scaled_basis) and the dense one
+    big = write_spec(
+        tmp_path, "big.json", {"kind": "scaled_basis", "weight": {"rule": "constant", "value": [1e40, 0]}}
+    )
+    col = [[1e40, 0], [0, 0], [0, 0]]
+    big_explicit = write_spec(
+        tmp_path, "big_explicit.json", {"kind": "explicit", "columns": [col, col[1:] + col[:1], col[2:] + col[:2]]}
+    )
+    for path in (big, big_explicit):
+        assert cli.main(["cross-gram", "--f", path, "--g", path, "--dim", "3"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["op_norm"] == pytest.approx(1e80, rel=1e-15)
+        assert rep["invertible"] is True and rep["psd"] is True
+
+
+def test_block_route_takes_the_products_the_dense_route_refuses(tmp_path, capsys):
+    # one index array on both sides: G is the 4097 x 4097 all-ones matrix,
+    # and T_f T_g* - I is -1 off the one basis index 4097
+    line = write_spec(
+        tmp_path, "line.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1}]}
+    )
+    far = write_spec(
+        tmp_path, "far.json", {"kind": "pattern", "head": [{"index": 4097}], "tail": []}
+    )
+    assert cli.main(["cross-gram", "--f", line, "--g", line, "--dim", "4097"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert (rep["rows"], rep["cols"], rep["op_norm"], rep["sigma_min"]) == (4097, 4097, 4097.0, 0.0)
+    assert rep["psd"] is True and rep["hermitian_defect"] == 0.0
+    assert rep["identity_distance"] == 4096.0
+    assert rep["idempotency_defect"] == 4096.0 * 4097.0
+    assert cli.main(["dual-check", "--f", far, "--g", far, "--dim", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["pairing_residual_3"] == 1.0 and rep["is_dual_pair"] is False
+    assert rep["reconstruction_residual_1"] == rep["reconstruction_residual_2"] == 1.0
 
 
 def test_realize_errors_name_the_spec_file(tmp_path, capsys):
@@ -558,6 +670,14 @@ def test_battery_trivial_configuration(report_schema):
     assert env["report"]["all_passed"] is True
     assert env["report"]["trials"] == 1
     assert all(c["trials"] == 1 for c in env["report"]["checks"])
+
+
+def test_battery_work_budget_exits_2():
+    for args in (["--trials", "1000000000"], ["--trials", "1", "--dims", "3000..3000"]):
+        res = run_cli(["battery", "--seed", "1", *args])
+        assert res.returncode == 2
+        assert "exceeds the budget MAX_BATTERY_WORK = 10000000" in res.stderr
+        assert res.stdout == ""
 
 
 def test_battery_rejects_malformed_dims():

@@ -56,6 +56,17 @@ def test_as_matrix_bounds_entry_modulus():
         linalg.as_matrix([[1.0 + 0j, complex(0.0, float("nan"))]])
 
 
+def test_as_matrix_bounds_cross_gram_entries_by_their_own_bound():
+    # a cross-Gram sums at most 2**24 products of entries within MAX_ENTRY
+    assert linalg.MAX_GRAM_ENTRY == 2**24 * linalg.MAX_ENTRY**2
+    edge = [[linalg.MAX_GRAM_ENTRY, 1e80]]
+    assert linalg.as_matrix(edge, gram=True).shape == (1, 2)
+    with pytest.raises(ValueError, match="matrix entries must be at most MAX_ENTRY"):
+        linalg.as_matrix(edge)
+    with pytest.raises(ValueError, match=r"cross-Gram entries must be at most MAX_GRAM_ENTRY = 1.6\d+e\+135"):
+        linalg.as_matrix([[2 * linalg.MAX_GRAM_ENTRY]], gram=True)
+
+
 def test_as_matrix_rejects_empty_and_non_2d():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.zeros((0, 3), dtype=complex))

@@ -221,3 +221,112 @@ def test_weight_terms_match_scalar_definition(rule, n):
         return
     idx, coeff = sequences.monomial_terms(spec, n)
     _assert_terms(idx, coeff, [(k, *_weight(rule, k)) for k in range(1, n + 1)])
+
+
+# the block route (term arrays) against the dense route (realized matrices)
+# on small monomial pairs: g shares f's index arrays with other coefficients,
+# or is a shorter prefix of f's program (a rectangular cross-Gram)
+
+_COEFFS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1j, 1 - 1j, 0.3 + 2j, -3.0])
+_RULES = ("constant", "geometric", "inverse_term")
+
+
+@st.composite
+def _monomial_pair(draw):
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        weights = [
+            sequences.WeightRule.constant(draw(_COEFFS)),
+            sequences.WeightRule.geometric(draw(st.sampled_from([0.5, -0.9, 1j])), draw(_COEFFS)),
+            sequences.WeightRule.index(),
+            sequences.WeightRule.inverse_index(),
+        ]
+        f, g = (sequences.SequenceSpec.scaled_basis(draw(st.sampled_from(weights))) for _ in "fg")
+        return (f, n), (g, n)
+    head = draw(st.lists(st.integers(1, 6), max_size=4))
+    slots = draw(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(0, 2), st.sampled_from(_RULES)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+    def program():
+        return sequences.SequenceSpec.pattern(
+            sequences.PatternProgram(
+                head=tuple(sequences.PatternTerm(i, draw(_COEFFS)) for i in head),
+                tail=tuple(
+                    sequences.TailSlot(start, step, draw(_COEFFS), rule, draw(st.sampled_from([0.5, 1j, 1.1])))
+                    for start, step, rule in slots
+                ),
+            )
+        )
+
+    f = program()
+    if n > 1 and draw(st.booleans()):
+        return (f, n), (f, draw(st.integers(1, n - 1)))
+    return (f, n), (program(), n)
+
+
+def _far(value: float, edge: float) -> bool:
+    """Whether a verdict's quantity is clear of its threshold by more than
+    the rounding either route makes."""
+    return abs(value - edge) > 1e-6 * edge
+
+
+def _close(got, want, rtol=1e-9, atol=1e-12):
+    # the benchmark's agreement thresholds (bench/checks.py)
+    assert abs(got - want) <= atol + rtol * abs(want), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_pair(), seeds)
+def test_block_route_agrees_with_dense_route(pair, seed):
+    (f_spec, nf), (g_spec, ng) = pair
+    f, g = sequences.term_arrays(f_spec, nf), sequences.term_arrays(g_spec, ng)
+    dim = max(f[2], g[2])
+    f, g = f[:2] + (dim,), g[:2] + (dim,)
+    square = nf == ng
+    f_cls, g_cls, cross, duality = diagnostics.monomial_reports(
+        f, g, probes=4 if square else None, seed=seed
+    )
+    fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
+
+    for got, want in ((f_cls, diagnostics.classify_sequence(fd)), (g_cls, diagnostics.classify_sequence(gd))):
+        assert (got.count, got.dim) == (want.count, want.dim)
+        upper, lower = got.frame.upper, got.frame.lower
+        if _far(np.sqrt(lower), 1e-10 * np.sqrt(upper)):
+            assert got.complete == want.complete
+        if _far(lower, 1e-10 * upper):
+            assert got.frame.spans_ambient == want.frame.spans_ambient
+            assert got.riesz == want.riesz
+        _close(got.bessel_bound, want.bessel_bound)
+        _close(got.frame.upper, want.frame.upper)
+        _close(got.frame.lower, want.frame.lower, atol=1e-9)
+        _close(got.nba_sup, want.nba_sup)
+        _close(got.nbb_inf, want.nbb_inf)
+
+    want = diagnostics.analyze_cross_gram(operators.cross_gram(fd, gd))
+    scale = max(1.0, want.op_norm)
+    assert (cross.rows, cross.cols) == (want.rows, want.cols)
+    if _far(cross.sigma_min, 1e-10 * cross.op_norm):
+        assert cross.invertible == want.invertible
+    _close(cross.op_norm, want.op_norm)
+    _close(cross.sigma_min, want.sigma_min, atol=1e-9 * scale)
+    _close(cross.hs, want.hs)
+    if not square:
+        assert cross.hermitian_defect is cross.idempotency_defect is cross.identity_distance is None
+        assert cross.psd is want.psd is False
+        return
+    if _far(cross.hermitian_defect, 1e-10):
+        assert cross.psd == want.psd
+    for field in ("hermitian_defect", "idempotency_defect", "identity_distance"):
+        _close(getattr(cross, field), getattr(want, field), atol=1e-9 * scale)
+
+    want = diagnostics.check_duality(fd, gd, probes=4, seed=seed)
+    if _far(duality.pairing_residual_3, 1e-10):
+        assert duality.is_dual_pair == want.is_dual_pair
+    _close(duality.pairing_residual_3, want.pairing_residual_3, atol=1e-9)
+    _close(duality.reconstruction_residual_1, want.reconstruction_residual_1, atol=1e-9)
+    _close(duality.reconstruction_residual_2, want.reconstruction_residual_2, atol=1e-9)
