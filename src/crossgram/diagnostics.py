@@ -12,6 +12,7 @@ the wiring can fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,13 +262,22 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
     base, size = _bins(*(i for i, _, _ in sides))
     # bin 0 stands for the basis indices outside the span, if any
     basis = slice(0 if base or dim > base + size - 1 else 1, None)
-    sq = [_index_sums(i, np.abs(c) ** 2, base, size) for i, c, _ in sides]
-    classes = []
-    for s_i, (_, c, _) in zip(sq, sides):
-        upper, lower = float(s_i[basis].max()), float(s_i[basis].min())
+    sq, classes = [], []
+    for i, c, _ in sides:
+        # |c|^2 underflows for |c| below ~1e-154, so a side whose largest
+        # modulus is under 2**-300 squares |c| 2**-e, with 2**e near that
+        # modulus, an exact scaling; the sums shift back by 4**e
+        mod = np.abs(c)
+        top = float(mod.max())
+        e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
+        s_e = _index_sums(i, (np.ldexp(mod, -e) if e else mod) ** 2, base, size)
+        sq.append(np.ldexp(s_e, 2 * e) if e else s_e)
+        hi, lo = float(s_e[basis].max()), float(s_e[basis].min())
+        upper, lower = math.ldexp(hi, 2 * e), math.ldexp(lo, 2 * e)
         frame = FrameBounds(lower, upper, bool(lower > tol * upper), tol)
-        complete = np.sqrt(lower) > tol * np.sqrt(upper)
-        classes.append(_classification(dim, frame, complete, np.abs(c)))
+        # completeness is a ratio, so it is read before the shift
+        complete = np.sqrt(lo) > tol * np.sqrt(hi)
+        classes.append(_classification(dim, frame, complete, mod))
     if g is None:
         return classes[0], None, None, None
 

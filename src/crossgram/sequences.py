@@ -10,7 +10,7 @@ is expressible as finite pattern data, never as code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -183,7 +183,7 @@ class SequenceSpec:
     """Declarative description of a vector sequence."""
 
     kind: str
-    columns: tuple | None = None
+    columns: np.ndarray | None = None  # explicit: read-only complex128 (count, dim)
     weight: WeightRule | None = None
     program: PatternProgram | None = None
     example: str | None = None
@@ -198,23 +198,31 @@ class SequenceSpec:
         check = getattr(self, f"_check_{self.kind}")
         check()
 
+    def __eq__(self, other):  # the generated == cannot compare an array field
+        if not isinstance(other, SequenceSpec):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            if f.name == "columns"
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
+
     def _check_explicit(self):
-        if not self.columns:
+        cols = self.columns
+        if cols is None or len(cols) == 0:
             raise ValueError("explicit spec needs at least one column")
-        normalized = []
-        width = None
-        for i, col in enumerate(self.columns):
-            col = tuple(complex(v) for v in col)
-            if width is None:
-                width = len(col)
-                if width == 0:
-                    raise ValueError("explicit columns must be nonempty")
-            elif len(col) != width:
-                raise ValueError(
-                    f"column {i} has length {len(col)}, expected {width}"
-                )
-            normalized.append(col)
-        object.__setattr__(self, "columns", tuple(normalized))
+        width = len(cols[0])
+        if width == 0:
+            raise ValueError("explicit columns must be nonempty")
+        for i, col in enumerate(cols):
+            if len(col) != width:
+                raise ValueError(f"column {i} has length {len(col)}, expected {width}")
+        m = np.array(cols, dtype=np.complex128)  # a copy the caller cannot change
+        if m.ndim != 2:
+            raise ValueError("explicit columns must hold complex scalars")
+        m.setflags(write=False)
+        object.__setattr__(self, "columns", m)
 
     def _check_scaled_basis(self):
         if self.weight is None:
@@ -250,7 +258,7 @@ class SequenceSpec:
 
     @classmethod
     def explicit(cls, columns) -> "SequenceSpec":
-        return cls(kind="explicit", columns=tuple(tuple(c) for c in columns))
+        return cls(kind="explicit", columns=columns)
 
     @classmethod
     def scaled_basis(cls, weight: WeightRule) -> "SequenceSpec":
@@ -346,7 +354,7 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
             raise ValueError(
                 f"explicit spec stores count {len(spec.columns)}, truncation {n} requested"
             )
-        cols = np.array(spec.columns, dtype=complex).T
+        cols = spec.columns.T
     elif spec.kind in ("scaled_basis", "pattern"):
         _check_dense(1, n)  # the term arrays alone hold n entries each
         idx, coeff = monomial_terms(spec, n)

@@ -8,11 +8,15 @@ identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import tempfile
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from .sequences import (
     _COEFF_RULES,
@@ -115,8 +119,22 @@ def _sized(data: dict, short: str, long_: str, source: str) -> int:
     return _integer(data[present[0]], source, present[0])
 
 
-def _columns_from(obj: Any, source: str) -> tuple[tuple[complex, ...], ...]:
+def _columns_from(obj: Any, source: str):
+    """Explicit columns as one complex128 (count, dim) array, or as the
+    walker's tuples when the fast path declines them."""
     cols = _array(obj, source, "columns")
+    # one scan of exact types (bool, str and tuple decline) and lengths, then
+    # one conversion; error messages come only from the walker below
+    if set(map(type, cols)) == {list} and len(set(map(len, cols))) == 1:
+        entries = list(chain.from_iterable(cols))
+        if (
+            set(map(type, entries)) == {list}
+            and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int, float}
+        ):
+            with contextlib.suppress(OverflowError):  # an integer past the float range
+                flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries))
+                return flat.view(np.complex128).reshape(len(cols), -1)
     if not cols:
         raise SpecFileError("columns must be nonempty", source=source, field="columns")
     out = []

@@ -8,20 +8,24 @@ across serial and threaded battery execution.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crossgram import cli, serialize
+from crossgram import cli, diagnostics, sequences, serialize
 from crossgram.sequences import PatternProgram, PatternTerm, SequenceSpec, TailSlot, WeightRule
 from crossgram.serialize import SpecFileError
 
@@ -100,6 +104,42 @@ def test_spec_type_failures_name_their_field(payload, field, expected):
         serialize.spec_from_json(payload, source="<spec>")
     assert exc.value.field == field
     assert str(exc.value).startswith(f"<spec>: {field}: ")
+
+
+# a 3 x 2 explicit spec (two columns in C^3) whose entry columns[1][2] is
+# replaced: each replacement declines the one-array decode, and the walker
+# names the field as it does for any other bad entry
+_COLUMNS_3X2 = [[[1, 0], [0, 0], [0.5, 0]], [[0, 0], [1, 0], [0, -0.5]]]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([True, 0], r"columns\[1\]\[2\]: expected a complex scalar as \[re, im\], got \[True, 0\]"),
+        ([0, False], r"columns\[1\]\[2\]: expected a complex scalar"),
+        (["1.5", 0], r"columns\[1\]\[2\]: expected a complex scalar"),
+        ([1, 0, 0], r"columns\[1\]\[2\]: expected a complex scalar"),
+        ([[1, 0], 0], r"columns\[1\]\[2\]: expected a complex scalar"),
+        ([1, -(10**400)], r"columns\[1\]\[2\]: \[re, im\] parts must be within the float range"),
+        (None, r"columns: column 1 has length 2, expected 3"),
+        ([float("nan"), 0], r"matrix entries must be finite \(1 non-finite entries\)"),
+    ],
+    ids=["bool", "bool-im", "string", "three-parts", "nested", "overflow", "ragged", "nan"],
+)
+def test_explicit_entries_the_array_decode_declines_name_their_field(
+    tmp_path, capsys, entry, message
+):
+    columns = json.loads(json.dumps(_COLUMNS_3X2))
+    if entry is None:
+        del columns[1][2]
+    else:
+        columns[1][2] = entry
+    path = write_spec(tmp_path, "f.json", {"kind": "explicit", "columns": columns})
+    assert cli.main(["classify", "--input", path, "--dim", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crossgram: error: {path}: "), err
+    assert re.search(message, err), err
+    assert len(err.splitlines()) == 1
 
 
 def test_load_sequence_file_reports_json_line(tmp_path):
@@ -533,6 +573,62 @@ def test_realize_errors_name_the_spec_file(tmp_path, capsys):
         assert f not in err
 
 
+# sha256 of the envelopes of the three explicit-spec commands on a seeded
+# 12 x 18 frame f and its canonical dual, recorded before explicit columns
+# were decoded as one array
+EXPLICIT_DIGESTS = {
+    "classify": "0759ae9bfd771e59c7bd432bea3cc1e54987467f9da63ec3097a2c661a50462b",
+    "cross-gram": "f28e045e7df55c2451dd347ca66ae86c29e2dc73120eef410894d28fcc55a0e2",
+    "dual-check": "a5609219cb1ed770b9a2d6af90f09cf65657b58017527cb258d9b880bf411b9b",
+}
+
+
+def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(12)
+    f = (rng.standard_normal((12, 18)) + 1j * rng.standard_normal((12, 18))) / np.sqrt(2.0)
+    dual = np.linalg.solve(f @ f.conj().T, f)  # canonical dual S^-1 f
+    monkeypatch.chdir(tmp_path)  # relative paths keep the echoed config fixed
+    for name, t in (("f.json", f), ("dual.json", dual)):
+        columns = [[[float(z.real), float(z.imag)] for z in col] for col in t.T]
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump({"kind": "explicit", "columns": columns}, fh)
+    for argv in (
+        ["classify", "--input", "f.json", "--dim", "18"],
+        ["cross-gram", "--f", "f.json", "--g", "dual.json", "--dim", "18"],
+        ["dual-check", "--f", "f.json", "--g", "dual.json", "--dim", "18"],
+    ):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == EXPLICIT_DIGESTS[argv[0]]
+
+
+def _booleans(value):
+    if isinstance(value, dict):
+        return {k: b for k, v in value.items() if (b := _booleans(v)) is not None}
+    return value if isinstance(value, bool) else None
+
+
+def test_tiny_coefficients_read_the_same_verdicts_on_both_routes(tmp_path, capsys):
+    # |1e-200|^2 underflows; the dense route's SVD sees a full-rank diagonal
+    tiny, zero = [1e-200, 0.0], [0.0, 0.0]
+    weight = {"rule": "constant", "value": tiny}
+    block = write_spec(tmp_path, "block.json", {"kind": "scaled_basis", "weight": weight})
+    diagonal = [[tiny if i == j else zero for i in range(3)] for j in range(3)]
+    dense = write_spec(tmp_path, "dense.json", {"kind": "explicit", "columns": diagonal})
+    reports = {}
+    for path in (block, dense):
+        for argv in (
+            ["classify", "--input", path],
+            ["cross-gram", "--f", path, "--g", path],
+            ["dual-check", "--f", path, "--g", path],
+        ):
+            assert cli.main([*argv, "--dim", "3"]) == 0
+            reports[path, argv[0]] = _booleans(json.loads(capsys.readouterr().out)["report"])
+    assert reports[block, "classify"]["complete"] is True
+    for command in ("classify", "cross-gram", "dual-check"):
+        assert reports[block, command] == reports[dense, command], command
+
+
 # values at the edges of what a spec file can hold: zero, subnormals, the
 # largest doubles, NaN (which Python's json reads and writes), integers past
 # the float range, and basis indices and index steps near 2**63
@@ -627,6 +723,49 @@ def test_extreme_specs_end_in_an_envelope_or_exit_2(spec_dir, report_schema, f, 
         assert code in (0, 2), argv
         if code == 0:
             validator.validate(json.loads(out.getvalue()))
+
+
+# flag values at the edges: zero, negatives, 2**63 and just past each budget;
+# no in-budget value at a budget's edge, which would run for minutes
+_EDGE_INTS = [0, -1, 1, 2, 10, 2**63, -(2**63)]
+_PAST_DENSE = math.isqrt(sequences.MAX_DENSE_ENTRIES) + 1  # a square past MAX_DENSE_ENTRIES
+_PAST_TERMS = sequences.MAX_SWEEP_TRUNCATION + 1
+_PAST_WORK = diagnostics.MAX_BATTERY_WORK // 8**3 + 1  # trials past MAX_BATTERY_WORK at dim 8
+
+
+def _flags_argv():
+    ids = st.sampled_from(["ex-identity", "ex-hs", "ex-blocked", "ex-norm89", "ex-canonical"])
+    sizes = st.sampled_from([*_EDGE_INTS, _PAST_DENSE, _PAST_TERMS])
+    dims = st.sampled_from([0, -1, 1, 2, 3, 8, 216, 2**63])  # 216**3 > MAX_BATTERY_WORK
+    return st.one_of(
+        st.builds(lambda i, n: ["example", "--id", i, "--dim", str(n)], ids, sizes),
+        st.builds(
+            lambda i, ns: ["sweep", "--id", i, "--dims", ",".join(map(str, ns))],
+            ids,
+            st.lists(sizes, max_size=3),
+        ),
+        st.builds(
+            lambda t, lo, hi, s: [
+                "battery", "--trials", str(t), "--dims", f"{lo}..{hi}", "--seed", str(s)
+            ],
+            st.sampled_from([0, -1, 1, 2**63, _PAST_WORK]),
+            dims,
+            dims,
+            st.sampled_from([0, -1, 7, 2**63]),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_flags_argv())
+def test_extreme_flags_end_in_an_envelope_or_exit_2(report_schema, argv):
+    validator = jsonschema.Draft202012Validator(report_schema)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        validator.validate(json.loads(out.getvalue()))
 
 
 # ----------------------------------------------------------------- battery

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossgram import diagnostics, operators, sequences
+from crossgram import diagnostics, operators, sequences, serialize
 from crossgram.sequences import RealizedSequence
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -330,3 +330,39 @@ def test_block_route_agrees_with_dense_route(pair, seed):
     _close(duality.pairing_residual_3, want.pairing_residual_3, atol=1e-9)
     _close(duality.reconstruction_residual_1, want.reconstruction_residual_1, atol=1e-9)
     _close(duality.reconstruction_residual_2, want.reconstruction_residual_2, atol=1e-9)
+
+
+# ---------------------------------------------------------------- explicit decoding
+
+# JSON numbers at the edges of the float conversion: signed zero, the
+# smallest subnormal, integers past 2**53 (rounded), past int64, and 1e308
+_PARTS = st.one_of(
+    st.sampled_from([0, -0.0, 5e-324, 2**53 + 1, 2**63, 2**70, 1e308, -1e308, 3]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _columns(draw):
+    count, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = st.lists(_PARTS, min_size=2, max_size=2)
+    return [[draw(pair) for _ in range(dim)] for _ in range(count)]
+
+
+def _bits(m) -> bytes:
+    return np.ascontiguousarray(m).view(np.float64).tobytes()
+
+
+@given(_columns())
+def test_explicit_columns_decode_bit_for_bit(columns):
+    spec = serialize.spec_from_json({"kind": "explicit", "columns": columns})
+    want = np.array([[complex(re, im) for re, im in col] for col in columns])
+    assert spec.columns.dtype == np.complex128 and spec.columns.shape == want.shape
+    assert not spec.columns.flags.writeable
+    assert _bits(spec.columns) == _bits(want)
+    # nested lists and an array make the same spec, bit for bit
+    nested = sequences.SequenceSpec.explicit(want.tolist())
+    from_array = sequences.SequenceSpec.explicit(want)
+    assert nested == from_array == spec
+    assert _bits(nested.columns) == _bits(from_array.columns) == _bits(want)
