@@ -51,9 +51,11 @@ def bounds_from_singular_values(s: np.ndarray, dim: int, tol: float) -> FrameBou
     Squaring singular values keeps A to the relative accuracy of the SVD;
     eigenvalues of S = TT* would lose every A below eps * B to rounding.
     """
-    top = float(s[0])
+    # both squares are taken by one multiplication: pow(x, 2) may differ
+    # from x * x by an ulp, which would put A above B when sigma_min = sigma_max
+    top, bottom = float(s[0]), float(s[-1])
     upper = top * top
-    lower = float(s[-1]) ** 2 if len(s) == dim else 0.0
+    lower = bottom * bottom if len(s) == dim else 0.0
     return FrameBounds(
         lower=lower,
         upper=upper,

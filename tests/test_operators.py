@@ -136,6 +136,15 @@ def test_frame_bounds_keep_relative_accuracy_at_condition_1e9():
     assert ops.frame_bounds(seq, tol=1e-20).spans_ambient is True
 
 
+def test_frame_bounds_one_singular_value_are_equal():
+    # one row gives one singular value, so A and B are the same square;
+    # this frame's sigma is one where pow(sigma, 2) and sigma * sigma differ
+    f = seqs.random_frame(1, 4, 65535)
+    b = ops.frame_bounds(f)
+    assert b.lower == b.upper
+    assert ops.canonical_dual(f).count == 4
+
+
 def test_canonical_dual_frozen(repeated_frame):
     d = ops.canonical_dual(repeated_frame)
     expected = np.array(
