@@ -170,10 +170,10 @@ def _side(path: str, n: int):
 
 
 def _pair(config: RunConfig):
-    """Both sides of a pair command: term arrays when every field has a
-    block form, else dense realizations."""
+    """Both sides of a pair command: term arrays when both are monomial,
+    else dense realizations."""
     f, g = _side(config.f, config.dim), _side(config.g, config.dim)
-    if isinstance(f, tuple) and isinstance(g, tuple) and diagnostics.has_block_form(f, g):
+    if isinstance(f, tuple) == isinstance(g, tuple):
         return f, g
     return tuple(
         _named(path, sequences.from_terms, *side) if isinstance(side, tuple) else side
@@ -207,7 +207,7 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
         f, g = _pair(config)
         probing = {"tol": config.tol, "probes": config.probes, "seed": config.seed}
         if isinstance(f, tuple):
-            report = diagnostics.monomial_reports(f, g, **probing)[3]
+            report = diagnostics.monomial_duality(f, g, **probing)
         else:
             report = diagnostics.check_duality(f, g, **probing)
         echo = {
@@ -219,18 +219,10 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
     if command == "example":
         entry = sequences.example_entry(config.example_id)
         ft, gt = sequences.example_terms(entry.example_id, config.dim)
-        if diagnostics.has_block_form(ft, gt):
-            probes = 16 if len(ft[0]) == len(gt[0]) else None
-            reports = diagnostics.monomial_reports(ft, gt, tol=config.tol, probes=probes)
-        else:  # a square cross-Gram on different index arrays
-            f, g = sequences.from_terms(*ft), sequences.from_terms(*gt)
-            reports = (
-                diagnostics.classify_sequence(f, tol=config.tol),
-                diagnostics.classify_sequence(g, tol=config.tol),
-                diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=config.tol),
-                diagnostics.check_duality(f, g, tol=config.tol),
-            )
-        f_cls, g_cls, cross, duality = reports
+        probes = 16 if len(ft[0]) == len(gt[0]) else None
+        f_cls, g_cls, cross, duality = diagnostics.monomial_reports(
+            ft, gt, tol=config.tol, probes=probes
+        )
         report = {
             "example_id": entry.example_id,
             "title": entry.title,
@@ -248,14 +240,8 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "sweep":
-        report = diagnostics.truncation_sweep(
-            config.example_id, config.truncations, tol=config.tol
-        )
-        echo = {
-            "id": config.example_id,
-            "truncations": list(config.truncations),
-            "tol": config.tol,
-        }
+        report = diagnostics.truncation_sweep(config.example_id, config.truncations, tol=config.tol)
+        echo = {"id": config.example_id, "truncations": list(config.truncations), "tol": config.tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "battery":

@@ -33,6 +33,11 @@ TOL_SPECTRAL = 1e-9
 # 200 x 8**3 ~ 1e5 takes about a second and the budget about two minutes
 MAX_BATTERY_WORK = 10**7
 
+# the largest dim_high of one battery: a square complex Gaussian draw meets
+# sequences.MAX_CONDITION = 100 with chance ~0.22 at dim 64 (so all of the
+# 64 screening attempts fail with chance ~2e-7) and ~0.025 at dim 96
+MAX_BATTERY_DIM = 64
+
 
 # --------------------------------------------------------------------------
 # spectral rules
@@ -126,19 +131,23 @@ def analyze_cross_gram(m, tol: float = DEFAULT_TOL) -> CrossGramReport:
     rows, cols = m.shape
     s = np.linalg.svd(m, compute_uv=False)
     op = float(s[0])
-    sigma_min = float(s[-1])
-    square = rows == cols
-    defect = idem = ident = None
-    psd = False
-    if square:
-        defect = _hermitian_defect(m, op)
-        idem = float(np.linalg.norm(m @ m - m, 2))
-        ident = float(np.linalg.norm(m - np.eye(rows), 2))
-        if defect <= tol:
-            lam_min = float(np.linalg.eigvalsh(m)[0])
-            psd = bool(lam_min >= -tol * op)
+    fields = _square_fields(m, op, tol) if rows == cols else _RECTANGULAR
     hs = float(np.linalg.norm(m, "fro"))
-    return _cross_report(rows, cols, op, sigma_min, hs, defect, psd, idem, ident, tol)
+    return _cross_report(rows, cols, op, float(s[-1]), hs, *fields, tol)
+
+
+# the square-only fields (as _square_fields returns them) of a rectangular G
+_RECTANGULAR = (None, False, None, None)
+
+
+def _square_fields(m: np.ndarray, op: float, tol: float):
+    """hermitian_defect, psd, idempotency_defect and identity_distance of a
+    square matrix, given op = ||M||."""
+    defect = _hermitian_defect(m, op)
+    idem = float(np.linalg.norm(m @ m - m, 2))
+    ident = float(np.linalg.norm(m - np.eye(len(m)), 2))
+    psd = defect <= tol and bool(np.linalg.eigvalsh(m)[0] >= -tol * op)
+    return defect, psd, idem, ident
 
 
 def _cross_report(rows, cols, op, sigma_min, hs, defect, psd, idem, ident, tol):
@@ -218,11 +227,6 @@ def _check_probes(dim: int, probes: int) -> None:
 # block route
 
 
-def has_block_form(f, g) -> bool:
-    """Whether every report of two ``sequences.term_arrays`` has a block form."""
-    return len(f[0]) != len(g[0]) or bool(np.array_equal(f[0], g[0]))
-
-
 def _bins(*idx: np.ndarray) -> tuple[int, int]:
     """(base, size) of bins over the joint index span: bin j holds index
     base + j, so bin 0 has no term (numpy's pairwise sums depend on it)."""
@@ -250,14 +254,23 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
 
     Returns the classifications of f and g, the cross-Gram report and, with
     ``probes``, the duality report (None where not asked).  S = TT* is
-    diagonal.  A square cross-Gram needs both sides on the same index
-    arrays: block i of G is then conj(b) a^T for the coefficients on index
-    i, and T_f T_g* is diagonal with entries p_i = sum a conj(b).
+    diagonal, and G has one rank-one block per index, so the
+    classifications, op_norm, sigma_min, hs and invertible always have
+    block forms.  The square-only fields and the duality report have them
+    when both sides sit on the same index arrays: block i of G is then
+    conj(b) a^T for the coefficients on index i, and T_f T_g* is diagonal
+    with entries p_i = sum a conj(b).  On different index arrays those come
+    from the dense realizations.
     """
     sides, dim = ((f,) if g is None else (f, g)), f[2]
+    square = g is not None and len(f[0]) == len(g[0])
+    dense = square and not np.array_equal(f[0], g[0])
+    if dense:  # refused before any work, as on the dense route
+        for i, _, d in sides:
+            sequences._check_dense(d, len(i))
     if g is not None and g[2] != dim:
         raise ValueError(f"sequences live in different ambient dimensions: {dim} vs {g[2]}")
-    if g is not None and probes is not None and len(f[0]) != len(g[0]):
+    if g is not None and probes is not None and not square:
         raise ValueError(f"dual-pair counts differ: {len(f[0])} vs {len(g[0])}")
     base, size = _bins(*(i for i, _, _ in sides))
     # bin 0 stands for the basis indices outside the span, if any
@@ -282,14 +295,17 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
         return classes[0], None, None, None
 
     (fi, a, _), (gi, b, _) = f, g
-    square = len(fi) == len(gi)
-    if square and not np.array_equal(fi, gi):
-        raise ValueError("a square cross-Gram has block forms only on shared index arrays")
     op, sigma_min, hs = _block_spectrum(*sq, min(len(fi), len(gi)))
     del sq
+    spectrum = len(gi), len(fi), op, sigma_min, hs
     if not square:
-        cross = _cross_report(len(gi), len(fi), op, sigma_min, hs, None, False, None, None, tol)
-        return (*classes, cross, None)
+        return (*classes, _cross_report(*spectrum, *_RECTANGULAR, tol), None)
+    if dense:
+        fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
+        # G is freed before check_duality allocates its residuals
+        fields = _square_fields(operators.cross_gram(fd, gd), op, tol)
+        duality = None if probes is None else check_duality(fd, gd, tol, probes, seed)
+        return (*classes, _cross_report(*spectrum, *fields, tol), duality)
     # the parts of p as separate real products, so that a = b gives Im p = 0
     p = np.empty(size, complex)
     p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
@@ -315,9 +331,11 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
     ident = float(np.where(one, x, wide)[rows].max())
     # a Hermitian G has the eigenvalues Re p (one per block) and 0
     psd = defect <= tol and bool(p.real[rows].min() >= -tol * op)
-    cross = _cross_report(len(gi), len(fi), op, sigma_min, hs, defect, psd, idem, ident, tol)
+    cross = _cross_report(*spectrum, defect, psd, idem, ident, tol)
     if probes is None:
         return (*classes, cross, None)
+    # freeing the cross-Gram temporaries before the probes cuts the peak by ~30%
+    del terms, at, k, ak, alpha, alpha_k, toward, q, im, x, one, rows, wide
 
     # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see |p - 1|
     _check_probes(dim, probes)
@@ -332,6 +350,14 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
         v_sq = z[0] ** 2 + z[1] ** 2
         worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
     return (*classes, cross, DualityReport(worst, worst, pairing, pairing <= tol, probes, tol))
+
+
+def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0) -> DualityReport:
+    """``check_duality`` of two ``sequences.term_arrays``, without the
+    cross-Gram fields that have no block form."""
+    if len(f[0]) == len(g[0]) and not np.array_equal(f[0], g[0]):
+        return check_duality(sequences.from_terms(*f), sequences.from_terms(*g), tol, probes, seed)
+    return monomial_reports(f, g, tol=tol, probes=probes, seed=seed)[3]
 
 
 # --------------------------------------------------------------------------
@@ -626,42 +652,29 @@ def theorem_battery(
             f"battery work trials x max(dim_high, 8)**3 = {trials} x {max(hi, 8)}**3 "
             f"exceeds the budget MAX_BATTERY_WORK = {MAX_BATTERY_WORK}"
         )
+    if hi > MAX_BATTERY_DIM:
+        raise ValueError(
+            f"dims {lo}..{hi} reach past MAX_BATTERY_DIM = {MAX_BATTERY_DIM}, above which "
+            f"random draws rarely meet the condition screen MAX_CONDITION = "
+            f"{sequences.MAX_CONDITION:g}"
+        )
 
     everything = _CHECKS + _CONTROLS
-
-    def run_trial(t: int) -> list[tuple[float, bool]]:
+    per_trial = []
+    for t in range(trials):
         d = lo + int(np.random.default_rng([seed, t, 0]).integers(hi - lo + 1))
-        return [fn(seed, t, d, tol) for (_, _, _, fn) in everything]
-
-    per_trial = [run_trial(t) for t in range(trials)]
+        per_trial.append([fn(seed, t, d, tol) for (_, _, _, fn) in everything])
 
     outcomes = []
-    for pos, (check_id, description, threshold, _) in enumerate(everything):
-        margins = [per_trial[t][pos][0] for t in range(trials)]
-        failures = sum(1 for t in range(trials) if not per_trial[t][pos][1])
+    for (check_id, description, threshold, _), results in zip(everything, zip(*per_trial)):
+        failures = sum(not ok for _, ok in results)
+        worst = float(min(margin for margin, _ in results))
         outcomes.append(
-            CheckOutcome(
-                check_id=check_id,
-                description=description,
-                trials=trials,
-                failures=failures,
-                worst_margin=float(min(margins)),
-                threshold=threshold,
-                passed=failures == 0,
-            )
+            CheckOutcome(check_id, description, trials, failures, worst, threshold, failures == 0)
         )
-    checks = tuple(outcomes[: len(_CHECKS)])
-    controls = tuple(outcomes[len(_CHECKS) :])
-    return PropertyReport(
-        seed=seed,
-        trials=trials,
-        dim_low=lo,
-        dim_high=hi,
-        tol=tol,
-        checks=checks,
-        controls=controls,
-        all_passed=all(c.passed for c in checks) and all(c.passed for c in controls),
-    )
+    checks, controls = tuple(outcomes[: len(_CHECKS)]), tuple(outcomes[len(_CHECKS) :])
+    passed = all(c.passed for c in outcomes)
+    return PropertyReport(seed, trials, lo, hi, tol, checks, controls, passed)
 
 
 # --------------------------------------------------------------------------

@@ -74,3 +74,11 @@ def test_battery_validates_arguments():
     for dims in ((2, 8), (2, 2)):
         with pytest.raises(ValueError, match="MAX_BATTERY_WORK"):
             diag.theorem_battery(seed=1, trials=diag.MAX_BATTERY_WORK // 8**3 + 1, dims=dims)
+
+
+def test_battery_refuses_dims_past_the_condition_screen():
+    with pytest.raises(ValueError, match="dims 2..65 reach past MAX_BATTERY_DIM = 64"):
+        diag.theorem_battery(seed=1, trials=1, dims=(2, diag.MAX_BATTERY_DIM + 1))
+    # the work budget is checked first
+    with pytest.raises(ValueError, match="MAX_BATTERY_WORK"):
+        diag.theorem_battery(seed=1, trials=1, dims=(2, 3000))

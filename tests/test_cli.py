@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 
@@ -490,8 +491,8 @@ def test_probe_budget_exits_2_before_allocating(tmp_path, capsys):
 
 def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
     # each side is a 2 x 4097 or 4097 x 2 matrix, far inside the budget, and
-    # the two sides of a pair sit on different index arrays, so they take
-    # the dense route; the cross-Gram (g.count x f.count) and the dual-pair
+    # the two sides of a pair sit on different index arrays, so the square-only
+    # fields take the dense route; the cross-Gram (g.count x f.count) and the dual-pair
     # residuals (dim x dim) would each hold 4097**2 > MAX_DENSE_ENTRIES entries
     def pattern(name, head, tail):
         return write_spec(tmp_path, name, {"kind": "pattern", "head": head, "tail": tail})
@@ -513,6 +514,25 @@ def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert f"{message} exceeds the budget MAX_DENSE_ENTRIES = 16777216" in err
+        assert peak < 2**20
+
+
+def test_square_pair_on_different_index_arrays_past_the_dense_budget_exits_2(tmp_path, capsys):
+    # both sides of ex-hs at 5000 terms sit in dim 5000 on different index
+    # arrays; the block route reads the spectrum, but the square-only fields
+    # and the duality residuals need 5000 x 5000 realizations
+    f = write_spec(tmp_path, "f.json", {"kind": "paper_example", "example": "ex-hs", "role": "f"})
+    g = write_spec(tmp_path, "g.json", {"kind": "paper_example", "example": "ex-hs", "role": "g"})
+    for command in ("cross-gram", "dual-check"):
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--f", f, "--g", g, "--dim", "5000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5000 x 5000 realization exceeds the budget MAX_DENSE_ENTRIES = 16777216" in err
         assert peak < 2**20
 
 
@@ -817,6 +837,21 @@ def test_battery_work_budget_exits_2():
         assert res.returncode == 2
         assert "exceeds the budget MAX_BATTERY_WORK = 10000000" in res.stderr
         assert res.stdout == ""
+
+
+def test_battery_dims_past_the_condition_screen_exit_2_at_once(capsys):
+    # no square draw of these dims meets MAX_CONDITION within the screening
+    # attempts, so the battery refuses them before its first draw
+    for dims in ("100..100", "215..215"):
+        start = time.perf_counter()
+        code = cli.main(["battery", "--seed", "1", "--trials", "1", "--dims", dims])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert f"dims {dims} reach past MAX_BATTERY_DIM = 64" in err
+        assert out == ""
+    assert cli.main(["battery", "--seed", "1", "--trials", "3", "--dims", "64..64"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["all_passed"] is True
 
 
 def test_battery_rejects_malformed_dims():

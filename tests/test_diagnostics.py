@@ -210,6 +210,19 @@ def test_check_duality_memory_is_quadratic_in_dim():
     assert peak < 10 * 2**20
 
 
+def test_block_route_memory_is_linear_in_terms():
+    n = 10**5
+    f, g = seqs.example_terms("ex-identity", n)
+    tracemalloc.start()
+    try:
+        diag.monomial_reports(f, g, probes=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 98 bytes per term; the term arrays themselves are not counted
+    assert peak < 120 * n
+
+
 def test_check_duality_requires_matching_counts():
     f = seqs.random_frame(3, 5, seed=52)
     g = seqs.random_frame(3, 6, seed=53)

@@ -225,7 +225,9 @@ def test_weight_terms_match_scalar_definition(rule, n):
 
 # the block route (term arrays) against the dense route (realized matrices)
 # on small monomial pairs: g shares f's index arrays with other coefficients,
-# or is a shorter prefix of f's program (a rectangular cross-Gram)
+# sits on other index arrays with f's count (a scaled basis against a
+# pattern, as in ex-hs), or is a shorter prefix of f's program (a
+# rectangular cross-Gram)
 
 _COEFFS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1j, 1 - 1j, 0.3 + 2j, -3.0])
 _RULES = ("constant", "geometric", "inverse_term")
@@ -234,15 +236,6 @@ _RULES = ("constant", "geometric", "inverse_term")
 @st.composite
 def _monomial_pair(draw):
     n = draw(st.integers(1, 40))
-    if draw(st.booleans()):
-        weights = [
-            sequences.WeightRule.constant(draw(_COEFFS)),
-            sequences.WeightRule.geometric(draw(st.sampled_from([0.5, -0.9, 1j])), draw(_COEFFS)),
-            sequences.WeightRule.index(),
-            sequences.WeightRule.inverse_index(),
-        ]
-        f, g = (sequences.SequenceSpec.scaled_basis(draw(st.sampled_from(weights))) for _ in "fg")
-        return (f, n), (g, n)
     head = draw(st.lists(st.integers(1, 6), max_size=4))
     slots = draw(
         st.lists(
@@ -263,6 +256,20 @@ def _monomial_pair(draw):
             )
         )
 
+    def basis():
+        weights = [
+            sequences.WeightRule.constant(draw(_COEFFS)),
+            sequences.WeightRule.geometric(draw(st.sampled_from([0.5, -0.9, 1j])), draw(_COEFFS)),
+            sequences.WeightRule.index(),
+            sequences.WeightRule.inverse_index(),
+        ]
+        return sequences.SequenceSpec.scaled_basis(draw(st.sampled_from(weights)))
+
+    shape = draw(st.sampled_from(["bases", "basis-pattern", "patterns"]))
+    if shape == "bases":
+        return (basis(), n), (basis(), n)
+    if shape == "basis-pattern":
+        return (basis(), n), (program(), n)
     f = program()
     if n > 1 and draw(st.booleans()):
         return (f, n), (f, draw(st.integers(1, n - 1)))
@@ -330,6 +337,8 @@ def test_block_route_agrees_with_dense_route(pair, seed):
     _close(duality.pairing_residual_3, want.pairing_residual_3, atol=1e-9)
     _close(duality.reconstruction_residual_1, want.reconstruction_residual_1, atol=1e-9)
     _close(duality.reconstruction_residual_2, want.reconstruction_residual_2, atol=1e-9)
+    # dual-check reads the same report without the cross-Gram fields
+    assert diagnostics.monomial_duality(f, g, probes=4, seed=seed) == duality
 
 
 # ---------------------------------------------------------------- explicit decoding
