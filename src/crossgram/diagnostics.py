@@ -28,9 +28,9 @@ from .sequences import MAX_SWEEP_TRUNCATION, RealizedSequence, SequenceSpec
 TOL_TIGHT = 1e-10
 TOL_SPECTRAL = 1e-9
 
-# trials x max(dim_high, 8)**3 of one battery: a trial takes ~5 ms up to 8
+# trials x max(dim_high, 8)**3 of one battery: a trial takes ~3-4 ms up to 8
 # dimensions (call overhead) and grows with dim past that, so the default
-# 200 x 8**3 ~ 1e5 takes about a second and the budget about two minutes
+# 200 x 8**3 ~ 1e5 takes under a second and the budget about a minute
 MAX_BATTERY_WORK = 10**7
 
 # the largest dim_high of one battery: a square complex Gaussian draw meets
@@ -49,9 +49,14 @@ def _rank_of(s: np.ndarray, tol: float) -> int:
     return 0 if s[0] == 0.0 else int(np.sum(s > tol * s[0]))
 
 
+def _op_norm(m: np.ndarray) -> float:
+    """||M|| as np.linalg.norm(m, 2) takes it, bit for bit: the largest singular value."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
 def _hermitian_defect(m: np.ndarray, op: float) -> float:
     """||M - M*|| / max(1, ||M||) in the operator norm, given op = ||M||."""
-    return float(np.linalg.norm(m - m.conj().T, 2)) / max(1.0, op)
+    return _op_norm(m - m.conj().T) / max(1.0, op)
 
 
 # --------------------------------------------------------------------------
@@ -144,8 +149,8 @@ def _square_fields(m: np.ndarray, op: float, tol: float):
     """hermitian_defect, psd, idempotency_defect and identity_distance of a
     square matrix, given op = ||M||."""
     defect = _hermitian_defect(m, op)
-    idem = float(np.linalg.norm(m @ m - m, 2))
-    ident = float(np.linalg.norm(m - np.eye(len(m)), 2))
+    idem = _op_norm(m @ m - m)
+    ident = _op_norm(m - np.eye(len(m)))
     psd = defect <= tol and bool(np.linalg.eigvalsh(m)[0] >= -tol * op)
     return defect, psd, idem, ident
 
@@ -196,7 +201,7 @@ def check_duality(
     _check_probes(dim, probes)
     r1 = f.columns @ g.columns.conj().T - np.eye(dim)
     r2 = g.columns @ f.columns.conj().T - np.eye(dim)
-    pairing = float(np.linalg.norm(r1, 2))
+    pairing = _op_norm(r1)
 
     # the stream order of drawing each probe's real part, then its imaginary part
     rng = np.random.default_rng(list(sequences._seed_path(seed)))
@@ -232,6 +237,11 @@ def _bins(*idx: np.ndarray) -> tuple[int, int]:
     base + j, so bin 0 has no term (numpy's pairwise sums depend on it)."""
     lo = min(int(i.min()) for i in idx)
     return lo - 1, max(int(i.max()) for i in idx) - lo + 2
+
+
+def _basis(dim: int, base: int, size: int) -> slice:
+    """The bins that stand for basis vectors: bin 0 for those outside the span, if any."""
+    return slice(0 if base or dim > base + size - 1 else 1, None)
 
 
 def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
@@ -273,8 +283,7 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
     if g is not None and probes is not None and not square:
         raise ValueError(f"dual-pair counts differ: {len(f[0])} vs {len(g[0])}")
     base, size = _bins(*(i for i, _, _ in sides))
-    # bin 0 stands for the basis indices outside the span, if any
-    basis = slice(0 if base or dim > base + size - 1 else 1, None)
+    basis = _basis(dim, base, size)
     sq, classes = [], []
     for i, c, _ in sides:
         # |c|^2 underflows for |c| below ~1e-154, so a side whose largest
@@ -306,10 +315,7 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
         fields = _square_fields(operators.cross_gram(fd, gd), op, tol)
         duality = None if probes is None else check_duality(fd, gd, tol, probes, seed)
         return (*classes, _cross_report(*spectrum, *fields, tol), duality)
-    # the parts of p as separate real products, so that a = b gives Im p = 0
-    p = np.empty(size, complex)
-    p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
-    p.imag = _index_sums(fi, a.imag * b.real - a.real * b.imag, base, size)
+    p = _pairing(fi, a, b, base, size)
     terms = _index_sums(fi, None, base, size)
     # q^2 = |a|^2 |b|^2 - |p|^2 as |a|^2 |r|^2 (r: b off a) without cancellation
     # on blocks of 2+ terms, q = 0 on the rest; a = b gives r = 0 exactly
@@ -336,10 +342,23 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
         return (*classes, cross, None)
     # freeing the cross-Gram temporaries before the probes cuts the peak by ~30%
     del terms, at, k, ak, alpha, alpha_k, toward, q, im, x, one, rows, wide
+    return (*classes, cross, _block_duality(p, dim, base, size, tol, probes, seed))
 
+
+def _pairing(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int) -> np.ndarray:
+    """The diagonal p of T_f T_g* for two sides on the same index array ``fi``."""
+    # the parts of p as separate real products, so that a = b gives Im p = 0
+    p = np.empty(size, complex)
+    p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
+    p.imag = _index_sums(fi, a.imag * b.real - a.real * b.imag, base, size)
+    return p
+
+
+def _block_duality(p, dim, base, size, tol, probes, seed) -> DualityReport:
+    """``check_duality`` of two sides whose T_f T_g* is diagonal with entries p."""
     # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see |p - 1|
     _check_probes(dim, probes)
-    pairing = worst = float(np.abs(p[basis] - 1.0).max())  # the basis probes
+    pairing = worst = float(np.abs(p[_basis(dim, base, size)] - 1.0).max())  # the basis probes
     rng = np.random.default_rng(list(sequences._seed_path(seed)))
     if probes:
         r_sq = np.ones(dim)
@@ -349,15 +368,21 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
         z = rng.standard_normal((2, dim))
         v_sq = z[0] ** 2 + z[1] ** 2
         worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
-    return (*classes, cross, DualityReport(worst, worst, pairing, pairing <= tol, probes, tol))
+    return DualityReport(worst, worst, pairing, pairing <= tol, probes, tol)
 
 
 def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0) -> DualityReport:
-    """``check_duality`` of two ``sequences.term_arrays``, without the
-    cross-Gram fields that have no block form."""
-    if len(f[0]) == len(g[0]) and not np.array_equal(f[0], g[0]):
+    """``check_duality`` of two ``sequences.term_arrays``: on shared index
+    arrays from p alone, without the classifications or cross-Gram fields."""
+    (fi, a, dim), (gi, b, g_dim) = f, g
+    if len(fi) == len(gi) and not np.array_equal(fi, gi):
         return check_duality(sequences.from_terms(*f), sequences.from_terms(*g), tol, probes, seed)
-    return monomial_reports(f, g, tol=tol, probes=probes, seed=seed)[3]
+    if g_dim != dim:
+        raise ValueError(f"sequences live in different ambient dimensions: {dim} vs {g_dim}")
+    if len(fi) != len(gi):
+        raise ValueError(f"dual-pair counts differ: {len(fi)} vs {len(gi)}")
+    base, size = _bins(fi, gi)
+    return _block_duality(_pairing(fi, a, b, base, size), dim, base, size, tol, probes, seed)
 
 
 # --------------------------------------------------------------------------
@@ -387,20 +412,34 @@ class PropertyReport:
     all_passed: bool
 
 
-def _entrywise_cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
+def _entrywise_cross_gram(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Independent route: build the cross-Gram one inner product at a time."""
-    out = np.empty((g.count, f.count), dtype=complex)
-    for j in range(g.count):
-        for k in range(f.count):
-            out[j, k] = np.vdot(g.columns[:, j], f.columns[:, k])
+    out = np.empty((g.shape[1], f.shape[1]), dtype=complex)
+    for j in range(g.shape[1]):
+        for k in range(f.shape[1]):
+            out[j, k] = np.vdot(g[:, j], f[:, k])
     return out
 
 
+# the checks take the generated arrays unwrapped, with cross-Grams g.conj().T @ f
+def _riesz_pair(d, seed):
+    """``sequences.random_riesz_pair(d, seed)`` as two arrays."""
+    streams = (sequences._STREAM_RIESZ_F, sequences._STREAM_RIESZ_G)
+    return tuple(sequences._screened_gaussian(seed, k, d, d)[0] for k in streams)
+
+
+def _frame(d, n, seed, tol):
+    """``sequences.random_frame(d, n, seed)`` as its array and its frame
+    bounds, read off the singular values its condition screen computed."""
+    m, s = sequences._screened_gaussian(seed, sequences._STREAM_FRAME, d, n)
+    return m, operators.bounds_from_singular_values(s, d, tol)
+
+
 def _check_riesz_product(seed, t, d, tol):
-    f, g = sequences.random_riesz_pair(d, (seed, t, 10))
-    m = operators.cross_gram(f, g)
+    f, g = _riesz_pair(d, (seed, t, 10))
+    m = g.conj().T @ f
     s = np.linalg.svd(m, compute_uv=False)
-    rel = float(np.linalg.norm(m - _entrywise_cross_gram(f, g), 2)) / float(s[0])
+    rel = _op_norm(m - _entrywise_cross_gram(f, g)) / float(s[0])
     ok = rel <= TOL_TIGHT and s[-1] > tol * s[0]
     margin = min(TOL_TIGHT - rel, float(s[-1] / s[0]) - tol)
     return margin, ok
@@ -410,17 +449,17 @@ def _check_rank_deficit(seed, t, d, tol):
     rng = np.random.default_rng([seed, t, 11])
     nf = d + 1 + int(rng.integers(d))
     ng = d + 1 + int(rng.integers(d))
-    f = sequences.random_frame(d, nf, (seed, t, 12))
-    g = sequences.random_frame(d, ng, (seed, t, 13))
-    smin = float(np.linalg.svd(operators.cross_gram(f, g), compute_uv=False)[-1])
+    f, _ = _frame(d, nf, (seed, t, 12), tol)
+    g, _ = _frame(d, ng, (seed, t, 13), tol)
+    smin = float(np.linalg.svd(g.conj().T @ f, compute_uv=False)[-1])
     return TOL_TIGHT - smin, smin <= TOL_TIGHT
 
 
 def _check_riesz_transfer(seed, t, d, tol):
-    f, g = sequences.random_riesz_pair(d, (seed, t, 14))
-    s = np.linalg.svd(operators.cross_gram(f, g), compute_uv=False)
+    f, g = _riesz_pair(d, (seed, t, 14))
+    s = np.linalg.svd(g.conj().T @ f, compute_uv=False)
     invertible = s[-1] > tol * s[0]
-    cls = classify_sequence(g, tol)
+    cls = classify_sequence(RealizedSequence(g), tol)
     margin = cls.frame.lower / cls.bessel_bound - tol
     return margin, bool(invertible and cls.riesz)
 
@@ -429,19 +468,16 @@ def _check_rank_count(seed, t, d, tol):
     rng = np.random.default_rng([seed, t, 15])
     n1 = d + int(rng.integers(d + 1))
     n2 = d + int(rng.integers(d + 1))
-    u, _ = sequences.random_riesz_pair(d, (seed, t, 16))
-    g1 = sequences.random_frame(d, n1, (seed, t, 17))
-    m1 = operators.cross_gram(u, g1)  # Riesz f side: rank must equal f.count
-    f2 = sequences.random_frame(d, n2, (seed, t, 18))
-    w, _ = sequences.random_riesz_pair(d, (seed, t, 19))
-    m2 = operators.cross_gram(f2, w)  # Riesz g side: rank must equal g.count
+    u, _ = _riesz_pair(d, (seed, t, 16))
+    g1, _ = _frame(d, n1, (seed, t, 17), tol)
+    m1 = g1.conj().T @ u  # Riesz f side: rank must equal f.count
+    f2, _ = _frame(d, n2, (seed, t, 18), tol)
+    w, _ = _riesz_pair(d, (seed, t, 19))
+    m2 = w.conj().T @ f2  # Riesz g side: rank must equal g.count
     s1 = np.linalg.svd(m1, compute_uv=False)
     s2 = np.linalg.svd(m2, compute_uv=False)
     ok = _rank_of(s1, tol) == d and _rank_of(s2, tol) == d
-    margin = min(
-        float(s1[d - 1] / s1[0]) - tol,
-        float(s2[d - 1] / s2[0]) - tol,
-    )
+    margin = min(float(s1[d - 1] / s1[0]) - tol, float(s2[d - 1] / s2[0]) - tol)
     return margin, ok
 
 
@@ -449,20 +485,17 @@ def _check_hs_bound(seed, t, d, tol):
     rng = np.random.default_rng([seed, t, 22])
     nf = d + int(rng.integers(d + 1))
     ng = d + int(rng.integers(d + 1))
-    f = sequences.random_frame(d, nf, (seed, t, 20))
-    g = sequences.random_frame(d, ng, (seed, t, 21))
-    hs = float(np.linalg.norm(operators.cross_gram(f, g), "fro"))
-    upper_g = operators.frame_bounds(g, tol).upper
-    bound = float(np.sqrt(upper_g) * np.linalg.norm(f.columns, "fro"))
+    f, _ = _frame(d, nf, (seed, t, 20), tol)
+    g, bounds = _frame(d, ng, (seed, t, 21), tol)
+    hs = float(np.linalg.norm(g.conj().T @ f, "fro"))
+    bound = float(np.sqrt(bounds.upper) * np.linalg.norm(f, "fro"))
     m1 = bound + TOL_SPECTRAL - hs
 
     # orthonormal-side variant: the Bessel bound of g is at most ||G||^2
-    q, _ = np.linalg.qr(
-        sequences._complex_gaussian(np.random.default_rng([seed, t, 23]), (d, d))
-    )
-    ortho = RealizedSequence(q)
-    op_sq = float(np.linalg.norm(operators.cross_gram(ortho, g), 2)) ** 2
-    m2 = op_sq + TOL_SPECTRAL * max(1.0, op_sq) - upper_g
+    z = sequences._complex_gaussian(np.random.default_rng([seed, t, 23]), (d, d))
+    q, _ = np.linalg.qr(z)
+    op_sq = _op_norm(g.conj().T @ q) ** 2
+    m2 = op_sq + TOL_SPECTRAL * max(1.0, op_sq) - bounds.upper
     return min(m1, m2), bool(m1 >= 0.0 and m2 >= 0.0)
 
 
@@ -470,15 +503,12 @@ def _check_norm_bounds(seed, t, d, tol):
     rng = np.random.default_rng([seed, t, 26])
     ng = d + int(rng.integers(d + 1))
     nf = 1 + int(rng.integers(ng))  # nf <= ng keeps sigma_min a true lower bound
-    g = sequences.random_frame(d, ng, (seed, t, 24))
+    g, bounds = _frame(d, ng, (seed, t, 24), tol)
     cols = sequences._complex_gaussian(np.random.default_rng([seed, t, 25]), (d, nf))
-    f = RealizedSequence(cols)
-    m = operators.cross_gram(f, g)
-    bounds = operators.frame_bounds(g, tol)
+    m = g.conj().T @ cols
     col_sq = np.linalg.norm(cols, axis=0) ** 2
     s = np.linalg.svd(m, compute_uv=False)
-    op = float(s[0])
-    smin = float(s[-1])
+    op, smin = float(s[0]), float(s[-1])
     m_up = op**2 / bounds.lower + TOL_SPECTRAL - float(col_sq.max())
     m_low = float(col_sq.min()) - smin**2 / bounds.upper + TOL_SPECTRAL
     margin = min(m_up, m_low)
@@ -487,46 +517,34 @@ def _check_norm_bounds(seed, t, d, tol):
 
 def _check_dual_idempotent(seed, t, d, tol):
     nf = d + int(np.random.default_rng([seed, t, 27]).integers(d + 1))
-    f = sequences.random_frame(d, nf, (seed, t, 28))
+    f, bounds = _frame(d, nf, (seed, t, 28), tol)
     if t % 2 == 0:
-        dual = operators.canonical_dual(f, tol)
-    else:
-        dual = operators.alternate_dual(f, (seed, t, 31), scale=1.0, tol=tol)
-    m = operators.cross_gram(f, dual)
-    idem = float(np.linalg.norm(m @ m - m, 2))
-    op = float(np.linalg.norm(m, 2))
-    verdict = check_duality(f, dual, tol=tol, probes=8, seed=(seed, t, 32))
-    ok = bool(
-        idem <= TOL_SPECTRAL
-        and op >= 1.0 - TOL_SPECTRAL
-        and verdict.is_dual_pair
-    )
-    margin = min(
-        TOL_SPECTRAL - idem,
-        op - (1.0 - TOL_SPECTRAL),
-        tol - verdict.pairing_residual_3,
-    )
+        dual = operators._dual_columns(f, bounds)
+    else:  # alternate_dual(f, (seed, t, 31), scale=1.0)
+        dual = operators._dual_columns(f, bounds, (seed, t, 31), 1.0)
+    m = dual.conj().T @ f
+    idem = _op_norm(m @ m - m)
+    op = _op_norm(m)
+    verdict = check_duality(RealizedSequence(f), RealizedSequence(dual), tol, 8, (seed, t, 32))
+    ok = bool(idem <= TOL_SPECTRAL and op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair)
+    margin = min(TOL_SPECTRAL - idem, op - (1.0 - TOL_SPECTRAL), tol - verdict.pairing_residual_3)
     return margin, ok
 
 
 def _check_canonical_projection(seed, t, d, tol):
     n = d + int(np.random.default_rng([seed, t, 33]).integers(d + 1))
-    f = sequences.random_frame(d, n, (seed, t, 34))
-    m = operators.cross_gram(f, operators.canonical_dual(f, tol))
-    defect = _hermitian_defect(m, float(np.linalg.norm(m, 2)))
+    f, bounds = _frame(d, n, (seed, t, 34), tol)
+    m = operators._dual_columns(f, bounds).conj().T @ f
+    defect = _hermitian_defect(m, _op_norm(m))
     evals = np.linalg.eigvalsh(m)
     eig_dist = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
     near_one = int(np.sum(evals > 0.5))
     lam_min = float(evals[0])
-    margins = [
-        TOL_TIGHT - defect,
-        TOL_SPECTRAL - eig_dist,
-        lam_min + TOL_SPECTRAL,
-    ]
+    margins = [TOL_TIGHT - defect, TOL_SPECTRAL - eig_dist, lam_min + TOL_SPECTRAL]
     ok = defect <= TOL_TIGHT and eig_dist <= TOL_SPECTRAL and near_one == d
     ok = ok and lam_min >= -TOL_SPECTRAL
     if n == d:
-        ident = float(np.linalg.norm(m - np.eye(n), 2))
+        ident = _op_norm(m - np.eye(n))
         margins.append(TOL_TIGHT - ident)
         ok = ok and ident <= TOL_TIGHT
     return min(margins), bool(ok)
@@ -534,8 +552,8 @@ def _check_canonical_projection(seed, t, d, tol):
 
 def _control_riesz_into_rank_deficit(seed, t, d, tol):
     # a Riesz pair must NOT satisfy the rank-deficit assertion
-    f, g = sequences.random_riesz_pair(d, (seed, t, 40))
-    smin = float(np.linalg.svd(operators.cross_gram(f, g), compute_uv=False)[-1])
+    f, g = _riesz_pair(d, (seed, t, 40))
+    smin = float(np.linalg.svd(g.conj().T @ f, compute_uv=False)[-1])
     underlying_ok = smin <= TOL_TIGHT
     return smin - TOL_TIGHT, not underlying_ok
 
@@ -543,11 +561,10 @@ def _control_riesz_into_rank_deficit(seed, t, d, tol):
 def _control_shrunk_dual(seed, t, d, tol):
     # a rescaled dual must fail both the norm floor and the duality verdict
     nf = d + int(np.random.default_rng([seed, t, 41]).integers(d + 1))
-    f = sequences.random_frame(d, nf, (seed, t, 42))
-    dual = operators.canonical_dual(f, tol)
-    shrunk = RealizedSequence(0.9 * dual.columns)
-    op = float(np.linalg.norm(operators.cross_gram(f, shrunk), 2))
-    verdict = check_duality(f, shrunk, tol=tol, probes=8, seed=(seed, t, 43))
+    f, bounds = _frame(d, nf, (seed, t, 42), tol)
+    shrunk = 0.9 * operators._dual_columns(f, bounds)
+    op = _op_norm(shrunk.conj().T @ f)
+    verdict = check_duality(RealizedSequence(f), RealizedSequence(shrunk), tol, 8, (seed, t, 43))
     underlying_ok = op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair
     detected = (not underlying_ok) and (not verdict.is_dual_pair) and op <= 0.99
     return (1.0 - TOL_SPECTRAL) - op, detected

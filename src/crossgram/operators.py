@@ -83,15 +83,7 @@ def frame_bounds(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> Fram
 
 def canonical_dual(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> RealizedSequence:
     """Canonical dual sequence: columns of S^{-1} T, via a linear solve."""
-    bounds = frame_bounds(seq, tol)
-    if not bounds.spans_ambient:
-        raise NotAFrameError(
-            f"sequence is not a frame at tolerance {tol:.3e}: "
-            f"lower bound {bounds.lower:.3e} against upper bound {bounds.upper:.3e}",
-            lower=bounds.lower,
-        )
-    t = seq.columns
-    return RealizedSequence(np.linalg.solve(t @ t.conj().T, t))
+    return RealizedSequence(_dual_columns(seq.columns, frame_bounds(seq, tol)))
 
 
 def alternate_dual(
@@ -104,12 +96,23 @@ def alternate_dual(
     """A dual of ``f``: canonical dual plus a seeded component of the
     analysis-range complement, scaled by ``scale`` (0 gives the canonical dual)."""
     path = sequences._seed_path(seed)
-    t = f.columns
-    dual = canonical_dual(f, tol).columns
+    return RealizedSequence(_dual_columns(f.columns, frame_bounds(f, tol), path, scale))
+
+
+def _dual_columns(t: np.ndarray, bounds: FrameBounds, path=(), scale: float = 0.0) -> np.ndarray:
+    """Dual columns of the frame ``t`` with bounds ``bounds``: S^{-1} T, plus ``scale``
+    times a component of the analysis-range complement drawn from ``path``."""
+    if not bounds.spans_ambient:
+        raise NotAFrameError(
+            f"sequence is not a frame at tolerance {bounds.tol:.3e}: "
+            f"lower bound {bounds.lower:.3e} against upper bound {bounds.upper:.3e}",
+            lower=bounds.lower,
+        )
+    dual = np.linalg.solve(t @ t.conj().T, t)
     if scale != 0.0:
         # analysis range projection P = T* S^-1 T; rows outside it preserve T D* = I
         proj = t.conj().T @ dual
         rng = np.random.default_rng([*path, sequences._STREAM_DUAL])
         y = sequences._complex_gaussian(rng, t.shape)
         dual = dual + scale * (y @ (np.eye(t.shape[1]) - proj))
-    return RealizedSequence(dual)
+    return dual

@@ -366,13 +366,13 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
             raise ValueError(
                 f"random_riesz realizes exactly dim terms: truncation {n} != dim {spec.dim}"
             )
-        cols = _screened_gaussian(spec.seed, _STREAM_RIESZ_F, spec.dim, spec.dim)
+        cols, _ = _screened_gaussian(spec.seed, _STREAM_RIESZ_F, spec.dim, spec.dim)
     elif spec.kind == "random_frame":
         if n != spec.count:
             raise ValueError(
                 f"random_frame realizes exactly count terms: truncation {n} != count {spec.count}"
             )
-        cols = _screened_gaussian(spec.seed, _STREAM_FRAME, spec.dim, spec.count)
+        cols, _ = _screened_gaussian(spec.seed, _STREAM_FRAME, spec.dim, spec.count)
     else:  # pragma: no cover - kinds are validated at construction
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
     return RealizedSequence(cols)
@@ -678,9 +678,9 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _screened_gaussian(seed, stream: int, dim: int, count: int) -> np.ndarray:
-    """Draw from generator stream ``stream`` of ``seed`` until the condition
-    number (over the row space) is at most ``MAX_CONDITION``."""
+def _screened_gaussian(seed, stream: int, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw from stream ``stream`` of ``seed`` until the condition number (over
+    the row space) is at most ``MAX_CONDITION``: the draw and its singular values."""
     _check_dense(dim, count)
     rng = np.random.default_rng([*_seed_path(seed), stream])
     last = np.inf
@@ -689,7 +689,7 @@ def _screened_gaussian(seed, stream: int, dim: int, count: int) -> np.ndarray:
         s = np.linalg.svd(m, compute_uv=False)
         last = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
         if last <= MAX_CONDITION:
-            return m
+            return m, s
     raise GenerationError(
         f"no {dim}x{count} draw met condition <= {MAX_CONDITION:g} after "
         f"{MAX_ATTEMPTS} attempts (last condition {last:.3e})"
@@ -700,8 +700,8 @@ def random_riesz_pair(dim: int, seed: int) -> tuple[RealizedSequence, RealizedSe
     """Two independent well-conditioned bases of C^dim from one seed."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    u = _screened_gaussian(seed, _STREAM_RIESZ_F, dim, dim)
-    w = _screened_gaussian(seed, _STREAM_RIESZ_G, dim, dim)
+    u, _ = _screened_gaussian(seed, _STREAM_RIESZ_F, dim, dim)
+    w, _ = _screened_gaussian(seed, _STREAM_RIESZ_G, dim, dim)
     return RealizedSequence(u), RealizedSequence(w)
 
 
@@ -711,4 +711,4 @@ def random_frame(dim: int, count: int, seed: int) -> RealizedSequence:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if count < dim:
         raise ValueError(f"a frame needs count >= dim, got count {count} with dim {dim}")
-    return RealizedSequence(_screened_gaussian(seed, _STREAM_FRAME, dim, count))
+    return RealizedSequence(_screened_gaussian(seed, _STREAM_FRAME, dim, count)[0])

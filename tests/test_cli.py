@@ -808,6 +808,26 @@ def test_battery_command_passes_and_is_deterministic(report_schema):
     }
 
 
+# sha256 of battery envelopes, recorded before the checks moved from
+# RealizedSequence objects to plain arrays; 30..40 rejects and redraws
+# about 40 screened draws, so the resampling path is covered too
+BATTERY_DIGESTS = {
+    ("--seed", "42", "--trials", "200"):
+        "2b674e259e0c5b339b8db164cf2dc52c5ecd7be6055698e78dc9806789772efd",
+    ("--seed", "7", "--trials", "25", "--dims", "2..6"):
+        "d302f2fe6c578c12b2de56e0a33ee571f429949acaf21986250341f104142868",
+    ("--seed", "9", "--trials", "5", "--dims", "30..40"):
+        "51e25ea78b3fdc73c49bd1aa57c64f2fb9cef961dfa1bd751edebdb742ed8ce9",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BATTERY_DIGESTS))
+def test_battery_envelope_bytes_are_unchanged(args, capsys):
+    assert cli.main(["battery", *args]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BATTERY_DIGESTS[args]
+
+
 def test_battery_failure_exits_3(monkeypatch, capsys):
     import dataclasses
 

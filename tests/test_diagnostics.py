@@ -237,6 +237,36 @@ def test_check_duality_requires_matching_ambient():
         diag.check_duality(f, g)
 
 
+def test_op_norm_is_the_two_norm_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for shape in ((6, 6), (3, 7), (7, 3), (1, 5)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        low_rank = x[:, :1] @ x[:1, :]  # rank one, square when x is
+        for m in (x, low_rank, np.zeros(shape, complex)):
+            assert diag._op_norm(m) == float(np.linalg.norm(m, 2))
+
+
+def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypatch):
+    f, g = seqs.example_terms("ex-canonical", 40)
+    assert np.array_equal(f[0], g[0])
+    want = diag.monomial_reports(f, g, probes=5, seed=3)[3]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classification or cross-Gram work")
+
+    monkeypatch.setattr(diag, "_classification", refuse)
+    monkeypatch.setattr(diag, "_block_spectrum", refuse)
+    assert diag.monomial_duality(f, g, probes=5, seed=3) == want
+    monkeypatch.undo()
+    # a count or ambient mismatch names the same fault as the full reports
+    for bad in ((f[0][:-1], f[1][:-1], f[2]), (f[0], f[1], f[2] + 1)):
+        with pytest.raises(ValueError) as full:
+            diag.monomial_reports(f, bad, probes=5)
+        with pytest.raises(ValueError) as alone:
+            diag.monomial_duality(f, bad, probes=5)
+        assert str(alone.value) == str(full.value)
+
+
 def test_swapped_pair_has_the_same_operator_norm():
     for seed in range(6):
         f = seqs.random_frame(3, 5, seed=(61, seed))

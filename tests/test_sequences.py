@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossgram import sequences as seqs
-from crossgram.operators import NotAFrameError, alternate_dual
+from crossgram.operators import NotAFrameError, alternate_dual, bounds_from_singular_values, frame_bounds
 from crossgram.sequences import (
     GenerationError,
     PatternProgram,
@@ -370,6 +370,20 @@ def test_random_frame_full_row_rank():
 def test_random_frame_needs_enough_columns():
     with pytest.raises(ValueError, match="count"):
         random_frame(4, 3, seed=1)
+
+
+def test_screened_draw_returns_the_singular_values_of_the_draw_bit_for_bit():
+    # the battery reads frame bounds off these values in place of a second SVD
+    resampled = 0
+    for d, n, seed in ((2, 2, 0), (2, 3, 1), (5, 9, 2), (8, 8, 3), (30, 30, 0), (36, 40, 5)):
+        m, s = seqs._screened_gaussian(seed, seqs._STREAM_FRAME, d, n)
+        first = seqs._complex_gaussian(np.random.default_rng([seed, seqs._STREAM_FRAME]), (d, n))
+        resampled += not np.array_equal(m, first)
+        np.testing.assert_array_equal(s, np.linalg.svd(m, compute_uv=False))
+        frame = random_frame(d, n, seed)
+        np.testing.assert_array_equal(frame.columns, m)
+        assert bounds_from_singular_values(s, d, 1e-10) == frame_bounds(frame)
+    assert resampled  # the values of a draw after a rejected one are checked too
 
 
 def test_generation_rejects_with_diagnostics_when_unsatisfiable(monkeypatch):
