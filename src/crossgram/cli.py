@@ -9,7 +9,6 @@ default; identical inputs yield identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -18,38 +17,6 @@ from .linalg import DEFAULT_TOL
 from .sequences import GenerationError
 
 ENV_TOL = "CROSSGRAM_TOL"
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for one command invocation."""
-
-    command: str
-    tol: float
-    input: str | None = None
-    f: str | None = None
-    g: str | None = None
-    example_id: str | None = None
-    dim: int | None = None
-    truncations: tuple[int, ...] | None = None
-    probes: int = 16
-    seed: int = 42
-    trials: int = 200
-    dim_low: int = 2
-    dim_high: int = 8
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
-        if self.dim is not None and self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.probes < 0:
-            raise ValueError(f"probes must be non-negative, got {self.probes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -119,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--dims", type=_parse_range, default=(2, 8),
                    help="ambient dimension range LO..HI, e.g. 2..8")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the battery always runs serially")
     common(p)
 
     return parser
@@ -138,19 +103,16 @@ def _resolve_tol(flag_value: float | None) -> float:
         raise ValueError(f"{ENV_TOL} must be a number, got {raw!r}") from None
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    tol = _resolve_tol(ns.tol)
-    fields = {"command": ns.command, "tol": tol}
-    for name in ("input", "f", "g", "example_id", "dim", "probes", "seed", "trials", "jobs"):
-        if hasattr(ns, name):
-            fields[name] = getattr(ns, name)
-    if ns.command == "sweep":
-        fields["truncations"] = ns.dims
-    if ns.command == "battery":
-        fields["dim_low"], fields["dim_high"] = ns.dims
-    config = RunConfig(**fields)
-    config.validate()
-    return config
+def _validate(ns: argparse.Namespace) -> None:
+    """Refuse out-of-range flags before any spec file is read."""
+    if not 0.0 < ns.tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {ns.tol}")
+    if getattr(ns, "dim", 1) < 1:
+        raise ValueError(f"dim must be a positive integer, got {ns.dim}")
+    if getattr(ns, "probes", 0) < 0:
+        raise ValueError(f"probes must be non-negative, got {ns.probes}")
+    if getattr(ns, "seed", 0) < 0:
+        raise ValueError(f"seed must be non-negative, got {ns.seed}")
 
 
 def _named(path: str, make, *args):
@@ -169,64 +131,60 @@ def _side(path: str, n: int):
     return _named(path, sequences.term_arrays if monomial else sequences.realize, spec, n)
 
 
-def _pair(config: RunConfig):
+def _pair(ns: argparse.Namespace):
     """Both sides of a pair command: term arrays when both are monomial,
     else dense realizations."""
-    f, g = _side(config.f, config.dim), _side(config.g, config.dim)
+    f, g = _side(ns.f, ns.dim), _side(ns.g, ns.dim)
     if isinstance(f, tuple) == isinstance(g, tuple):
         return f, g
     return tuple(
         _named(path, sequences.from_terms, *side) if isinstance(side, tuple) else side
-        for side, path in ((f, config.f), (g, config.g))
+        for side, path in ((f, ns.f), (g, ns.g))
     )
 
 
-def run_command(config: RunConfig) -> tuple[int, dict]:
-    """Execute one command; return (exit code, report envelope)."""
-    command = config.command
+def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
+    """Execute one parsed command, its tolerance resolved and its flags
+    validated; return (exit code, report envelope)."""
+    command, tol = ns.command, ns.tol
 
     if command == "classify":
-        seq = _side(config.input, config.dim)
+        seq = _side(ns.input, ns.dim)
         if isinstance(seq, tuple):
-            report = diagnostics.monomial_reports(seq, tol=config.tol)[0]
+            report = diagnostics.monomial_reports(seq, tol=tol)[0]
         else:
-            report = diagnostics.classify_sequence(seq, tol=config.tol)
-        echo = {"input": config.input, "dim": config.dim, "tol": config.tol}
+            report = diagnostics.classify_sequence(seq, tol=tol)
+        echo = {"input": ns.input, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "cross-gram":
-        f, g = _pair(config)
+        f, g = _pair(ns)
         if isinstance(f, tuple):
-            report = diagnostics.monomial_reports(f, g, tol=config.tol)[2]
+            report = diagnostics.monomial_reports(f, g, tol=tol)[2]
         else:
-            report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=config.tol)
-        echo = {"f": config.f, "g": config.g, "dim": config.dim, "tol": config.tol}
+            report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=tol)
+        echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "dual-check":
-        f, g = _pair(config)
-        probing = {"tol": config.tol, "probes": config.probes, "seed": config.seed}
+        f, g = _pair(ns)
+        probing = {"tol": tol, "probes": ns.probes, "seed": ns.seed}
         if isinstance(f, tuple):
             report = diagnostics.monomial_duality(f, g, **probing)
         else:
             report = diagnostics.check_duality(f, g, **probing)
-        echo = {
-            "f": config.f, "g": config.g, "dim": config.dim,
-            "tol": config.tol, "probes": config.probes, "seed": config.seed,
-        }
+        echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, **probing}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "example":
-        entry = sequences.example_entry(config.example_id)
-        ft, gt = sequences.example_terms(entry.example_id, config.dim)
-        probes = 16 if len(ft[0]) == len(gt[0]) else None
-        f_cls, g_cls, cross, duality = diagnostics.monomial_reports(
-            ft, gt, tol=config.tol, probes=probes
-        )
+        entry = sequences.example_entry(ns.example_id)
+        ft, gt = sequences.example_terms(entry.example_id, ns.dim)
+        f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
+        square = len(ft[0]) == len(gt[0])
         report = {
             "example_id": entry.example_id,
             "title": entry.title,
-            "truncation": config.dim,
+            "truncation": ns.dim,
             "dim": ft[2],
             "f_count": f_cls.count,
             "g_count": g_cls.count,
@@ -234,29 +192,24 @@ def run_command(config: RunConfig) -> tuple[int, dict]:
             "f_classification": f_cls,
             "g_classification": g_cls,
             "cross_gram": cross,
-            "duality": duality,
+            "duality": diagnostics.monomial_duality(ft, gt, tol=tol) if square else None,
         }
-        echo = {"id": config.example_id, "dim": config.dim, "tol": config.tol}
+        echo = {"id": ns.example_id, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "sweep":
-        report = diagnostics.truncation_sweep(config.example_id, config.truncations, tol=config.tol)
-        echo = {"id": config.example_id, "truncations": list(config.truncations), "tol": config.tol}
+        report = diagnostics.truncation_sweep(ns.example_id, ns.dims, tol=tol)
+        echo = {"id": ns.example_id, "truncations": list(ns.dims), "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "battery":
-        report = diagnostics.theorem_battery(
-            seed=config.seed,
-            trials=config.trials,
-            dims=(config.dim_low, config.dim_high),
-            tol=config.tol,
-        )
+        report = diagnostics.theorem_battery(seed=ns.seed, trials=ns.trials, dims=ns.dims, tol=tol)
         echo = {
-            "seed": config.seed,
-            "trials": config.trials,
-            "dim_low": config.dim_low,
-            "dim_high": config.dim_high,
-            "tol": config.tol,
+            "seed": ns.seed,
+            "trials": ns.trials,
+            "dim_low": ns.dims[0],
+            "dim_high": ns.dims[1],
+            "tol": tol,
         }
         code = 0 if report.all_passed else 3
         return code, serialize.build_envelope(command, echo, report)
@@ -271,8 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = config_from_args(ns)
-        code, envelope = run_command(config)
+        ns.tol = _resolve_tol(ns.tol)
+        _validate(ns)
+        code, envelope = run_command(ns)
         text = serialize.emit_report(envelope, fmt=ns.format, out=ns.out)
     except (ValueError, GenerationError, OSError) as exc:
         print(f"crossgram: error: {exc}", file=sys.stderr)

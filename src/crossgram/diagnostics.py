@@ -259,18 +259,17 @@ def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[floa
     return op, sigma_min, float(np.sqrt(block_sq.sum()))
 
 
-def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None = None, seed=0):
+def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
     """The dense route's reports, read off ``sequences.term_arrays``.
 
-    Returns the classifications of f and g, the cross-Gram report and, with
-    ``probes``, the duality report (None where not asked).  S = TT* is
-    diagonal, and G has one rank-one block per index, so the
-    classifications, op_norm, sigma_min, hs and invertible always have
-    block forms.  The square-only fields and the duality report have them
+    Returns the classifications of f and g and the cross-Gram report (None
+    for g and the cross-Gram when g is not given); ``monomial_duality``
+    gives the duality report.  S = TT* is diagonal, and G has one rank-one
+    block per index, so the classifications, op_norm, sigma_min, hs and
+    invertible always have block forms.  The square-only fields have them
     when both sides sit on the same index arrays: block i of G is then
-    conj(b) a^T for the coefficients on index i, and T_f T_g* is diagonal
-    with entries p_i = sum a conj(b).  On different index arrays those come
-    from the dense realizations.
+    conj(b) a^T for the coefficients on index i.  On different index arrays
+    those come from the dense realizations.
     """
     sides, dim = ((f,) if g is None else (f, g)), f[2]
     square = g is not None and len(f[0]) == len(g[0])
@@ -280,8 +279,6 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
             sequences._check_dense(d, len(i))
     if g is not None and g[2] != dim:
         raise ValueError(f"sequences live in different ambient dimensions: {dim} vs {g[2]}")
-    if g is not None and probes is not None and not square:
-        raise ValueError(f"dual-pair counts differ: {len(f[0])} vs {len(g[0])}")
     base, size = _bins(*(i for i, _, _ in sides))
     basis = _basis(dim, base, size)
     sq, classes = [], []
@@ -301,20 +298,19 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
         complete = np.sqrt(lo) > tol * np.sqrt(hi)
         classes.append(_classification(dim, frame, complete, mod))
     if g is None:
-        return classes[0], None, None, None
+        return classes[0], None, None
 
     (fi, a, _), (gi, b, _) = f, g
     op, sigma_min, hs = _block_spectrum(*sq, min(len(fi), len(gi)))
     del sq
     spectrum = len(gi), len(fi), op, sigma_min, hs
     if not square:
-        return (*classes, _cross_report(*spectrum, *_RECTANGULAR, tol), None)
+        return (*classes, _cross_report(*spectrum, *_RECTANGULAR, tol))
     if dense:
         fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
-        # G is freed before check_duality allocates its residuals
         fields = _square_fields(operators.cross_gram(fd, gd), op, tol)
-        duality = None if probes is None else check_duality(fd, gd, tol, probes, seed)
-        return (*classes, _cross_report(*spectrum, *fields, tol), duality)
+        return (*classes, _cross_report(*spectrum, *fields, tol))
+    # T_f T_g* is diagonal with entries p_i = sum a conj(b) over the terms on index i
     p = _pairing(fi, a, b, base, size)
     terms = _index_sums(fi, None, base, size)
     # q^2 = |a|^2 |b|^2 - |p|^2 as |a|^2 |r|^2 (r: b off a) without cancellation
@@ -337,12 +333,7 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL, probes: int | None 
     ident = float(np.where(one, x, wide)[rows].max())
     # a Hermitian G has the eigenvalues Re p (one per block) and 0
     psd = defect <= tol and bool(p.real[rows].min() >= -tol * op)
-    cross = _cross_report(*spectrum, defect, psd, idem, ident, tol)
-    if probes is None:
-        return (*classes, cross, None)
-    # freeing the cross-Gram temporaries before the probes cuts the peak by ~30%
-    del terms, at, k, ak, alpha, alpha_k, toward, q, im, x, one, rows, wide
-    return (*classes, cross, _block_duality(p, dim, base, size, tol, probes, seed))
+    return (*classes, _cross_report(*spectrum, defect, psd, idem, ident, tol))
 
 
 def _pairing(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int) -> np.ndarray:
@@ -422,21 +413,15 @@ def _entrywise_cross_gram(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 # the checks take the generated arrays unwrapped, with cross-Grams g.conj().T @ f
-def _riesz_pair(d, seed):
-    """``sequences.random_riesz_pair(d, seed)`` as two arrays."""
-    streams = (sequences._STREAM_RIESZ_F, sequences._STREAM_RIESZ_G)
-    return tuple(sequences._screened_gaussian(seed, k, d, d)[0] for k in streams)
-
-
 def _frame(d, n, seed, tol):
     """``sequences.random_frame(d, n, seed)`` as its array and its frame
     bounds, read off the singular values its condition screen computed."""
-    m, s = sequences._screened_gaussian(seed, sequences._STREAM_FRAME, d, n)
+    m, s = sequences._frame_draw(d, n, seed)
     return m, operators.bounds_from_singular_values(s, d, tol)
 
 
 def _check_riesz_product(seed, t, d, tol):
-    f, g = _riesz_pair(d, (seed, t, 10))
+    f, g = (sequences._riesz_basis(d, (seed, t, 10), role) for role in "fg")
     m = g.conj().T @ f
     s = np.linalg.svd(m, compute_uv=False)
     rel = _op_norm(m - _entrywise_cross_gram(f, g)) / float(s[0])
@@ -456,7 +441,7 @@ def _check_rank_deficit(seed, t, d, tol):
 
 
 def _check_riesz_transfer(seed, t, d, tol):
-    f, g = _riesz_pair(d, (seed, t, 14))
+    f, g = (sequences._riesz_basis(d, (seed, t, 14), role) for role in "fg")
     s = np.linalg.svd(g.conj().T @ f, compute_uv=False)
     invertible = s[-1] > tol * s[0]
     cls = classify_sequence(RealizedSequence(g), tol)
@@ -468,11 +453,11 @@ def _check_rank_count(seed, t, d, tol):
     rng = np.random.default_rng([seed, t, 15])
     n1 = d + int(rng.integers(d + 1))
     n2 = d + int(rng.integers(d + 1))
-    u, _ = _riesz_pair(d, (seed, t, 16))
+    u = sequences._riesz_basis(d, (seed, t, 16))
     g1, _ = _frame(d, n1, (seed, t, 17), tol)
     m1 = g1.conj().T @ u  # Riesz f side: rank must equal f.count
     f2, _ = _frame(d, n2, (seed, t, 18), tol)
-    w, _ = _riesz_pair(d, (seed, t, 19))
+    w = sequences._riesz_basis(d, (seed, t, 19))
     m2 = w.conj().T @ f2  # Riesz g side: rank must equal g.count
     s1 = np.linalg.svd(m1, compute_uv=False)
     s2 = np.linalg.svd(m2, compute_uv=False)
@@ -552,7 +537,7 @@ def _check_canonical_projection(seed, t, d, tol):
 
 def _control_riesz_into_rank_deficit(seed, t, d, tol):
     # a Riesz pair must NOT satisfy the rank-deficit assertion
-    f, g = _riesz_pair(d, (seed, t, 40))
+    f, g = (sequences._riesz_basis(d, (seed, t, 40), role) for role in "fg")
     smin = float(np.linalg.svd(g.conj().T @ f, compute_uv=False)[-1])
     underlying_ok = smin <= TOL_TIGHT
     return smin - TOL_TIGHT, not underlying_ok

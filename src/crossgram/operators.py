@@ -112,7 +112,6 @@ def _dual_columns(t: np.ndarray, bounds: FrameBounds, path=(), scale: float = 0.
     if scale != 0.0:
         # analysis range projection P = T* S^-1 T; rows outside it preserve T D* = I
         proj = t.conj().T @ dual
-        rng = np.random.default_rng([*path, sequences._STREAM_DUAL])
-        y = sequences._complex_gaussian(rng, t.shape)
+        y = sequences._dual_draw(path, t.shape)
         dual = dual + scale * (y @ (np.eye(t.shape[1]) - proj))
     return dual

@@ -366,13 +366,13 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
             raise ValueError(
                 f"random_riesz realizes exactly dim terms: truncation {n} != dim {spec.dim}"
             )
-        cols, _ = _screened_gaussian(spec.seed, _STREAM_RIESZ_F, spec.dim, spec.dim)
+        cols = _riesz_basis(spec.dim, spec.seed)
     elif spec.kind == "random_frame":
         if n != spec.count:
             raise ValueError(
                 f"random_frame realizes exactly count terms: truncation {n} != count {spec.count}"
             )
-        cols, _ = _screened_gaussian(spec.seed, _STREAM_FRAME, spec.dim, spec.count)
+        cols, _ = _frame_draw(spec.dim, spec.count, spec.seed)
     else:  # pragma: no cover - kinds are validated at construction
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
     return RealizedSequence(cols)
@@ -696,13 +696,30 @@ def _screened_gaussian(seed, stream: int, dim: int, count: int) -> tuple[np.ndar
     )
 
 
+def _riesz_basis(dim: int, seed, role: str = "f") -> np.ndarray:
+    """Basis ``role`` of ``random_riesz_pair(dim, seed)`` as an array; each
+    role has its own stream, and a random_riesz spec realizes the f basis."""
+    stream = _STREAM_RIESZ_F if role == "f" else _STREAM_RIESZ_G
+    return _screened_gaussian(seed, stream, dim, dim)[0]
+
+
+def _frame_draw(dim: int, count: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``random_frame(dim, count, seed)`` as an array, with the singular
+    values its condition screen computed."""
+    return _screened_gaussian(seed, _STREAM_FRAME, dim, count)
+
+
+def _dual_draw(path, shape) -> np.ndarray:
+    """The draw ``alternate_dual`` projects onto the analysis-range complement."""
+    return _complex_gaussian(np.random.default_rng([*path, _STREAM_DUAL]), shape)
+
+
 def random_riesz_pair(dim: int, seed: int) -> tuple[RealizedSequence, RealizedSequence]:
     """Two independent well-conditioned bases of C^dim from one seed."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    u, _ = _screened_gaussian(seed, _STREAM_RIESZ_F, dim, dim)
-    w, _ = _screened_gaussian(seed, _STREAM_RIESZ_G, dim, dim)
-    return RealizedSequence(u), RealizedSequence(w)
+    f, g = (RealizedSequence(_riesz_basis(dim, seed, role)) for role in _ROLES)
+    return f, g
 
 
 def random_frame(dim: int, count: int, seed: int) -> RealizedSequence:
@@ -711,4 +728,4 @@ def random_frame(dim: int, count: int, seed: int) -> RealizedSequence:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if count < dim:
         raise ValueError(f"a frame needs count >= dim, got count {count} with dim {dim}")
-    return RealizedSequence(_screened_gaussian(seed, _STREAM_FRAME, dim, count)[0])
+    return RealizedSequence(_frame_draw(dim, count, seed)[0])

@@ -3,10 +3,10 @@
 Every command emits one JSON envelope (tool, command, config echo, report)
 that validates against the shipped schema; exit codes are 0 for success,
 2 for validation problems, 3 when the battery finds a failing check.
-Reports must be byte-identical for identical (config, seed), including
-across serial and threaded battery execution.
+Reports must be byte-identical for identical (config, seed).
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,6 +19,7 @@ import sys
 import time
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -622,6 +623,29 @@ def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsy
         assert hashlib.sha256(out).hexdigest() == EXPLICIT_DIGESTS[argv[0]]
 
 
+# sha256 of the example envelopes, recorded before the example command took
+# its duality report from monomial_duality instead of monomial_reports
+EXAMPLE_DIGESTS = {
+    ("ex-identity", 64): "3006a1bafc14660c4c5e568cdaa691c3adea852b2bba0f44355fc3f1cb11ea5d",
+    ("ex-identity", 256): "e01c0fcde299595f5abb2d7eba5c44581e9e93b8d7e7d35ead12da83157e3961",
+    ("ex-hs", 64): "f1bc722b3dffd4e948a500d93afb436def8e92124730f6dad66dd9a1f5b54768",
+    ("ex-hs", 256): "62253f3cc7b1dfc50481a5e96f47c981ce8e667c630b87c85722ae395b8acfc6",
+    ("ex-blocked", 64): "f031eecd9a45d89c1434629628032fa8ce50760d23fd97f5b037abe37d966386",
+    ("ex-blocked", 256): "9f735b336f2c52e218ec8960ae7c1a49fee04bacb42d05b98ba0a1e6cd6aa5ea",
+    ("ex-norm89", 64): "e8157f27069bb7e0febdbb547874066113044a99ab34a47ec8c90d54b7d6cf8f",
+    ("ex-norm89", 256): "29281caadf27e3592aab8548dcbcf33815490640fb36ccf01584c8f42ccd2195",
+    ("ex-canonical", 64): "dfde6e5b743463e566b8319a59437c45591ca5e6337aa5f878ebee70c251e5e3",
+    ("ex-canonical", 256): "e3c346b39dd9264477d175bf278a54999bf0b21687e6e73f62dc2dacbe054574",
+}
+
+
+@pytest.mark.parametrize("example_id, dim", sorted(EXAMPLE_DIGESTS))
+def test_example_envelope_bytes_are_unchanged(example_id, dim, capsys):
+    assert cli.main(["example", "--id", example_id, "--dim", str(dim)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == EXAMPLE_DIGESTS[example_id, dim]
+
+
 def _booleans(value):
     if isinstance(value, dict):
         return {k: b for k, v in value.items() if (b := _booleans(v)) is not None}
@@ -795,10 +819,8 @@ def test_battery_command_passes_and_is_deterministic(report_schema):
     args = ["battery", "--seed", "5", "--trials", "10", "--dims", "2..5"]
     first = run_cli(args)
     second = run_cli(args)
-    threaded = run_cli(args + ["--jobs", "4"])
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
-    assert first.stdout == threaded.stdout
     env = check_envelope(first.stdout, report_schema)
     assert env["report"]["all_passed"] is True
     assert len(env["report"]["checks"]) == 8
@@ -880,10 +902,10 @@ def test_battery_rejects_malformed_dims():
     assert "dims" in res.stderr
 
 
-def test_battery_rejects_zero_jobs():
-    res = run_cli(["battery", "--seed", "1", "--trials", "2", "--jobs", "0"])
+def test_battery_has_no_jobs_flag():
+    res = run_cli(["battery", "--seed", "1", "--trials", "2", "--jobs", "4"])
     assert res.returncode == 2
-    assert "jobs" in res.stderr
+    assert "unrecognized arguments: --jobs 4" in res.stderr
     assert res.stdout == ""
 
 
@@ -936,6 +958,32 @@ def test_tolerance_range_validated(tmp_path):
     )
     res = run_cli(["classify", "--input", path, "--dim", "4", "--tol", "2.0"])
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "2", "tolerance must lie in (0, 1), got 2.0"),
+        ("--dim", "0", "dim must be a positive integer, got 0"),
+        ("--probes", "-1", "probes must be non-negative, got -1"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+    ],
+)
+def test_out_of_range_flags_exit_2_before_reading_a_spec(tmp_path, capsys, flag, value, message):
+    missing = str(tmp_path / "missing.json")
+    argv = ["dual-check", "--f", missing, "--g", missing, "--dim", "4", flag, value]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"crossgram: error: {message}\n")
+
+
+def test_readme_names_only_flags_the_cli_accepts():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    # --no-build-isolation is a pip flag in the install notes
+    assert named - accepted - {"--no-build-isolation"} == set()
 
 
 def test_text_format(tmp_path):

@@ -215,11 +215,12 @@ def test_block_route_memory_is_linear_in_terms():
     f, g = seqs.example_terms("ex-identity", n)
     tracemalloc.start()
     try:
-        diag.monomial_reports(f, g, probes=16)
+        diag.monomial_reports(f, g)
+        diag.monomial_duality(f, g, probes=16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 98 bytes per term; the term arrays themselves are not counted
+    # about 98 bytes per term, in the reports; the term arrays themselves are not counted
     assert peak < 120 * n
 
 
@@ -249,22 +250,25 @@ def test_op_norm_is_the_two_norm_bit_for_bit():
 def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypatch):
     f, g = seqs.example_terms("ex-canonical", 40)
     assert np.array_equal(f[0], g[0])
-    want = diag.monomial_reports(f, g, probes=5, seed=3)[3]
 
     def refuse(*args, **kwargs):
         raise AssertionError("classification or cross-Gram work")
 
     monkeypatch.setattr(diag, "_classification", refuse)
     monkeypatch.setattr(diag, "_block_spectrum", refuse)
-    assert diag.monomial_duality(f, g, probes=5, seed=3) == want
+    got = diag.monomial_duality(f, g, probes=5, seed=3)
     monkeypatch.undo()
-    # a count or ambient mismatch names the same fault as the full reports
+    want = diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*g), probes=5, seed=3)
+    assert got.is_dual_pair is want.is_dual_pair is True
+    for field in ("reconstruction_residual_1", "reconstruction_residual_2", "pairing_residual_3"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=1e-12)
+    # a count or ambient mismatch names the same fault as the dense route
     for bad in ((f[0][:-1], f[1][:-1], f[2]), (f[0], f[1], f[2] + 1)):
-        with pytest.raises(ValueError) as full:
-            diag.monomial_reports(f, bad, probes=5)
+        with pytest.raises(ValueError) as dense:
+            diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*bad), probes=5)
         with pytest.raises(ValueError) as alone:
             diag.monomial_duality(f, bad, probes=5)
-        assert str(alone.value) == str(full.value)
+        assert str(alone.value) == str(dense.value)
 
 
 def test_swapped_pair_has_the_same_operator_norm():

@@ -376,7 +376,7 @@ def test_screened_draw_returns_the_singular_values_of_the_draw_bit_for_bit():
     # the battery reads frame bounds off these values in place of a second SVD
     resampled = 0
     for d, n, seed in ((2, 2, 0), (2, 3, 1), (5, 9, 2), (8, 8, 3), (30, 30, 0), (36, 40, 5)):
-        m, s = seqs._screened_gaussian(seed, seqs._STREAM_FRAME, d, n)
+        m, s = seqs._frame_draw(d, n, seed)
         first = seqs._complex_gaussian(np.random.default_rng([seed, seqs._STREAM_FRAME]), (d, n))
         resampled += not np.array_equal(m, first)
         np.testing.assert_array_equal(s, np.linalg.svd(m, compute_uv=False))
