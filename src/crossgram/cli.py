@@ -9,6 +9,7 @@ default; identical inputs yield identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -20,30 +21,32 @@ ENV_TOL = "CROSSGRAM_TOL"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    try:
-        if not sep:
-            raise ValueError
+    lo, _, hi = text.partition("..")
+    try:  # without "..", hi is empty and int() refuses it
         return int(lo), int(hi)
     except ValueError:
-        raise ValueError(f"--dims expects LO..HI (for example 2..8), got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected LO..HI (for example 2..8), got {text!r}"
+        ) from None
 
 
 def _parse_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(
-            f"--dims expects a comma-separated truncation list, got {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated truncation list, got {text!r}"
         ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no flag may be abbreviated: --dim would otherwise be read as battery --dims
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="crossgram",
         description="Cross-Gram diagnostics for sequence pairs in finite truncation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=None,
@@ -179,8 +182,10 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     if command == "example":
         entry = sequences.example_entry(ns.example_id)
         ft, gt = sequences.example_terms(entry.example_id, ns.dim)
-        f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
+        # the duality report goes first: its probe budget refuses before the other reports
         square = len(ft[0]) == len(gt[0])
+        duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
+        f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
         report = {
             "example_id": entry.example_id,
             "title": entry.title,
@@ -192,7 +197,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
             "f_classification": f_cls,
             "g_classification": g_cls,
             "cross_gram": cross,
-            "duality": diagnostics.monomial_duality(ft, gt, tol=tol) if square else None,
+            "duality": duality,
         }
         echo = {"id": ns.example_id, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)

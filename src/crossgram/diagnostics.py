@@ -1,13 +1,12 @@
 """Classification, cross-Gram reports, duality checks, battery, and sweep.
 
-The dense route reads off one synthesis-matrix SVD or a small set of dense
-matrix identities; the block route reads the same reports off the term
-arrays of sequences whose terms each sit on one basis index, and the
-truncation sweep is the block route at each prefix.  The theorem battery
-replays the structural facts about cross-Gram matrices on seeded random
-instances and reports the worst margin per check; two negative controls
-feed deliberately broken instances through the same assertions to prove
-the wiring can fail.
+The reports turn what ``operators`` computes on either route, dense
+matrices or the block kernel, into verdicts at a tolerance; the truncation
+sweep is the block route at each prefix.  The theorem battery replays the
+structural facts about cross-Gram matrices on seeded random instances and
+reports the worst margin per check; two negative controls feed
+deliberately broken instances through the same assertions to prove the
+wiring can fail.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ import numpy as np
 
 from . import linalg, operators, sequences
 from .linalg import DEFAULT_TOL
-from .operators import FrameBounds
-from .sequences import MAX_SWEEP_TRUNCATION, RealizedSequence, SequenceSpec
+from .sequences import MAX_SWEEP_TRUNCATION, RealizedSequence
 
 # agreement thresholds used by the battery: identity-level comparisons are
 # held to TIGHT, spectral quantities (eigenvalues, idempotency, norm bounds)
@@ -70,7 +68,7 @@ class SequenceClassification:
     count: int
     dim: int
     bessel_bound: float
-    frame: FrameBounds
+    frame: operators.FrameBounds
     complete: bool
     riesz: bool
     nba_sup: float
@@ -190,12 +188,7 @@ def check_duality(
     probes: int = 16,
     seed=0,
 ) -> DualityReport:
-    if f.dim != g.dim:
-        raise ValueError(
-            f"sequences live in different ambient dimensions: {f.dim} vs {g.dim}"
-        )
-    if f.count != g.count:
-        raise ValueError(f"dual-pair counts differ: {f.count} vs {g.count}")
+    operators._check_pair(f.dim, g.dim, (f.count, g.count))
     dim = f.dim
     sequences._check_dense(dim, dim, "dual-pair residual")
     _check_probes(dim, probes)
@@ -232,68 +225,28 @@ def _check_probes(dim: int, probes: int) -> None:
 # block route
 
 
-def _bins(*idx: np.ndarray) -> tuple[int, int]:
-    """(base, size) of bins over the joint index span: bin j holds index
-    base + j, so bin 0 has no term (numpy's pairwise sums depend on it)."""
-    lo = min(int(i.min()) for i in idx)
-    return lo - 1, max(int(i.max()) for i in idx) - lo + 2
-
-
-def _basis(dim: int, base: int, size: int) -> slice:
-    """The bins that stand for basis vectors: bin 0 for those outside the span, if any."""
-    return slice(0 if base or dim > base + size - 1 else 1, None)
-
-
-def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
-    return np.bincount(idx - base if base else idx, weights=weights, minlength=size)
-
-
-def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[float, float, float]:
-    """op_norm, sigma_min and hs from the singular values sqrt(f_sq * g_sq)
-    of the blocks; ``full`` is min(rows, cols)."""
-    block_sq = f_sq * g_sq
-    active = block_sq > 0.0
-    rank = int(np.count_nonzero(active))
-    op = float(np.sqrt(block_sq.max())) if rank else 0.0
-    sigma_min = float(np.sqrt(block_sq[active].min())) if rank == full else 0.0
-    return op, sigma_min, float(np.sqrt(block_sq.sum()))
-
-
 def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
-    """The dense route's reports, read off ``sequences.term_arrays``.
-
-    Returns the classifications of f and g and the cross-Gram report (None
-    for g and the cross-Gram when g is not given); ``monomial_duality``
-    gives the duality report.  S = TT* is diagonal, and G has one rank-one
-    block per index, so the classifications, op_norm, sigma_min, hs and
-    invertible always have block forms.  The square-only fields have them
-    when both sides sit on the same index arrays: block i of G is then
-    conj(b) a^T for the coefficients on index i.  On different index arrays
-    those come from the dense realizations.
-    """
+    """The dense route's reports, read off ``sequences.term_arrays``: the
+    classifications of f and g and the cross-Gram report (None for g and the
+    cross-Gram without g).  The square-only fields of a pair on different
+    index arrays come from its dense realizations, all else from the block
+    kernel in ``operators``; ``monomial_duality`` gives the duality report."""
     sides, dim = ((f,) if g is None else (f, g)), f[2]
     square = g is not None and len(f[0]) == len(g[0])
     dense = square and not np.array_equal(f[0], g[0])
     if dense:  # refused before any work, as on the dense route
         for i, _, d in sides:
             sequences._check_dense(d, len(i))
-    if g is not None and g[2] != dim:
-        raise ValueError(f"sequences live in different ambient dimensions: {dim} vs {g[2]}")
-    base, size = _bins(*(i for i, _, _ in sides))
-    basis = _basis(dim, base, size)
+    operators._check_pair(dim, sides[-1][2])
+    base, size = operators._bins(*(i for i, _, _ in sides))
+    basis = operators._basis(dim, base, size)
     sq, classes = [], []
     for i, c, _ in sides:
-        # |c|^2 underflows for |c| below ~1e-154, so a side whose largest
-        # modulus is under 2**-300 squares |c| 2**-e, with 2**e near that
-        # modulus, an exact scaling; the sums shift back by 4**e
         mod = np.abs(c)
-        top = float(mod.max())
-        e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
-        s_e = _index_sums(i, (np.ldexp(mod, -e) if e else mod) ** 2, base, size)
+        s_e, e = operators._square_sums(i, mod, base, size)
         sq.append(np.ldexp(s_e, 2 * e) if e else s_e)
         hi, lo = float(s_e[basis].max()), float(s_e[basis].min())
-        upper, lower = math.ldexp(hi, 2 * e), math.ldexp(lo, 2 * e)
-        frame = FrameBounds(lower, upper, bool(lower > tol * upper), tol)
+        frame = operators.FrameBounds(math.ldexp(lo, 2 * e), math.ldexp(hi, 2 * e), tol)
         # completeness is a ratio, so it is read before the shift
         complete = np.sqrt(lo) > tol * np.sqrt(hi)
         classes.append(_classification(dim, frame, complete, mod))
@@ -301,55 +254,28 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
         return classes[0], None, None
 
     (fi, a, _), (gi, b, _) = f, g
-    op, sigma_min, hs = _block_spectrum(*sq, min(len(fi), len(gi)))
+    op, sigma_min, hs = operators._block_spectrum(*sq, min(len(fi), len(gi)))
     del sq
-    spectrum = len(gi), len(fi), op, sigma_min, hs
     if not square:
-        return (*classes, _cross_report(*spectrum, *_RECTANGULAR, tol))
-    if dense:
+        fields = _RECTANGULAR
+    elif dense:
         fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
         fields = _square_fields(operators.cross_gram(fd, gd), op, tol)
-        return (*classes, _cross_report(*spectrum, *fields, tol))
-    # T_f T_g* is diagonal with entries p_i = sum a conj(b) over the terms on index i
-    p = _pairing(fi, a, b, base, size)
-    terms = _index_sums(fi, None, base, size)
-    # q^2 = |a|^2 |b|^2 - |p|^2 as |a|^2 |r|^2 (r: b off a) without cancellation
-    # on blocks of 2+ terms, q = 0 on the rest; a = b gives r = 0 exactly
-    at = fi - base
-    k = np.flatnonzero(terms[at] > 1)
-    at, ak = at[k], a[k]
-    alpha = np.bincount(at, ak.real * ak.real + ak.imag * ak.imag, size)
-    alpha_k, toward = alpha[at], np.zeros(len(k), complex)  # conj(p) / |a|^2
-    np.divide(p.real[at], alpha_k, out=toward.real, where=alpha_k > 0.0)
-    np.divide(-p.imag[at], alpha_k, out=toward.imag, where=alpha_k > 0.0)
-    q = np.sqrt(alpha * np.bincount(at, np.abs(b[k] - ak * toward) ** 2, size))
-    # in an orthonormal basis of a block that starts at conj(a), G is
-    # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
-    # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
-    im, x, one, rows = np.abs(p.imag), np.abs(p - 1.0), terms == 1, terms > 0
-    defect = float((im + np.hypot(q, im)).max()) / max(1.0, op)
-    idem = float((x * np.hypot(np.abs(p), q)).max())
-    wide = (np.hypot(x + 1.0, q) + np.hypot(x - 1.0, q)) / 2.0  # blocks of 2+ terms
-    ident = float(np.where(one, x, wide)[rows].max())
-    # a Hermitian G has the eigenvalues Re p (one per block) and 0
-    psd = defect <= tol and bool(p.real[rows].min() >= -tol * op)
-    return (*classes, _cross_report(*spectrum, defect, psd, idem, ident, tol))
+    else:
+        herm, idem, ident, least = operators._block_square(fi, a, b, base, size)
+        defect = herm / max(1.0, op)
+        fields = defect, defect <= tol and bool(least >= -tol * op), idem, ident
+    return (*classes, _cross_report(len(gi), len(fi), op, sigma_min, hs, *fields, tol))
 
 
-def _pairing(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int) -> np.ndarray:
-    """The diagonal p of T_f T_g* for two sides on the same index array ``fi``."""
-    # the parts of p as separate real products, so that a = b gives Im p = 0
-    p = np.empty(size, complex)
-    p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
-    p.imag = _index_sums(fi, a.imag * b.real - a.real * b.imag, base, size)
-    return p
-
-
-def _block_duality(p, dim, base, size, tol, probes, seed) -> DualityReport:
-    """``check_duality`` of two sides whose T_f T_g* is diagonal with entries p."""
-    # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see |p - 1|
+def _block_duality(fi, a, b, dim, tol, probes, seed) -> DualityReport:
+    """``check_duality`` of two sides on the same index array ``fi``."""
     _check_probes(dim, probes)
-    pairing = worst = float(np.abs(p[_basis(dim, base, size)] - 1.0).max())  # the basis probes
+    base, size = operators._bins(fi)
+    p = operators._pairing(fi, a, b, base, size)
+    # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see
+    # |p - 1|, on the basis probes first
+    pairing = worst = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
     rng = np.random.default_rng(list(sequences._seed_path(seed)))
     if probes:
         r_sq = np.ones(dim)
@@ -368,12 +294,8 @@ def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0
     (fi, a, dim), (gi, b, g_dim) = f, g
     if len(fi) == len(gi) and not np.array_equal(fi, gi):
         return check_duality(sequences.from_terms(*f), sequences.from_terms(*g), tol, probes, seed)
-    if g_dim != dim:
-        raise ValueError(f"sequences live in different ambient dimensions: {dim} vs {g_dim}")
-    if len(fi) != len(gi):
-        raise ValueError(f"dual-pair counts differ: {len(fi)} vs {len(gi)}")
-    base, size = _bins(fi, gi)
-    return _block_duality(_pairing(fi, a, b, base, size), dim, base, size, tol, probes, seed)
+    operators._check_pair(dim, g_dim, (len(fi), len(gi)))
+    return _block_duality(fi, a, b, dim, tol, probes, seed)
 
 
 # --------------------------------------------------------------------------
@@ -763,17 +685,16 @@ def truncation_sweep(
 
     # term m does not depend on n and the counts grow with n, so each row
     # reads a prefix of the terms generated once at the largest truncation
-    fi, fw = sequences.monomial_terms(SequenceSpec.paper_example(example_id, "f"), ns[-1])
-    gi, gw = sequences.monomial_terms(SequenceSpec.paper_example(example_id, "g"), ns[-1])
+    (fi, fw, _), (gi, gw, _) = sequences.example_terms(example_id, ns[-1])
     fw_sq, gw_sq = np.abs(fw) ** 2, np.abs(gw) ** 2
     del fw, gw
     rows = []
     for n in ns:
         fc, gc = entry.f_count(n), entry.g_count(n)
-        base, size = _bins(fi[:fc], gi[:gc])
-        f_sq = _index_sums(fi[:fc], fw_sq[:fc], base, size)
-        g_sq = _index_sums(gi[:gc], gw_sq[:gc], base, size)
-        op, sigma_min, hs = _block_spectrum(f_sq, g_sq, min(fc, gc))
+        base, size = operators._bins(fi[:fc], gi[:gc])
+        f_sq = operators._index_sums(fi[:fc], fw_sq[:fc], base, size)
+        g_sq = operators._index_sums(gi[:gc], gw_sq[:gc], base, size)
+        op, sigma_min, hs = operators._block_spectrum(f_sq, g_sq, min(fc, gc))
         bessel = float(f_sq.max()), float(g_sq.max())
         rows.append(SweepRow(n, base + size - 1, fc, gc, op, sigma_min, hs, *bessel))
 

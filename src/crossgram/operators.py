@@ -1,15 +1,17 @@
-"""Frame bounds, cross-Gram operators, and duals.
+"""Frame bounds, cross-Gram operators, and duals, on two routes.
 
 In the truncation model a sequence is its synthesis matrix T (columns are
 the vectors), so the analysis operator is T*, the frame operator is TT*,
 the Gram matrix is T*T, and the cross-Gram of a pair (f, g) is T_g* T_f,
 whose (j, k) entry is <f_k, g_j>.  Frame bounds are read off the singular
-values of T, never off the eigenvalues of TT*.
+values of T, never off the eigenvalues of TT*.  The dense route forms these
+matrices; the block route reads them off term arrays with one basis index
+per term, where S is diagonal and G has one rank-one block per index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,19 +30,19 @@ class NotAFrameError(ValueError):
 @dataclass(frozen=True)
 class FrameBounds:
     """Optimal truncation-level frame bounds: the extreme squared singular
-    values of the synthesis matrix, which are the extreme eigenvalues of
-    the frame operator S = TT*."""
+    values of T, which are the extreme eigenvalues of S = TT*.  The
+    sequence spans the ambient space when lower exceeds tol * upper."""
 
     lower: float
     upper: float
-    spans_ambient: bool
     tol: float
+    spans_ambient: bool = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper:
-            raise ValueError(
-                f"bounds must satisfy 0 <= lower <= upper, got {self.lower}, {self.upper}"
-            )
+        lower, upper, tol = self.lower, self.upper, self.tol
+        if not 0.0 <= lower <= upper:
+            raise ValueError(f"bounds must satisfy 0 <= lower <= upper, got {lower}, {upper}")
+        object.__setattr__(self, "spans_ambient", bool(lower > tol * upper))
 
 
 def bounds_from_singular_values(s: np.ndarray, dim: int, tol: float) -> FrameBounds:
@@ -54,23 +56,22 @@ def bounds_from_singular_values(s: np.ndarray, dim: int, tol: float) -> FrameBou
     # both squares are taken by one multiplication: pow(x, 2) may differ
     # from x * x by an ulp, which would put A above B when sigma_min = sigma_max
     top, bottom = float(s[0]), float(s[-1])
-    upper = top * top
     lower = bottom * bottom if len(s) == dim else 0.0
-    return FrameBounds(
-        lower=lower,
-        upper=upper,
-        spans_ambient=bool(lower > tol * upper),
-        tol=tol,
-    )
+    return FrameBounds(lower, top * top, tol)
+
+
+def _check_pair(f_dim: int, g_dim: int, counts: tuple[int, int] | None = None) -> None:
+    """Refuse a pair in two ambient dimensions, then, given ``counts``, of two counts."""
+    if f_dim != g_dim:
+        raise ValueError(f"sequences live in different ambient dimensions: {f_dim} vs {g_dim}")
+    if counts and counts[0] != counts[1]:
+        raise ValueError(f"dual-pair counts differ: {counts[0]} vs {counts[1]}")
 
 
 def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
     """Cross-Gram of the pair: g.count x f.count with entries <f_k, g_j>,
     refused before allocation when it exceeds ``MAX_DENSE_ENTRIES``."""
-    if f.dim != g.dim:
-        raise ValueError(
-            f"sequences live in different ambient dimensions: {f.dim} vs {g.dim}"
-        )
+    _check_pair(f.dim, g.dim)
     sequences._check_dense(g.count, f.count, "cross-Gram")
     return g.columns.conj().T @ f.columns
 
@@ -115,3 +116,76 @@ def _dual_columns(t: np.ndarray, bounds: FrameBounds, path=(), scale: float = 0.
         y = sequences._dual_draw(path, t.shape)
         dual = dual + scale * (y @ (np.eye(t.shape[1]) - proj))
     return dual
+
+
+def _bins(*idx: np.ndarray) -> tuple[int, int]:
+    """(base, size) of bins over the joint index span: bin j holds index
+    base + j, so bin 0 has no term (numpy's pairwise sums depend on it)."""
+    lo = min(int(i.min()) for i in idx)
+    return lo - 1, max(int(i.max()) for i in idx) - lo + 2
+
+
+def _basis(dim: int, base: int, size: int) -> slice:
+    """The bins that stand for basis vectors: bin 0 for those outside the span, if any."""
+    return slice(0 if base or dim > base + size - 1 else 1, None)
+
+
+def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
+    return np.bincount(idx - base if base else idx, weights=weights, minlength=size)
+
+
+def _square_sums(idx: np.ndarray, mod: np.ndarray, base: int, size: int) -> tuple[np.ndarray, int]:
+    """The diagonal of S = TT* over the bins from the coefficient moduli, as
+    (sums * 4**-e, e): |c|^2 underflows for |c| below ~1e-154, so a side whose
+    largest modulus is under 2**-300 squares |c| 2**-e, with 2**e near that
+    modulus, an exact scaling."""
+    top = float(mod.max())
+    e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
+    return _index_sums(idx, (np.ldexp(mod, -e) if e else mod) ** 2, base, size), e
+
+
+def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[float, float, float]:
+    """op_norm, sigma_min and hs from the singular values sqrt(f_sq * g_sq)
+    of the blocks; ``full`` is min(rows, cols)."""
+    block_sq = f_sq * g_sq
+    active = block_sq > 0.0
+    rank = int(np.count_nonzero(active))
+    op = float(np.sqrt(block_sq.max())) if rank else 0.0
+    sigma_min = float(np.sqrt(block_sq[active].min())) if rank == full else 0.0
+    return op, sigma_min, float(np.sqrt(block_sq.sum()))
+
+
+def _pairing(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int) -> np.ndarray:
+    """The diagonal p of T_f T_g* for two sides on the same index array ``fi``."""
+    # the parts of p as separate real products, so that a = b gives Im p = 0
+    p = np.empty(size, complex)
+    p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
+    p.imag = _index_sums(fi, a.imag * b.real - a.real * b.imag, base, size)
+    return p
+
+
+def _block_square(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int):
+    """||G - G*||, ||G^2 - G||, ||G - I|| and the least Re p over the occupied bins of
+    G on a shared index array ``fi``; a Hermitian G has the eigenvalues Re p and 0."""
+    # T_f T_g* is diagonal with entries p_i = sum a conj(b) over the terms on index i
+    p = _pairing(fi, a, b, base, size)
+    terms = _index_sums(fi, None, base, size)
+    # q^2 = |a|^2 |b|^2 - |p|^2 as |a|^2 |r|^2 (r: b off a) without cancellation
+    # on blocks of 2+ terms, q = 0 on the rest; a = b gives r = 0 exactly
+    at = fi - base
+    k = np.flatnonzero(terms[at] > 1)
+    at, ak = at[k], a[k]
+    alpha = np.bincount(at, ak.real * ak.real + ak.imag * ak.imag, size)
+    alpha_k, toward = alpha[at], np.zeros(len(k), complex)  # conj(p) / |a|^2
+    np.divide(p.real[at], alpha_k, out=toward.real, where=alpha_k > 0.0)
+    np.divide(-p.imag[at], alpha_k, out=toward.imag, where=alpha_k > 0.0)
+    q = np.sqrt(alpha * np.bincount(at, np.abs(b[k] - ak * toward) ** 2, size))
+    # in an orthonormal basis of a block that starts at conj(a), G is
+    # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
+    # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
+    im, x, one, rows = np.abs(p.imag), np.abs(p - 1.0), terms == 1, terms > 0
+    herm = float((im + np.hypot(q, im)).max())
+    idem = float((x * np.hypot(np.abs(p), q)).max())
+    wide = (np.hypot(x + 1.0, q) + np.hypot(x - 1.0, q)) / 2.0  # blocks of 2+ terms
+    ident = float(np.where(one, x, wide)[rows].max())
+    return herm, idem, ident, float(p.real[rows].min())

@@ -634,7 +634,6 @@ def example_entry(example_id: str) -> ExampleEntry:
 
 def paper_example(example_id: str, n: int) -> tuple[RealizedSequence, RealizedSequence]:
     """Both roles of a registry example at truncation ``n``, sharing ambient dim."""
-    _check_dense(1, n)  # the term arrays alone hold about n entries each
     f, g = example_terms(example_id, n)
     return from_terms(*f), from_terms(*g)
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crossgram import cli, diagnostics, sequences, serialize
+from crossgram import cli, diagnostics, operators, sequences, serialize
 from crossgram.sequences import PatternProgram, PatternTerm, SequenceSpec, TailSlot, WeightRule
 from crossgram.serialize import SpecFileError
 
@@ -646,6 +646,87 @@ def test_example_envelope_bytes_are_unchanged(example_id, dim, capsys):
     assert hashlib.sha256(out).hexdigest() == EXAMPLE_DIGESTS[example_id, dim]
 
 
+# sha256 of classify, cross-gram and dual-check envelopes on monomial spec
+# files, recorded before the block kernel moved from diagnostics to
+# operators: a rectangular pair, square pairs on shared index arrays (one
+# with blocks of two terms per index), a square pair on different index
+# arrays, and a constant weight of 1e-200, whose squares need the exact
+# power-of-two scaling
+MONOMIAL_SPECS = {
+    "inv.json": {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}},
+    "idx.json": {"kind": "scaled_basis", "weight": {"rule": "index"}},
+    "tiny.json": {"kind": "scaled_basis", "weight": {"rule": "constant", "value": [1e-200, 0]}},
+    "rep_f.json": {"kind": "pattern", "head": [], "tail": [
+        {"start_index": 1, "index_step": 1, "coeff": [0.5, 0.25]},
+        {"start_index": 1, "index_step": 1, "coeff_rule": "geometric", "coeff": [1, 0],
+         "ratio": [0.9, 0.1]},
+    ]},
+    "rep_g.json": {"kind": "pattern", "head": [], "tail": [
+        {"start_index": 1, "index_step": 1, "coeff_rule": "inverse_term", "coeff": [1, -0.5]},
+        {"start_index": 1, "index_step": 1, "coeff": [0.3, 0.7]},
+    ]},
+    "swap.json": {"kind": "pattern", "head": [], "tail": [
+        {"start_index": 2, "index_step": 2, "coeff": [1, 0.5]},
+        {"start_index": 1, "index_step": 2, "coeff_rule": "geometric", "coeff": [1, 0],
+         "ratio": [0.99, 0]},
+    ]},
+    "blk_f.json": {"kind": "paper_example", "example": "ex-blocked", "role": "f"},
+    "blk_g.json": {"kind": "paper_example", "example": "ex-blocked", "role": "g"},
+}
+MONOMIAL_DIGESTS = {
+    ("classify", "--input", "inv.json", "--dim", "40"):
+        "d55d581fc73173087997abc4d81b865d5a7962cadbd292b9ebc1f75793436130",
+    ("classify", "--input", "tiny.json", "--dim", "5"):
+        "9a244f4c4774bd865463e1e98e41191bf0ec6e8adc41ae775e93865635d1fd38",
+    ("classify", "--input", "rep_f.json", "--dim", "40"):
+        "5c5d7c17287af12b3e00fa04d46823d099ade8e6f855a127b9451956097e0bca",
+    ("cross-gram", "--f", "blk_f.json", "--g", "blk_g.json", "--dim", "40"):
+        "7b26b7df24b8176b2c70f461c9231f5216e719723882fac0dc42af35206813e9",
+    ("cross-gram", "--f", "inv.json", "--g", "idx.json", "--dim", "40"):
+        "1f823547044a7bf6a70ad060ab75d02aadc52d750ab803c6a07c177a6639accc",
+    ("cross-gram", "--f", "rep_f.json", "--g", "rep_g.json", "--dim", "40"):
+        "72b1c333edb3dd10ec707388f4a392deee20d581899086b22356450b8ba6ec9f",
+    ("cross-gram", "--f", "swap.json", "--g", "inv.json", "--dim", "40"):
+        "3aa33dfffb38d12bba28b599a3388edad1925bda23d01d227a68eb07733cc26d",
+    ("cross-gram", "--f", "tiny.json", "--g", "idx.json", "--dim", "5"):
+        "65710ffe77b0c8673e35a0bd3c78ea29f67a9814dd218c2918be5a0f38920f23",
+    ("dual-check", "--f", "inv.json", "--g", "idx.json", "--dim", "40"):
+        "25b9efa0e39ac3eaa7acc6569c37a3e02e607634a59b1e3eda62b1eed3feddc0",
+    ("dual-check", "--f", "rep_f.json", "--g", "rep_g.json", "--dim", "40"):
+        "2024de8c6a6edac6308fe9cf52b12ebbeeb810f85b7426e13f4c4500e1509c93",
+    ("dual-check", "--f", "swap.json", "--g", "inv.json", "--dim", "40"):
+        "828709c4952cbefd1b4b245f2fa5e957726c76cff0d4c77e3e42e7315b6296b5",
+    ("dual-check", "--f", "tiny.json", "--g", "tiny.json", "--dim", "5"):
+        "d71cddef0793506535194a84153e4ada5507afc73d15ae74dad223525246c715",
+}
+
+
+def test_monomial_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the echoed config fixed
+    for name, payload in MONOMIAL_SPECS.items():
+        Path(name).write_text(json.dumps(payload))
+    for argv, digest in MONOMIAL_DIGESTS.items():
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+def test_probe_budget_refuses_before_the_other_block_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block work before the probe budget check")
+
+    monkeypatch.setattr(cli.diagnostics, "monomial_reports", refuse)
+    monkeypatch.setattr(operators, "_pairing", refuse)
+    const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
+    budget = f"exceed the budget MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
+    for argv, dim in (
+        (["example", "--id", "ex-canonical", "--dim", "2000000"], 1999999),
+        (["dual-check", "--f", const, "--g", const, "--dim", "5000000"], 5000000),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"crossgram: error: 16 probes in dimension {dim} {budget}\n")
+
+
 def _booleans(value):
     if isinstance(value, dict):
         return {k: b for k, v in value.items() if (b := _booleans(v)) is not None}
@@ -902,6 +983,30 @@ def test_battery_rejects_malformed_dims():
     assert "dims" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (
+            ["battery", "--dims", "2-8"],
+            "crossgram battery: error: argument --dims: expected LO..HI (for example 2..8), "
+            "got '2-8'",
+        ),
+        (
+            ["sweep", "--id", "ex-hs", "--dims", "1,x"],
+            "crossgram sweep: error: argument --dims: expected a comma-separated truncation "
+            "list, got '1,x'",
+        ),
+        (["battery", "--dim", "3"], "crossgram: error: unrecognized arguments: --dim 3"),
+    ],
+)
+def test_flag_errors_name_the_expected_form_and_no_flag_abbreviates(argv, last, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: crossgram")
+    assert err.splitlines()[-1] == last
+
+
 def test_battery_has_no_jobs_flag():
     res = run_cli(["battery", "--seed", "1", "--trials", "2", "--jobs", "4"])
     assert res.returncode == 2
@@ -984,6 +1089,14 @@ def test_readme_names_only_flags_the_cli_accepts():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     # --no-build-isolation is a pip flag in the install notes
     assert named - accepted - {"--no-build-isolation"} == set()
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_text_format(tmp_path):

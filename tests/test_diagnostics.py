@@ -255,7 +255,7 @@ def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypa
         raise AssertionError("classification or cross-Gram work")
 
     monkeypatch.setattr(diag, "_classification", refuse)
-    monkeypatch.setattr(diag, "_block_spectrum", refuse)
+    monkeypatch.setattr(ops, "_block_spectrum", refuse)
     got = diag.monomial_duality(f, g, probes=5, seed=3)
     monkeypatch.undo()
     want = diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*g), probes=5, seed=3)
@@ -269,6 +269,24 @@ def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypa
         with pytest.raises(ValueError) as alone:
             diag.monomial_duality(f, bad, probes=5)
         assert str(alone.value) == str(dense.value)
+
+
+@pytest.mark.parametrize(
+    "entry", ["cross_gram", "check_duality", "monomial_reports", "monomial_duality"]
+)
+def test_every_pair_entry_point_names_the_same_ambient_mismatch(entry):
+    idx = np.arange(1, 6)
+    f, g = (idx, np.ones(5, complex), 5), (idx, np.full(5, 2.0 + 0j), 6)
+    dense = seqs.from_terms(*f), seqs.from_terms(*g)
+    calls = {
+        "cross_gram": lambda: ops.cross_gram(*dense),
+        "check_duality": lambda: diag.check_duality(*dense),
+        "monomial_reports": lambda: diag.monomial_reports(f, g),
+        "monomial_duality": lambda: diag.monomial_duality(f, g),
+    }
+    with pytest.raises(ValueError) as err:
+        calls[entry]()
+    assert str(err.value) == "sequences live in different ambient dimensions: 5 vs 6"
 
 
 def test_swapped_pair_has_the_same_operator_norm():

@@ -136,6 +136,15 @@ def test_frame_bounds_keep_relative_accuracy_at_condition_1e9():
     assert ops.frame_bounds(seq, tol=1e-20).spans_ambient is True
 
 
+def test_frame_bounds_derive_spans_ambient():
+    assert ops.FrameBounds(1.0, 2.0, 0.1).spans_ambient is True
+    assert ops.FrameBounds(1e-12, 1.0, 1e-10).spans_ambient is False
+    assert ops.FrameBounds(1e-10, 1.0, 1e-10).spans_ambient is False  # strict
+    assert ops.FrameBounds(0.0, 0.0, 1e-10).spans_ambient is False
+    with pytest.raises(TypeError):
+        ops.FrameBounds(1.0, 2.0, 0.1, spans_ambient=False)
+
+
 def test_frame_bounds_one_singular_value_are_equal():
     # one row gives one singular value, so A and B are the same square;
     # this frame's sigma is one where pow(sigma, 2) and sigma * sigma differ

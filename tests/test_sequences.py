@@ -137,11 +137,19 @@ def test_dense_realization_is_budgeted():
         lambda: realize(far(budget), 2),
         lambda: realize(SequenceSpec.random_frame(side, side + 1, 0), side + 1),
         lambda: paper_example("ex-identity", side + 1),
-        lambda: paper_example("ex-identity", budget + 1),
     ]
     for case in cases:
         with pytest.raises(ValueError, match=f"MAX_DENSE_ENTRIES = {budget}"):
             case()
+
+
+def test_paper_example_past_the_term_budget_names_it_as_realize_does():
+    n = seqs.MAX_DENSE_ENTRIES + 1  # past the term budget, refused before any term
+    with pytest.raises(ValueError, match="MAX_SWEEP_TRUNCATION") as pair:
+        paper_example("ex-identity", n)
+    with pytest.raises(ValueError) as spec:
+        realize(SequenceSpec.paper_example("ex-identity", "f"), n)
+    assert str(pair.value) == str(spec.value)
 
 
 # ---------------------------------------------------------------- realize
