@@ -181,8 +181,8 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
 
     if command == "example":
         entry = sequences.example_entry(ns.example_id)
+        diagnostics.check_example_budgets(entry.example_id, ns.dim)
         ft, gt = sequences.example_terms(entry.example_id, ns.dim)
-        # the duality report goes first: its probe budget refuses before the other reports
         square = len(ft[0]) == len(gt[0])
         duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
         f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)

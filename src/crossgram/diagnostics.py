@@ -36,6 +36,16 @@ MAX_BATTERY_WORK = 10**7
 # 64 screening attempts fail with chance ~2e-7) and ~0.025 at dim 96
 MAX_BATTERY_DIM = 64
 
+# the sum of the truncations of one sweep: each row reads its block spectrum
+# off bins as wide as its index span, ~0.1 s per row near 1e7 terms, so the
+# slowest sweep the budget admits, 500 rows up to 1e7, took 48 s (ex-hs) and
+# 56 s (ex-identity) on one core of a 2-core x86-64 machine
+MAX_SWEEP_WORK = 5 * 10**9
+
+# terms the sweep generates and folds at a time: their indices, coefficients
+# and squared moduli take ~1 MB, so each chunk stays in cache
+TERM_CHUNK = 1 << 15
+
 
 # --------------------------------------------------------------------------
 # spectral rules
@@ -238,7 +248,7 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
         for i, _, d in sides:
             sequences._check_dense(d, len(i))
     operators._check_pair(dim, sides[-1][2])
-    base, size = operators._bins(*(i for i, _, _ in sides))
+    base, size = operators._bins(*((i.min(), i.max()) for i, _, _ in sides))
     basis = operators._basis(dim, base, size)
     sq, classes = [], []
     for i, c, _ in sides:
@@ -271,7 +281,7 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
 def _block_duality(fi, a, b, dim, tol, probes, seed) -> DualityReport:
     """``check_duality`` of two sides on the same index array ``fi``."""
     _check_probes(dim, probes)
-    base, size = operators._bins(fi)
+    base, size = operators._bins((fi.min(), fi.max()))
     p = operators._pairing(fi, a, b, base, size)
     # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see
     # |p - 1|, on the basis probes first
@@ -286,6 +296,23 @@ def _block_duality(fi, a, b, dim, tol, probes, seed) -> DualityReport:
         v_sq = z[0] ** 2 + z[1] ** 2
         worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
     return DualityReport(worst, worst, pairing, pairing <= tol, probes, tol)
+
+
+def check_example_budgets(example_id: str, n: int) -> None:
+    """Refuse the registry example at truncation ``n`` where its reports
+    would be refused, before a term is generated: the term budget, then on
+    a square pair the probe budget of ``monomial_duality`` (16 probes) on
+    shared index arrays, or the dense budget of realizing two different
+    index arrays."""
+    entry = sequences.example_entry(example_id)
+    dim = sequences._example_dim(example_id, n)
+    count = entry.f_count(n)
+    if count != entry.g_count(n):
+        return
+    if sequences._same_indices(entry.f, entry.g, count):
+        _check_probes(dim, 16)
+    else:
+        sequences._check_dense(dim, count)
 
 
 def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0) -> DualityReport:
@@ -654,6 +681,31 @@ def _trend(values: list[float]) -> str:
     return "inconclusive"
 
 
+def _prefix_sums(spec, counts: list[int], base: int, size: int):
+    """Yield, for each of the nondecreasing ``counts``, the per-index sums of
+    |c|^2 over that many first terms of ``spec``, in ``size`` bins from
+    ``base``: one array, to which ``TERM_CHUNK`` terms are generated at a
+    time and folded in term order up to each count before it is yielded."""
+    sums = np.zeros(size)
+    done = 0  # terms folded so far
+    for count in counts:
+        while done < count:
+            if done % TERM_CHUNK == 0:  # the next chunk starts here
+                start = done
+                end = min(start + TERM_CHUNK, counts[-1])
+                idx, coeff = sequences.monomial_terms(spec, end, start=start)
+                w_sq = np.abs(coeff)
+                del coeff
+                np.square(w_sq, out=w_sq)  # in place, the bits of np.abs(coeff) ** 2
+            stop = min(count, end)
+            at = slice(done - start, stop - start)
+            operators._fold(sums, idx[at], w_sq[at], base)
+            done = stop
+            if done == end:  # not held while the other side or the next chunk is made
+                del idx, w_sq
+        yield sums
+
+
 def truncation_sweep(
     example_id: str,
     truncations,
@@ -664,7 +716,8 @@ def truncation_sweep(
     Each row is the block route at a prefix of the terms: block i of the
     cross-Gram is rank one with singular value ||w_f on i|| * ||w_g on i||,
     and the Bessel bound of either side is its largest ||w on i||^2.
-    The largest truncation may not exceed ``MAX_SWEEP_TRUNCATION``.
+    The largest truncation may not exceed ``MAX_SWEEP_TRUNCATION``, nor
+    the sum of the truncations ``MAX_SWEEP_WORK``.
     """
     entry = sequences.example_entry(example_id)
     ns = tuple(int(n) for n in truncations)
@@ -682,21 +735,32 @@ def truncation_sweep(
             f"largest truncation {ns[-1]} exceeds the sweep budget "
             f"MAX_SWEEP_TRUNCATION = {MAX_SWEEP_TRUNCATION}"
         )
+    if sum(ns) > MAX_SWEEP_WORK:
+        raise ValueError(
+            f"sweep work {sum(ns)} (the sum of the truncations) exceeds the budget "
+            f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}"
+        )
 
     # term m does not depend on n and the counts grow with n, so each row
-    # reads a prefix of the terms generated once at the largest truncation
-    (fi, fw, _), (gi, gw, _) = sequences.example_terms(example_id, ns[-1])
-    fw_sq, gw_sq = np.abs(fw) ** 2, np.abs(gw) ** 2
-    del fw, gw
+    # reads per-index sums over a prefix of the terms, folded a chunk at a
+    # time into bins over the largest truncation's span
+    counts = [(entry.f_count(n), entry.g_count(n)) for n in ns]
+    extents = [
+        (sequences.monomial_extent(entry.f, fc), sequences.monomial_extent(entry.g, gc))
+        for fc, gc in counts
+    ]
+    base, size = operators._bins(*extents[-1])
+    f_sums = _prefix_sums(entry.f, [fc for fc, _ in counts], base, size)
+    g_sums = _prefix_sums(entry.g, [gc for _, gc in counts], base, size)
     rows = []
-    for n in ns:
-        fc, gc = entry.f_count(n), entry.g_count(n)
-        base, size = operators._bins(fi[:fc], gi[:gc])
-        f_sq = operators._index_sums(fi[:fc], fw_sq[:fc], base, size)
-        g_sq = operators._index_sums(gi[:gc], gw_sq[:gc], base, size)
+    for n, (fc, gc), extent, f_all, g_all in zip(ns, counts, extents, f_sums, g_sums):
+        # the row's own bins, as _bins lays them out over its prefix
+        row_base, row_size = operators._bins(*extent)
+        at = slice(row_base - base, row_base - base + row_size)
+        f_sq, g_sq = f_all[at], g_all[at]
         op, sigma_min, hs = operators._block_spectrum(f_sq, g_sq, min(fc, gc))
         bessel = float(f_sq.max()), float(g_sq.max())
-        rows.append(SweepRow(n, base + size - 1, fc, gc, op, sigma_min, hs, *bessel))
+        rows.append(SweepRow(n, row_base + row_size - 1, fc, gc, op, sigma_min, hs, *bessel))
 
     return ConvergenceTable(
         example_id=example_id,

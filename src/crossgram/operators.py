@@ -118,11 +118,12 @@ def _dual_columns(t: np.ndarray, bounds: FrameBounds, path=(), scale: float = 0.
     return dual
 
 
-def _bins(*idx: np.ndarray) -> tuple[int, int]:
-    """(base, size) of bins over the joint index span: bin j holds index
-    base + j, so bin 0 has no term (numpy's pairwise sums depend on it)."""
-    lo = min(int(i.min()) for i in idx)
-    return lo - 1, max(int(i.max()) for i in idx) - lo + 2
+def _bins(*extents: tuple[int, int]) -> tuple[int, int]:
+    """(base, size) of bins over the joint span of index extents (lo, hi):
+    bin j holds index base + j, so bin 0 has no term (numpy's pairwise sums
+    depend on it)."""
+    lo = min(int(e[0]) for e in extents)
+    return lo - 1, max(int(e[1]) for e in extents) - lo + 2
 
 
 def _basis(dim: int, base: int, size: int) -> slice:
@@ -132,6 +133,13 @@ def _basis(dim: int, base: int, size: int) -> slice:
 
 def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
     return np.bincount(idx - base if base else idx, weights=weights, minlength=size)
+
+
+def _fold(sums: np.ndarray, idx: np.ndarray, weights: np.ndarray, base: int) -> None:
+    """Add ``weights`` into the bins ``sums`` of ``_index_sums`` one term at a
+    time, in term order, as ``np.bincount`` does: terms folded chunk by chunk
+    give the bits of ``_index_sums`` of them all."""
+    np.add.at(sums, idx - base if base else idx, weights)
 
 
 def _square_sums(idx: np.ndarray, mod: np.ndarray, base: int, size: int) -> tuple[np.ndarray, int]:
@@ -151,7 +159,8 @@ def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[floa
     active = block_sq > 0.0
     rank = int(np.count_nonzero(active))
     op = float(np.sqrt(block_sq.max())) if rank else 0.0
-    sigma_min = float(np.sqrt(block_sq[active].min())) if rank == full else 0.0
+    least = np.min(block_sq, where=active, initial=np.inf) if rank == full else 0.0
+    sigma_min = float(np.sqrt(least))
     return op, sigma_min, float(np.sqrt(block_sq.sum()))
 
 

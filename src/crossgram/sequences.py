@@ -10,6 +10,8 @@ is expressible as finite pattern data, never as code.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -316,7 +318,9 @@ class RealizedSequence:
 MAX_DENSE_ENTRIES = 1 << 24
 
 # The term budget (term count and index span) of monomial sequences read
-# without a matrix: the block route and the sweep, ~72 bytes per term.
+# without a matrix: the block route holds ~100 bytes per term, the sweep
+# ~25 bytes per index of its span (two arrays of per-index sums and one
+# row's block spectrum; its terms stream through in chunks).
 MAX_SWEEP_TRUNCATION = 10**7
 
 
@@ -357,8 +361,9 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
         cols = spec.columns.T
     elif spec.kind in ("scaled_basis", "pattern"):
         _check_dense(1, n)  # the term arrays alone hold n entries each
-        idx, coeff = monomial_terms(spec, n)
-        return from_terms(idx, coeff, int(idx.max()))
+        dim = monomial_extent(spec, n)[1]
+        _check_dense(dim, n)
+        return from_terms(*monomial_terms(spec, n), dim)
     elif spec.kind == "paper_example":
         return from_terms(*example_terms(spec.example, n)[_ROLES.index(spec.role)])
     elif spec.kind == "random_riesz":
@@ -378,87 +383,175 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
     return RealizedSequence(cols)
 
 
-def monomial_terms(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+def monomial_terms(spec: SequenceSpec, n: int, *, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Term list (basis indices, coefficients) for one-index-per-term specs.
 
     Term k is ``coeff[k]`` on basis vector ``idx[k]`` (indices from 1).
     This is the one place terms are generated: dense realization scatters
-    these arrays, and the truncation sweep groups them by index without
-    materializing dim x count matrices.  It covers scaled_basis, pattern,
-    and every registry example.
+    these arrays, and the truncation sweep folds them chunk by chunk into
+    per-index sums without materializing dim x count matrices.  It covers
+    scaled_basis, pattern, and every registry example.  With ``start`` the
+    arrays hold terms ``start`` .. ``n - 1`` only, bit for bit
+    ``monomial_terms(spec, n)[start:]``.
     """
+    spec, n = _monomial(spec, n)
+    if not 0 <= start < n:
+        raise ValueError(f"start must lie in [0, {n}), got {start}")
+    return _terms(spec, n, start)
+
+
+def monomial_extent(spec: SequenceSpec, n: int) -> tuple[int, int]:
+    """Lowest and highest basis index of the first ``n`` terms of a
+    monomial spec, read off its weight rule or pattern program without
+    generating a term.  It refuses what ``monomial_terms(spec, n)``
+    refuses, in the same order."""
+    spec, n = _monomial(spec, n)
+    if spec.kind == "scaled_basis":
+        _check_table(spec.weight, n)
+        return 1, n
+    h, slots = _tail_slots(spec.program, n)
+    ends = [t.index for t in spec.program.head[:h]]
+    for slot, _, last in slots:
+        ends += (slot.start_index, last)
+    return min(ends), max(ends)
+
+
+def _monomial(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int]:
+    """The scaled_basis or pattern spec behind ``spec`` and its term count at
+    truncation ``n``: a registry example resolves to the spec of its role."""
     if n < 1:
         raise ValueError(f"truncation must be >= 1, got {n}")
-    if spec.kind == "scaled_basis":
-        return _weight_terms(spec.weight, n)
-    if spec.kind == "pattern":
-        return _pattern_terms(spec.program, n)
     if spec.kind == "paper_example":
         entry = example_entry(spec.example)
         if n < entry.min_n:
             raise ValueError(
                 f"example {entry.example_id} needs at least {entry.min_n} terms, got {n}"
             )
-        count = entry.f_count(n) if spec.role == "f" else entry.g_count(n)
-        inner = entry.f if spec.role == "f" else entry.g
-        return monomial_terms(inner, count)
-    raise ValueError(
-        f"kind {spec.kind!r} has no single-index term form (supported: "
-        f"{', '.join(MONOMIAL_KINDS)})"
-    )
+        if spec.role == "f":
+            return entry.f, entry.f_count(n)
+        return entry.g, entry.g_count(n)
+    if spec.kind not in ("scaled_basis", "pattern"):
+        raise ValueError(
+            f"kind {spec.kind!r} has no single-index term form (supported: "
+            f"{', '.join(MONOMIAL_KINDS)})"
+        )
+    return spec, n
 
 
-def _weight_terms(rule: WeightRule, n: int) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(1, n + 1, dtype=np.int64)
+def _terms(spec: SequenceSpec, n: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Terms ``start`` .. ``n - 1`` of a scaled_basis or pattern spec."""
+    if spec.kind == "scaled_basis":
+        return _weight_terms(spec.weight, n, start)
+    return _pattern_terms(spec.program, n, start)
+
+
+def _check_table(rule: WeightRule, n: int) -> None:
+    if rule.rule == "table" and n > len(rule.values):
+        raise ValueError(
+            f"weight table has {len(rule.values)} entries, "
+            f"term {len(rule.values) + 1} requested"
+        )
+
+
+def _weight_terms(rule: WeightRule, n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    _check_table(rule, n)
+    k = np.arange(start + 1, n + 1, dtype=np.int64)
     if rule.rule == "inverse_index":
         coeff = (1.0 / k).astype(complex)
     elif rule.rule == "index":
         coeff = k.astype(complex)
     elif rule.rule == "constant":
-        coeff = np.full(n, rule.value, dtype=complex)
+        coeff = np.full(n - start, rule.value, dtype=complex)
     elif rule.rule == "geometric":
-        coeff = _geometric(rule.value, rule.ratio, n)
-    elif n > len(rule.values):
-        raise ValueError(
-            f"weight table has {len(rule.values)} entries, "
-            f"term {len(rule.values) + 1} requested"
-        )
+        coeff = _geometric(rule.value, rule.ratio, n, start)
     else:
-        coeff = np.asarray(rule.values[:n], dtype=complex)
+        coeff = np.asarray(rule.values[start:n], dtype=complex)
     return k, coeff
 
 
-def _pattern_terms(program: PatternProgram, n: int) -> tuple[np.ndarray, np.ndarray]:
-    head, tail = program.head[:n], program.tail
-    h, period = len(head), len(tail)
+def _tail_slots(program: PatternProgram, n: int) -> tuple[int, list]:
+    """The number h of head terms among the first ``n`` terms, and
+    (slot, cycles, last index) of each tail slot with a term among them."""
+    h, tail = min(len(program.head), n), program.tail
     if n > h and not tail:
         raise ValueError(f"pattern provides only {h} terms, term {h + 1} requested")
-    idx = np.empty(n, dtype=np.int64)
-    coeff = np.empty(n, dtype=complex)
-    idx[:h] = [t.index for t in head]
-    coeff[:h] = [t.coeff for t in head]
+    slots = []
     for pos, slot in enumerate(tail):
-        at = slice(h + pos, n, period)
-        cycles = len(range(h + pos, n, period))
+        cycles = len(range(h + pos, n, len(tail)))
         if cycles == 0:  # n ends before this slot's first term
             break
         last = slot.start_index + (cycles - 1) * slot.index_step
         if last > _MAX_INDEX:
             raise ValueError(f"tail slot {pos} reaches basis index {last}, past {_MAX_INDEX}")
-        idx[at] = slot.start_index + np.arange(cycles, dtype=np.int64) * slot.index_step
+        slots.append((slot, cycles, last))
+    return h, slots
+
+
+def _pattern_terms(program: PatternProgram, n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    h, slots = _tail_slots(program, n)
+    period = len(program.tail)
+    idx = np.empty(n - start, dtype=np.int64)
+    coeff = np.empty(n - start, dtype=complex)
+    lead = program.head[start:h]
+    idx[: len(lead)] = [t.index for t in lead]
+    coeff[: len(lead)] = [t.coeff for t in lead]
+    for pos, (slot, cycles, _) in enumerate(slots):
+        first = h + pos  # the term of the slot's cycle 0
+        skip = max(0, -((first - start) // period))  # its cycles before ``start``
+        if skip == cycles:
+            continue
+        at = slice(first + skip * period - start, None, period)
+        steps = np.arange(skip, cycles, dtype=np.int64)
+        steps *= slot.index_step
+        steps += slot.start_index
+        idx[at] = steps
         if slot.coeff_rule == "constant":
             coeff[at] = slot.coeff
         elif slot.coeff_rule == "geometric":
-            coeff[at] = _geometric(slot.coeff, slot.ratio, cycles)
+            coeff[at] = _geometric(slot.coeff, slot.ratio, cycles, skip)
         else:  # inverse_term: coeff / m for the overall term number m
-            m = np.arange(h + pos + 1, n + 1, period, dtype=float)
+            m = np.arange(first + skip * period + 1, n + 1, period, dtype=float)
             coeff.real[at] = slot.coeff.real / m
             coeff.imag[at] = slot.coeff.imag / m
     return idx, coeff
 
 
-def _geometric(coeff: complex, ratio: complex, count: int) -> np.ndarray:
-    """``coeff * ratio**c`` for c = 0 .. count-1.
+# _geometric doubles its powers up to this many, then folds in higher bits
+_POWER_BLOCK = 1 << 15
+
+
+def _powers(ratio: complex, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ratio**j for j < size, by doubling: the
+    powers 2**b .. 2**(b+1) - 1 are the lower ones times ratio**(2**b)."""
+    re = np.empty(size)
+    im = np.empty(size)
+    re[0], im[0] = 1.0, 0.0
+    qr, qi, step = ratio.real, ratio.imag, 1  # q = ratio**step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < size:
+            top = min(2 * step, size)
+            low_re, low_im = re[: top - step], im[: top - step]
+            re[step:top] = low_re * qr - low_im * qi
+            im[step:top] = low_re * qi + low_im * qr
+            qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
+            step *= 2
+    return re, im
+
+
+@functools.lru_cache(maxsize=2)
+def _power_block(ratio_bits: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``_powers`` of the ratio with these bits over one whole block,
+    read-only.  A side generated in chunks past the first block builds it
+    once instead of per chunk (a sweep has two sides; each table is
+    512 KiB).  The key is the ratio's bits, so 0.0 and -0.0 stay apart."""
+    re, im = _powers(complex(np.frombuffer(ratio_bits, dtype=complex)[0]), _POWER_BLOCK)
+    re.setflags(write=False)
+    im.setflags(write=False)
+    return re, im
+
+
+def _geometric(coeff: complex, ratio: complex, count: int, start: int = 0) -> np.ndarray:
+    """``coeff * ratio**c`` for c = start .. count-1.
 
     The powers repeat CPython's square-and-multiply for ``complex ** int``,
     which takes the bits of c lowest first: ratio**c is ratio**(c - 2**b)
@@ -466,24 +559,45 @@ def _geometric(coeff: complex, ratio: complex, count: int) -> np.ndarray:
     as its component formulas, every coefficient up to c = 100 equals the
     scalar expression exactly.  Past c = 100 CPython switches to polar
     form, which agrees with this to a few ulp per unit of c.
+
+    The powers below ``_POWER_BLOCK`` come from ``_powers``.  A power
+    past it is the table's power of its low bits times ratio**(2**b) for
+    each higher set bit b, lowest first: the doubling's products in the
+    doubling's order, so any range of c gives the bits of the whole array.
     """
-    re = np.empty(count)
-    im = np.empty(count)
-    re[0], im[0] = 1.0, 0.0
-    qr, qi, size = ratio.real, ratio.imag, 1  # q = ratio**size
-    out = np.empty(count, dtype=complex)
+    if count <= _POWER_BLOCK:
+        re, im = _powers(ratio, count)
+    else:
+        re, im = _power_block(np.complex128(ratio).tobytes())
+    qr, qi, step = ratio.real, ratio.imag, 1  # q = ratio**step
+    high = []  # q for the steps past the table, lowest first
+    out = np.empty(count - start, dtype=complex)
     # powers past the float range become inf or NaN quietly; the entry
     # bound MAX_ENTRY refuses them with a message naming the spec
     with np.errstate(over="ignore", invalid="ignore"):
-        while size < count:
-            top = min(2 * size, count)
-            low_re, low_im = re[: top - size], im[: top - size]
-            re[size:top] = low_re * qr - low_im * qi
-            im[size:top] = low_re * qi + low_im * qr
+        while step < count:
+            if step >= _POWER_BLOCK:
+                high.append((qr, qi))
             qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
-            size *= 2
-        out.real = coeff.real * re - coeff.imag * im
-        out.imag = coeff.real * im + coeff.imag * re
+            step *= 2
+        for block in range(start // _POWER_BLOCK, (count - 1) // _POWER_BLOCK + 1):
+            first = block * _POWER_BLOCK
+            lo, hi = max(start, first), min(count, first + _POWER_BLOCK)
+            wr, wi = re[lo - first : hi - first], im[lo - first : hi - first]
+            # the products below run in place where they can: a chunk's
+            # temporaries would otherwise be fresh pages on every call
+            for bit, (sr, si) in enumerate(high):
+                if block >> bit & 1:
+                    next_re = wr * sr
+                    next_re -= wi * si
+                    wi = wi * sr
+                    wi += wr * si
+                    wr = next_re
+            at = slice(lo - start, hi - start)
+            np.multiply(wr, coeff.real, out=out.real[at])
+            out.real[at] -= coeff.imag * wi
+            np.multiply(wi, coeff.real, out=out.imag[at])
+            out.imag[at] += coeff.imag * wr
     return out
 
 
@@ -646,13 +760,30 @@ def _check_terms(size: int, what: str = "term count") -> None:
         )
 
 
+def _checked_dim(specs, n: int) -> int:
+    """The ambient dimension of monomial ``specs`` at truncation ``n``, their
+    highest basis index, after the term budget has refused the term count
+    and then the joint index span: all read off the extents, so an input
+    over budget is refused before a term is generated."""
+    _check_terms(n)
+    extents = [monomial_extent(spec, n) for spec in specs]
+    lo, hi = min(e[0] for e in extents), max(e[1] for e in extents)
+    _check_terms(hi - lo + 1, "index span")
+    return hi
+
+
+def _example_dim(example_id: str, n: int) -> int:
+    """The ambient dimension of a registry pair at truncation ``n``, refused
+    over the term budget before a term is generated."""
+    return _checked_dim([SequenceSpec.paper_example(example_id, role) for role in _ROLES], n)
+
+
 def example_terms(example_id: str, n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Terms ``(idx, coeff, dim)`` of both roles of a registry example at
     truncation ``n``, on the pair's ambient dimension."""
-    _check_terms(n)
-    pair = [monomial_terms(SequenceSpec.paper_example(example_id, role), n) for role in _ROLES]
-    dim = max(int(idx.max()) for idx, _ in pair)
-    return [(idx, coeff, dim) for idx, coeff in pair]
+    dim = _example_dim(example_id, n)
+    return [(*monomial_terms(SequenceSpec.paper_example(example_id, role), n), dim)
+            for role in _ROLES]
 
 
 def term_arrays(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -661,12 +792,25 @@ def term_arrays(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray, int
     gives it and the coefficients held to the entry checks of a matrix."""
     if spec.kind == "paper_example":
         return example_terms(spec.example, n)[_ROLES.index(spec.role)]
-    _check_terms(n)
+    dim = _checked_dim([spec], n)
     idx, coeff = monomial_terms(spec, n)
-    dim = int(idx.max())
-    _check_terms(dim - int(idx.min()) + 1, "index span")
     linalg.as_matrix(coeff[None, :])
     return idx, coeff, dim
+
+
+def _same_indices(f: SequenceSpec, g: SequenceSpec, n: int) -> bool:
+    """Whether the first ``n`` terms of two scaled_basis or pattern specs sit
+    on the same basis indices, read off a short prefix.  Past the longer
+    head, each side's index is affine in the cycle on every residue class
+    modulo L, the least common multiple of the tail periods, so two sides
+    that agree on their first (longer head + 2 L) terms agree on all."""
+    heads, periods = [0], [1]  # a scaled_basis spec is a tail of one slot
+    for spec in (f, g):
+        if spec.kind == "pattern":
+            heads.append(len(spec.program.head))
+            periods.append(len(spec.program.tail) or 1)
+    k = min(n, max(heads) + 2 * math.lcm(*periods))
+    return bool(np.array_equal(_terms(f, k)[0], _terms(g, k)[0]))
 
 
 # --------------------------------------------------------------------------

@@ -727,6 +727,29 @@ def test_probe_budget_refuses_before_the_other_block_work(tmp_path, monkeypatch,
         assert capsys.readouterr() == ("", f"crossgram: error: 16 probes in dimension {dim} {budget}\n")
 
 
+def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, capsys):
+    # the term, span, probe and dense budgets read the extents, not the terms
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term generated before the budget check")
+
+    monkeypatch.setattr(sequences, "monomial_terms", refuse)
+    odd = write_spec(
+        tmp_path, "odd.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1, "index_step": 2}]}
+    )
+    dense = f"exceed{{}} the budget MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
+    terms = "exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000"
+    for argv, message in (
+        (["classify", "--input", odd, "--dim", "6000000"], f"{odd}: index span 11999999 {terms}"),
+        (["example", "--id", "ex-identity", "--dim", "10000001"], f"term count 10000001 {terms}"),
+        (["example", "--id", "ex-canonical", "--dim", "2000000"],
+         "16 probes in dimension 1999999 " + dense.format("")),
+        (["example", "--id", "ex-hs", "--dim", "5000"],
+         "a dense 5000 x 5000 realization " + dense.format("s")),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"crossgram: error: {message}\n")
+
+
 def _booleans(value):
     if isinstance(value, dict):
         return {k: b for k, v in value.items() if (b := _booleans(v)) is not None}

@@ -6,6 +6,8 @@ identity or inequality that must hold for all inputs, with slack only for
 floating point rounding.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,130 @@ def test_weight_terms_match_scalar_definition(rule, n):
         return
     idx, coeff = sequences.monomial_terms(spec, n)
     _assert_terms(idx, coeff, [(k, *_weight(rule, k)) for k in range(1, n + 1)])
+
+
+# monomial_terms(spec, n, start=s) is monomial_terms(spec, n)[s:] bit for
+# bit, and monomial_extent(spec, n) the span of the whole index array: the
+# sweep generates its terms a chunk at a time and sizes its bins from the
+# extents.  Geometric powers are built in aligned blocks of 2**15 cycles, so
+# n reaches past three blocks of the tail and the starts cluster at the
+# head/tail edge and at the block edges; the ratios include complex ones and
+# ones whose powers overflow to inf and NaN.
+
+_BLOCK = 1 << 15
+ratios = st.one_of(
+    scalars,
+    st.sampled_from([1.01 + 0.2j, -1.0001, 2.0, 1e10j, 1e200 + 1e200j, 0.999j]),
+)
+chunk_slots = st.builds(
+    sequences.TailSlot,
+    start_index=st.integers(min_value=1, max_value=50),
+    index_step=st.integers(min_value=0, max_value=3),
+    coeff=scalars,
+    coeff_rule=st.sampled_from(("constant", "geometric", "inverse_term")),
+    ratio=ratios,
+)
+chunk_specs = st.one_of(
+    st.builds(sequences.SequenceSpec.scaled_basis, rules),
+    st.builds(
+        sequences.SequenceSpec.scaled_basis,
+        st.builds(sequences.WeightRule.geometric, ratios, scalars),
+    ),
+    st.builds(sequences.SequenceSpec.pattern, programs.filter(lambda p: p.head or p.tail)),
+    st.builds(
+        sequences.SequenceSpec.pattern,
+        st.builds(sequences.PatternProgram, head=programs.map(lambda p: p.head),
+                  tail=st.lists(chunk_slots, min_size=1, max_size=3)),
+    ),
+)
+
+
+@given(chunk_specs, st.data())
+def test_chunks_are_slices_of_the_whole_arrays(spec, data):
+    head, period, most = 0, 1, 3 * _BLOCK + 4
+    if spec.kind == "pattern":
+        head, period = len(spec.program.head), len(spec.program.tail)
+        most = head + period * (3 * _BLOCK + 2) + 2 if period else head
+    elif spec.weight.rule == "table":
+        most = len(spec.weight.values)
+    n = data.draw(st.one_of(st.integers(1, min(most, 40)), st.integers(1, most)))
+    edges = [head + d for d in (-1, 0, 1)]
+    edges += [head + k * period * _BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    starts = [e for e in edges if 0 <= e < n] or [0]
+    start = data.draw(st.one_of(st.sampled_from(starts), st.integers(0, n - 1)))
+    idx, coeff = sequences.monomial_terms(spec, n)
+    part_idx, part_coeff = sequences.monomial_terms(spec, n, start=start)
+    np.testing.assert_array_equal(part_idx, idx[start:])
+    np.testing.assert_array_equal(part_coeff.view(float), coeff[start:].view(float))
+    assert sequences.monomial_extent(spec, n) == (idx.min(), idx.max())
+
+
+def _doubling(coeff, ratio, count):
+    """coeff * ratio**c for c below count by doubling alone: the powers
+    2**b .. 2**(b+1) - 1 are the lower ones times ratio**(2**b)."""
+    re, im = np.empty(count), np.empty(count)
+    re[0], im[0] = 1.0, 0.0
+    qr, qi, size = ratio.real, ratio.imag, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while size < count:
+            top = min(2 * size, count)
+            low_re, low_im = re[: top - size], im[: top - size]
+            re[size:top] = low_re * qr - low_im * qi
+            im[size:top] = low_re * qi + low_im * qr
+            qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
+            size *= 2
+        return coeff.real * re - coeff.imag * im, coeff.real * im + coeff.imag * re
+
+
+@pytest.mark.parametrize(
+    "ratio",
+    [np.exp(0.3j), np.exp(-2.1j), 0.99999 + 0.0001j, -1.0000001, 1.01 + 0.2j, 2.0],
+)
+def test_blocked_powers_are_the_doubling_bit_for_bit(ratio):
+    # past 2**15 cycles the powers fold the block's high bits into a table of
+    # the low ones; unit-modulus ratios keep every power finite, so each
+    # rounding of the whole-array doubling must reappear, up to block 4
+    count, value = 4 * _BLOCK + 5, 0.7 - 0.2j
+    spec = sequences.SequenceSpec.scaled_basis(sequences.WeightRule.geometric(ratio, value))
+    coeff = sequences.monomial_terms(spec, count)[1]
+    want_re, want_im = _doubling(value, complex(ratio), count)
+    np.testing.assert_array_equal(coeff.real, want_re)
+    np.testing.assert_array_equal(coeff.imag, want_im)
+
+
+def test_power_tables_keep_signed_zeros_apart():
+    # -0.0 == 0.0, so a block of powers cached by the ratio's value would
+    # hand the second ratio the first one's signed zeros
+    count = _BLOCK + 4
+    for ratio in (complex(0.0, 0.5), complex(-0.0, 0.5)):
+        got = sequences._geometric(1 + 0j, ratio, count, _BLOCK)
+        want_re, _ = _doubling(1 + 0j, ratio, count)
+        assert np.signbit(got.real).tolist() == np.signbit(want_re[_BLOCK:]).tolist()
+
+
+@given(programs.filter(lambda p: p.tail), st.integers(0, 3), st.booleans(),
+       st.integers(1, 300))
+def test_same_indices_reads_a_prefix(program, unroll, perturb, n):
+    # g restates f: ``unroll`` tail terms moved into the head, then the tail
+    # period doubled; a perturbed last step makes g leave f, within n or not
+    head, tail = list(program.head), list(program.tail)
+    for _ in range(unroll):
+        slot = tail.pop(0)
+        head.append(sequences.PatternTerm(slot.start_index, slot.coeff))
+        tail.append(dataclasses.replace(slot, start_index=slot.start_index + slot.index_step))
+    tail = [
+        dataclasses.replace(s, start_index=s.start_index + odd * s.index_step,
+                            index_step=2 * s.index_step)
+        for odd in (0, 1)
+        for s in tail
+    ]
+    if perturb:
+        tail[-1] = dataclasses.replace(tail[-1], index_step=tail[-1].index_step + 1)
+    f = sequences.SequenceSpec.pattern(program)
+    g = sequences.SequenceSpec.pattern(sequences.PatternProgram(tuple(head), tuple(tail)))
+    same = np.array_equal(sequences.monomial_terms(f, n)[0], sequences.monomial_terms(g, n)[0])
+    assert same or perturb
+    assert sequences._same_indices(f, g, n) == same
 
 
 # the block route (term arrays) against the dense route (realized matrices)

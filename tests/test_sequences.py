@@ -342,6 +342,63 @@ def test_monomial_terms_rejects_general_kinds():
         monomial_terms(SequenceSpec.explicit([[1.0], [0.0]]), 2)
 
 
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (SequenceSpec.scaled_basis(WeightRule.table([1.0, 2.0])), 3),
+        (SequenceSpec.pattern(PatternProgram(head=(PatternTerm(3, 1.0),))), 2),
+        (SequenceSpec.pattern(PatternProgram(tail=(TailSlot(1), TailSlot(2**63 - 9, 5)))), 6),
+        (SequenceSpec.paper_example("ex-canonical", "g"), 1),
+        (SequenceSpec.paper_example("ex-nope", "f"), 3),
+        (SequenceSpec.explicit([[1.0], [0.0]]), 2),
+        (SequenceSpec.scaled_basis(WeightRule.index()), 0),
+    ],
+)
+def test_monomial_extent_refuses_what_generation_refuses(spec, n):
+    with pytest.raises(ValueError) as generated:
+        monomial_terms(spec, n)
+    with pytest.raises(ValueError) as read_off:
+        seqs.monomial_extent(spec, n)
+    assert str(read_off.value) == str(generated.value)
+
+
+def test_monomial_extent_reads_the_registry_spans():
+    for ex_id in example_ids():
+        for n in (example_entry(ex_id).min_n, 7, 1000):
+            for role in "fg":
+                spec = SequenceSpec.paper_example(ex_id, role)
+                idx, _ = monomial_terms(spec, n)
+                assert seqs.monomial_extent(spec, n) == (idx.min(), idx.max()), (ex_id, role, n)
+
+
+def test_monomial_terms_start_must_lie_before_n():
+    spec = SequenceSpec.scaled_basis(WeightRule.index())
+    for start in (-1, 5):
+        with pytest.raises(ValueError, match=rf"start must lie in \[0, 5\), got {start}"):
+            monomial_terms(spec, 5, start=start)
+    idx, coeff = monomial_terms(spec, 5, start=4)
+    assert idx.tolist() == [5] and coeff.tolist() == [5.0]
+
+
+def test_same_indices_on_the_registry_and_restated_bases():
+    for ex_id in example_ids():
+        entry = example_entry(ex_id)
+        for n in (entry.min_n, 2, 3, 10, 1000):
+            n = max(n, entry.min_n)
+            fc = entry.f_count(n)
+            if fc != entry.g_count(n):
+                continue
+            fi = monomial_terms(entry.f, fc)[0]
+            gi = monomial_terms(entry.g, fc)[0]
+            assert seqs._same_indices(entry.f, entry.g, fc) == np.array_equal(fi, gi), (ex_id, n)
+    basis = SequenceSpec.scaled_basis(WeightRule.constant())
+    shifted = PatternProgram(head=(PatternTerm(1, 1.0),), tail=(TailSlot(2, 1),))
+    odd = PatternProgram(tail=(TailSlot(1, 2),))
+    assert seqs._same_indices(basis, SequenceSpec.pattern(shifted), 10**7)
+    assert seqs._same_indices(basis, SequenceSpec.pattern(odd), 1)
+    assert not seqs._same_indices(basis, SequenceSpec.pattern(odd), 2)
+
+
 # ---------------------------------------------------------------- random
 
 

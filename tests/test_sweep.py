@@ -103,8 +103,8 @@ def test_sweep_validates_inputs():
 
 
 def test_sweep_rows_do_not_depend_on_the_ladder():
-    # each row reads a prefix of terms generated once at the largest
-    # truncation; it must equal a sweep that ends at that row
+    # each row reads per-index sums over a prefix of the terms, folded a
+    # chunk at a time; it must equal a sweep that ends at that row
     ladder = (10, 100, 1000, 10000, 100000)
     for ex_id in example_ids():
         table = diag.truncation_sweep(ex_id, ladder)
@@ -114,14 +114,19 @@ def test_sweep_rows_do_not_depend_on_the_ladder():
 
 
 def test_sweep_to_a_million_terms_is_linear_in_memory():
-    tracemalloc.start()
-    try:
-        table = diag.truncation_sweep("ex-hs", (10, 10**6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 150e6
-    assert table.rows[-1].hs ** 2 == pytest.approx(partial_hs_sq(10**6), rel=1e-12)
+    # two arrays of per-index sums and one row's block spectrum over the
+    # span, and a chunk of terms at a time: under 32 bytes per term
+    n = 10**6
+    for ex_id in example_ids():
+        tracemalloc.start()
+        try:
+            table = diag.truncation_sweep(ex_id, (10, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n, (ex_id, peak)
+        if ex_id == "ex-hs":
+            assert table.rows[-1].hs ** 2 == pytest.approx(partial_hs_sq(n), rel=1e-12)
 
 
 # SHA-256 of `sweep --id <id> --dims 10,100,1000,10000,100000`, recorded
@@ -143,3 +148,38 @@ def test_sweep_envelope_bytes_are_unchanged(ex_id, capsys):
     assert code == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == SWEEP_DIGESTS[ex_id]
+
+
+# SHA-256 of `sweep --id <id> --dims 2,32767,32768,32769,65537,100000`, recorded
+# from the sweep that generated every term at once: rows on both sides of
+# the 2**15-term chunk edges and of the 2**15-cycle blocks of geometric powers
+CHUNK_DIGESTS = {
+    "ex-identity": "5877c1f1b8117d2ed730be990e35032f8f230c522bccc251bc92a49f3f75f333",
+    "ex-hs": "ddfe4fbb88bf9eec6d26d65de80c862074ba6c165c48f5e829101d559a68fcd4",
+    "ex-blocked": "40dfffbbcfa0baf5f75f9af9591e607439617c7a1cd0c89740d590b1351a9687",
+    "ex-norm89": "746ef169f97f49eb8082b01146c89ad38e6717a1843e434cc96e292acf510146",
+    "ex-canonical": "e725510fac8769712becb485d602f3932accffa73ae401335184ff197df8b1ff",
+}
+
+
+@pytest.mark.parametrize("ex_id", sorted(CHUNK_DIGESTS))
+def test_sweep_rows_across_chunk_edges_are_unchanged(ex_id, capsys):
+    code = cli.main(["sweep", "--id", ex_id, "--dims", "2,32767,32768,32769,65537,100000"])
+    assert code == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CHUNK_DIGESTS[ex_id]
+
+
+def test_sweep_work_budget_refuses_before_generating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("terms generated before the work budget check")
+
+    monkeypatch.setattr(diag.sequences, "monomial_terms", refuse)
+    rows = [10**7 - 500 + i for i in range(501)]  # 501 rows near the term budget
+    assert sum(rows) > diag.MAX_SWEEP_WORK >= sum(rows[1:])
+    code = cli.main(["sweep", "--id", "ex-hs", "--dims", ",".join(map(str, rows))])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"crossgram: error: sweep work {sum(rows)} (the sum of the truncations) exceeds "
+        f"the budget MAX_SWEEP_WORK = {diag.MAX_SWEEP_WORK}\n"
+    )
