@@ -127,22 +127,39 @@ def _named(path: str, make, *args):
 
 
 def _side(path: str, n: int):
-    """One spec file at truncation ``n``: the term arrays of a monomial
-    kind, else its dense realization."""
+    """One spec file at truncation ``n``, before any term is generated: a
+    monomial kind gives ``(spec, shape)`` with its ``sequences.term_shape``
+    under the term budget, any other kind its dense realization."""
     spec = serialize.load_sequence_file(path)
-    monomial = spec.kind in sequences.MONOMIAL_KINDS
-    return _named(path, sequences.term_arrays if monomial else sequences.realize, spec, n)
+    if spec.kind in sequences.MONOMIAL_KINDS:
+        return spec, _named(path, sequences.term_shape, spec, n)
+    return _named(path, sequences.realize, spec, n)
 
 
-def _pair(ns: argparse.Namespace):
-    """Both sides of a pair command: term arrays when both are monomial,
-    else dense realizations."""
-    f, g = _side(ns.f, ns.dim), _side(ns.g, ns.dim)
-    if isinstance(f, tuple) == isinstance(g, tuple):
+def _terms(path: str, side, n: int):
+    """The term arrays of a monomial ``_side``; a realization as it is."""
+    return _named(path, sequences.term_arrays, side[0], n) if isinstance(side, tuple) else side
+
+
+def _pair(ns: argparse.Namespace, probes: int | None = None):
+    """Both sides of a pair command, refused over the budgets of its report
+    (the duality report given ``probes``, else the cross-Gram report)
+    before a term is generated: term arrays when both are monomial, else
+    dense realizations."""
+    paths = ns.f, ns.g
+    sides = [_side(path, ns.dim) for path in paths]
+    block = all(isinstance(side, tuple) for side in sides)
+    shapes = [side[1] if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
+    for path, (spec, count, dim) in zip(paths, shapes):
+        if spec is not None and not block:  # a monomial side of a mixed pair is realized
+            _named(path, sequences._check_dense, dim, count)
+    diagnostics.check_pair_budgets(*shapes, probes=probes, cross=probes is None)
+    f, g = (_terms(path, side, ns.dim) for path, side in zip(paths, sides))
+    if block:
         return f, g
     return tuple(
         _named(path, sequences.from_terms, *side) if isinstance(side, tuple) else side
-        for side, path in ((f, ns.f), (g, ns.g))
+        for path, side in zip(paths, (f, g))
     )
 
 
@@ -152,7 +169,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     command, tol = ns.command, ns.tol
 
     if command == "classify":
-        seq = _side(ns.input, ns.dim)
+        seq = _terms(ns.input, _side(ns.input, ns.dim), ns.dim)
         if isinstance(seq, tuple):
             report = diagnostics.monomial_reports(seq, tol=tol)[0]
         else:
@@ -170,7 +187,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "dual-check":
-        f, g = _pair(ns)
+        f, g = _pair(ns, ns.probes)
         probing = {"tol": tol, "probes": ns.probes, "seed": ns.seed}
         if isinstance(f, tuple):
             report = diagnostics.monomial_duality(f, g, **probing)
@@ -181,9 +198,13 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
 
     if command == "example":
         entry = sequences.example_entry(ns.example_id)
-        diagnostics.check_example_budgets(entry.example_id, ns.dim)
+        shapes = [
+            sequences.term_shape(sequences.SequenceSpec.paper_example(entry.example_id, role), ns.dim)
+            for role in ("f", "g")
+        ]
+        square = shapes[0][1] == shapes[1][1]
+        diagnostics.check_pair_budgets(*shapes, probes=16 if square else None)
         ft, gt = sequences.example_terms(entry.example_id, ns.dim)
-        square = len(ft[0]) == len(gt[0])
         duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
         f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
         report = {
@@ -222,10 +243,17 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     raise ValueError(f"unknown command {command!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree ``build_parser`` returns, built on first use and kept for
+    the interpreter: ``main`` may run many commands in one process, and
+    parsing leaves the tree as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -298,21 +298,28 @@ def _block_duality(fi, a, b, dim, tol, probes, seed) -> DualityReport:
     return DualityReport(worst, worst, pairing, pairing <= tol, probes, tol)
 
 
-def check_example_budgets(example_id: str, n: int) -> None:
-    """Refuse the registry example at truncation ``n`` where its reports
-    would be refused, before a term is generated: the term budget, then on
-    a square pair the probe budget of ``monomial_duality`` (16 probes) on
-    shared index arrays, or the dense budget of realizing two different
-    index arrays."""
-    entry = sequences.example_entry(example_id)
-    dim = sequences._example_dim(example_id, n)
-    count = entry.f_count(n)
-    if count != entry.g_count(n):
-        return
-    if sequences._same_indices(entry.f, entry.g, count):
-        _check_probes(dim, 16)
-    else:
-        sequences._check_dense(dim, count)
+def check_pair_budgets(f, g, *, probes: int | None = None, cross: bool = True) -> None:
+    """Refuse a pair where its reports would refuse it, in the same order,
+    before a term is generated.  ``f`` and ``g`` are ``(spec, count, dim)``:
+    a monomial side's ``sequences.term_shape``, or ``spec`` None for a side
+    realized densely.  ``probes`` asks for the duality report with that many
+    probes, ``cross`` for the cross-Gram report.  Two monomial sides read
+    their reports off the block kernel unless they are a square pair on
+    different index arrays, which is realized densely as is any pair with a
+    dense side."""
+    (fs, count, dim), (gs, g_count, g_dim) = f, g
+    monomial = fs is not None and gs is not None
+    block = monomial and (count != g_count or sequences._same_indices(fs, gs, count))
+    if monomial and not block:
+        for d in (dim, g_dim):
+            sequences._check_dense(d, count)
+    operators._check_pair(dim, g_dim, None if probes is None else (count, g_count))
+    if probes is not None:
+        if not block:
+            sequences._check_dense(dim, dim, "dual-pair residual")
+        _check_probes(dim, probes)
+    if cross and not block:
+        sequences._check_dense(g_count, count, "cross-Gram")
 
 
 def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0) -> DualityReport:

@@ -786,14 +786,24 @@ def example_terms(example_id: str, n: int) -> list[tuple[np.ndarray, np.ndarray,
             for role in _ROLES]
 
 
+def term_shape(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int, int]:
+    """``(spec, count, dim)`` of a monomial spec at truncation ``n``: the
+    scaled_basis or pattern spec behind it, its term count and the ambient
+    dimension ``realize`` gives it, refused over the term budget.  This is
+    all that ``term_arrays`` checks before it generates a term."""
+    if spec.kind == "paper_example":
+        dim = _example_dim(spec.example, n)
+    else:
+        dim = _checked_dim([spec], n)
+    return (*_monomial(spec, n), dim)
+
+
 def term_arrays(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Terms ``(idx, coeff, dim)`` of a monomial spec at truncation ``n``
     under the term budget, with ``dim`` the ambient dimension ``realize``
     gives it and the coefficients held to the entry checks of a matrix."""
-    if spec.kind == "paper_example":
-        return example_terms(spec.example, n)[_ROLES.index(spec.role)]
-    dim = _checked_dim([spec], n)
-    idx, coeff = monomial_terms(spec, n)
+    spec, count, dim = term_shape(spec, n)
+    idx, coeff = monomial_terms(spec, count)
     linalg.as_matrix(coeff[None, :])
     return idx, coeff, dim
 

@@ -736,10 +736,19 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
     odd = write_spec(
         tmp_path, "odd.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1, "index_step": 2}]}
     )
+    const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
+    # 5000 explicit vectors in C^1: a dense side that leaves const to be realized
+    row = write_spec(tmp_path, "row.json", {"kind": "explicit", "columns": [[[1.0, 0.0]]] * 5000})
     dense = f"exceed{{}} the budget MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
     terms = "exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000"
     for argv, message in (
         (["classify", "--input", odd, "--dim", "6000000"], f"{odd}: index span 11999999 {terms}"),
+        (["dual-check", "--f", const, "--g", const, "--dim", "5000000"],
+         "16 probes in dimension 5000000 " + dense.format("")),
+        (["cross-gram", "--f", const, "--g", odd, "--dim", "6000000"],
+         f"{odd}: index span 11999999 {terms}"),
+        (["cross-gram", "--f", const, "--g", row, "--dim", "5000"],
+         f"{const}: a dense 5000 x 5000 realization " + dense.format("s")),
         (["example", "--id", "ex-identity", "--dim", "10000001"], f"term count 10000001 {terms}"),
         (["example", "--id", "ex-canonical", "--dim", "2000000"],
          "16 probes in dimension 1999999 " + dense.format("")),
@@ -1132,3 +1141,57 @@ def test_text_format(tmp_path):
 def test_unknown_command_exits_2():
     res = run_cli(["frobnicate"])
     assert res.returncode == 2
+
+
+def test_main_builds_its_parser_once_and_reads_like_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main keeps the tree build_parser gives it; a mixed run of commands,
+    # usage errors and help in one interpreter must print what fresh
+    # `python -m crossgram` processes print
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    build_parser, built = cli.build_parser, []
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
+    out = tmp_path / "report.json"
+
+    def written():
+        if not out.exists():
+            return None
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    for argv in (
+        ["sweep", "--id", "ex-hs", "--dims", "10,100"],
+        ["sweep", "--id", "ex-hs", "--dims", "10,100", "--frobnicate"],
+        ["battery", "--jobs", "4"],
+        ["example", "--id", "ex-identity", "--dim", "8", "--format", "text"],
+        ["dual-check", "--f", const, "--g", const, "--dim", "8", "--out", str(out)],
+        ["sweep", "--help"],
+    ):
+        code = cli.main(argv)
+        here = (code, *capsys.readouterr(), written())
+        assert (here[3] is not None) == ("--out" in argv), argv
+        res = run_cli(argv)
+        assert here == (res.returncode, res.stdout, res.stderr, written()), argv
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import crossgram.cli\n"
+        "assert not made, len(made)\n"
+        "crossgram.cli._parser()\n"
+        "assert made\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
