@@ -118,49 +118,50 @@ def _validate(ns: argparse.Namespace) -> None:
         raise ValueError(f"seed must be non-negative, got {ns.seed}")
 
 
-def _named(path: str, make, *args):
-    """``make(*args)``; an error names the spec file, as a decoding error does."""
+def _named(path: str | None, make, *args):
+    """``make(*args)``; an error names the spec file ``path``, as a decoding
+    error does, unless ``path`` is None."""
     try:
         return make(*args)
     except ValueError as exc:
+        if path is None:
+            raise
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _side(path: str, n: int):
     """One spec file at truncation ``n``, before any term is generated: a
-    monomial kind gives ``(spec, shape)`` with its ``sequences.term_shape``
-    under the term budget, any other kind its dense realization."""
+    monomial kind gives its ``sequences.term_shape`` under the term budget,
+    any other kind its dense realization."""
     spec = serialize.load_sequence_file(path)
     if spec.kind in sequences.MONOMIAL_KINDS:
-        return spec, _named(path, sequences.term_shape, spec, n)
+        return _named(path, sequences.term_shape, spec, n)
     return _named(path, sequences.realize, spec, n)
 
 
-def _terms(path: str, side, n: int):
-    """The term arrays of a monomial ``_side``; a realization as it is."""
-    return _named(path, sequences.term_arrays, side[0], n) if isinstance(side, tuple) else side
-
-
-def _pair(ns: argparse.Namespace, probes: int | None = None):
-    """Both sides of a pair command, refused over the budgets of its report
-    (the duality report given ``probes``, else the cross-Gram report)
-    before a term is generated: term arrays when both are monomial, else
-    dense realizations."""
-    paths = ns.f, ns.g
-    sides = [_side(path, ns.dim) for path in paths]
-    block = all(isinstance(side, tuple) for side in sides)
-    shapes = [side[1] if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
+def _pair(f, g, n: int, *, probes: int | None = None, cross: bool = True):
+    """Both sides of a pair command at truncation ``n``, refused over the
+    budgets of its reports (the duality report given ``probes``, the
+    cross-Gram report given ``cross``) before a term is generated: term
+    arrays when both are monomial, else dense realizations.  A side is a
+    spec file path, or a registry role's ``sequences.term_shape``, whose
+    errors name no file."""
+    paths = [side if isinstance(side, str) else None for side in (f, g)]
+    sides = [_side(side, n) if isinstance(side, str) else side for side in (f, g)]
+    shapes = [side if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
+    block = all(spec is not None for spec, _, _ in shapes)
     for path, (spec, count, dim) in zip(paths, shapes):
         if spec is not None and not block:  # a monomial side of a mixed pair is realized
             _named(path, sequences._check_dense, dim, count)
-    diagnostics.check_pair_budgets(*shapes, probes=probes, cross=probes is None)
-    f, g = (_terms(path, side, ns.dim) for path, side in zip(paths, sides))
-    if block:
-        return f, g
-    return tuple(
-        _named(path, sequences.from_terms, *side) if isinstance(side, tuple) else side
-        for path, side in zip(paths, (f, g))
-    )
+    diagnostics.check_pair_budgets(*shapes, probes=probes, cross=cross)
+    out = []
+    for path, side in zip(paths, sides):
+        if isinstance(side, tuple):
+            side = _named(path, sequences.term_arrays, side)
+            if not block:
+                side = _named(path, sequences.from_terms, *side)
+        out.append(side)
+    return out
 
 
 def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
@@ -169,8 +170,9 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     command, tol = ns.command, ns.tol
 
     if command == "classify":
-        seq = _terms(ns.input, _side(ns.input, ns.dim), ns.dim)
+        seq = _side(ns.input, ns.dim)
         if isinstance(seq, tuple):
+            seq = _named(ns.input, sequences.term_arrays, seq)
             report = diagnostics.monomial_reports(seq, tol=tol)[0]
         else:
             report = diagnostics.classify_sequence(seq, tol=tol)
@@ -178,7 +180,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "cross-gram":
-        f, g = _pair(ns)
+        f, g = _pair(ns.f, ns.g, ns.dim)
         if isinstance(f, tuple):
             report = diagnostics.monomial_reports(f, g, tol=tol)[2]
         else:
@@ -187,7 +189,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "dual-check":
-        f, g = _pair(ns, ns.probes)
+        f, g = _pair(ns.f, ns.g, ns.dim, probes=ns.probes, cross=False)
         probing = {"tol": tol, "probes": ns.probes, "seed": ns.seed}
         if isinstance(f, tuple):
             report = diagnostics.monomial_duality(f, g, **probing)
@@ -203,8 +205,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
             for role in ("f", "g")
         ]
         square = shapes[0][1] == shapes[1][1]
-        diagnostics.check_pair_budgets(*shapes, probes=16 if square else None)
-        ft, gt = sequences.example_terms(entry.example_id, ns.dim)
+        ft, gt = _pair(*shapes, ns.dim, probes=16 if square else None)
         duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
         f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
         report = {

@@ -278,26 +278,6 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
     return (*classes, _cross_report(len(gi), len(fi), op, sigma_min, hs, *fields, tol))
 
 
-def _block_duality(fi, a, b, dim, tol, probes, seed) -> DualityReport:
-    """``check_duality`` of two sides on the same index array ``fi``."""
-    _check_probes(dim, probes)
-    base, size = operators._bins((fi.min(), fi.max()))
-    p = operators._pairing(fi, a, b, base, size)
-    # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see
-    # |p - 1|, on the basis probes first
-    pairing = worst = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
-    rng = np.random.default_rng(list(sequences._seed_path(seed)))
-    if probes:
-        r_sq = np.ones(dim)
-        r_sq[base : base + size - 1] = np.abs(p[1:] - 1.0) ** 2
-    for _ in range(probes):
-        # the dense route's stream, one probe at a time: real part, then imaginary part
-        z = rng.standard_normal((2, dim))
-        v_sq = z[0] ** 2 + z[1] ** 2
-        worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
-    return DualityReport(worst, worst, pairing, pairing <= tol, probes, tol)
-
-
 def check_pair_budgets(f, g, *, probes: int | None = None, cross: bool = True) -> None:
     """Refuse a pair where its reports would refuse it, in the same order,
     before a term is generated.  ``f`` and ``g`` are ``(spec, count, dim)``:
@@ -329,7 +309,22 @@ def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0
     if len(fi) == len(gi) and not np.array_equal(fi, gi):
         return check_duality(sequences.from_terms(*f), sequences.from_terms(*g), tol, probes, seed)
     operators._check_pair(dim, g_dim, (len(fi), len(gi)))
-    return _block_duality(fi, a, b, dim, tol, probes, seed)
+    _check_probes(dim, probes)
+    base, size = operators._bins((fi.min(), fi.max()))
+    p = operators._pairing(fi, a, b, base, size)
+    # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see
+    # |p - 1|, on the basis probes first
+    pairing = worst = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
+    rng = np.random.default_rng(list(sequences._seed_path(seed)))
+    if probes:
+        r_sq = np.ones(dim)
+        r_sq[base : base + size - 1] = np.abs(p[1:] - 1.0) ** 2
+    for _ in range(probes):
+        # the dense route's stream, one probe at a time: real part, then imaginary part
+        z = rng.standard_normal((2, dim))
+        v_sq = z[0] ** 2 + z[1] ** 2
+        worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
+    return DualityReport(worst, worst, pairing, pairing <= tol, probes, tol)
 
 
 # --------------------------------------------------------------------------

@@ -365,7 +365,9 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
         _check_dense(dim, n)
         return from_terms(*monomial_terms(spec, n), dim)
     elif spec.kind == "paper_example":
-        return from_terms(*example_terms(spec.example, n)[_ROLES.index(spec.role)])
+        shape = term_shape(spec, n)
+        _check_dense(shape[2], shape[1])
+        return from_terms(*term_arrays(shape))
     elif spec.kind == "random_riesz":
         if n != spec.dim:
             raise ValueError(
@@ -747,9 +749,12 @@ def example_entry(example_id: str) -> ExampleEntry:
 
 
 def paper_example(example_id: str, n: int) -> tuple[RealizedSequence, RealizedSequence]:
-    """Both roles of a registry example at truncation ``n``, sharing ambient dim."""
-    f, g = example_terms(example_id, n)
-    return from_terms(*f), from_terms(*g)
+    """Both roles of a registry example at truncation ``n``, sharing ambient
+    dim; both dense budgets are checked before a term is generated."""
+    shapes = [term_shape(SequenceSpec.paper_example(example_id, role), n) for role in _ROLES]
+    for _, count, dim in shapes:
+        _check_dense(dim, count)
+    return tuple(from_terms(*term_arrays(shape)) for shape in shapes)
 
 
 def _check_terms(size: int, what: str = "term count") -> None:
@@ -760,49 +765,28 @@ def _check_terms(size: int, what: str = "term count") -> None:
         )
 
 
-def _checked_dim(specs, n: int) -> int:
-    """The ambient dimension of monomial ``specs`` at truncation ``n``, their
-    highest basis index, after the term budget has refused the term count
-    and then the joint index span: all read off the extents, so an input
-    over budget is refused before a term is generated."""
-    _check_terms(n)
-    extents = [monomial_extent(spec, n) for spec in specs]
-    lo, hi = min(e[0] for e in extents), max(e[1] for e in extents)
-    _check_terms(hi - lo + 1, "index span")
-    return hi
-
-
-def _example_dim(example_id: str, n: int) -> int:
-    """The ambient dimension of a registry pair at truncation ``n``, refused
-    over the term budget before a term is generated."""
-    return _checked_dim([SequenceSpec.paper_example(example_id, role) for role in _ROLES], n)
-
-
-def example_terms(example_id: str, n: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Terms ``(idx, coeff, dim)`` of both roles of a registry example at
-    truncation ``n``, on the pair's ambient dimension."""
-    dim = _example_dim(example_id, n)
-    return [(*monomial_terms(SequenceSpec.paper_example(example_id, role), n), dim)
-            for role in _ROLES]
-
-
 def term_shape(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int, int]:
     """``(spec, count, dim)`` of a monomial spec at truncation ``n``: the
     scaled_basis or pattern spec behind it, its term count and the ambient
-    dimension ``realize`` gives it, refused over the term budget.  This is
-    all that ``term_arrays`` checks before it generates a term."""
+    dimension ``realize`` gives it (a registry role's is its pair's), after
+    the term budget has refused the term count and then the joint index
+    span.  All is read off the extents, so an input over budget is refused
+    before a term is generated; ``term_arrays`` generates the terms."""
+    _check_terms(n)
     if spec.kind == "paper_example":
-        dim = _example_dim(spec.example, n)
+        specs = [SequenceSpec.paper_example(spec.example, role) for role in _ROLES]
     else:
-        dim = _checked_dim([spec], n)
-    return (*_monomial(spec, n), dim)
+        specs = [spec]
+    extents = [monomial_extent(s, n) for s in specs]
+    lo, hi = min(e[0] for e in extents), max(e[1] for e in extents)
+    _check_terms(hi - lo + 1, "index span")
+    return (*_monomial(spec, n), hi)
 
 
-def term_arrays(spec: SequenceSpec, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Terms ``(idx, coeff, dim)`` of a monomial spec at truncation ``n``
-    under the term budget, with ``dim`` the ambient dimension ``realize``
-    gives it and the coefficients held to the entry checks of a matrix."""
-    spec, count, dim = term_shape(spec, n)
+def term_arrays(shape: tuple[SequenceSpec, int, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Terms ``(idx, coeff, dim)`` of a monomial spec's ``term_shape``, with
+    the coefficients held to the entry checks of a matrix."""
+    spec, count, dim = shape
     idx, coeff = monomial_terms(spec, count)
     linalg.as_matrix(coeff[None, :])
     return idx, coeff, dim

@@ -53,6 +53,15 @@ class SpecFileError(ValueError):
 
 # each check formats its message, a repr of the bad value, only once it has
 # failed, so a passing check on a large spec costs no repr
+_ECHO_LIMIT = 200  # characters of that repr a message keeps
+
+
+def _echo(obj: Any) -> str:
+    """``repr(obj)`` for an error message, cut past ``_ECHO_LIMIT`` characters."""
+    text = repr(obj)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 def _complex(obj: Any, source: str, field: str) -> complex:
@@ -63,7 +72,7 @@ def _complex(obj: Any, source: str, field: str) -> complex:
     )
     if not ok:
         raise SpecFileError(
-            f"expected a complex scalar as [re, im], got {obj!r}", source=source, field=field
+            f"expected a complex scalar as [re, im], got {_echo(obj)}", source=source, field=field
         )
     try:
         return complex(obj[0], obj[1])
@@ -75,29 +84,29 @@ def _complex(obj: Any, source: str, field: str) -> complex:
 
 def _integer(obj: Any, source: str, field: str) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
-        raise SpecFileError(f"expected an integer, got {obj!r}", source=source, field=field)
+        raise SpecFileError(f"expected an integer, got {_echo(obj)}", source=source, field=field)
     return obj
 
 
 def _string(obj: Any, source: str, field: str, allowed: tuple[str, ...] | None = None) -> str:
     if not isinstance(obj, str):
-        raise SpecFileError(f"expected a string, got {obj!r}", source=source, field=field)
+        raise SpecFileError(f"expected a string, got {_echo(obj)}", source=source, field=field)
     if allowed is not None and obj not in allowed:
         raise SpecFileError(
-            f"expected one of {sorted(allowed)}, got {obj!r}", source=source, field=field
+            f"expected one of {sorted(allowed)}, got {_echo(obj)}", source=source, field=field
         )
     return obj
 
 
 def _object(obj: Any, source: str, field: str) -> dict:
     if not isinstance(obj, dict):
-        raise SpecFileError(f"expected an object, got {obj!r}", source=source, field=field)
+        raise SpecFileError(f"expected an object, got {_echo(obj)}", source=source, field=field)
     return obj
 
 
 def _array(obj: Any, source: str, field: str) -> list:
     if not isinstance(obj, list):
-        raise SpecFileError(f"expected an array, got {obj!r}", source=source, field=field)
+        raise SpecFileError(f"expected an array, got {_echo(obj)}", source=source, field=field)
     return obj
 
 
@@ -215,7 +224,9 @@ def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
     )
     extra = set(data) - _SPEC_KEYS[kind]
     if extra:
-        raise SpecFileError(f"unexpected keys for kind {kind!r}: {sorted(extra)}", source=source)
+        raise SpecFileError(
+            f"unexpected keys for kind {kind!r}: {_echo(sorted(extra))}", source=source
+        )
     try:
         if kind == "explicit":
             return SequenceSpec.explicit(_columns_from(_get(data, "columns", source, None), source))
@@ -268,6 +279,8 @@ def load_sequence_file(path: str) -> SequenceSpec:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             source=path,
         ) from exc
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise SpecFileError("invalid JSON: nested too deeply", source=path) from None
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise SpecFileError(f"invalid JSON: {exc}", source=path) from exc
     return spec_from_json(obj, source=path)

@@ -169,6 +169,40 @@ def test_non_utf8_spec_files_name_their_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"crossgram: error: {path}: not UTF-8 text: byte 0xff at offset 0\n"
 
 
+def test_spec_files_nested_past_the_parser_depth_name_their_file(tmp_path, capsys):
+    # json.loads raises RecursionError near 1000 levels of nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["classify", "--input", str(path), "--dim", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"crossgram: error: {path}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"kind": "x" * 10**7}, "kind"),
+        ({"kind": "scaled_basis", "weight": {"rule": "constant", "value": [[1, 0]] * 10**6}},
+         "weight.value"),
+    ],
+)
+def test_error_messages_cut_long_input_echoes(tmp_path, capsys, payload, field):
+    path = write_spec(tmp_path, "big.json", payload)
+    assert cli.main(["classify", "--input", path, "--dim", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) < 1024
+    assert err.startswith(f"crossgram: error: {path}: {field}: expected ")
+    assert err.endswith(" characters)\n")
+
+
+def test_input_echoes_within_the_limit_print_whole():
+    for value in ("x" * 198, list(range(50)), {"a": [1.5, None]}):
+        assert len(repr(value)) <= serialize._ECHO_LIMIT
+        assert serialize._echo(value) == repr(value)
+    assert serialize._echo("x" * 199) == repr("x" * 199)[:200] + "... (201 characters)"
+
+
 def test_overflowing_geometric_weights_print_one_error_line(tmp_path):
     path = write_spec(
         tmp_path,
@@ -757,6 +791,56 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
     ):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"crossgram: error: {message}\n")
+
+
+def test_each_monomial_side_is_shaped_and_generated_once(tmp_path, monkeypatch, capsys):
+    # one pair path: each side's term shape, one generation, one gate per pair command
+    names = ("term_shape", "monomial_terms", "monomial_extent", "check_pair_budgets")
+    calls = dict.fromkeys(names, 0)
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in names:
+        spy(diagnostics if name == "check_pair_budgets" else sequences, name)
+    const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
+    inv = write_spec(tmp_path, "inv.json", {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}})
+    odd = write_spec(
+        tmp_path, "odd.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1, "index_step": 2}]}
+    )
+    # e2, e1, e3, e4, ...: square against const on different index arrays
+    swap = write_spec(
+        tmp_path, "swap.json",
+        {"kind": "pattern", "head": [{"index": 2}, {"index": 1}], "tail": [{"start_index": 3, "index_step": 1}]},
+    )
+    role = write_spec(tmp_path, "hs_g.json", {"kind": "paper_example", "example": "ex-hs", "role": "g"})
+    eye = write_spec(
+        tmp_path, "eye.json",
+        {"kind": "explicit", "columns": [[[float(i == j), 0.0] for i in range(3)] for j in range(3)]},
+    )
+    # (argv, monomial sides, gate calls, extents read: two per registry role)
+    for argv, sides, gates, extents in (
+        (["classify", "--input", odd, "--dim", "8"], 1, 0, 1),
+        (["classify", "--input", role, "--dim", "8"], 1, 0, 2),
+        (["cross-gram", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2),
+        (["cross-gram", "--f", odd, "--g", odd, "--dim", "8"], 2, 1, 2),
+        (["cross-gram", "--f", const, "--g", swap, "--dim", "8"], 2, 1, 2),
+        (["dual-check", "--f", swap, "--g", const, "--dim", "8"], 2, 1, 2),
+        (["dual-check", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2),
+        (["dual-check", "--f", inv, "--g", role, "--dim", "8"], 2, 1, 3),
+        (["cross-gram", "--f", const, "--g", eye, "--dim", "3"], 1, 1, 1),
+        *((["example", "--id", ex_id, "--dim", "8"], 2, 1, 4) for ex_id in sequences.example_ids()),
+    ):
+        calls.update(dict.fromkeys(names, 0))
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        assert calls == dict(zip(names, (sides, sides, extents, gates))), argv
 
 
 def _booleans(value):

@@ -17,6 +17,12 @@ from crossgram import sequences as seqs
 from crossgram.sequences import SequenceSpec, WeightRule, paper_example, realize
 
 
+def example_terms(example_id, n):
+    """The term arrays of both roles of a registry pair, as ``example`` generates them."""
+    roles = (SequenceSpec.paper_example(example_id, role) for role in "fg")
+    return [seqs.term_arrays(seqs.term_shape(spec, n)) for spec in roles]
+
+
 # ------------------------------------------------------------ classification
 
 
@@ -212,7 +218,7 @@ def test_check_duality_memory_is_quadratic_in_dim():
 
 def test_block_route_memory_is_linear_in_terms():
     n = 10**5
-    f, g = seqs.example_terms("ex-identity", n)
+    f, g = example_terms("ex-identity", n)
     tracemalloc.start()
     try:
         diag.monomial_reports(f, g)
@@ -248,7 +254,7 @@ def test_op_norm_is_the_two_norm_bit_for_bit():
 
 
 def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypatch):
-    f, g = seqs.example_terms("ex-canonical", 40)
+    f, g = example_terms("ex-canonical", 40)
     assert np.array_equal(f[0], g[0])
 
     def refuse(*args, **kwargs):

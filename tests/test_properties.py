@@ -417,7 +417,7 @@ def _close(got, want, rtol=1e-9, atol=1e-12):
 @given(_monomial_pair(), seeds)
 def test_block_route_agrees_with_dense_route(pair, seed):
     (f_spec, nf), (g_spec, ng) = pair
-    f, g = sequences.term_arrays(f_spec, nf), sequences.term_arrays(g_spec, ng)
+    f, g = (sequences.term_arrays(sequences.term_shape(spec, n)) for spec, n in pair)
     dim = max(f[2], g[2])
     f, g = f[:2] + (dim,), g[:2] + (dim,)
     square = nf == ng

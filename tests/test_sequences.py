@@ -371,6 +371,33 @@ def test_monomial_extent_reads_the_registry_spans():
                 assert seqs.monomial_extent(spec, n) == (idx.min(), idx.max()), (ex_id, role, n)
 
 
+def test_registry_realizations_refuse_before_generating_and_generate_their_own_role(monkeypatch):
+    real = seqs.monomial_terms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term generated before the dense budget check")
+
+    monkeypatch.setattr(seqs, "monomial_terms", refuse)
+    budget = f"exceeds the budget MAX_DENSE_ENTRIES = {seqs.MAX_DENSE_ENTRIES} entries"
+    with pytest.raises(ValueError) as err:
+        paper_example("ex-identity", 10**6)
+    assert str(err.value) == f"a dense 1000000 x 1000000 realization {budget}"
+    with pytest.raises(ValueError) as err:
+        realize(SequenceSpec.paper_example("ex-canonical", "g"), 2 * 10**6)
+    assert str(err.value) == f"a dense 1999999 x 2000000 realization {budget}"
+
+    generated = []
+
+    def spy(spec, n, **kwargs):
+        generated.append(spec)
+        return real(spec, n, **kwargs)
+
+    monkeypatch.setattr(seqs, "monomial_terms", spy)
+    g = realize(SequenceSpec.paper_example("ex-blocked", "g"), 8)
+    assert generated == [example_entry("ex-blocked").g]
+    assert np.array_equal(g.columns, paper_example("ex-blocked", 8)[1].columns)
+
+
 def test_monomial_terms_start_must_lie_before_n():
     spec = SequenceSpec.scaled_basis(WeightRule.index())
     for start in (-1, 5):
