@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, operators, sequences
 from .linalg import DEFAULT_TOL
-from .sequences import MAX_SWEEP_TRUNCATION, RealizedSequence
+from .sequences import RealizedSequence
 
 # agreement thresholds used by the battery: identity-level comparisons are
 # held to TIGHT, spectral quantities (eigenvalues, idempotency, norm bounds)
@@ -600,6 +600,12 @@ def theorem_battery(
         raise ValueError(f"dims must satisfy 1 <= low <= high, got {dims}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if tol >= sequences.MAX_CONDITION**-2:
+        raise ValueError(
+            f"tol {tol:g} must lie below MAX_CONDITION**-2 = {sequences.MAX_CONDITION**-2:g}, "
+            f"the least (sigma_min / sigma_max)**2 of a draw that passes the condition "
+            f"screen MAX_CONDITION = {sequences.MAX_CONDITION:g}"
+        )
     if trials * max(hi, 8) ** 3 > MAX_BATTERY_WORK:
         raise ValueError(
             f"battery work trials x max(dim_high, 8)**3 = {trials} x {max(hi, 8)}**3 "
@@ -683,11 +689,11 @@ def _trend(values: list[float]) -> str:
     return "inconclusive"
 
 
-def _prefix_sums(spec, counts: list[int], base: int, size: int):
+def _prefix_sums(spec, counts: list[int], size: int):
     """Yield, for each of the nondecreasing ``counts``, the per-index sums of
-    |c|^2 over that many first terms of ``spec``, in ``size`` bins from
-    ``base``: one array, to which ``TERM_CHUNK`` terms are generated at a
-    time and folded in term order up to each count before it is yielded."""
+    |c|^2 over that many first terms of ``spec``, bin i holding index i: one
+    array, to which ``TERM_CHUNK`` terms are generated at a time and folded
+    in term order up to each count before it is yielded."""
     sums = np.zeros(size)
     done = 0  # terms folded so far
     for count in counts:
@@ -701,7 +707,7 @@ def _prefix_sums(spec, counts: list[int], base: int, size: int):
                 np.square(w_sq, out=w_sq)  # in place, the bits of np.abs(coeff) ** 2
             stop = min(count, end)
             at = slice(done - start, stop - start)
-            operators._fold(sums, idx[at], w_sq[at], base)
+            operators._fold(sums, idx[at], w_sq[at], 0)
             done = stop
             if done == end:  # not held while the other side or the next chunk is made
                 del idx, w_sq
@@ -718,25 +724,18 @@ def truncation_sweep(
     Each row is the block route at a prefix of the terms: block i of the
     cross-Gram is rank one with singular value ||w_f on i|| * ||w_g on i||,
     and the Bessel bound of either side is its largest ||w on i||^2.
-    The largest truncation may not exceed ``MAX_SWEEP_TRUNCATION``, nor
-    the sum of the truncations ``MAX_SWEEP_WORK``.
+    Each truncation is shaped by ``sequences.term_shape``, under the term
+    budget, and the sum of the truncations may not exceed ``MAX_SWEEP_WORK``.
     """
-    entry = sequences.example_entry(example_id)
+    sequences.example_entry(example_id)  # an unknown id is refused first
     ns = tuple(int(n) for n in truncations)
     if len(ns) < 2:
         raise ValueError(f"at least two truncations are required, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"truncations must be strictly increasing, got {ns}")
-    if ns[0] < entry.min_n:
-        raise ValueError(
-            f"example {example_id} needs at least {entry.min_n} terms, got {ns[0]}"
-        )
-
-    if ns[-1] > MAX_SWEEP_TRUNCATION:
-        raise ValueError(
-            f"largest truncation {ns[-1]} exceeds the sweep budget "
-            f"MAX_SWEEP_TRUNCATION = {MAX_SWEEP_TRUNCATION}"
-        )
+    roles = [sequences.SequenceSpec.paper_example(example_id, role) for role in ("f", "g")]
+    for n in (ns[0], ns[-1]):  # min_n and the term budget refuse before the work budget
+        sequences.term_shape(roles[0], n)
     if sum(ns) > MAX_SWEEP_WORK:
         raise ValueError(
             f"sweep work {sum(ns)} (the sum of the truncations) exceeds the budget "
@@ -745,24 +744,18 @@ def truncation_sweep(
 
     # term m does not depend on n and the counts grow with n, so each row
     # reads per-index sums over a prefix of the terms, folded a chunk at a
-    # time into bins over the largest truncation's span
-    counts = [(entry.f_count(n), entry.g_count(n)) for n in ns]
-    extents = [
-        (sequences.monomial_extent(entry.f, fc), sequences.monomial_extent(entry.g, gc))
-        for fc, gc in counts
-    ]
-    base, size = operators._bins(*extents[-1])
-    f_sums = _prefix_sums(entry.f, [fc for fc, _ in counts], base, size)
-    g_sums = _prefix_sums(entry.g, [gc for _, gc in counts], base, size)
+    # time into bins over the largest truncation's span; every registry
+    # role starts at e1, so a row's bins are the first dim + 1
+    shapes = [[sequences.term_shape(role, n) for role in roles] for n in ns]
+    (f, _, top), (g, _, _) = shapes[-1]
+    f_sums = _prefix_sums(f, [fs[1] for fs, _ in shapes], top + 1)
+    g_sums = _prefix_sums(g, [gs[1] for _, gs in shapes], top + 1)
     rows = []
-    for n, (fc, gc), extent, f_all, g_all in zip(ns, counts, extents, f_sums, g_sums):
-        # the row's own bins, as _bins lays them out over its prefix
-        row_base, row_size = operators._bins(*extent)
-        at = slice(row_base - base, row_base - base + row_size)
-        f_sq, g_sq = f_all[at], g_all[at]
+    for n, ((_, fc, dim), (_, gc, _)), f_all, g_all in zip(ns, shapes, f_sums, g_sums):
+        f_sq, g_sq = f_all[: dim + 1], g_all[: dim + 1]
         op, sigma_min, hs = operators._block_spectrum(f_sq, g_sq, min(fc, gc))
         bessel = float(f_sq.max()), float(g_sq.max())
-        rows.append(SweepRow(n, row_base + row_size - 1, fc, gc, op, sigma_min, hs, *bessel))
+        rows.append(SweepRow(n, dim, fc, gc, op, sigma_min, hs, *bessel))
 
     return ConvergenceTable(
         example_id=example_id,

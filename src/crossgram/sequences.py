@@ -347,8 +347,8 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
 
     The ambient dimension is the highest basis index the terms reference
     (the stored column length for explicit specs, the declared dimension
-    for random specs).  A matrix over ``MAX_DENSE_ENTRIES`` entries is
-    refused before it is allocated.
+    for random specs).  A monomial spec is shaped by ``term_shape``, and a
+    matrix over ``MAX_DENSE_ENTRIES`` entries is refused before it is allocated.
     """
     if n < 1:
         raise ValueError(f"truncation must be >= 1, got {n}")
@@ -359,12 +359,7 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
                 f"explicit spec stores count {len(spec.columns)}, truncation {n} requested"
             )
         cols = spec.columns.T
-    elif spec.kind in ("scaled_basis", "pattern"):
-        _check_dense(1, n)  # the term arrays alone hold n entries each
-        dim = monomial_extent(spec, n)[1]
-        _check_dense(dim, n)
-        return from_terms(*monomial_terms(spec, n), dim)
-    elif spec.kind == "paper_example":
+    elif spec.kind in MONOMIAL_KINDS:
         shape = term_shape(spec, n)
         _check_dense(shape[2], shape[1])
         return from_terms(*term_arrays(shape))
@@ -773,14 +768,15 @@ def term_shape(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int, int]:
     span.  All is read off the extents, so an input over budget is refused
     before a term is generated; ``term_arrays`` generates the terms."""
     _check_terms(n)
+    side = _monomial(spec, n)
+    sides = [side]
     if spec.kind == "paper_example":
-        specs = [SequenceSpec.paper_example(spec.example, role) for role in _ROLES]
-    else:
-        specs = [spec]
-    extents = [monomial_extent(s, n) for s in specs]
+        entry = example_entry(spec.example)
+        sides = [(entry.f, entry.f_count(n)), (entry.g, entry.g_count(n))]
+    extents = [monomial_extent(*s) for s in sides]
     lo, hi = min(e[0] for e in extents), max(e[1] for e in extents)
     _check_terms(hi - lo + 1, "index span")
-    return (*_monomial(spec, n), hi)
+    return (*side, hi)
 
 
 def term_arrays(shape: tuple[SequenceSpec, int, int]) -> tuple[np.ndarray, np.ndarray, int]:

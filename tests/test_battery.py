@@ -70,6 +70,8 @@ def test_battery_validates_arguments():
         diag.theorem_battery(seed=1, trials=5, dims=(0, 4))
     with pytest.raises(ValueError, match="seed"):
         diag.theorem_battery(seed=-1, trials=5, dims=(2, 4))
+    with pytest.raises(ValueError, match=r"tol 0.0001 must lie below MAX_CONDITION\*\*-2"):
+        diag.theorem_battery(seed=1, trials=5, dims=(2, 4), tol=1e-4)
     # below 8 dimensions a trial costs call overhead, so the work counts 8**3
     for dims in ((2, 8), (2, 2)):
         with pytest.raises(ValueError, match="MAX_BATTERY_WORK"):

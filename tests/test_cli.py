@@ -417,7 +417,7 @@ def test_sweep_rejects_bad_dims(report_schema):
 def test_sweep_budget_exits_2():
     res = run_cli(["sweep", "--id", "ex-hs", "--dims", "10,100000000"])
     assert res.returncode == 2
-    assert "sweep budget MAX_SWEEP_TRUNCATION = 10000000" in res.stderr
+    assert "term count 100000000 exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000" in res.stderr
 
 
 def test_realize_budget_exits_2(tmp_path):
@@ -658,12 +658,17 @@ def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsy
 
 
 # sha256 of the example envelopes, recorded before the example command took
-# its duality report from monomial_duality instead of monomial_reports
+# its duality report from monomial_duality instead of monomial_reports.  The
+# LAPACK results behind the square fields can move in their last digits with
+# the BLAS thread count, so the commands run at one thread, as the benchmark
+# pins it; ex-hs at dim 256 was re-recorded at one thread (with two or more
+# it reads 62253f3c...)
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 EXAMPLE_DIGESTS = {
     ("ex-identity", 64): "3006a1bafc14660c4c5e568cdaa691c3adea852b2bba0f44355fc3f1cb11ea5d",
     ("ex-identity", 256): "e01c0fcde299595f5abb2d7eba5c44581e9e93b8d7e7d35ead12da83157e3961",
     ("ex-hs", 64): "f1bc722b3dffd4e948a500d93afb436def8e92124730f6dad66dd9a1f5b54768",
-    ("ex-hs", 256): "62253f3cc7b1dfc50481a5e96f47c981ce8e667c630b87c85722ae395b8acfc6",
+    ("ex-hs", 256): "c16ea76c319aa458722a55f1e8ec3e83b4dc9394ca57cb32677312f252ea44dd",
     ("ex-blocked", 64): "f031eecd9a45d89c1434629628032fa8ce50760d23fd97f5b037abe37d966386",
     ("ex-blocked", 256): "9f735b336f2c52e218ec8960ae7c1a49fee04bacb42d05b98ba0a1e6cd6aa5ea",
     ("ex-norm89", 64): "e8157f27069bb7e0febdbb547874066113044a99ab34a47ec8c90d54b7d6cf8f",
@@ -674,10 +679,10 @@ EXAMPLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("example_id, dim", sorted(EXAMPLE_DIGESTS))
-def test_example_envelope_bytes_are_unchanged(example_id, dim, capsys):
-    assert cli.main(["example", "--id", example_id, "--dim", str(dim)]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == EXAMPLE_DIGESTS[example_id, dim]
+def test_example_envelope_bytes_are_unchanged(example_id, dim):
+    res = run_cli(["example", "--id", example_id, "--dim", str(dim)], ONE_THREAD)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == EXAMPLE_DIGESTS[example_id, dim]
 
 
 # sha256 of classify, cross-gram and dual-check envelopes on monomial spec
@@ -788,6 +793,7 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
          "16 probes in dimension 1999999 " + dense.format("")),
         (["example", "--id", "ex-hs", "--dim", "5000"],
          "a dense 5000 x 5000 realization " + dense.format("s")),
+        (["sweep", "--id", "ex-hs", "--dims", "10,100000000"], f"term count 100000000 {terms}"),
     ):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"crossgram: error: {message}\n")
@@ -1091,6 +1097,17 @@ def test_battery_dims_past_the_condition_screen_exit_2_at_once(capsys):
         assert out == ""
     assert cli.main(["battery", "--seed", "1", "--trials", "3", "--dims", "64..64"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["all_passed"] is True
+
+
+def test_battery_tol_past_the_condition_screen_exits_2():
+    # a screened draw may have (sigma_min / sigma_max)**2 as low as
+    # MAX_CONDITION**-2 = 1e-4, so at a larger tol a screened Riesz
+    # cross-Gram can read as singular and a check fails
+    res = run_cli(["battery", "--tol", "2e-4"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("crossgram: error: tol 0.0002 must lie below MAX_CONDITION**-2")
 
 
 def test_battery_rejects_malformed_dims():

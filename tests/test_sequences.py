@@ -134,13 +134,15 @@ def test_dense_realization_is_budgeted():
     assert realize(far(side), 4).columns.shape == (side, 4)
     cases = [
         lambda: realize(SequenceSpec.scaled_basis(WeightRule.constant()), side + 1),
-        lambda: realize(far(budget), 2),
+        lambda: realize(far(budget // 2 + 1), 2),  # its span is within the term budget
         lambda: realize(SequenceSpec.random_frame(side, side + 1, 0), side + 1),
         lambda: paper_example("ex-identity", side + 1),
     ]
     for case in cases:
         with pytest.raises(ValueError, match=f"MAX_DENSE_ENTRIES = {budget}"):
             case()
+    with pytest.raises(ValueError, match=f"index span {budget} exceeds the term budget"):
+        realize(far(budget), 2)
 
 
 def test_paper_example_past_the_term_budget_names_it_as_realize_does():
@@ -150,6 +152,19 @@ def test_paper_example_past_the_term_budget_names_it_as_realize_does():
     with pytest.raises(ValueError) as spec:
         realize(SequenceSpec.paper_example("ex-identity", "f"), n)
     assert str(pair.value) == str(spec.value)
+
+
+def test_realize_of_a_monomial_spec_is_held_to_the_term_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term generated before the term budget check")
+
+    monkeypatch.setattr(seqs, "monomial_terms", refuse)
+    line = SequenceSpec.pattern(PatternProgram(tail=(TailSlot(1),)))  # every term on e1
+    with pytest.raises(ValueError) as err:
+        realize(line, 12 * 10**6)
+    assert str(err.value) == (
+        "term count 12000000 exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000"
+    )
 
 
 # ---------------------------------------------------------------- realize
@@ -369,6 +384,15 @@ def test_monomial_extent_reads_the_registry_spans():
                 spec = SequenceSpec.paper_example(ex_id, role)
                 idx, _ = monomial_terms(spec, n)
                 assert seqs.monomial_extent(spec, n) == (idx.min(), idx.max()), (ex_id, role, n)
+
+
+def test_every_registry_role_starts_at_e1():
+    # the sweep bins both sides from index 0, so that bin i holds index i
+    for ex_id in example_ids():
+        for n in (example_entry(ex_id).min_n, 10**6):
+            for role in "fg":
+                idx, _ = monomial_terms(SequenceSpec.paper_example(ex_id, role), n)
+                assert idx.min() == 1, (ex_id, role, n)
 
 
 def test_registry_realizations_refuse_before_generating_and_generate_their_own_role(monkeypatch):
