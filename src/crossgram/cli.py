@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 when inputs fail validation, 3 when the
 theorem battery emits a report containing a failed check.  All output is
 a single report envelope on stdout (or at --out), rendered as JSON by
-default; identical inputs yield identical bytes.
+default; identical inputs yield identical bytes on one numpy/BLAS build at
+one BLAS thread count (LAPACK results can move in their last digits with it).
 """
 
 from __future__ import annotations

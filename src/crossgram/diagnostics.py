@@ -42,8 +42,8 @@ MAX_BATTERY_DIM = 64
 # 56 s (ex-identity) on one core of a 2-core x86-64 machine
 MAX_SWEEP_WORK = 5 * 10**9
 
-# terms the sweep generates and folds at a time: their indices, coefficients
-# and squared moduli take ~1 MB, so each chunk stays in cache
+# the most terms the sweep generates and folds at a time: their indices,
+# coefficients and squared moduli take ~1 MB, so each chunk stays in cache
 TERM_CHUNK = 1 << 15
 
 
@@ -268,9 +268,9 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
     del sq
     if not square:
         fields = _RECTANGULAR
-    elif dense:
-        fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
-        fields = _square_fields(operators.cross_gram(fd, gd), op, tol)
+    elif dense:  # the dense sides are freed before the square fields are read
+        m = operators.cross_gram(sequences.from_terms(*f), sequences.from_terms(*g))
+        fields = _square_fields(m, op, tol)
     else:
         herm, idem, ident, least = operators._block_square(fi, a, b, base, size)
         defect = herm / max(1.0, op)
@@ -692,25 +692,16 @@ def _trend(values: list[float]) -> str:
 def _prefix_sums(spec, counts: list[int], size: int):
     """Yield, for each of the nondecreasing ``counts``, the per-index sums of
     |c|^2 over that many first terms of ``spec``, bin i holding index i: one
-    array, to which ``TERM_CHUNK`` terms are generated at a time and folded
-    in term order up to each count before it is yielded."""
+    array, to which each count's new terms are generated at most
+    ``TERM_CHUNK`` at a time and folded in term order before it is yielded."""
     sums = np.zeros(size)
     done = 0  # terms folded so far
     for count in counts:
-        while done < count:
-            if done % TERM_CHUNK == 0:  # the next chunk starts here
-                start = done
-                end = min(start + TERM_CHUNK, counts[-1])
-                idx, coeff = sequences.monomial_terms(spec, end, start=start)
-                w_sq = np.abs(coeff)
-                del coeff
-                np.square(w_sq, out=w_sq)  # in place, the bits of np.abs(coeff) ** 2
-            stop = min(count, end)
-            at = slice(done - start, stop - start)
-            operators._fold(sums, idx[at], w_sq[at], 0)
-            done = stop
-            if done == end:  # not held while the other side or the next chunk is made
-                del idx, w_sq
+        for start in range(done, count, TERM_CHUNK):
+            idx, coeff = sequences.monomial_terms(spec, min(start + TERM_CHUNK, count), start=start)
+            operators._fold(sums, idx, np.abs(coeff) ** 2)
+            del idx, coeff  # not held while the other side or the next chunk is made
+        done = count
         yield sums
 
 

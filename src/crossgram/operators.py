@@ -135,11 +135,11 @@ def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
     return np.bincount(idx - base if base else idx, weights=weights, minlength=size)
 
 
-def _fold(sums: np.ndarray, idx: np.ndarray, weights: np.ndarray, base: int) -> None:
-    """Add ``weights`` into the bins ``sums`` of ``_index_sums`` one term at a
-    time, in term order, as ``np.bincount`` does: terms folded chunk by chunk
-    give the bits of ``_index_sums`` of them all."""
-    np.add.at(sums, idx - base if base else idx, weights)
+def _fold(sums: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> None:
+    """Add ``weights`` into the bins ``sums``, bin i holding index i, one term
+    at a time, in term order, as ``np.bincount`` does: terms folded chunk by
+    chunk give the bits of ``_index_sums(idx, weights, 0, size)`` of them all."""
+    np.add.at(sums, idx, weights)
 
 
 def _square_sums(idx: np.ndarray, mod: np.ndarray, base: int, size: int) -> tuple[np.ndarray, int]:

@@ -581,20 +581,12 @@ def _geometric(coeff: complex, ratio: complex, count: int, start: int = 0) -> np
             first = block * _POWER_BLOCK
             lo, hi = max(start, first), min(count, first + _POWER_BLOCK)
             wr, wi = re[lo - first : hi - first], im[lo - first : hi - first]
-            # the products below run in place where they can: a chunk's
-            # temporaries would otherwise be fresh pages on every call
             for bit, (sr, si) in enumerate(high):
                 if block >> bit & 1:
-                    next_re = wr * sr
-                    next_re -= wi * si
-                    wi = wi * sr
-                    wi += wr * si
-                    wr = next_re
+                    wr, wi = wr * sr - wi * si, wi * sr + wr * si
             at = slice(lo - start, hi - start)
-            np.multiply(wr, coeff.real, out=out.real[at])
-            out.real[at] -= coeff.imag * wi
-            np.multiply(wi, coeff.real, out=out.imag[at])
-            out.imag[at] += coeff.imag * wr
+            out.real[at] = wr * coeff.real - coeff.imag * wi
+            out.imag[at] = wi * coeff.real + coeff.imag * wr
     return out
 
 

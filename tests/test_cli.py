@@ -685,6 +685,23 @@ def test_example_envelope_bytes_are_unchanged(example_id, dim):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == EXAMPLE_DIGESTS[example_id, dim]
 
 
+def test_sweeps_and_block_route_examples_make_no_lapack_call(monkeypatch, capsys):
+    # the reports README names as independent of the BLAS thread count
+    # take nothing from numpy.linalg
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        entry = getattr(np.linalg, name)
+        if callable(entry) and not isinstance(entry, type):  # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for example_id in sequences.example_ids():
+        assert cli.main(["sweep", "--id", example_id, "--dims", "10,1000"]) == 0
+    for example_id in ("ex-identity", "ex-blocked", "ex-canonical"):
+        assert cli.main(["example", "--id", example_id, "--dim", "64"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # sha256 of classify, cross-gram and dual-check envelopes on monomial spec
 # files, recorded before the block kernel moved from diagnostics to
 # operators: a rectangular pair, square pairs on shared index arrays (one

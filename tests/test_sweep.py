@@ -15,10 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossgram import cli
+from crossgram import cli, sequences
 from crossgram import diagnostics as diag
 from crossgram import operators as ops
-from crossgram.sequences import example_entry, example_ids, paper_example
+from crossgram.sequences import SequenceSpec, example_entry, example_ids, paper_example, term_shape
 
 
 def partial_line_norm(n):
@@ -111,6 +111,36 @@ def test_sweep_rows_do_not_depend_on_the_ladder():
         for row in table.rows:
             alone = diag.truncation_sweep(ex_id, (example_entry(ex_id).min_n, row.truncation))
             assert alone.rows[-1] == row, (ex_id, row.truncation)
+
+
+def test_sweep_generates_each_rows_terms_only_when_it_folds_them(monkeypatch):
+    # a row's new terms come in chunks of at most TERM_CHUNK, each generated
+    # after the rows before it are read and before the row itself is
+    ladder = (10, 100, 1000, 100000)
+    counts = {}
+    for n in ladder:
+        for spec, count, _ in (term_shape(SequenceSpec.paper_example("ex-hs", r), n) for r in "fg"):
+            counts.setdefault(spec, [0]).append(count)
+    rows, calls = [], []
+    generate, spectrum = sequences.monomial_terms, ops._block_spectrum
+
+    def spy_terms(spec, n, *, start=0):
+        calls.append((spec, len(rows), n, start))
+        return generate(spec, n, start=start)
+
+    def spy_spectrum(*args):
+        rows.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr(sequences, "monomial_terms", spy_terms)
+    monkeypatch.setattr(ops, "_block_spectrum", spy_spectrum)
+    diag.truncation_sweep("ex-hs", ladder)
+    folded = {spec: 0 for spec in counts}
+    for spec, row, n, start in calls:
+        assert counts[spec][row] <= start == folded[spec], (row, n, start)
+        assert n <= counts[spec][row + 1] and n - start <= diag.TERM_CHUNK, (row, n, start)
+        folded[spec] = n
+    assert folded == {spec: c[-1] for spec, c in counts.items()}
 
 
 def test_sweep_to_a_million_terms_is_linear_in_memory():
