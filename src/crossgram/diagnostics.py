@@ -62,9 +62,13 @@ def _op_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _hermitian_defect(m: np.ndarray, op: float) -> float:
-    """||M - M*|| / max(1, ||M||) in the operator norm, given op = ||M||."""
-    return _op_norm(m - m.conj().T) / max(1.0, op)
+def _real_parts(*ms: np.ndarray) -> tuple:
+    """The float64 parts of the complex128 matrices ``ms`` when none has a
+    nonzero imaginary part, else ``ms`` as they are: LAPACK and GEMM then run
+    in real arithmetic, ~3x faster, and the results move by ulps."""
+    if not any(m.imag.any() for m in ms):
+        return tuple(np.ascontiguousarray(m.real) for m in ms)
+    return ms
 
 
 # --------------------------------------------------------------------------
@@ -95,8 +99,12 @@ def classify_sequence(seq: RealizedSequence, tol: float = DEFAULT_TOL) -> Sequen
     numeric row rank, and the Riesz verdict additionally needs count == dim
     with a Gram spectrum bounded away from zero.
     """
-    t = seq.columns
-    dim, count = t.shape
+    return _classify(*_real_parts(seq.columns), tol)
+
+
+def _classify(t: np.ndarray, tol: float) -> SequenceClassification:
+    """``classify_sequence`` of a synthesis matrix, in its own arithmetic."""
+    dim = len(t)
     s = np.linalg.svd(t, compute_uv=False)
     frame = operators.bounds_from_singular_values(s, dim, tol)
     return _classification(dim, frame, _rank_of(s, tol) == dim, np.linalg.norm(t, axis=0))
@@ -140,7 +148,7 @@ class CrossGramReport:
 
 def analyze_cross_gram(m, tol: float = DEFAULT_TOL) -> CrossGramReport:
     """Diagnostics of a cross-Gram matrix, such as ``operators.cross_gram(f, g)``."""
-    m = linalg.as_matrix(m, gram=True)
+    (m,) = _real_parts(linalg.as_matrix(m, gram=True))
     rows, cols = m.shape
     s = np.linalg.svd(m, compute_uv=False)
     op = float(s[0])
@@ -155,10 +163,20 @@ _RECTANGULAR = (None, False, None, None)
 
 def _square_fields(m: np.ndarray, op: float, tol: float):
     """hermitian_defect, psd, idempotency_defect and identity_distance of a
-    square matrix, given op = ||M||."""
-    defect = _hermitian_defect(m, op)
-    idem = _op_norm(m @ m - m)
-    ident = _op_norm(m - np.eye(len(m)))
+    square matrix, given op = ||M||: M - M*, M @ M - M and M - I are formed
+    in turn in one buffer, with the same floating-point operations as the
+    plain expressions."""
+    n = len(m)
+    buf = np.empty_like(m)
+    np.conjugate(m.T, out=buf)
+    np.subtract(m, buf, out=buf)
+    defect = _op_norm(buf) / max(1.0, op)
+    np.matmul(m, m, out=buf)
+    buf -= m
+    idem = _op_norm(buf)
+    buf[...] = m
+    buf.flat[:: n + 1] -= 1.0
+    ident = _op_norm(buf)
     psd = defect <= tol and bool(np.linalg.eigvalsh(m)[0] >= -tol * op)
     return defect, psd, idem, ident
 
@@ -199,18 +217,26 @@ def check_duality(
     seed=0,
 ) -> DualityReport:
     operators._check_pair(f.dim, g.dim, (f.count, g.count))
-    dim = f.dim
-    sequences._check_dense(dim, dim, "dual-pair residual")
-    _check_probes(dim, probes)
-    r1 = f.columns @ g.columns.conj().T - np.eye(dim)
-    r2 = g.columns @ f.columns.conj().T - np.eye(dim)
-    pairing = _op_norm(r1)
+    sequences._check_dense(f.dim, f.dim, "dual-pair residual")
+    _check_probes(f.dim, probes)
+    return _duality(*_real_parts(f.columns, g.columns), tol, probes, seed)
 
+
+def _duality(f: np.ndarray, g: np.ndarray, tol: float, probes: int, seed) -> DualityReport:
+    """``check_duality`` of two synthesis matrices that passed its checks, in
+    their own arithmetic."""
+    dim = len(f)
     # the stream order of drawing each probe's real part, then its imaginary part
     rng = np.random.default_rng(list(sequences._seed_path(seed)))
     z = rng.standard_normal((probes, 2, dim))
     v = (z[:, 0] + 1j * z[:, 1]).T
     v = v / np.linalg.norm(v, axis=0)
+
+    def residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # A B* - I, the identity subtracted on the diagonal in place
+        r = a @ b.conj().T
+        r.flat[:: dim + 1] -= 1.0
+        return r
 
     def worst(r: np.ndarray) -> float:
         # the basis probes r e_k are the columns of r
@@ -218,7 +244,12 @@ def check_duality(
         random = np.linalg.norm(r @ v, axis=0) / np.linalg.norm(v, axis=0)
         return float(np.concatenate([basis, random]).max())
 
-    return DualityReport(worst(r1), worst(r2), pairing, bool(pairing <= tol), probes, tol)
+    # one residual at a time: r2 is formed after r1 is dropped
+    r = residual(f, g)
+    pairing, worst_1 = _op_norm(r), worst(r)
+    del r
+    worst_2 = worst(residual(g, f))
+    return DualityReport(worst_1, worst_2, pairing, bool(pairing <= tol), probes, tol)
 
 
 def _check_probes(dim: int, probes: int) -> None:
@@ -270,7 +301,7 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
         fields = _RECTANGULAR
     elif dense:  # the dense sides are freed before the square fields are read
         m = operators.cross_gram(sequences.from_terms(*f), sequences.from_terms(*g))
-        fields = _square_fields(m, op, tol)
+        fields = _square_fields(*_real_parts(m), op, tol)
     else:
         herm, idem, ident, least = operators._block_square(fi, a, b, base, size)
         defect = herm / max(1.0, op)
@@ -363,7 +394,9 @@ def _entrywise_cross_gram(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-# the checks take the generated arrays unwrapped, with cross-Grams g.conj().T @ f
+# the checks take the generated arrays unwrapped, with cross-Grams g.conj().T @ f;
+# their draws are complex Gaussians, so they call the report kernels (_classify,
+# _duality) directly and skip the real-part test _real_parts makes
 def _frame(d, n, seed, tol):
     """``sequences.random_frame(d, n, seed)`` as its array and its frame
     bounds, read off the singular values its condition screen computed."""
@@ -395,7 +428,7 @@ def _check_riesz_transfer(seed, t, d, tol):
     f, g = (sequences._riesz_basis(d, (seed, t, 14), role) for role in "fg")
     s = np.linalg.svd(g.conj().T @ f, compute_uv=False)
     invertible = s[-1] > tol * s[0]
-    cls = classify_sequence(RealizedSequence(g), tol)
+    cls = _classify(g, tol)
     margin = cls.frame.lower / cls.bessel_bound - tol
     return margin, bool(invertible and cls.riesz)
 
@@ -461,7 +494,7 @@ def _check_dual_idempotent(seed, t, d, tol):
     m = dual.conj().T @ f
     idem = _op_norm(m @ m - m)
     op = _op_norm(m)
-    verdict = check_duality(RealizedSequence(f), RealizedSequence(dual), tol, 8, (seed, t, 32))
+    verdict = _duality(f, dual, tol, 8, (seed, t, 32))
     ok = bool(idem <= TOL_SPECTRAL and op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair)
     margin = min(TOL_SPECTRAL - idem, op - (1.0 - TOL_SPECTRAL), tol - verdict.pairing_residual_3)
     return margin, ok
@@ -471,7 +504,7 @@ def _check_canonical_projection(seed, t, d, tol):
     n = d + int(np.random.default_rng([seed, t, 33]).integers(d + 1))
     f, bounds = _frame(d, n, (seed, t, 34), tol)
     m = operators._dual_columns(f, bounds).conj().T @ f
-    defect = _hermitian_defect(m, _op_norm(m))
+    defect = _op_norm(m - m.conj().T) / max(1.0, _op_norm(m))  # as hermitian_defect
     evals = np.linalg.eigvalsh(m)
     eig_dist = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
     near_one = int(np.sum(evals > 0.5))
@@ -500,7 +533,7 @@ def _control_shrunk_dual(seed, t, d, tol):
     f, bounds = _frame(d, nf, (seed, t, 42), tol)
     shrunk = 0.9 * operators._dual_columns(f, bounds)
     op = _op_norm(shrunk.conj().T @ f)
-    verdict = check_duality(RealizedSequence(f), RealizedSequence(shrunk), tol, 8, (seed, t, 43))
+    verdict = _duality(f, shrunk, tol, 8, (seed, t, 43))
     underlying_ok = op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair
     detected = (not underlying_ok) and (not verdict.is_dual_pair) and op <= 0.99
     return (1.0 - TOL_SPECTRAL) - op, detected

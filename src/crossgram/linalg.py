@@ -5,7 +5,8 @@ complex128.
 ``as_matrix`` is the single entry point that enforces the representation
 invariants (two-dimensional, nonempty, every entry finite and at most
 ``MAX_ENTRY`` in modulus); the spectral work on validated matrices calls
-numpy.linalg directly.
+numpy.linalg directly, on a matrix's float64 part when none of its entries
+has a nonzero imaginary part (real LAPACK and GEMM, ~3x faster).
 """
 
 from __future__ import annotations

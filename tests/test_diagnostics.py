@@ -230,6 +230,43 @@ def test_block_route_memory_is_linear_in_terms():
     assert peak < 120 * n
 
 
+def complex_square_fields(m, op):
+    """hermitian_defect, idempotency_defect and identity_distance of a
+    complex128 matrix, by complex LAPACK."""
+    assert m.dtype == np.complex128
+    norm = lambda a: float(np.linalg.svd(a, compute_uv=False)[0])  # noqa: E731
+    return norm(m - m.conj().T) / max(1.0, op), norm(m @ m - m), norm(m - np.eye(len(m)))
+
+
+def assert_close(got, want):
+    for x, y in zip(got, want):
+        assert abs(x - y) <= 1e-14 * abs(y), (got, want)
+
+
+@pytest.mark.parametrize("example_id", ["ex-hs", "ex-norm89"])
+def test_real_pairs_agree_with_complex_lapack(example_id):
+    # the real path moves the dense square fields and pairing_residual_3 by ulps only
+    f, g = example_terms(example_id, 128)
+    cross = diag.monomial_reports(f, g)[2]
+    pairing = diag.monomial_duality(f, g).pairing_residual_3
+    fm, gm = seqs.from_terms(*f).columns, seqs.from_terms(*g).columns
+    m = gm.conj().T @ fm
+    want = complex_square_fields(m, cross.op_norm)
+    assert_close((cross.hermitian_defect, cross.idempotency_defect, cross.identity_distance), want)
+    r = fm @ gm.conj().T - np.eye(len(fm))
+    assert_close((pairing,), (float(np.linalg.svd(r, compute_uv=False)[0]),))
+
+
+def test_real_cross_gram_agrees_with_complex_lapack():
+    m = np.random.default_rng(96).standard_normal((96, 96))
+    rep = diag.analyze_cross_gram(m)
+    c = m.astype(np.complex128)
+    s = np.linalg.svd(c, compute_uv=False)
+    assert_close((rep.op_norm, rep.hs), (float(s[0]), float(np.linalg.norm(c, "fro"))))
+    want = complex_square_fields(c, float(s[0]))
+    assert_close((rep.hermitian_defect, rep.idempotency_defect, rep.identity_distance), want)
+
+
 def test_hybrid_reports_free_the_dense_sides_before_the_square_fields():
     # a square pair on different index arrays reads its square fields off
     # the dense cross-Gram; with both dense sides still alive the peak was
