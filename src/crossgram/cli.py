@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--dim", type=int, required=True, help="truncation level")
-    p.add_argument("--probes", type=int, default=16, help="random reconstruction probes")
+    p.add_argument("--probes", type=int, default=16, help="random probes of the dense route")
     p.add_argument("--seed", type=int, default=0, help="probe RNG seed")
     common(p)
 

@@ -197,8 +197,9 @@ class DualityReport:
     """Residuals of the three equivalent dual-pair conditions.
 
     Residuals 1 and 2 probe the two reconstruction identities on the basis
-    plus ``probes`` seeded random unit vectors; residual 3 is the operator
-    norm of T_f T_g* - I and decides the verdict.
+    plus ``probes`` seeded random unit vectors (none on the block route's
+    shared index arrays, where all three are max|p - 1|); residual 3 is the
+    operator norm of T_f T_g* - I and decides the verdict.
     """
 
     reconstruction_residual_1: float
@@ -219,7 +220,9 @@ def check_duality(
     operators._check_pair(f.dim, g.dim, (f.count, g.count))
     sequences._check_dense(f.dim, f.dim, "dual-pair residual")
     _check_probes(f.dim, probes)
-    return _duality(*_real_parts(f.columns, g.columns), tol, probes, seed)
+    # the caller's realizations are freed here if nothing else holds them
+    f, g = _real_parts(f.columns, g.columns)
+    return _duality(f, g, tol, probes, seed)
 
 
 def _duality(f: np.ndarray, g: np.ndarray, tol: float, probes: int, seed) -> DualityReport:
@@ -335,27 +338,20 @@ def check_pair_budgets(f, g, *, probes: int | None = None, cross: bool = True) -
 
 def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0) -> DualityReport:
     """``check_duality`` of two ``sequences.term_arrays``: on shared index
-    arrays from p alone, without the classifications or cross-Gram fields."""
+    arrays from p alone, without the classifications or cross-Gram fields.
+    There T_f T_g* - I is diagonal, p - 1 in the bins and -1 off them, so
+    max|p - 1| is its norm and bounds every probe: none is drawn, but
+    ``probes`` and ``seed`` are refused as on the dense route."""
     (fi, a, dim), (gi, b, g_dim) = f, g
     if len(fi) == len(gi) and not np.array_equal(fi, gi):
         return check_duality(sequences.from_terms(*f), sequences.from_terms(*g), tol, probes, seed)
     operators._check_pair(dim, g_dim, (len(fi), len(gi)))
     _check_probes(dim, probes)
+    sequences._seed_path(seed)
     base, size = operators._bins((fi.min(), fi.max()))
     p = operators._pairing(fi, a, b, base, size)
-    # T_f T_g* - I is p - 1 in the bins and -1 off them; both residuals see
-    # |p - 1|, on the basis probes first
-    pairing = worst = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
-    rng = np.random.default_rng(list(sequences._seed_path(seed)))
-    if probes:
-        r_sq = np.ones(dim)
-        r_sq[base : base + size - 1] = np.abs(p[1:] - 1.0) ** 2
-    for _ in range(probes):
-        # the dense route's stream, one probe at a time: real part, then imaginary part
-        z = rng.standard_normal((2, dim))
-        v_sq = z[0] ** 2 + z[1] ** 2
-        worst = max(worst, float(np.sqrt(np.dot(r_sq, v_sq) / v_sq.sum())))
-    return DualityReport(worst, worst, pairing, pairing <= tol, probes, tol)
+    pairing = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
+    return DualityReport(pairing, pairing, pairing, pairing <= tol, probes, tol)
 
 
 # --------------------------------------------------------------------------

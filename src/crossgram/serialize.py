@@ -283,6 +283,7 @@ def load_sequence_file(path: str) -> SequenceSpec:
         raise SpecFileError("invalid JSON: nested too deeply", source=path) from None
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise SpecFileError(f"invalid JSON: {exc}", source=path) from exc
+    del text  # freed before the tree is decoded, so the two never peak together
     return spec_from_json(obj, source=path)
 
 

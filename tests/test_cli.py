@@ -179,6 +179,28 @@ def test_spec_files_nested_past_the_parser_depth_name_their_file(tmp_path, capsy
     assert err == f"crossgram: error: {path}: invalid JSON: nested too deeply\n"
 
 
+def test_spec_file_text_is_freed_before_the_tree_is_decoded(tmp_path):
+    # reading and parsing set the floor; with the text still held while the
+    # tree was decoded, a ~1 MB explicit spec peaked at ~1.17x that floor
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((128, 192)) + 1j * rng.standard_normal((128, 192))
+    columns = [[[float(z.real), float(z.imag)] for z in col] for col in t.T]
+    path = write_spec(tmp_path, "f.json", {"kind": "explicit", "columns": columns})
+    serialize.load_sequence_file(path)  # lazy imports stay out of the peak
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    floor = peak(lambda: json.loads(Path(path).read_text(encoding="utf-8")))
+    assert floor > 2**20
+    assert peak(lambda: serialize.load_sequence_file(path)) <= 1.05 * floor
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [
@@ -723,9 +745,10 @@ def test_real_matrices_take_real_lapack_and_complex_ones_complex(tmp_path, monke
 def test_hybrid_example_holds_under_five_dense_matrices():
     # check_duality forms F G* - I and G F* - I one at a time, and the square
     # fields reuse one buffer for G - G*, G @ G - G and G - I: the peak fell
-    # from ~5.1 to ~4.6 N^2 complex entries.  The rest is the two complex
-    # realizations check_duality's caller holds, their float64 parts, and
-    # the complex cast of a real residual in its probe product.
+    # from ~5.1 to ~4.6 N^2 complex entries, and to ~4.0 once check_duality
+    # dropped the complex realizations its caller passed in as soon as it
+    # held their float64 parts.  ~4.0 is the cross-Gram reports' own peak;
+    # the duality report's is ~3.0.
     n = 500
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["example", "--id", "ex-hs", "--dim", "8"])  # lazy imports stay out of the peak
@@ -735,7 +758,7 @@ def test_hybrid_example_holds_under_five_dense_matrices():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 4.8 * n * n * 16
+    assert peak < 4.3 * n * n * 16
 
 
 def test_sweeps_and_block_route_examples_make_no_lapack_call(monkeypatch, capsys):
@@ -818,6 +841,23 @@ def test_monomial_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsy
         assert cli.main(list(argv)) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, argv
+
+
+def test_block_route_duality_draws_no_random_number(tmp_path, monkeypatch, capsys):
+    # on shared index arrays T_f T_g* - I is diagonal, and its largest entry
+    # bounds every probe, so none is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("random numbers drawn")
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("inv.json", "idx.json", "tiny.json"):
+        Path(name).write_text(json.dumps(MONOMIAL_SPECS[name]))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for f, g, dim in (("inv.json", "idx.json", "40"), ("tiny.json", "tiny.json", "5")):
+        assert cli.main(["dual-check", "--f", f, "--g", g, "--dim", dim]) == 0
+    for example_id in ("ex-identity", "ex-blocked", "ex-canonical"):
+        assert cli.main(["example", "--id", example_id, "--dim", "64"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_probe_budget_refuses_before_the_other_block_work(tmp_path, monkeypatch, capsys):

@@ -230,6 +230,21 @@ def test_block_route_memory_is_linear_in_terms():
     assert peak < 120 * n
 
 
+def test_block_route_duality_holds_no_probe():
+    # p and |p - 1| take ~40 bytes per term; the random probes, which the
+    # diagonal residual already bounds, took ~64
+    n = 10**5
+    f, g = example_terms("ex-identity", n)
+    diag.monomial_duality(f, g)  # lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        diag.monomial_duality(f, g, probes=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * n
+
+
 def complex_square_fields(m, op):
     """hermitian_defect, idempotency_defect and identity_distance of a
     complex128 matrix, by complex LAPACK."""

@@ -464,6 +464,33 @@ def test_block_route_agrees_with_dense_route(pair, seed):
     _close(duality.reconstruction_residual_2, want.reconstruction_residual_2, atol=1e-9)
 
 
+@st.composite
+def _shared_index_pair(draw):
+    """Two sides on one index array, from a seeded stream: the indices run over
+    1..n once, or repeat, skip and reorder; g is random, zero, or q / conj(f),
+    so that every entry of T_f T_g* - I may share one modulus."""
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(1, 500))
+    idx = np.arange(1, n + 1) if draw(st.booleans()) else rng.integers(1, n + 1, n)
+    dim = int(idx.max()) + draw(st.integers(0, 3))
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shape = draw(st.sampled_from(["random", "zero", "dual"]))
+    if shape == "random":
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        b = np.zeros(n, complex) if shape == "zero" else np.conj(draw(_COEFFS) / a)
+    return (idx, a, dim), (idx, b, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_index_pair(), st.integers(0, 16), seeds)
+def test_block_route_reconstruction_residuals_are_the_pairing_residual(pair, probes, seed):
+    # T_f T_g* - I is diagonal, so its largest entry is its norm and bounds
+    # every unit vector's residual: all three residuals are that entry
+    rep = diagnostics.monomial_duality(*pair, probes=probes, seed=seed)
+    assert rep.reconstruction_residual_1 == rep.reconstruction_residual_2 == rep.pairing_residual_3
+
+
 # ---------------------------------------------------------------- explicit decoding
 
 # JSON numbers at the edges of the float conversion: signed zero, the
