@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--dim", type=int, required=True, help="truncation level")
-    p.add_argument("--probes", type=int, default=16, help="random probes of the dense route")
-    p.add_argument("--seed", type=int, default=0, help="probe RNG seed")
+    p.add_argument("--probes", type=int, default=diagnostics.DEFAULT_PROBES,
+                   help="probe budget, an input bound on dim x probes; no probe is drawn")
+    p.add_argument("--seed", type=int, default=0, help="probe seed, checked and echoed")
     common(p)
 
     p = sub.add_parser("example", help="full diagnostics for a registry example")
@@ -206,7 +207,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
             for role in ("f", "g")
         ]
         square = shapes[0][1] == shapes[1][1]
-        ft, gt = _pair(*shapes, ns.dim, probes=16 if square else None)
+        ft, gt = _pair(*shapes, ns.dim, probes=diagnostics.DEFAULT_PROBES if square else None)
         duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
         f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
         report = {

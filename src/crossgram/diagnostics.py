@@ -46,6 +46,9 @@ MAX_SWEEP_WORK = 5 * 10**9
 # coefficients and squared moduli take ~1 MB, so each chunk stays in cache
 TERM_CHUNK = 1 << 15
 
+# the probe budget when none is given: an input bound, as no probe is drawn
+DEFAULT_PROBES = 16
+
 
 # --------------------------------------------------------------------------
 # spectral rules
@@ -196,10 +199,10 @@ def _cross_report(rows, cols, op, sigma_min, hs, defect, psd, idem, ident, tol):
 class DualityReport:
     """Residuals of the three equivalent dual-pair conditions.
 
-    Residuals 1 and 2 probe the two reconstruction identities on the basis
-    plus ``probes`` seeded random unit vectors (none on the block route's
-    shared index arrays, where all three are max|p - 1|); residual 3 is the
-    operator norm of T_f T_g* - I and decides the verdict.
+    g is a dual of f when T_f T_g* = I, or equally when T_g T_f* = I, so
+    both reconstruction residuals are residual 3, the operator norm of
+    T_f T_g* - I, which decides the verdict.  ``probes`` echoes the probe
+    budget the inputs were held to; no probe is drawn.
     """
 
     reconstruction_residual_1: float
@@ -214,55 +217,39 @@ def check_duality(
     f: RealizedSequence,
     g: RealizedSequence,
     tol: float = DEFAULT_TOL,
-    probes: int = 16,
+    probes: int = DEFAULT_PROBES,
     seed=0,
 ) -> DualityReport:
-    operators._check_pair(f.dim, g.dim, (f.count, g.count))
-    sequences._check_dense(f.dim, f.dim, "dual-pair residual")
-    _check_probes(f.dim, probes)
+    """Whether g is a dual of f, from one SVD of T_f T_g* - I; ``probes``
+    and ``seed`` are only checked, after the pair and the residual budget."""
+    _check_duality(f.dim, g.dim, (f.count, g.count), probes, seed)
     # the caller's realizations are freed here if nothing else holds them
     f, g = _real_parts(f.columns, g.columns)
-    return _duality(f, g, tol, probes, seed)
+    return _duality(f, g, tol, probes)
 
 
-def _duality(f: np.ndarray, g: np.ndarray, tol: float, probes: int, seed) -> DualityReport:
-    """``check_duality`` of two synthesis matrices that passed its checks, in
-    their own arithmetic."""
-    dim = len(f)
-    # the stream order of drawing each probe's real part, then its imaginary part
-    rng = np.random.default_rng(list(sequences._seed_path(seed)))
-    z = rng.standard_normal((probes, 2, dim))
-    v = (z[:, 0] + 1j * z[:, 1]).T
-    v = v / np.linalg.norm(v, axis=0)
-
-    def residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # A B* - I, the identity subtracted on the diagonal in place
-        r = a @ b.conj().T
-        r.flat[:: dim + 1] -= 1.0
-        return r
-
-    def worst(r: np.ndarray) -> float:
-        # the basis probes r e_k are the columns of r
-        basis = np.linalg.norm(r, axis=0)
-        random = np.linalg.norm(r @ v, axis=0) / np.linalg.norm(v, axis=0)
-        return float(np.concatenate([basis, random]).max())
-
-    # one residual at a time: r2 is formed after r1 is dropped
-    r = residual(f, g)
-    pairing, worst_1 = _op_norm(r), worst(r)
-    del r
-    worst_2 = worst(residual(g, f))
-    return DualityReport(worst_1, worst_2, pairing, bool(pairing <= tol), probes, tol)
-
-
-def _check_probes(dim: int, probes: int) -> None:
+def _check_duality(dim: int, g_dim: int, counts: tuple, probes: int, seed=0, dense=True) -> None:
+    """Refuse what ``check_duality`` refuses, in its order; ``dense`` false skips the residual."""
+    operators._check_pair(dim, g_dim, counts)
+    if dense:
+        sequences._check_dense(dim, dim, "dual-pair residual")
     if probes < 0:
         raise ValueError(f"probes must be >= 0, got {probes}")
-    if dim * probes > sequences.MAX_DENSE_ENTRIES:  # the probe block is dim x probes
+    if dim * probes > sequences.MAX_DENSE_ENTRIES:  # an input bound: no probe is drawn
         raise ValueError(
             f"{probes} probes in dimension {dim} exceed the budget "
             f"MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
         )
+    sequences._seed_path(seed)
+
+
+def _duality(f: np.ndarray, g: np.ndarray, tol: float, probes: int) -> DualityReport:
+    """``check_duality`` of two synthesis matrices that passed its checks, in
+    their own arithmetic."""
+    r = f @ g.conj().T
+    r.flat[:: len(r) + 1] -= 1.0  # F G* - I, the identity subtracted on the diagonal in place
+    x = _op_norm(r)
+    return DualityReport(x, x, x, x <= tol, probes, tol)
 
 
 # --------------------------------------------------------------------------
@@ -327,31 +314,38 @@ def check_pair_budgets(f, g, *, probes: int | None = None, cross: bool = True) -
     if monomial and not block:
         for d in (dim, g_dim):
             sequences._check_dense(d, count)
-    operators._check_pair(dim, g_dim, None if probes is None else (count, g_count))
-    if probes is not None:
-        if not block:
-            sequences._check_dense(dim, dim, "dual-pair residual")
-        _check_probes(dim, probes)
+    if probes is None:
+        operators._check_pair(dim, g_dim)
+    else:
+        _check_duality(dim, g_dim, (count, g_count), probes, dense=not block)
     if cross and not block:
         sequences._check_dense(g_count, count, "cross-Gram")
 
 
-def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = 16, seed=0) -> DualityReport:
-    """``check_duality`` of two ``sequences.term_arrays``: on shared index
-    arrays from p alone, without the classifications or cross-Gram fields.
-    There T_f T_g* - I is diagonal, p - 1 in the bins and -1 off them, so
-    max|p - 1| is its norm and bounds every probe: none is drawn, but
-    ``probes`` and ``seed`` are refused as on the dense route."""
+def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = DEFAULT_PROBES, seed=0):
+    """``check_duality`` of two ``sequences.term_arrays``.  On shared index
+    arrays T_f T_g* - I is diagonal, p - 1 in the bins and -1 off them, so
+    its norm is max|p - 1|, read off p alone.  A square pair on different
+    index arrays is realized one side at a time; a realization is real
+    exactly when its coefficients are, and then only its float64 part is
+    kept before the next side is made."""
     (fi, a, dim), (gi, b, g_dim) = f, g
     if len(fi) == len(gi) and not np.array_equal(fi, gi):
-        return check_duality(sequences.from_terms(*f), sequences.from_terms(*g), tol, probes, seed)
-    operators._check_pair(dim, g_dim, (len(fi), len(gi)))
-    _check_probes(dim, probes)
-    sequences._seed_path(seed)
+        real = not (a.imag.any() or b.imag.any())
+        f, g = _realized(f, real), _realized(g, real)
+        _check_duality(dim, g_dim, (len(fi), len(gi)), probes, seed)
+        return _duality(f, g, tol, probes)
+    _check_duality(dim, g_dim, (len(fi), len(gi)), probes, seed, dense=False)
     base, size = operators._bins((fi.min(), fi.max()))
     p = operators._pairing(fi, a, b, base, size)
     pairing = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
     return DualityReport(pairing, pairing, pairing, pairing <= tol, probes, tol)
+
+
+def _realized(side, real: bool) -> np.ndarray:
+    """The dense synthesis matrix of a term list, as its float64 part when ``real``."""
+    m = sequences.from_terms(*side).columns
+    return np.ascontiguousarray(m.real) if real else m
 
 
 # --------------------------------------------------------------------------
@@ -490,7 +484,7 @@ def _check_dual_idempotent(seed, t, d, tol):
     m = dual.conj().T @ f
     idem = _op_norm(m @ m - m)
     op = _op_norm(m)
-    verdict = _duality(f, dual, tol, 8, (seed, t, 32))
+    verdict = _duality(f, dual, tol, 8)
     ok = bool(idem <= TOL_SPECTRAL and op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair)
     margin = min(TOL_SPECTRAL - idem, op - (1.0 - TOL_SPECTRAL), tol - verdict.pairing_residual_3)
     return margin, ok
@@ -529,7 +523,7 @@ def _control_shrunk_dual(seed, t, d, tol):
     f, bounds = _frame(d, nf, (seed, t, 42), tol)
     shrunk = 0.9 * operators._dual_columns(f, bounds)
     op = _op_norm(shrunk.conj().T @ f)
-    verdict = _duality(f, shrunk, tol, 8, (seed, t, 43))
+    verdict = _duality(f, shrunk, tol, 8)
     underlying_ok = op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair
     detected = (not underlying_ok) and (not verdict.is_dual_pair) and op <= 0.99
     return (1.0 - TOL_SPECTRAL) - op, detected

@@ -314,7 +314,7 @@ class RealizedSequence:
 # A dense realization holds dim x count complex entries of 16 bytes, so the
 # budget is 256 MiB per matrix; the dense benchmark's largest shapes are
 # 256 x 256 and 128 x 192.  The same budget bounds the matrices derived from
-# two sequences: the cross-Gram and the dual-pair residuals (float64, half
+# two sequences: the cross-Gram and the dual-pair residual (float64, half
 # the size, when every entry is real).  It bounds memory, not time: a square
 # at the budget, dim 4096, costs O(dim^3) LAPACK work.
 MAX_DENSE_ENTRIES = 1 << 24

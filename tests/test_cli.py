@@ -652,23 +652,31 @@ def test_realize_errors_name_the_spec_file(tmp_path, capsys):
 
 # sha256 of the envelopes of the three explicit-spec commands on a seeded
 # 12 x 18 frame f and its canonical dual, recorded before explicit columns
-# were decoded as one array
+# were decoded as one array.  dual-check was re-recorded once, at one BLAS
+# thread, when both reconstruction residuals became the exact ||F G* - I||
+# (1.49e-15 and 1.85e-15 -> 3.03e-15); every other field kept its bytes
 EXPLICIT_DIGESTS = {
     "classify": "0759ae9bfd771e59c7bd432bea3cc1e54987467f9da63ec3097a2c661a50462b",
     "cross-gram": "f28e045e7df55c2451dd347ca66ae86c29e2dc73120eef410894d28fcc55a0e2",
-    "dual-check": "a5609219cb1ed770b9a2d6af90f09cf65657b58017527cb258d9b880bf411b9b",
+    "dual-check": "17188bd6538fdb59dc42f032da0d0e6bba4376c98c6cd2d5cc86b891a38b1916",
 }
 
 
-def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsys):
+def write_explicit_pair():
+    """f.json and dual.json in the working directory: a seeded 12 x 18
+    frame and its canonical dual as explicit specs."""
     rng = np.random.default_rng(12)
     f = (rng.standard_normal((12, 18)) + 1j * rng.standard_normal((12, 18))) / np.sqrt(2.0)
     dual = np.linalg.solve(f @ f.conj().T, f)  # canonical dual S^-1 f
-    monkeypatch.chdir(tmp_path)  # relative paths keep the echoed config fixed
     for name, t in (("f.json", f), ("dual.json", dual)):
         columns = [[[float(z.real), float(z.imag)] for z in col] for col in t.T]
         with open(name, "w", encoding="utf-8") as fh:
             json.dump({"kind": "explicit", "columns": columns}, fh)
+
+
+def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the echoed config fixed
+    write_explicit_pair()
     for argv in (
         ["classify", "--input", "f.json", "--dim", "18"],
         ["cross-gram", "--f", "f.json", "--g", "dual.json", "--dim", "18"],
@@ -687,17 +695,21 @@ def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsy
 # it reads 62253f3c...).  Both ex-hs entries were re-recorded once more, at
 # one thread, when real matrices took real LAPACK and GEMM: their square
 # fields and pairing_residual_3 moved by at most 6e-16 relative (ex-norm89,
-# also real, kept its bytes)
+# also real, kept its bytes).  The ex-hs and ex-norm89 entries were
+# re-recorded once more, at one thread, when both reconstruction residuals
+# of the duality report became pairing_residual_3 (ex-hs 1.031 -> 1.160,
+# ex-norm89 1.006 / 1.118 -> 1.317 at 64 and 1.322 at 256); every other
+# field kept its bytes
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 EXAMPLE_DIGESTS = {
     ("ex-identity", 64): "3006a1bafc14660c4c5e568cdaa691c3adea852b2bba0f44355fc3f1cb11ea5d",
     ("ex-identity", 256): "e01c0fcde299595f5abb2d7eba5c44581e9e93b8d7e7d35ead12da83157e3961",
-    ("ex-hs", 64): "42579ffeb683605f6be9844ea5d4a7c4afd8658566e49ffaf8a8aa2b6bdf6f55",
-    ("ex-hs", 256): "db13d2d64f842d2f72a83bc2389341ce5421c75a41745d31903dbd5ac15f73b1",
+    ("ex-hs", 64): "724de1bb532e1c83eade2047754d2c07967054fa63d1bce1b97a2d1f7aa184c4",
+    ("ex-hs", 256): "db41f45f7e22f5b44a4fa8cfc99c014dee4b6e41f8e8bf4e675e0a6f4c18ed43",
     ("ex-blocked", 64): "f031eecd9a45d89c1434629628032fa8ce50760d23fd97f5b037abe37d966386",
     ("ex-blocked", 256): "9f735b336f2c52e218ec8960ae7c1a49fee04bacb42d05b98ba0a1e6cd6aa5ea",
-    ("ex-norm89", 64): "e8157f27069bb7e0febdbb547874066113044a99ab34a47ec8c90d54b7d6cf8f",
-    ("ex-norm89", 256): "29281caadf27e3592aab8548dcbcf33815490640fb36ccf01584c8f42ccd2195",
+    ("ex-norm89", 64): "92436ea62922aef3bd2c89cbef6913033ab2738ff9a47cd7681bef37d6706477",
+    ("ex-norm89", 256): "c3d849d81c804e4f2d6bd9ed7f53048d8f11d902e7408b2738d33a94630cc6d7",
     ("ex-canonical", 64): "dfde6e5b743463e566b8319a59437c45591ca5e6337aa5f878ebee70c251e5e3",
     ("ex-canonical", 256): "e3c346b39dd9264477d175bf278a54999bf0b21687e6e73f62dc2dacbe054574",
 }
@@ -743,12 +755,11 @@ def test_real_matrices_take_real_lapack_and_complex_ones_complex(tmp_path, monke
 
 
 def test_hybrid_example_holds_under_five_dense_matrices():
-    # check_duality forms F G* - I and G F* - I one at a time, and the square
-    # fields reuse one buffer for G - G*, G @ G - G and G - I: the peak fell
-    # from ~5.1 to ~4.6 N^2 complex entries, and to ~4.0 once check_duality
-    # dropped the complex realizations its caller passed in as soon as it
-    # held their float64 parts.  ~4.0 is the cross-Gram reports' own peak;
-    # the duality report's is ~3.0.
+    # the square fields reuse one buffer for G - G*, G @ G - G and G - I, and
+    # the duality report realizes one side at a time and keeps only its
+    # float64 part: the peak is ~4.0 N^2 complex entries, the cross-Gram
+    # reports' own (the duality report's is ~2.0); with every matrix held
+    # at once it was ~5.1
     n = 500
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["example", "--id", "ex-hs", "--dim", "8"])  # lazy imports stay out of the peak
@@ -783,7 +794,10 @@ def test_sweeps_and_block_route_examples_make_no_lapack_call(monkeypatch, capsys
 # operators: a rectangular pair, square pairs on shared index arrays (one
 # with blocks of two terms per index), a square pair on different index
 # arrays, and a constant weight of 1e-200, whose squares need the exact
-# power-of-two scaling
+# power-of-two scaling.  dual-check on swap.json / inv.json (a square pair on
+# different index arrays) was re-recorded once, at one BLAS thread, when both
+# reconstruction residuals became pairing_residual_3 (1.5 -> 1.846); every
+# other field kept its bytes
 MONOMIAL_SPECS = {
     "inv.json": {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}},
     "idx.json": {"kind": "scaled_basis", "weight": {"rule": "index"}},
@@ -827,7 +841,7 @@ MONOMIAL_DIGESTS = {
     ("dual-check", "--f", "rep_f.json", "--g", "rep_g.json", "--dim", "40"):
         "2024de8c6a6edac6308fe9cf52b12ebbeeb810f85b7426e13f4c4500e1509c93",
     ("dual-check", "--f", "swap.json", "--g", "inv.json", "--dim", "40"):
-        "828709c4952cbefd1b4b245f2fa5e957726c76cff0d4c77e3e42e7315b6296b5",
+        "165561983fc9b8eabe1608137a7d40b540400d4abb62074301cbe61987e5859c",
     ("dual-check", "--f", "tiny.json", "--g", "tiny.json", "--dim", "5"):
         "d71cddef0793506535194a84153e4ada5507afc73d15ae74dad223525246c715",
 }
@@ -844,20 +858,44 @@ def test_monomial_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsy
 
 
 def test_block_route_duality_draws_no_random_number(tmp_path, monkeypatch, capsys):
-    # on shared index arrays T_f T_g* - I is diagonal, and its largest entry
-    # bounds every probe, so none is drawn
+    # every route reads its residuals off T_f T_g* - I exactly: its diagonal
+    # on shared index arrays (block), one SVD otherwise (dense and hybrid),
+    # so no probe is drawn
     def refuse(*args, **kwargs):
         raise AssertionError("random numbers drawn")
 
     monkeypatch.chdir(tmp_path)
-    for name in ("inv.json", "idx.json", "tiny.json"):
+    write_explicit_pair()
+    for name in ("inv.json", "idx.json", "tiny.json", "swap.json"):
         Path(name).write_text(json.dumps(MONOMIAL_SPECS[name]))
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    for f, g, dim in (("inv.json", "idx.json", "40"), ("tiny.json", "tiny.json", "5")):
+    for f, g, dim in (
+        ("inv.json", "idx.json", "40"),
+        ("tiny.json", "tiny.json", "5"),
+        ("f.json", "dual.json", "18"),
+        ("swap.json", "inv.json", "40"),
+    ):
         assert cli.main(["dual-check", "--f", f, "--g", g, "--dim", dim]) == 0
-    for example_id in ("ex-identity", "ex-blocked", "ex-canonical"):
+    for example_id in ("ex-identity", "ex-blocked", "ex-canonical", "ex-hs"):
         assert cli.main(["example", "--id", example_id, "--dim", "64"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_probes_and_seed_are_only_echoed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_explicit_pair()
+    envelopes = []
+    for seed, probes in (("0", "16"), ("7", "3")):
+        argv = ["dual-check", "--f", "f.json", "--g", "dual.json", "--dim", "18",
+                "--seed", seed, "--probes", probes]
+        assert cli.main(argv) == 0
+        envelopes.append(json.loads(capsys.readouterr().out))
+    # the residuals are exact, so only the echoes of the flags tell the runs
+    # apart: the config and the report's probe budget
+    a, b = envelopes
+    assert a.pop("config") != b.pop("config")
+    assert (a["report"].pop("probes"), b["report"].pop("probes")) == (16, 3)
+    assert a == b
 
 
 def test_probe_budget_refuses_before_the_other_block_work(tmp_path, monkeypatch, capsys):

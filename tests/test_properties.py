@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossgram import diagnostics, operators, sequences, serialize
@@ -112,6 +112,30 @@ def test_canonical_dual_reconstructs(seed, d, extra):
     verdict = diagnostics.check_duality(f, dual, probes=4, seed=seed)
     assert verdict.is_dual_pair
     assert verdict.pairing_residual_3 <= 1e-8
+
+
+@given(seeds, dims, extras, st.booleans(), st.sampled_from(["canonical", "alternate", "shrunk"]),
+       st.integers(0, 16))
+def test_reconstruction_residuals_are_the_pairing_residual(seed, d, extra, real, dual, probes):
+    # g is a dual of f when T_f T_g* = I, or equally when its adjoint
+    # T_g T_f* = I, so both reconstruction residuals are ||F G* - I||
+    if real:
+        f = RealizedSequence(np.random.default_rng(seed).standard_normal((d, d + extra)))
+        assume(operators.frame_bounds(f).spans_ambient)
+    else:
+        f = sequences.random_frame(d, d + extra, seed)
+    g = {
+        "canonical": lambda: operators.canonical_dual(f),
+        "alternate": lambda: operators.alternate_dual(f, seed + 1),
+        "shrunk": lambda: RealizedSequence(0.9 * operators.canonical_dual(f).columns),
+    }[dual]()
+    rep = diagnostics.check_duality(f, g, probes=probes, seed=seed)
+    fm, gm = f.columns, g.columns
+    if not (fm.imag.any() or gm.imag.any()):  # real matrices take real arithmetic
+        fm, gm = np.ascontiguousarray(fm.real), np.ascontiguousarray(gm.real)
+    want = float(np.linalg.svd(fm @ gm.conj().T - np.eye(d), compute_uv=False)[0])
+    assert rep.reconstruction_residual_1 == rep.reconstruction_residual_2 == rep.pairing_residual_3
+    assert rep.pairing_residual_3 == want
 
 
 @given(seeds, dims)
@@ -462,6 +486,10 @@ def test_block_route_agrees_with_dense_route(pair, seed):
     _close(duality.pairing_residual_3, want.pairing_residual_3, atol=1e-9)
     _close(duality.reconstruction_residual_1, want.reconstruction_residual_1, atol=1e-9)
     _close(duality.reconstruction_residual_2, want.reconstruction_residual_2, atol=1e-9)
+    assert duality.reconstruction_residual_1 == duality.reconstruction_residual_2
+    assert duality.reconstruction_residual_2 == duality.pairing_residual_3
+    if not np.array_equal(f[0], g[0]):  # the hybrid branch realizes the pair as the dense route does
+        assert duality == want
 
 
 @st.composite
