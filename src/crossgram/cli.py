@@ -70,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--dim", type=int, required=True, help="truncation level")
-    p.add_argument("--probes", type=int, default=diagnostics.DEFAULT_PROBES,
-                   help="probe budget, an input bound on dim x probes; no probe is drawn")
-    p.add_argument("--seed", type=int, default=0, help="probe seed, checked and echoed")
     common(p)
 
     p = sub.add_parser("example", help="full diagnostics for a registry example")
@@ -114,8 +111,6 @@ def _validate(ns: argparse.Namespace) -> None:
         raise ValueError(f"tolerance must lie in (0, 1), got {ns.tol}")
     if getattr(ns, "dim", 1) < 1:
         raise ValueError(f"dim must be a positive integer, got {ns.dim}")
-    if getattr(ns, "probes", 0) < 0:
-        raise ValueError(f"probes must be non-negative, got {ns.probes}")
     if getattr(ns, "seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {ns.seed}")
 
@@ -141,9 +136,9 @@ def _side(path: str, n: int):
     return _named(path, sequences.realize, spec, n)
 
 
-def _pair(f, g, n: int, *, probes: int | None = None, cross: bool = True):
+def _pair(f, g, n: int, *, duality: bool = False, cross: bool = True):
     """Both sides of a pair command at truncation ``n``, refused over the
-    budgets of its reports (the duality report given ``probes``, the
+    budgets of its reports (the duality report given ``duality``, the
     cross-Gram report given ``cross``) before a term is generated: term
     arrays when both are monomial, else dense realizations.  A side is a
     spec file path, or a registry role's ``sequences.term_shape``, whose
@@ -155,7 +150,7 @@ def _pair(f, g, n: int, *, probes: int | None = None, cross: bool = True):
     for path, (spec, count, dim) in zip(paths, shapes):
         if spec is not None and not block:  # a monomial side of a mixed pair is realized
             _named(path, sequences._check_dense, dim, count)
-    diagnostics.check_pair_budgets(*shapes, probes=probes, cross=cross)
+    diagnostics.check_pair_budgets(*shapes, duality=duality, cross=cross)
     out = []
     for path, side in zip(paths, sides):
         if isinstance(side, tuple):
@@ -191,13 +186,12 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "dual-check":
-        f, g = _pair(ns.f, ns.g, ns.dim, probes=ns.probes, cross=False)
-        probing = {"tol": tol, "probes": ns.probes, "seed": ns.seed}
+        f, g = _pair(ns.f, ns.g, ns.dim, duality=True, cross=False)
         if isinstance(f, tuple):
-            report = diagnostics.monomial_duality(f, g, **probing)
+            report = diagnostics.monomial_duality(f, g, tol=tol)
         else:
-            report = diagnostics.check_duality(f, g, **probing)
-        echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, **probing}
+            report = diagnostics.check_duality(f, g, tol=tol)
+        echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
     if command == "example":
@@ -207,7 +201,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
             for role in ("f", "g")
         ]
         square = shapes[0][1] == shapes[1][1]
-        ft, gt = _pair(*shapes, ns.dim, probes=diagnostics.DEFAULT_PROBES if square else None)
+        ft, gt = _pair(*shapes, ns.dim, duality=square)
         duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
         f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
         report = {

@@ -46,9 +46,6 @@ MAX_SWEEP_WORK = 5 * 10**9
 # coefficients and squared moduli take ~1 MB, so each chunk stays in cache
 TERM_CHUNK = 1 << 15
 
-# the probe budget when none is given: an input bound, as no probe is drawn
-DEFAULT_PROBES = 16
-
 
 # --------------------------------------------------------------------------
 # spectral rules
@@ -132,8 +129,9 @@ class CrossGramReport:
     """Spectral summary of a cross-Gram matrix.
 
     The square-only diagnostics (hermitian_defect, idempotency_defect,
-    identity_distance) are None for rectangular input; psd is False unless
-    the matrix is Hermitian at tolerance with spectrum above -tol*||G||.
+    identity_distance) are None for rectangular input; hermitian_defect is
+    ||G - G*|| / ||G||, and psd is False unless that is at most tol and the
+    spectrum lies above -tol*||G||.
     """
 
     rows: int
@@ -173,15 +171,24 @@ def _square_fields(m: np.ndarray, op: float, tol: float):
     buf = np.empty_like(m)
     np.conjugate(m.T, out=buf)
     np.subtract(m, buf, out=buf)
-    defect = _op_norm(buf) / max(1.0, op)
+    herm = _op_norm(buf)
     np.matmul(m, m, out=buf)
     buf -= m
     idem = _op_norm(buf)
     buf[...] = m
     buf.flat[:: n + 1] -= 1.0
     ident = _op_norm(buf)
-    psd = defect <= tol and bool(np.linalg.eigvalsh(m)[0] >= -tol * op)
-    return defect, psd, idem, ident
+    return (*_hermitian(herm, op, tol, lambda: np.linalg.eigvalsh(m)[0]), idem, ident)
+
+
+def _hermitian(herm: float, op: float, tol: float, least) -> tuple[float, bool]:
+    """hermitian_defect and psd of a square G from herm = ||G - G*||, op =
+    ||G|| and ``least()``, the least eigenvalue of G read as Hermitian: the
+    defect is herm / op (0 for the zero matrix), and G is psd when that is at
+    most tol and the least eigenvalue at least -tol * op: both verdicts are
+    relative to sigma_max, and scaling G by a power of two keeps their bits."""
+    defect = herm / op if op else 0.0
+    return defect, defect <= tol and bool(least() >= -tol * op)
 
 
 def _cross_report(rows, cols, op, sigma_min, hs, defect, psd, idem, ident, tol):
@@ -201,55 +208,40 @@ class DualityReport:
 
     g is a dual of f when T_f T_g* = I, or equally when T_g T_f* = I, so
     both reconstruction residuals are residual 3, the operator norm of
-    T_f T_g* - I, which decides the verdict.  ``probes`` echoes the probe
-    budget the inputs were held to; no probe is drawn.
+    T_f T_g* - I, which decides the verdict: ``is_dual_pair`` compares it
+    with tol on the scale of ||I|| = 1.
     """
 
     reconstruction_residual_1: float
     reconstruction_residual_2: float
     pairing_residual_3: float
     is_dual_pair: bool
-    probes: int
     tol: float
 
 
-def check_duality(
-    f: RealizedSequence,
-    g: RealizedSequence,
-    tol: float = DEFAULT_TOL,
-    probes: int = DEFAULT_PROBES,
-    seed=0,
-) -> DualityReport:
-    """Whether g is a dual of f, from one SVD of T_f T_g* - I; ``probes``
-    and ``seed`` are only checked, after the pair and the residual budget."""
-    _check_duality(f.dim, g.dim, (f.count, g.count), probes, seed)
+def check_duality(f: RealizedSequence, g: RealizedSequence, tol: float = DEFAULT_TOL) -> DualityReport:
+    """Whether g is a dual of f, from one SVD of T_f T_g* - I, after the
+    pair check and the residual's dense budget."""
+    _check_duality(f.dim, g.dim, (f.count, g.count))
     # the caller's realizations are freed here if nothing else holds them
     f, g = _real_parts(f.columns, g.columns)
-    return _duality(f, g, tol, probes)
+    return _duality(f, g, tol)
 
 
-def _check_duality(dim: int, g_dim: int, counts: tuple, probes: int, seed=0, dense=True) -> None:
+def _check_duality(dim: int, g_dim: int, counts: tuple, dense=True) -> None:
     """Refuse what ``check_duality`` refuses, in its order; ``dense`` false skips the residual."""
     operators._check_pair(dim, g_dim, counts)
     if dense:
         sequences._check_dense(dim, dim, "dual-pair residual")
-    if probes < 0:
-        raise ValueError(f"probes must be >= 0, got {probes}")
-    if dim * probes > sequences.MAX_DENSE_ENTRIES:  # an input bound: no probe is drawn
-        raise ValueError(
-            f"{probes} probes in dimension {dim} exceed the budget "
-            f"MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
-        )
-    sequences._seed_path(seed)
 
 
-def _duality(f: np.ndarray, g: np.ndarray, tol: float, probes: int) -> DualityReport:
+def _duality(f: np.ndarray, g: np.ndarray, tol: float) -> DualityReport:
     """``check_duality`` of two synthesis matrices that passed its checks, in
     their own arithmetic."""
     r = f @ g.conj().T
     r.flat[:: len(r) + 1] -= 1.0  # F G* - I, the identity subtracted on the diagonal in place
     x = _op_norm(r)
-    return DualityReport(x, x, x, x <= tol, probes, tol)
+    return DualityReport(x, x, x, x <= tol, tol)
 
 
 # --------------------------------------------------------------------------
@@ -294,35 +286,33 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
         fields = _square_fields(*_real_parts(m), op, tol)
     else:
         herm, idem, ident, least = operators._block_square(fi, a, b, base, size)
-        defect = herm / max(1.0, op)
-        fields = defect, defect <= tol and bool(least >= -tol * op), idem, ident
+        fields = (*_hermitian(herm, op, tol, lambda: least), idem, ident)
     return (*classes, _cross_report(len(gi), len(fi), op, sigma_min, hs, *fields, tol))
 
 
-def check_pair_budgets(f, g, *, probes: int | None = None, cross: bool = True) -> None:
+def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> None:
     """Refuse a pair where its reports would refuse it, in the same order,
     before a term is generated.  ``f`` and ``g`` are ``(spec, count, dim)``:
     a monomial side's ``sequences.term_shape``, or ``spec`` None for a side
-    realized densely.  ``probes`` asks for the duality report with that many
-    probes, ``cross`` for the cross-Gram report.  Two monomial sides read
-    their reports off the block kernel unless they are a square pair on
-    different index arrays, which is realized densely as is any pair with a
-    dense side."""
+    realized densely.  ``duality`` asks for the duality report, ``cross``
+    for the cross-Gram report.  Two monomial sides read their reports off
+    the block kernel unless they are a square pair on different index
+    arrays, which is realized densely as is any pair with a dense side."""
     (fs, count, dim), (gs, g_count, g_dim) = f, g
     monomial = fs is not None and gs is not None
     block = monomial and (count != g_count or sequences._same_indices(fs, gs, count))
     if monomial and not block:
         for d in (dim, g_dim):
             sequences._check_dense(d, count)
-    if probes is None:
-        operators._check_pair(dim, g_dim)
+    if duality:
+        _check_duality(dim, g_dim, (count, g_count), dense=not block)
     else:
-        _check_duality(dim, g_dim, (count, g_count), probes, dense=not block)
+        operators._check_pair(dim, g_dim)
     if cross and not block:
         sequences._check_dense(g_count, count, "cross-Gram")
 
 
-def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = DEFAULT_PROBES, seed=0):
+def monomial_duality(f, g, *, tol: float = DEFAULT_TOL):
     """``check_duality`` of two ``sequences.term_arrays``.  On shared index
     arrays T_f T_g* - I is diagonal, p - 1 in the bins and -1 off them, so
     its norm is max|p - 1|, read off p alone.  A square pair on different
@@ -333,13 +323,13 @@ def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, probes: int = DEFAULT_PR
     if len(fi) == len(gi) and not np.array_equal(fi, gi):
         real = not (a.imag.any() or b.imag.any())
         f, g = _realized(f, real), _realized(g, real)
-        _check_duality(dim, g_dim, (len(fi), len(gi)), probes, seed)
-        return _duality(f, g, tol, probes)
-    _check_duality(dim, g_dim, (len(fi), len(gi)), probes, seed, dense=False)
+        _check_duality(dim, g_dim, (len(fi), len(gi)))
+        return _duality(f, g, tol)
+    _check_duality(dim, g_dim, (len(fi), len(gi)), dense=False)
     base, size = operators._bins((fi.min(), fi.max()))
     p = operators._pairing(fi, a, b, base, size)
     pairing = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
-    return DualityReport(pairing, pairing, pairing, pairing <= tol, probes, tol)
+    return DualityReport(pairing, pairing, pairing, pairing <= tol, tol)
 
 
 def _realized(side, real: bool) -> np.ndarray:
@@ -484,7 +474,7 @@ def _check_dual_idempotent(seed, t, d, tol):
     m = dual.conj().T @ f
     idem = _op_norm(m @ m - m)
     op = _op_norm(m)
-    verdict = _duality(f, dual, tol, 8)
+    verdict = _duality(f, dual, tol)
     ok = bool(idem <= TOL_SPECTRAL and op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair)
     margin = min(TOL_SPECTRAL - idem, op - (1.0 - TOL_SPECTRAL), tol - verdict.pairing_residual_3)
     return margin, ok
@@ -494,7 +484,8 @@ def _check_canonical_projection(seed, t, d, tol):
     n = d + int(np.random.default_rng([seed, t, 33]).integers(d + 1))
     f, bounds = _frame(d, n, (seed, t, 34), tol)
     m = operators._dual_columns(f, bounds).conj().T @ f
-    defect = _op_norm(m - m.conj().T) / max(1.0, _op_norm(m))  # as hermitian_defect
+    # M is a projection, so ||M|| is 1 up to rounding and either scale will do
+    defect = _op_norm(m - m.conj().T) / max(1.0, _op_norm(m))
     evals = np.linalg.eigvalsh(m)
     eig_dist = float(np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))))
     near_one = int(np.sum(evals > 0.5))
@@ -523,7 +514,7 @@ def _control_shrunk_dual(seed, t, d, tol):
     f, bounds = _frame(d, nf, (seed, t, 42), tol)
     shrunk = 0.9 * operators._dual_columns(f, bounds)
     op = _op_norm(shrunk.conj().T @ f)
-    verdict = _duality(f, shrunk, tol, 8)
+    verdict = _duality(f, shrunk, tol)
     underlying_ok = op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair
     detected = (not underlying_ok) and (not verdict.is_dual_pair) and op <= 0.99
     return (1.0 - TOL_SPECTRAL) - op, detected

@@ -320,9 +320,11 @@ class RealizedSequence:
 MAX_DENSE_ENTRIES = 1 << 24
 
 # The term budget (term count and index span) of monomial sequences read
-# without a matrix: the block route holds ~100 bytes per term, the sweep
-# ~25 bytes per index of its span (two arrays of per-index sums and one
-# row's block spectrum; its terms stream through in chunks).
+# without a matrix, and the only bound on the block route: a square pair on
+# shared index arrays peaked at ~135 bytes per term (1,347 MB peak RSS for
+# `example --id ex-identity --dim 10000000`, term arrays included), the
+# sweep at ~25 bytes per index of its span (two arrays of per-index sums and
+# one row's block spectrum; its terms stream through in chunks).
 MAX_SWEEP_TRUNCATION = 10**7
 
 

@@ -365,12 +365,12 @@ def test_cross_gram_command_identity_pair(tmp_path, report_schema):
 def test_dual_check_command(tmp_path, report_schema):
     f = write_spec(tmp_path, "f.json", {"kind": "paper_example", "example": "ex-canonical", "role": "f"})
     g = write_spec(tmp_path, "g.json", {"kind": "paper_example", "example": "ex-canonical", "role": "g"})
-    res = run_cli(["dual-check", "--f", f, "--g", g, "--dim", "6", "--probes", "8", "--seed", "3"])
+    res = run_cli(["dual-check", "--f", f, "--g", g, "--dim", "6"])
     assert res.returncode == 0, res.stderr
     env = check_envelope(res.stdout, report_schema)
     assert env["report"]["is_dual_pair"] is True
     assert env["report"]["pairing_residual_3"] <= 1e-10
-    assert env["config"]["probes"] == 8
+    assert env["config"] == {"f": f, "g": g, "dim": 6, "tol": 1e-10}
 
 
 def test_cross_gram_rejects_ambient_mismatch(tmp_path):
@@ -529,23 +529,6 @@ def test_entry_magnitude_bound_exits_2(tmp_path, capsys):
         assert f"{edge}: matrix entries must be at most MAX_ENTRY" in capsys.readouterr().err
 
 
-def test_probe_budget_exits_2_before_allocating(tmp_path, capsys):
-    f = write_spec(tmp_path, "f.json", {"kind": "paper_example", "example": "ex-canonical", "role": "f"})
-    g = write_spec(tmp_path, "g.json", {"kind": "paper_example", "example": "ex-canonical", "role": "g"})
-    argv = ["dual-check", "--f", f, "--g", g, "--dim", "3", "--probes", "1000000000"]
-    tracemalloc.start()
-    try:
-        code = cli.main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "1000000000 probes in dimension 2 exceed the budget" in err
-    assert "MAX_DENSE_ENTRIES = 16777216" in err
-    assert peak < 2**20  # the 29.8 GiB probe block is never drawn
-
-
 def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
     # each side is a 2 x 4097 or 4097 x 2 matrix, far inside the budget, and
     # the two sides of a pair sit on different index arrays, so the square-only
@@ -654,11 +637,13 @@ def test_realize_errors_name_the_spec_file(tmp_path, capsys):
 # 12 x 18 frame f and its canonical dual, recorded before explicit columns
 # were decoded as one array.  dual-check was re-recorded once, at one BLAS
 # thread, when both reconstruction residuals became the exact ||F G* - I||
-# (1.49e-15 and 1.85e-15 -> 3.03e-15); every other field kept its bytes
+# (1.49e-15 and 1.85e-15 -> 3.03e-15); every other field kept its bytes.  It
+# was re-recorded once more when the probes field left the report and the
+# probes and seed echoes left the config: no other field moved
 EXPLICIT_DIGESTS = {
     "classify": "0759ae9bfd771e59c7bd432bea3cc1e54987467f9da63ec3097a2c661a50462b",
     "cross-gram": "f28e045e7df55c2451dd347ca66ae86c29e2dc73120eef410894d28fcc55a0e2",
-    "dual-check": "17188bd6538fdb59dc42f032da0d0e6bba4376c98c6cd2d5cc86b891a38b1916",
+    "dual-check": "dfecb7ddaaa163ec88f05d84ee45a5ba555fbd67db1c54ca043b7e6558dc0a7e",
 }
 
 
@@ -699,19 +684,23 @@ def test_explicit_spec_envelope_bytes_are_unchanged(tmp_path, monkeypatch, capsy
 # re-recorded once more, at one thread, when both reconstruction residuals
 # of the duality report became pairing_residual_3 (ex-hs 1.031 -> 1.160,
 # ex-norm89 1.006 / 1.118 -> 1.317 at 64 and 1.322 at 256); every other
-# field kept its bytes
+# field kept its bytes.  ex-identity, ex-hs, ex-norm89 and ex-canonical were
+# re-recorded once more, at one thread, when the probes field left the
+# duality report and hermitian_defect became ||G - G*|| / ||G||: ex-hs went
+# 0.4806 -> 0.8324 (both dims), ex-norm89 0.7934 -> 0.8460 at 64 and 0.8006
+# -> 0.8482 at 256; no psd flipped and every other field kept its bytes
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 EXAMPLE_DIGESTS = {
-    ("ex-identity", 64): "3006a1bafc14660c4c5e568cdaa691c3adea852b2bba0f44355fc3f1cb11ea5d",
-    ("ex-identity", 256): "e01c0fcde299595f5abb2d7eba5c44581e9e93b8d7e7d35ead12da83157e3961",
-    ("ex-hs", 64): "724de1bb532e1c83eade2047754d2c07967054fa63d1bce1b97a2d1f7aa184c4",
-    ("ex-hs", 256): "db41f45f7e22f5b44a4fa8cfc99c014dee4b6e41f8e8bf4e675e0a6f4c18ed43",
+    ("ex-identity", 64): "9d788ca7df307c8570bf206c9dad45fdf1c640b63b3531827d735036f67ceddf",
+    ("ex-identity", 256): "6ed70eb98225c05d72a16599bc8daa22dd2df58a4fb287110aaf329bf3d1acbd",
+    ("ex-hs", 64): "56bf177c819ab4e50063a7c9ab042848ed06319fef118691fbc9e8bf265a32de",
+    ("ex-hs", 256): "991a6855b7c6a929a111ae6b7a54e0c5f535a9785fb40e69b1f898ec9072304e",
     ("ex-blocked", 64): "f031eecd9a45d89c1434629628032fa8ce50760d23fd97f5b037abe37d966386",
     ("ex-blocked", 256): "9f735b336f2c52e218ec8960ae7c1a49fee04bacb42d05b98ba0a1e6cd6aa5ea",
-    ("ex-norm89", 64): "92436ea62922aef3bd2c89cbef6913033ab2738ff9a47cd7681bef37d6706477",
-    ("ex-norm89", 256): "c3d849d81c804e4f2d6bd9ed7f53048d8f11d902e7408b2738d33a94630cc6d7",
-    ("ex-canonical", 64): "dfde6e5b743463e566b8319a59437c45591ca5e6337aa5f878ebee70c251e5e3",
-    ("ex-canonical", 256): "e3c346b39dd9264477d175bf278a54999bf0b21687e6e73f62dc2dacbe054574",
+    ("ex-norm89", 64): "7a40dccc8faf3f967bc8beac23bd9e324624394fe5e12736e6be2f4020c08bb9",
+    ("ex-norm89", 256): "61b3ab87e5705df32936209ec94e521e2f45e48cff6e5017a65b3d5106441ba8",
+    ("ex-canonical", 64): "93477f7b93092e747f865ade65199e10cfe0127ce5158f60cd5ce81ea972be3e",
+    ("ex-canonical", 256): "daf9e67040ec8e762aa4e36a10ab31e8388f4451d7d715a0cef6c63aba897b0a",
 }
 
 
@@ -797,7 +786,9 @@ def test_sweeps_and_block_route_examples_make_no_lapack_call(monkeypatch, capsys
 # power-of-two scaling.  dual-check on swap.json / inv.json (a square pair on
 # different index arrays) was re-recorded once, at one BLAS thread, when both
 # reconstruction residuals became pairing_residual_3 (1.5 -> 1.846); every
-# other field kept its bytes
+# other field kept its bytes.  The four dual-check entries were re-recorded
+# once more when the probes field left the report and the probes and seed
+# echoes left the config: no other field moved
 MONOMIAL_SPECS = {
     "inv.json": {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}},
     "idx.json": {"kind": "scaled_basis", "weight": {"rule": "index"}},
@@ -837,13 +828,13 @@ MONOMIAL_DIGESTS = {
     ("cross-gram", "--f", "tiny.json", "--g", "idx.json", "--dim", "5"):
         "65710ffe77b0c8673e35a0bd3c78ea29f67a9814dd218c2918be5a0f38920f23",
     ("dual-check", "--f", "inv.json", "--g", "idx.json", "--dim", "40"):
-        "25b9efa0e39ac3eaa7acc6569c37a3e02e607634a59b1e3eda62b1eed3feddc0",
+        "6d55fb1f3c844865637eb525014422d08b0db26adca8fe262c1065ac8e5f1d1d",
     ("dual-check", "--f", "rep_f.json", "--g", "rep_g.json", "--dim", "40"):
-        "2024de8c6a6edac6308fe9cf52b12ebbeeb810f85b7426e13f4c4500e1509c93",
+        "868e638b50631675e0bb6ed342afe09be588a9b19891d9be1306afe9cca79578",
     ("dual-check", "--f", "swap.json", "--g", "inv.json", "--dim", "40"):
-        "165561983fc9b8eabe1608137a7d40b540400d4abb62074301cbe61987e5859c",
+        "52f5ba7120a7f152040c77ea57f06c28050be80334cd0271793497d3c41fb4d4",
     ("dual-check", "--f", "tiny.json", "--g", "tiny.json", "--dim", "5"):
-        "d71cddef0793506535194a84153e4ada5507afc73d15ae74dad223525246c715",
+        "54753067ebf71118205fb4f18da94a72e113a9d227c545efe7cece37ff7c089f",
 }
 
 
@@ -881,41 +872,17 @@ def test_block_route_duality_draws_no_random_number(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == ""
 
 
-def test_probes_and_seed_are_only_echoed(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    write_explicit_pair()
-    envelopes = []
-    for seed, probes in (("0", "16"), ("7", "3")):
-        argv = ["dual-check", "--f", "f.json", "--g", "dual.json", "--dim", "18",
-                "--seed", seed, "--probes", probes]
-        assert cli.main(argv) == 0
-        envelopes.append(json.loads(capsys.readouterr().out))
-    # the residuals are exact, so only the echoes of the flags tell the runs
-    # apart: the config and the report's probe budget
-    a, b = envelopes
-    assert a.pop("config") != b.pop("config")
-    assert (a["report"].pop("probes"), b["report"].pop("probes")) == (16, 3)
-    assert a == b
-
-
-def test_probe_budget_refuses_before_the_other_block_work(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("block work before the probe budget check")
-
-    monkeypatch.setattr(cli.diagnostics, "monomial_reports", refuse)
-    monkeypatch.setattr(operators, "_pairing", refuse)
-    const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
-    budget = f"exceed the budget MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
-    for argv, dim in (
-        (["example", "--id", "ex-canonical", "--dim", "2000000"], 1999999),
-        (["dual-check", "--f", const, "--g", const, "--dim", "5000000"], 5000000),
-    ):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", f"crossgram: error: 16 probes in dimension {dim} {budget}\n")
+def test_square_block_pairs_run_to_the_term_budget():
+    # the block route holds O(terms), so the term budget alone bounds it:
+    # dim 2**20 + 1 is past dim x 16 <= MAX_DENSE_ENTRIES, which once refused it
+    res = run_cli(["example", "--id", "ex-identity", "--dim", "1048577"], ONE_THREAD)
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(res.stdout)["report"]
+    assert (rep["f_count"], rep["duality"]["is_dual_pair"]) == (1048577, True)
 
 
 def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, capsys):
-    # the term, span, probe and dense budgets read the extents, not the terms
+    # the term, span and dense budgets read the extents, not the terms
     def refuse(*args, **kwargs):
         raise AssertionError("a term generated before the budget check")
 
@@ -930,15 +897,14 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
     terms = "exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000"
     for argv, message in (
         (["classify", "--input", odd, "--dim", "6000000"], f"{odd}: index span 11999999 {terms}"),
-        (["dual-check", "--f", const, "--g", const, "--dim", "5000000"],
-         "16 probes in dimension 5000000 " + dense.format("")),
+        (["dual-check", "--f", const, "--g", const, "--dim", "10000001"],
+         f"{const}: term count 10000001 {terms}"),
         (["cross-gram", "--f", const, "--g", odd, "--dim", "6000000"],
          f"{odd}: index span 11999999 {terms}"),
         (["cross-gram", "--f", const, "--g", row, "--dim", "5000"],
          f"{const}: a dense 5000 x 5000 realization " + dense.format("s")),
         (["example", "--id", "ex-identity", "--dim", "10000001"], f"term count 10000001 {terms}"),
-        (["example", "--id", "ex-canonical", "--dim", "2000000"],
-         "16 probes in dimension 1999999 " + dense.format("")),
+        (["example", "--id", "ex-canonical", "--dim", "10000001"], f"term count 10000001 {terms}"),
         (["example", "--id", "ex-hs", "--dim", "5000"],
          "a dense 5000 x 5000 realization " + dense.format("s")),
         (["sweep", "--id", "ex-hs", "--dims", "10,100000000"], f"term count 100000000 {terms}"),
@@ -1110,7 +1076,7 @@ def test_extreme_specs_end_in_an_envelope_or_exit_2(spec_dir, report_schema, f, 
     for argv in (
         ["classify", "--input", fp, "--dim", str(n)],
         ["cross-gram", "--f", fp, "--g", gp, "--dim", str(n)],
-        ["dual-check", "--f", fp, "--g", gp, "--dim", str(n), "--probes", "3"],
+        ["dual-check", "--f", fp, "--g", gp, "--dim", str(n)],
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -1288,10 +1254,19 @@ def test_flag_errors_name_the_expected_form_and_no_flag_abbreviates(argv, last, 
     assert err.splitlines()[-1] == last
 
 
-def test_battery_has_no_jobs_flag():
-    res = run_cli(["battery", "--seed", "1", "--trials", "2", "--jobs", "4"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["battery", "--seed", "1", "--trials", "2", "--jobs", "4"], "--jobs 4"),
+        (["dual-check", "--f", "f.json", "--g", "g.json", "--dim", "4", "--probes", "16"], "--probes 16"),
+        (["dual-check", "--f", "f.json", "--g", "g.json", "--dim", "4", "--seed", "0"], "--seed 0"),
+    ],
+    ids=["battery-jobs", "dual-check-probes", "dual-check-seed"],
+)
+def test_removed_flags_are_unrecognized(argv, flag):
+    res = run_cli(argv)
     assert res.returncode == 2
-    assert "unrecognized arguments: --jobs 4" in res.stderr
+    assert f"unrecognized arguments: {flag}" in res.stderr
     assert res.stdout == ""
 
 
@@ -1351,13 +1326,14 @@ def test_tolerance_range_validated(tmp_path):
     [
         ("--tol", "2", "tolerance must lie in (0, 1), got 2.0"),
         ("--dim", "0", "dim must be a positive integer, got 0"),
-        ("--probes", "-1", "probes must be non-negative, got -1"),
         ("--seed", "-1", "seed must be non-negative, got -1"),
     ],
 )
 def test_out_of_range_flags_exit_2_before_reading_a_spec(tmp_path, capsys, flag, value, message):
     missing = str(tmp_path / "missing.json")
     argv = ["dual-check", "--f", missing, "--g", missing, "--dim", "4", flag, value]
+    if flag == "--seed":  # the battery's seed is the only one left
+        argv = ["battery", flag, value]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"crossgram: error: {message}\n")
 
