@@ -63,7 +63,7 @@ def _op_norm(m: np.ndarray) -> float:
 
 
 def _real_parts(*ms: np.ndarray) -> tuple:
-    """The float64 parts of the complex128 matrices ``ms`` when none has a
+    """The float64 parts of the complex128 arrays ``ms`` when none has a
     nonzero imaginary part, else ``ms`` as they are: LAPACK and GEMM then run
     in real arithmetic, ~3x faster, and the results move by ulps."""
     if not any(m.imag.any() for m in ms):
@@ -110,7 +110,7 @@ def _classify(t: np.ndarray, tol: float) -> SequenceClassification:
     return _classification(dim, frame, _rank_of(s, tol) == dim, np.linalg.norm(t, axis=0))
 
 
-def _classification(dim: int, frame: FrameBounds, complete: bool, norms: np.ndarray):
+def _classification(dim: int, frame: operators.FrameBounds, complete: bool, norms: np.ndarray):
     """The verdicts from the frame bounds, completeness and the column norms."""
     count = len(norms)
     riesz = bool(complete and count == dim and frame.spans_ambient)
@@ -225,7 +225,7 @@ def check_duality(f: RealizedSequence, g: RealizedSequence, tol: float = DEFAULT
     _check_duality(f.dim, g.dim, (f.count, g.count))
     # the caller's realizations are freed here if nothing else holds them
     f, g = _real_parts(f.columns, g.columns)
-    return _duality(f, g, tol)
+    return _duality(f @ g.conj().T, tol)
 
 
 def _check_duality(dim: int, g_dim: int, counts: tuple, dense=True) -> None:
@@ -235,11 +235,9 @@ def _check_duality(dim: int, g_dim: int, counts: tuple, dense=True) -> None:
         sequences._check_dense(dim, dim, "dual-pair residual")
 
 
-def _duality(f: np.ndarray, g: np.ndarray, tol: float) -> DualityReport:
-    """``check_duality`` of two synthesis matrices that passed its checks, in
-    their own arithmetic."""
-    r = f @ g.conj().T
-    r.flat[:: len(r) + 1] -= 1.0  # F G* - I, the identity subtracted on the diagonal in place
+def _duality(r: np.ndarray, tol: float) -> DualityReport:
+    """``check_duality`` of a checked pair from r = T_f T_g*, made T_f T_g* - I in place."""
+    r.flat[:: len(r) + 1] -= 1.0
     x = _op_norm(r)
     return DualityReport(x, x, x, x <= tol, tol)
 
@@ -251,16 +249,15 @@ def _duality(f: np.ndarray, g: np.ndarray, tol: float) -> DualityReport:
 def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
     """The dense route's reports, read off ``sequences.term_arrays``: the
     classifications of f and g and the cross-Gram report (None for g and the
-    cross-Gram without g).  The square-only fields of a pair on different
-    index arrays come from its dense realizations, all else from the block
-    kernel in ``operators``; ``monomial_duality`` gives the duality report."""
+    cross-Gram without g).  A square pair on different index arrays refuses
+    its N x N G over budget before any work, then reads the square-only fields
+    off G scattered from the terms; the rest comes from the block kernel."""
     sides, dim = ((f,) if g is None else (f, g)), f[2]
     square = g is not None and len(f[0]) == len(g[0])
-    dense = square and not np.array_equal(f[0], g[0])
-    if dense:  # refused before any work, as on the dense route
-        for i, _, d in sides:
-            sequences._check_dense(d, len(i))
+    hybrid = square and not np.array_equal(f[0], g[0])
     operators._check_pair(dim, sides[-1][2])
+    if hybrid:
+        sequences._check_dense(len(g[0]), len(f[0]), "cross-Gram")
     base, size = operators._bins(*((i.min(), i.max()) for i, _, _ in sides))
     basis = operators._basis(dim, base, size)
     sq, classes = [], []
@@ -281,9 +278,8 @@ def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
     del sq
     if not square:
         fields = _RECTANGULAR
-    elif dense:  # the dense sides are freed before the square fields are read
-        m = operators.cross_gram(sequences.from_terms(*f), sequences.from_terms(*g))
-        fields = _square_fields(*_real_parts(m), op, tol)
+    elif hybrid:
+        fields = _square_fields(operators._term_gram(fi, gi, *_real_parts(a, b)), op, tol)
     else:
         herm, idem, ident, least = operators._block_square(fi, a, b, base, size)
         fields = (*_hermitian(herm, op, tol, lambda: least), idem, ident)
@@ -297,13 +293,10 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> No
     realized densely.  ``duality`` asks for the duality report, ``cross``
     for the cross-Gram report.  Two monomial sides read their reports off
     the block kernel unless they are a square pair on different index
-    arrays, which is realized densely as is any pair with a dense side."""
+    arrays, whose residual and cross-Gram are dense as with a dense side."""
     (fs, count, dim), (gs, g_count, g_dim) = f, g
     monomial = fs is not None and gs is not None
     block = monomial and (count != g_count or sequences._same_indices(fs, gs, count))
-    if monomial and not block:
-        for d in (dim, g_dim):
-            sequences._check_dense(d, count)
     if duality:
         _check_duality(dim, g_dim, (count, g_count), dense=not block)
     else:
@@ -316,26 +309,16 @@ def monomial_duality(f, g, *, tol: float = DEFAULT_TOL):
     """``check_duality`` of two ``sequences.term_arrays``.  On shared index
     arrays T_f T_g* - I is diagonal, p - 1 in the bins and -1 off them, so
     its norm is max|p - 1|, read off p alone.  A square pair on different
-    index arrays is realized one side at a time; a realization is real
-    exactly when its coefficients are, and then only its float64 part is
-    kept before the next side is made."""
+    index arrays takes one SVD of T_f T_g* - I, scattered from its terms."""
     (fi, a, dim), (gi, b, g_dim) = f, g
-    if len(fi) == len(gi) and not np.array_equal(fi, gi):
-        real = not (a.imag.any() or b.imag.any())
-        f, g = _realized(f, real), _realized(g, real)
-        _check_duality(dim, g_dim, (len(fi), len(gi)))
-        return _duality(f, g, tol)
-    _check_duality(dim, g_dim, (len(fi), len(gi)), dense=False)
+    hybrid = len(fi) == len(gi) and not np.array_equal(fi, gi)
+    _check_duality(dim, g_dim, (len(fi), len(gi)), dense=hybrid)
+    if hybrid:
+        return _duality(operators._term_frame(fi, gi, *_real_parts(a, b), dim), tol)
     base, size = operators._bins((fi.min(), fi.max()))
     p = operators._pairing(fi, a, b, base, size)
     pairing = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
     return DualityReport(pairing, pairing, pairing, pairing <= tol, tol)
-
-
-def _realized(side, real: bool) -> np.ndarray:
-    """The dense synthesis matrix of a term list, as its float64 part when ``real``."""
-    m = sequences.from_terms(*side).columns
-    return np.ascontiguousarray(m.real) if real else m
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +457,7 @@ def _check_dual_idempotent(seed, t, d, tol):
     m = dual.conj().T @ f
     idem = _op_norm(m @ m - m)
     op = _op_norm(m)
-    verdict = _duality(f, dual, tol)
+    verdict = _duality(f @ dual.conj().T, tol)
     ok = bool(idem <= TOL_SPECTRAL and op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair)
     margin = min(TOL_SPECTRAL - idem, op - (1.0 - TOL_SPECTRAL), tol - verdict.pairing_residual_3)
     return margin, ok
@@ -514,7 +497,7 @@ def _control_shrunk_dual(seed, t, d, tol):
     f, bounds = _frame(d, nf, (seed, t, 42), tol)
     shrunk = 0.9 * operators._dual_columns(f, bounds)
     op = _op_norm(shrunk.conj().T @ f)
-    verdict = _duality(f, shrunk, tol)
+    verdict = _duality(f @ shrunk.conj().T, tol)
     underlying_ok = op >= 1.0 - TOL_SPECTRAL and verdict.is_dual_pair
     detected = (not underlying_ok) and (not verdict.is_dual_pair) and op <= 0.99
     return (1.0 - TOL_SPECTRAL) - op, detected

@@ -164,6 +164,23 @@ def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[floa
     return op, sigma_min, float(np.sqrt(block_sq.sum()))
 
 
+def _term_gram(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """G = T_g* T_f of two term lists: conj(b_j) a_k where g's term j and f's
+    term k share an index, else 0; a zero is +0.0, as a GEMM sums it, not -0.0."""
+    m = np.zeros((len(gi), len(fi)), np.result_type(a, b))
+    np.multiply(b.conj()[:, None], a, out=m, where=gi[:, None] == fi)
+    m += 0.0
+    return m
+
+
+def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, dim: int):
+    """T_f T_g* of two term lists of one count in C^dim: (d, d') sums
+    a_k conj(b_k), in term order, over the terms k with f on d and g on d'."""
+    r = np.zeros((dim, dim), np.result_type(a, b))
+    np.add.at(r, (fi - 1, gi - 1), a * b.conj())
+    return r
+
+
 def _pairing(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int) -> np.ndarray:
     """The diagonal p of T_f T_g* for two sides on the same index array ``fi``."""
     # the parts of p as separate real products, so that a = b gives Im p = 0

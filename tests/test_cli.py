@@ -443,21 +443,22 @@ def test_sweep_budget_exits_2():
 
 
 def test_realize_budget_exits_2(tmp_path):
-    # inputs of the dense route: a random frame over 2**24 entries, and two
-    # monomial sequences of equal count on different index arrays, whose
-    # square cross-Gram has no block form
+    # dense matrices over 2**24 entries: a random frame, and the 4097 x 4097
+    # cross-Gram of two monomial sequences of equal count and dim on
+    # different index arrays, which has no block form
     frame = write_spec(
         tmp_path, "frame.json", {"kind": "random_frame", "d": 4097, "n": 4097, "seed": 0}
     )
     scaled = write_spec(
         tmp_path, "scaled.json", {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}}
     )
-    far = write_spec(
-        tmp_path, "far.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 10**9}]}
+    swap = write_spec(
+        tmp_path, "swap.json",
+        {"kind": "pattern", "head": [{"index": 2}, {"index": 1}], "tail": [{"start_index": 3, "index_step": 1}]},
     )
     for argv in (
         ["classify", "--input", frame, "--dim", "4097"],
-        ["cross-gram", "--f", scaled, "--g", far, "--dim", "20000"],
+        ["cross-gram", "--f", scaled, "--g", swap, "--dim", "4097"],
     ):
         res = run_cli(argv)
         assert res.returncode == 2, res.stderr
@@ -560,10 +561,10 @@ def test_derived_products_are_budgeted_before_allocating(tmp_path, capsys):
 def test_square_pair_on_different_index_arrays_past_the_dense_budget_exits_2(tmp_path, capsys):
     # both sides of ex-hs at 5000 terms sit in dim 5000 on different index
     # arrays; the block route reads the spectrum, but the square-only fields
-    # and the duality residuals need 5000 x 5000 realizations
+    # need the 5000 x 5000 cross-Gram and the duality the 5000 x 5000 residual
     f = write_spec(tmp_path, "f.json", {"kind": "paper_example", "example": "ex-hs", "role": "f"})
     g = write_spec(tmp_path, "g.json", {"kind": "paper_example", "example": "ex-hs", "role": "g"})
-    for command in ("cross-gram", "dual-check"):
+    for command, matrix in (("cross-gram", "cross-Gram"), ("dual-check", "dual-pair residual")):
         tracemalloc.start()
         try:
             code = cli.main([command, "--f", f, "--g", g, "--dim", "5000"])
@@ -572,8 +573,27 @@ def test_square_pair_on_different_index_arrays_past_the_dense_budget_exits_2(tmp
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert "5000 x 5000 realization exceeds the budget MAX_DENSE_ENTRIES = 16777216" in err
+        assert f"5000 x 5000 {matrix} exceeds the budget MAX_DENSE_ENTRIES = 16777216" in err
         assert peak < 2**20
+
+
+def test_hybrid_pair_is_bounded_by_its_square_matrices_alone(tmp_path, capsys):
+    # 64 terms on every 10**4-th index up to 630001, in two orders: no side
+    # is realized, so dim x count past 2**24 refuses nothing, and the 64 x 64
+    # cross-Gram is scattered from the terms; the duality needs the dim x dim
+    # residual
+    spread = {"start_index": 1, "index_step": 10**4}
+    f = write_spec(tmp_path, "f.json", {"kind": "pattern", "head": [], "tail": [spread]})
+    g = write_spec(tmp_path, "g.json", {"kind": "pattern", "head": [{"index": 630001}], "tail": [spread]})
+    assert 630001 * 64 > sequences.MAX_DENSE_ENTRIES >= 64 * 64
+    assert cli.main(["cross-gram", "--f", f, "--g", g, "--dim", "64"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    # G is a cyclic permutation of even order, so -1 is among its eigenvalues
+    assert (rep["rows"], rep["cols"], rep["op_norm"], rep["invertible"]) == (64, 64, 1.0, True)
+    assert rep["identity_distance"] == pytest.approx(2.0, rel=1e-15)
+    assert cli.main(["dual-check", "--f", f, "--g", g, "--dim", "64"]) == 2
+    err = capsys.readouterr().err
+    assert "a dense 630001 x 630001 dual-pair residual exceeds the budget MAX_DENSE_ENTRIES" in err
 
 
 def test_cross_gram_of_in_bound_sides_is_accepted(tmp_path, capsys):
@@ -713,7 +733,9 @@ def test_example_envelope_bytes_are_unchanged(example_id, dim):
 
 def test_real_matrices_take_real_lapack_and_complex_ones_complex(tmp_path, monkeypatch, capsys):
     # the dense reports convert a matrix whose imaginary parts are all zero
-    # to float64 once, at their entry; complex input keeps the complex path
+    # to float64 once, at their entry, and the hybrid route (ex-hs, swap.json
+    # against inv.json) its coefficient arrays; complex input keeps the
+    # complex path
     seen = []
 
     def spy(name):
@@ -743,12 +765,11 @@ def test_real_matrices_take_real_lapack_and_complex_ones_complex(tmp_path, monke
     capsys.readouterr()
 
 
-def test_hybrid_example_holds_under_five_dense_matrices():
-    # the square fields reuse one buffer for G - G*, G @ G - G and G - I, and
-    # the duality report realizes one side at a time and keeps only its
-    # float64 part: the peak is ~4.0 N^2 complex entries, the cross-Gram
-    # reports' own (the duality report's is ~2.0); with every matrix held
-    # at once it was ~5.1
+def test_hybrid_example_holds_about_one_dense_matrix():
+    # ex-hs is real: G and T_f T_g* are scattered from the terms as float64
+    # N x N matrices, and the square fields reuse one buffer for G - G*,
+    # G @ G - G and G - I: the peak is ~1.03 N^2 complex entries, the
+    # cross-Gram reports' own (the duality report's is ~0.51)
     n = 500
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["example", "--id", "ex-hs", "--dim", "8"])  # lazy imports stay out of the peak
@@ -758,7 +779,7 @@ def test_hybrid_example_holds_under_five_dense_matrices():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 4.3 * n * n * 16
+    assert peak < 1.5 * n * n * 16
 
 
 def test_sweeps_and_block_route_examples_make_no_lapack_call(monkeypatch, capsys):
@@ -906,7 +927,7 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
         (["example", "--id", "ex-identity", "--dim", "10000001"], f"term count 10000001 {terms}"),
         (["example", "--id", "ex-canonical", "--dim", "10000001"], f"term count 10000001 {terms}"),
         (["example", "--id", "ex-hs", "--dim", "5000"],
-         "a dense 5000 x 5000 realization " + dense.format("s")),
+         "a dense 5000 x 5000 dual-pair residual " + dense.format("s")),
         (["sweep", "--id", "ex-hs", "--dims", "10,100000000"], f"term count 100000000 {terms}"),
     ):
         assert cli.main(argv) == 2

@@ -6,7 +6,9 @@ dual cross-Gram is a Hermitian projection; an index-weighted basis has
 Bessel bound N^2 at truncation N.
 """
 
+import inspect
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -274,10 +276,11 @@ def test_real_cross_gram_agrees_with_complex_lapack():
     assert_close((rep.hermitian_defect, rep.idempotency_defect, rep.identity_distance), want)
 
 
-def test_hybrid_reports_free_the_dense_sides_before_the_square_fields():
+def test_hybrid_reports_scatter_the_cross_gram_from_the_terms():
     # a square pair on different index arrays reads its square fields off
-    # the dense cross-Gram; with both dense sides still alive the peak was
-    # ~5.1 N^2 complex entries, without them ~4.0
+    # G, scattered from the terms as float64 for the real ex-hs: the peak is
+    # ~1.03 N^2 complex entries, G and one buffer for G - G*, G @ G - G and
+    # G - I
     n = 400
     f, g = example_terms("ex-hs", n)
     tracemalloc.start()
@@ -286,13 +289,25 @@ def test_hybrid_reports_free_the_dense_sides_before_the_square_fields():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * n * n * 16
+    assert peak < 1.5 * n * n * 16
 
 
-def test_hybrid_duality_realizes_one_side_at_a_time():
-    # a real side keeps only its float64 part before the next side is made:
-    # with both complex realizations and both float64 parts held at once the
-    # duality report peaked at ~3.0 N^2 complex entries, one side at a time ~2.0
+def test_hybrid_reports_refuse_the_cross_gram_before_any_block_work():
+    # a library caller hits the N x N budget before the bins are allocated
+    f, g = example_terms("ex-hs", 4097)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="4097 x 4097 cross-Gram exceeds the budget MAX_DENSE"):
+            diag.monomial_reports(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_hybrid_duality_scatters_the_residual_from_the_terms():
+    # T_f T_g* - I is the one dense matrix, float64 for the real ex-hs, and
+    # no side is realized: the peak is ~0.51 N^2 complex entries
     n = 500
     f, g = example_terms("ex-hs", n)
     diag.monomial_duality(*example_terms("ex-hs", 8))  # lazy imports stay out of the peak
@@ -302,7 +317,7 @@ def test_hybrid_duality_realizes_one_side_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.3 * n * n * 16
+    assert peak < 0.75 * n * n * 16
 
 
 def test_check_duality_requires_matching_counts():
@@ -388,3 +403,12 @@ def test_orthonormal_basis_classification_ladder():
         assert c.frame.lower == pytest.approx(1.0, abs=1e-12)
         assert c.nba_sup == pytest.approx(1.0, abs=1e-12)
         assert c.nbb_inf == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_annotation_names_something_its_module_can_see():
+    # annotations are strings under postponed evaluation, so a name the
+    # module never imports fails only when the hints are resolved
+    for module in (diag, ops, seqs):
+        for obj in vars(module).values():
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
+                typing.get_type_hints(obj)
