@@ -136,13 +136,18 @@ def _side(path: str, n: int):
     return _named(path, sequences.realize, spec, n)
 
 
+def _names(*paths):
+    """The block reports' ``named``: a side's errors name its spec file, if any."""
+    return [functools.partial(_named, path) for path in paths]
+
+
 def _pair(f, g, n: int, *, duality: bool = False, cross: bool = True):
     """Both sides of a pair command at truncation ``n``, refused over the
     budgets of its reports (the duality report given ``duality``, the
     cross-Gram report given ``cross``) before a term is generated: term
-    arrays when both are monomial, else dense realizations.  A side is a
-    spec file path, or a registry role's ``sequences.term_shape``, whose
-    errors name no file."""
+    shapes when both are monomial (the block reports generate and check
+    their terms), else dense realizations.  A side is a spec file path, or
+    a registry role's ``sequences.term_shape``, whose errors name no file."""
     paths = [side if isinstance(side, str) else None for side in (f, g)]
     sides = [_side(side, n) if isinstance(side, str) else side for side in (f, g)]
     shapes = [side if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
@@ -151,12 +156,12 @@ def _pair(f, g, n: int, *, duality: bool = False, cross: bool = True):
         if spec is not None and not block:  # a monomial side of a mixed pair is realized
             _named(path, sequences._check_dense, dim, count)
     diagnostics.check_pair_budgets(*shapes, duality=duality, cross=cross)
+    if block:
+        return sides
     out = []
     for path, side in zip(paths, sides):
         if isinstance(side, tuple):
-            side = _named(path, sequences.term_arrays, side)
-            if not block:
-                side = _named(path, sequences.from_terms, *side)
+            side = _named(path, sequences.from_terms, *_named(path, sequences.term_arrays, side))
         out.append(side)
     return out
 
@@ -169,8 +174,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     if command == "classify":
         seq = _side(ns.input, ns.dim)
         if isinstance(seq, tuple):
-            seq = _named(ns.input, sequences.term_arrays, seq)
-            report = diagnostics.monomial_reports(seq, tol=tol)[0]
+            report = diagnostics.monomial_reports(seq, tol=tol, named=_names(ns.input))[0]
         else:
             report = diagnostics.classify_sequence(seq, tol=tol)
         echo = {"input": ns.input, "dim": ns.dim, "tol": tol}
@@ -179,7 +183,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     if command == "cross-gram":
         f, g = _pair(ns.f, ns.g, ns.dim)
         if isinstance(f, tuple):
-            report = diagnostics.monomial_reports(f, g, tol=tol)[2]
+            report = diagnostics.monomial_reports(f, g, tol=tol, named=_names(ns.f, ns.g))[2]
         else:
             report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=tol)
         echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, "tol": tol}
@@ -188,7 +192,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
     if command == "dual-check":
         f, g = _pair(ns.f, ns.g, ns.dim, duality=True, cross=False)
         if isinstance(f, tuple):
-            report = diagnostics.monomial_duality(f, g, tol=tol)
+            report = diagnostics.monomial_duality(f, g, tol=tol, named=_names(ns.f, ns.g))
         else:
             report = diagnostics.check_duality(f, g, tol=tol)
         echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, "tol": tol}
@@ -202,8 +206,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
         ]
         square = shapes[0][1] == shapes[1][1]
         ft, gt = _pair(*shapes, ns.dim, duality=square)
-        duality = diagnostics.monomial_duality(ft, gt, tol=tol) if square else None
-        f_cls, g_cls, cross = diagnostics.monomial_reports(ft, gt, tol=tol)
+        f_cls, g_cls, cross, duality = diagnostics.monomial_reports(ft, gt, tol=tol, duality=square)
         report = {
             "example_id": entry.example_id,
             "title": entry.title,

@@ -11,6 +11,8 @@ wiring can fail.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +44,10 @@ MAX_BATTERY_DIM = 64
 # 56 s (ex-identity) on one core of a 2-core x86-64 machine
 MAX_SWEEP_WORK = 5 * 10**9
 
-# the most terms the sweep generates and folds at a time: their indices,
-# coefficients and squared moduli take ~1 MB, so each chunk stays in cache
-TERM_CHUNK = 1 << 15
+# the most terms the sweep and the block reports generate and fold at a time:
+# their indices, coefficients and squared moduli take ~0.6 MB, so each chunk
+# stays in cache, and the per-index bins alone set the peak
+TERM_CHUNK = 1 << 14
 
 
 # --------------------------------------------------------------------------
@@ -102,21 +105,21 @@ def classify_sequence(seq: RealizedSequence, tol: float = DEFAULT_TOL) -> Sequen
     return _classify(*_real_parts(seq.columns), tol)
 
 
-def _classify(t: np.ndarray, tol: float) -> SequenceClassification:
-    """``classify_sequence`` of a synthesis matrix, in its own arithmetic."""
+def _classify(t: np.ndarray, tol: float, s=None) -> SequenceClassification:
+    """``classify_sequence`` of a synthesis matrix, in its own arithmetic, from
+    its singular values ``s`` when they are given."""
     dim = len(t)
-    s = np.linalg.svd(t, compute_uv=False)
+    s = np.linalg.svd(t, compute_uv=False) if s is None else s
     frame = operators.bounds_from_singular_values(s, dim, tol)
-    return _classification(dim, frame, _rank_of(s, tol) == dim, np.linalg.norm(t, axis=0))
+    norms = np.linalg.norm(t, axis=0)
+    return _classification(dim, frame, _rank_of(s, tol) == dim, len(norms), norms.max(), norms.min())
 
 
-def _classification(dim: int, frame: operators.FrameBounds, complete: bool, norms: np.ndarray):
-    """The verdicts from the frame bounds, completeness and the column norms."""
-    count = len(norms)
+def _classification(dim: int, frame: operators.FrameBounds, complete: bool, count: int, sup, inf):
+    """The verdicts from the frame bounds, completeness, count and extreme column norms."""
     riesz = bool(complete and count == dim and frame.spans_ambient)
     return SequenceClassification(
-        count, dim, frame.upper, frame, bool(complete), riesz,
-        float(norms.max()), float(norms.min()), frame.tol,
+        count, dim, frame.upper, frame, bool(complete), riesz, float(sup), float(inf), frame.tol
     )
 
 
@@ -246,44 +249,138 @@ def _duality(r: np.ndarray, tol: float) -> DualityReport:
 # block route
 
 
-def monomial_reports(f, g=None, *, tol: float = DEFAULT_TOL):
-    """The dense route's reports, read off ``sequences.term_arrays``: the
-    classifications of f and g and the cross-Gram report (None for g and the
-    cross-Gram without g).  A square pair on different index arrays refuses
-    its N x N G over budget before any work, then reads the square-only fields
-    off G scattered from the terms; the rest comes from the block kernel."""
+def _call(make, *args):
+    """``make(*args)``: the ``named`` of a side whose errors name no file."""
+    return make(*args)
+
+
+def _chunks(spec, count: int, start: int = 0):
+    """Terms ``start`` .. ``count - 1`` of a scaled_basis or pattern spec, at most
+    ``TERM_CHUNK`` at a time: the one stream the sweep and the block reports fold."""
+    for lo in range(start, count, TERM_CHUNK):
+        yield sequences.monomial_terms(spec, min(lo + TERM_CHUNK, count), start=lo)
+
+
+def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing: bool = False):
+    """One pass over the chunks ``sources`` make for each side, side by side, into
+    bins up to ``dim``, widened at their front as chunks reach below them (bin j
+    holds index base + j; bin 0 no term, as numpy's pairwise sums need): each
+    side's |c|^2 given ``sums``, and given ``pairing`` (one index array) the
+    diagonal p of T_f T_g* and each bin's term count.  A side past the entry
+    bounds of a matrix is refused through its ``named`` after the pass, f
+    first.  Returns the bins, base, each side's (max, min) |c| and last chunk."""
+    dtypes = [float] * len(sources) * sums + [complex, np.int32] * pairing
+    bins, base = [np.zeros(1, t) for t in dtypes], dim
+    faults = np.zeros((len(sources), 2), int)
+    moduli = [(0.0, np.inf)] * len(sources)
+    for chunk in itertools.zip_longest(*(make() for make in sources)):
+        faults += [linalg._faults(terms[1]) if terms else (0, 0) for terms in chunk]
+        if faults.any():  # a refused side folds nothing more
+            continue
+        low = min(int(terms[0].min()) for terms in chunk if terms)
+        for k, b in enumerate(bins if low <= base else ()):  # one array at a time
+            bins[k] = np.zeros(len(b) + base - low + 1, b.dtype)
+            bins[k][base - low + 1 :] = b
+        base = min(base, low - 1)
+        for k, terms in enumerate(chunk if sums else ()):
+            if terms:
+                mod = np.abs(terms[1])
+                moduli[k] = max(moduli[k][0], mod.max()), min(moduli[k][1], mod.min())
+                operators._fold(bins[k], terms[0] - base, mod**2)
+        if pairing:
+            (fi, a), (_, b) = chunk
+            operators._fold_pairing(bins[-2], fi - base, a, b)
+            operators._fold(bins[-1], fi - base, np.int32(1))  # int32: add.at's fast path
+    for nm, fault in zip(named, faults.tolist()):
+        nm(linalg._refuse, *fault)
+    return bins, base, moduli, chunk
+
+
+def _block_q(shapes, terms: np.ndarray, p: np.ndarray, base: int, last):
+    """q of each bin of a pair on one index array (0 without bins of 2+ terms)
+    from two more passes, reusing the first pass's chunk if it was the only one."""
+    if not (terms > 1).any():
+        return 0.0
+    alpha, r = np.zeros(len(p)), np.zeros(len(p))
+    for sums in (alpha, r):
+        chunks = [last] if shapes[0][1] <= TERM_CHUNK else zip(*(_chunks(s, n) for s, n, _ in shapes))
+        for (fi, a), (_, b) in chunks:
+            m = np.flatnonzero(terms[fi - base] > 1)
+            operators._fold_q(sums, fi[m] - base, a[m], b[m], *((p, alpha) if sums is r else ()))
+    return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
+
+
+def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_call, _call)):
+    """The reports of monomial sides given as ``sequences.term_shape``s, from
+    one pass over their terms into per-index bins, each dropped once read: the
+    classifications of f and g and the cross-Gram report given ``cross`` (None
+    for g and the cross-Gram without g), and the duality report given
+    ``duality``.  A square pair on different index arrays refuses its N x N G
+    over budget first, then reads the square-only fields and the residual off
+    G and T_f T_g*, scattered from its ``sequences.term_arrays``.  ``named``
+    wraps each side's entry check (the CLI names the spec file)."""
     sides, dim = ((f,) if g is None else (f, g)), f[2]
-    square = g is not None and len(f[0]) == len(g[0])
-    hybrid = square and not np.array_equal(f[0], g[0])
-    operators._check_pair(dim, sides[-1][2])
+    square = g is not None and f[1] == g[1]
+    hybrid = square and not sequences._same_indices(f[0], g[0], f[1])
+    _check_duality(dim, sides[-1][2], duality and (f[1], g[1]), dense=duality and hybrid)
+    shared, dual = square and not hybrid, None
     if hybrid:
-        sequences._check_dense(len(g[0]), len(f[0]), "cross-Gram")
-    base, size = operators._bins(*((i.min(), i.max()) for i, _, _ in sides))
-    basis = operators._basis(dim, base, size)
-    sq, classes = [], []
-    for i, c, _ in sides:
-        mod = np.abs(c)
-        s_e, e = operators._square_sums(i, mod, base, size)
-        sq.append(np.ldexp(s_e, 2 * e) if e else s_e)
+        if cross:
+            sequences._check_dense(g[1], f[1], "cross-Gram")
+        arrays = [nm(sequences.term_arrays, s) for nm, s in zip(named, sides)]
+        (fi, a, _), (gi, b, _) = arrays
+        if duality:
+            dual = _duality(operators._term_frame(fi, gi, *_real_parts(a, b), dim), tol)
+        if not cross:
+            return None, None, None, dual
+        sources = [functools.partial(iter, [(i, c)]) for i, c, _ in arrays]
+    else:
+        sources = [functools.partial(_chunks, spec, count) for spec, count, _ in sides]
+    bins, base, moduli, last = _block_fold(sources, dim, named, sums=cross, pairing=shared)
+    if duality and shared:  # T_f T_g* - I is diagonal: p - 1 in the bins, -1 off them
+        p = bins[-2][operators._basis(dim, base, len(bins[-2]))]
+        blocks = range(0, len(p), TERM_CHUNK)
+        x = max(float(np.abs(p[lo : lo + TERM_CHUNK] - 1.0).max()) for lo in blocks)
+        dual = DualityReport(x, x, x, x <= tol, tol)
+    if not cross:
+        return None, None, None, dual
+
+    basis = operators._basis(dim, base, len(bins[0]))
+    classes = []
+    for k, (top, least) in enumerate(moduli):
+        s_e = bins[k]
+        # |c|^2 underflows below |c| ~1e-154: a side whose largest |c| is under
+        # 2**-300 is folded again as |c| 2**-e, 2**e near it, an exact scaling
+        e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
+        if e:
+            s_e[:] = 0.0
+            for idx, c in sources[k]():
+                operators._fold(s_e, idx - base, np.ldexp(np.abs(c), -e) ** 2)
         hi, lo = float(s_e[basis].max()), float(s_e[basis].min())
         frame = operators.FrameBounds(math.ldexp(lo, 2 * e), math.ldexp(hi, 2 * e), tol)
         # completeness is a ratio, so it is read before the shift
         complete = np.sqrt(lo) > tol * np.sqrt(hi)
-        classes.append(_classification(dim, frame, complete, mod))
+        classes.append(_classification(dim, frame, complete, sides[k][1], top, least))
+        np.ldexp(s_e, 2 * e, out=s_e)
+    del s_e
     if g is None:
-        return classes[0], None, None
+        return classes[0], None, None, None
 
-    (fi, a, _), (gi, b, _) = f, g
-    op, sigma_min, hs = operators._block_spectrum(*sq, min(len(fi), len(gi)))
-    del sq
+    block_sq = bins[0]
+    block_sq *= bins[1]
+    bins[:2] = ()  # g_sq is dropped, and f_sq after the spectrum
+    op, sigma_min, hs = operators._block_spectrum(block_sq, min(f[1], g[1]))
+    del block_sq
     if not square:
         fields = _RECTANGULAR
-    elif hybrid:
+    elif not shared:
         fields = _square_fields(operators._term_gram(fi, gi, *_real_parts(a, b)), op, tol)
     else:
-        herm, idem, ident, least = operators._block_square(fi, a, b, base, size)
+        p, terms = bins
+        q = _block_q(sides, terms, p, base, last)
+        herm, idem, ident, least = operators._block_square(p, terms, q, TERM_CHUNK)
         fields = (*_hermitian(herm, op, tol, lambda: least), idem, ident)
-    return (*classes, _cross_report(len(gi), len(fi), op, sigma_min, hs, *fields, tol))
+    return (*classes, _cross_report(g[1], f[1], op, sigma_min, hs, *fields, tol), dual)
 
 
 def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> None:
@@ -305,20 +402,10 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> No
         sequences._check_dense(g_count, count, "cross-Gram")
 
 
-def monomial_duality(f, g, *, tol: float = DEFAULT_TOL):
-    """``check_duality`` of two ``sequences.term_arrays``.  On shared index
-    arrays T_f T_g* - I is diagonal, p - 1 in the bins and -1 off them, so
-    its norm is max|p - 1|, read off p alone.  A square pair on different
-    index arrays takes one SVD of T_f T_g* - I, scattered from its terms."""
-    (fi, a, dim), (gi, b, g_dim) = f, g
-    hybrid = len(fi) == len(gi) and not np.array_equal(fi, gi)
-    _check_duality(dim, g_dim, (len(fi), len(gi)), dense=hybrid)
-    if hybrid:
-        return _duality(operators._term_frame(fi, gi, *_real_parts(a, b), dim), tol)
-    base, size = operators._bins((fi.min(), fi.max()))
-    p = operators._pairing(fi, a, b, base, size)
-    pairing = float(np.abs(p[operators._basis(dim, base, size)] - 1.0).max())
-    return DualityReport(pairing, pairing, pairing, pairing <= tol, tol)
+def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, named=(_call, _call)):
+    """``check_duality`` of two ``sequences.term_shape``s: on shared index arrays
+    max|p - 1| off the bins of p, else one SVD of T_f T_g* - I scattered."""
+    return monomial_reports(f, g, tol=tol, duality=True, cross=False, named=named)[3]
 
 
 # --------------------------------------------------------------------------
@@ -368,7 +455,7 @@ def _frame(d, n, seed, tol):
 
 
 def _check_riesz_product(seed, t, d, tol):
-    f, g = (sequences._riesz_basis(d, (seed, t, 10), role) for role in "fg")
+    f, g = (sequences._riesz_basis(d, (seed, t, 10), role)[0] for role in "fg")
     m = g.conj().T @ f
     s = np.linalg.svd(m, compute_uv=False)
     rel = _op_norm(m - _entrywise_cross_gram(f, g)) / float(s[0])
@@ -388,10 +475,10 @@ def _check_rank_deficit(seed, t, d, tol):
 
 
 def _check_riesz_transfer(seed, t, d, tol):
-    f, g = (sequences._riesz_basis(d, (seed, t, 14), role) for role in "fg")
+    (f, _), (g, g_s) = (sequences._riesz_basis(d, (seed, t, 14), role) for role in "fg")
     s = np.linalg.svd(g.conj().T @ f, compute_uv=False)
     invertible = s[-1] > tol * s[0]
-    cls = _classify(g, tol)
+    cls = _classify(g, tol, g_s)  # the singular values its condition screen computed
     margin = cls.frame.lower / cls.bessel_bound - tol
     return margin, bool(invertible and cls.riesz)
 
@@ -400,11 +487,11 @@ def _check_rank_count(seed, t, d, tol):
     rng = np.random.default_rng([seed, t, 15])
     n1 = d + int(rng.integers(d + 1))
     n2 = d + int(rng.integers(d + 1))
-    u = sequences._riesz_basis(d, (seed, t, 16))
+    u, _ = sequences._riesz_basis(d, (seed, t, 16))
     g1, _ = _frame(d, n1, (seed, t, 17), tol)
     m1 = g1.conj().T @ u  # Riesz f side: rank must equal f.count
     f2, _ = _frame(d, n2, (seed, t, 18), tol)
-    w = sequences._riesz_basis(d, (seed, t, 19))
+    w, _ = sequences._riesz_basis(d, (seed, t, 19))
     m2 = w.conj().T @ f2  # Riesz g side: rank must equal g.count
     s1 = np.linalg.svd(m1, compute_uv=False)
     s2 = np.linalg.svd(m2, compute_uv=False)
@@ -485,7 +572,7 @@ def _check_canonical_projection(seed, t, d, tol):
 
 def _control_riesz_into_rank_deficit(seed, t, d, tol):
     # a Riesz pair must NOT satisfy the rank-deficit assertion
-    f, g = (sequences._riesz_basis(d, (seed, t, 40), role) for role in "fg")
+    f, g = (sequences._riesz_basis(d, (seed, t, 40), role)[0] for role in "fg")
     smin = float(np.linalg.svd(g.conj().T @ f, compute_uv=False)[-1])
     underlying_ok = smin <= TOL_TIGHT
     return smin - TOL_TIGHT, not underlying_ok
@@ -687,15 +774,13 @@ def _trend(values: list[float]) -> str:
 
 
 def _prefix_sums(spec, counts: list[int], size: int):
-    """Yield, for each of the nondecreasing ``counts``, the per-index sums of
-    |c|^2 over that many first terms of ``spec``, bin i holding index i: one
-    array, to which each count's new terms are generated at most
-    ``TERM_CHUNK`` at a time and folded in term order before it is yielded."""
+    """Yield, for each of the nondecreasing ``counts``, the per-index sums of |c|^2
+    over that many first terms of ``spec``, bin i holding index i: one array,
+    into which each count's new terms are folded from ``_chunks`` in term order."""
     sums = np.zeros(size)
     done = 0  # terms folded so far
     for count in counts:
-        for start in range(done, count, TERM_CHUNK):
-            idx, coeff = sequences.monomial_terms(spec, min(start + TERM_CHUNK, count), start=start)
+        for idx, coeff in _chunks(spec, count, done):
             operators._fold(sums, idx, np.abs(coeff) ** 2)
             del idx, coeff  # not held while the other side or the next chunk is made
         done = count
@@ -741,7 +826,7 @@ def truncation_sweep(
     rows = []
     for n, ((_, fc, dim), (_, gc, _)), f_all, g_all in zip(ns, shapes, f_sums, g_sums):
         f_sq, g_sq = f_all[: dim + 1], g_all[: dim + 1]
-        op, sigma_min, hs = operators._block_spectrum(f_sq, g_sq, min(fc, gc))
+        op, sigma_min, hs = operators._block_spectrum(f_sq * g_sq, min(fc, gc))
         bessel = float(f_sq.max()), float(g_sq.max())
         rows.append(SweepRow(n, dim, fc, gc, op, sigma_min, hs, *bessel))
 

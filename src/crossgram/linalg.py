@@ -28,27 +28,36 @@ MAX_GRAM_ENTRY = float(1 << 24) * MAX_ENTRY**2
 def as_matrix(entries, *, gram: bool = False) -> np.ndarray:
     """Return a validated C-contiguous complex128 matrix, copying only when
     needed; ``gram`` holds entries to ``MAX_GRAM_ENTRY``, not ``MAX_ENTRY``."""
-    bound, name = (MAX_GRAM_ENTRY, "MAX_GRAM_ENTRY") if gram else (MAX_ENTRY, "MAX_ENTRY")
-    what = "cross-Gram" if gram else "matrix"
     m = np.asarray(entries, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {m.ndim}-D input")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
+    _refuse(*_faults(m, MAX_GRAM_ENTRY if gram else MAX_ENTRY), gram=gram)
+    return m
+
+
+def _faults(m: np.ndarray, bound: float = MAX_ENTRY) -> tuple[int, int]:
+    """The counts of non-finite entries of ``m`` and of those past ``bound`` in modulus."""
     # |z| <= sqrt(2) * max(|re z|, |im z|), so real and imaginary parts
-    # within MAX_ENTRY / sqrt(2) prove the bound without allocating |m|; NaN
-    # fails this screen, and only a failing matrix pays for the exact test
+    # within bound / sqrt(2) prove the bound without allocating |m|; NaN
+    # fails this screen, and only a failing array pays for the exact test
     parts = m.view(np.float64)
     edge = bound / np.sqrt(2.0)
     if -edge <= parts.min() and parts.max() <= edge:
-        return m
-    small = np.abs(m) <= bound  # False for NaN and infinite entries too
-    if not small.all():
-        bad = int(np.sum(~(np.isfinite(m.real) & np.isfinite(m.imag))))
-        if bad:
-            raise ValueError(f"{what} entries must be finite ({bad} non-finite entries)")
+        return 0, 0
+    finite = np.isfinite(m.real) & np.isfinite(m.imag)
+    return int(np.sum(~finite)), int(np.sum(~(np.abs(m) <= bound)))  # NaN is not <= bound
+
+
+def _refuse(non_finite: int, larger: int, *, gram: bool = False) -> None:
+    """Refuse entries with these ``_faults`` counts as ``as_matrix`` does."""
+    bound, name = (MAX_GRAM_ENTRY, "MAX_GRAM_ENTRY") if gram else (MAX_ENTRY, "MAX_ENTRY")
+    what = "cross-Gram" if gram else "matrix"
+    if non_finite:
+        raise ValueError(f"{what} entries must be finite ({non_finite} non-finite entries)")
+    if larger:
         raise ValueError(
             f"{what} entries must be at most {name} = {bound:g} in modulus "
-            f"({int(np.sum(~small))} larger entries)"
+            f"({larger} larger entries)"
         )
-    return m

@@ -118,44 +118,21 @@ def _dual_columns(t: np.ndarray, bounds: FrameBounds, path=(), scale: float = 0.
     return dual
 
 
-def _bins(*extents: tuple[int, int]) -> tuple[int, int]:
-    """(base, size) of bins over the joint span of index extents (lo, hi):
-    bin j holds index base + j, so bin 0 has no term (numpy's pairwise sums
-    depend on it)."""
-    lo = min(int(e[0]) for e in extents)
-    return lo - 1, max(int(e[1]) for e in extents) - lo + 2
-
-
 def _basis(dim: int, base: int, size: int) -> slice:
     """The bins that stand for basis vectors: bin 0 for those outside the span, if any."""
     return slice(0 if base or dim > base + size - 1 else 1, None)
 
 
-def _index_sums(idx: np.ndarray, weights, base: int, size: int) -> np.ndarray:
-    return np.bincount(idx - base if base else idx, weights=weights, minlength=size)
-
-
-def _fold(sums: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> None:
+def _fold(sums: np.ndarray, idx: np.ndarray, weights) -> None:
     """Add ``weights`` into the bins ``sums``, bin i holding index i, one term
     at a time, in term order, as ``np.bincount`` does: terms folded chunk by
-    chunk give the bits of ``_index_sums(idx, weights, 0, size)`` of them all."""
+    chunk give the bits of ``np.bincount`` of them all."""
     np.add.at(sums, idx, weights)
 
 
-def _square_sums(idx: np.ndarray, mod: np.ndarray, base: int, size: int) -> tuple[np.ndarray, int]:
-    """The diagonal of S = TT* over the bins from the coefficient moduli, as
-    (sums * 4**-e, e): |c|^2 underflows for |c| below ~1e-154, so a side whose
-    largest modulus is under 2**-300 squares |c| 2**-e, with 2**e near that
-    modulus, an exact scaling."""
-    top = float(mod.max())
-    e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
-    return _index_sums(idx, (np.ldexp(mod, -e) if e else mod) ** 2, base, size), e
-
-
-def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int) -> tuple[float, float, float]:
-    """op_norm, sigma_min and hs from the singular values sqrt(f_sq * g_sq)
-    of the blocks; ``full`` is min(rows, cols)."""
-    block_sq = f_sq * g_sq
+def _block_spectrum(block_sq: np.ndarray, full: int) -> tuple[float, float, float]:
+    """op_norm, sigma_min and hs from the squared singular values
+    ``block_sq`` = f_sq * g_sq of the blocks; ``full`` is min(rows, cols)."""
     active = block_sq > 0.0
     rank = int(np.count_nonzero(active))
     op = float(np.sqrt(block_sq.max())) if rank else 0.0
@@ -181,37 +158,41 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
     return r
 
 
-def _pairing(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int) -> np.ndarray:
-    """The diagonal p of T_f T_g* for two sides on the same index array ``fi``."""
+def _fold_pairing(p: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Fold into the diagonal p of T_f T_g*, p_i = sum a conj(b) over the terms on bin i."""
     # the parts of p as separate real products, so that a = b gives Im p = 0
-    p = np.empty(size, complex)
-    p.real = _index_sums(fi, a.real * b.real + a.imag * b.imag, base, size)
-    p.imag = _index_sums(fi, a.imag * b.real - a.real * b.imag, base, size)
-    return p
+    _fold(p.real, at, a.real * b.real + a.imag * b.imag)
+    _fold(p.imag, at, a.imag * b.real - a.real * b.imag)
 
 
-def _block_square(fi: np.ndarray, a: np.ndarray, b: np.ndarray, base: int, size: int):
-    """||G - G*||, ||G^2 - G||, ||G - I|| and the least Re p over the occupied bins of
-    G on a shared index array ``fi``; a Hermitian G has the eigenvalues Re p and 0."""
-    # T_f T_g* is diagonal with entries p_i = sum a conj(b) over the terms on index i
-    p = _pairing(fi, a, b, base, size)
-    terms = _index_sums(fi, None, base, size)
-    # q^2 = |a|^2 |b|^2 - |p|^2 as |a|^2 |r|^2 (r: b off a) without cancellation
-    # on blocks of 2+ terms, q = 0 on the rest; a = b gives r = 0 exactly
-    at = fi - base
-    k = np.flatnonzero(terms[at] > 1)
-    at, ak = at[k], a[k]
-    alpha = np.bincount(at, ak.real * ak.real + ak.imag * ak.imag, size)
-    alpha_k, toward = alpha[at], np.zeros(len(k), complex)  # conj(p) / |a|^2
+def _fold_q(sums: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, p=None, alpha=None):
+    """Fold the terms of blocks of 2+ terms into ``sums``: |a|^2, then, given p and
+    those sums alpha, |r|^2 (r: b off a); q = sqrt(alpha * sum |r|^2) is
+    sqrt(|a|^2 |b|^2 - |p|^2) without cancellation, and a = b gives r = 0 exactly."""
+    if p is None:
+        _fold(sums, at, a.real * a.real + a.imag * a.imag)
+        return
+    alpha_k, toward = alpha[at], np.zeros(len(at), complex)  # conj(p) / |a|^2
     np.divide(p.real[at], alpha_k, out=toward.real, where=alpha_k > 0.0)
     np.divide(-p.imag[at], alpha_k, out=toward.imag, where=alpha_k > 0.0)
-    q = np.sqrt(alpha * np.bincount(at, np.abs(b[k] - ak * toward) ** 2, size))
-    # in an orthonormal basis of a block that starts at conj(a), G is
-    # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
-    # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
-    im, x, one, rows = np.abs(p.imag), np.abs(p - 1.0), terms == 1, terms > 0
-    herm = float((im + np.hypot(q, im)).max())
-    idem = float((x * np.hypot(np.abs(p), q)).max())
-    wide = (np.hypot(x + 1.0, q) + np.hypot(x - 1.0, q)) / 2.0  # blocks of 2+ terms
-    ident = float(np.where(one, x, wide)[rows].max())
-    return herm, idem, ident, float(p.real[rows].min())
+    _fold(sums, at, np.abs(b - a * toward) ** 2)
+
+
+def _block_square(p: np.ndarray, terms: np.ndarray, q, step: int):
+    """||G - G*||, ||G^2 - G||, ||G - I|| and the least Re p over the occupied bins
+    of G on a shared index array, from p, the term count and q of each bin, read
+    ``step`` bins at a time (extremes are exact in any blocking); a Hermitian G
+    has the eigenvalues Re p and 0."""
+    herm, idem, ident, least = 0.0, 0.0, 0.0, np.inf
+    for lo in range(0, len(p), step):
+        pb, tb, qb = p[lo : lo + step], terms[lo : lo + step], q[lo : lo + step] if np.ndim(q) else q
+        # in an orthonormal basis of a block that starts at conj(a), G is
+        # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
+        # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
+        im, x, rows = np.abs(pb.imag), np.abs(pb - 1.0), tb > 0
+        herm = max(herm, float((im + np.hypot(qb, im)).max()))
+        idem = max(idem, float((x * np.hypot(np.abs(pb), qb)).max()))
+        wide = (np.hypot(x + 1.0, qb) + np.hypot(x - 1.0, qb)) / 2.0  # blocks of 2+ terms
+        ident = max(ident, float(np.max(np.where(tb == 1, x, wide), where=rows, initial=0.0)))
+        least = min(least, float(np.min(pb.real, where=rows, initial=np.inf)))
+    return herm, idem, ident, least

@@ -320,11 +320,11 @@ class RealizedSequence:
 MAX_DENSE_ENTRIES = 1 << 24
 
 # The term budget (term count and index span) of monomial sequences read
-# without a matrix, and the only bound on the block route: a square pair on
-# shared index arrays peaked at ~135 bytes per term (1,347 MB peak RSS for
-# `example --id ex-identity --dim 10000000`, term arrays included), the
-# sweep at ~25 bytes per index of its span (two arrays of per-index sums and
-# one row's block spectrum; its terms stream through in chunks).
+# without a matrix, and the only bound on the block route, whose terms stream
+# through in chunks: a square pair on shared index arrays holds ~36 bytes per
+# index of its span (376 MB peak RSS for `example --id ex-identity --dim
+# 10000000`), the sweep ~25 (two arrays of per-index sums and one row's block
+# spectrum).
 MAX_SWEEP_TRUNCATION = 10**7
 
 
@@ -372,7 +372,7 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
             raise ValueError(
                 f"random_riesz realizes exactly dim terms: truncation {n} != dim {spec.dim}"
             )
-        cols = _riesz_basis(spec.dim, spec.seed)
+        cols, _ = _riesz_basis(spec.dim, spec.seed)
     elif spec.kind == "random_frame":
         if n != spec.count:
             raise ValueError(
@@ -518,7 +518,7 @@ def _pattern_terms(program: PatternProgram, n: int, start: int) -> tuple[np.ndar
 
 
 # _geometric doubles its powers up to this many, then folds in higher bits
-_POWER_BLOCK = 1 << 15
+_POWER_BLOCK = 1 << 14
 
 
 def _powers(ratio: complex, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -544,7 +544,7 @@ def _power_block(ratio_bits: bytes) -> tuple[np.ndarray, np.ndarray]:
     """``_powers`` of the ratio with these bits over one whole block,
     read-only.  A side generated in chunks past the first block builds it
     once instead of per chunk (a sweep has two sides; each table is
-    512 KiB).  The key is the ratio's bits, so 0.0 and -0.0 stay apart."""
+    256 KiB).  The key is the ratio's bits, so 0.0 and -0.0 stay apart."""
     re, im = _powers(complex(np.frombuffer(ratio_bits, dtype=complex)[0]), _POWER_BLOCK)
     re.setflags(write=False)
     im.setflags(write=False)
@@ -762,7 +762,7 @@ def term_shape(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int, int]:
     dimension ``realize`` gives it (a registry role's is its pair's), after
     the term budget has refused the term count and then the joint index
     span.  All is read off the extents, so an input over budget is refused
-    before a term is generated; ``term_arrays`` generates the terms."""
+    before a term is generated; the block reports or ``term_arrays`` generate the terms."""
     _check_terms(n)
     side = _monomial(spec, n)
     sides = [side]
@@ -776,8 +776,9 @@ def term_shape(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int, int]:
 
 
 def term_arrays(shape: tuple[SequenceSpec, int, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Terms ``(idx, coeff, dim)`` of a monomial spec's ``term_shape``, with
-    the coefficients held to the entry checks of a matrix."""
+    """Terms ``(idx, coeff, dim)`` of a monomial spec's ``term_shape``, all at once,
+    with the coefficients held to the entry checks of a matrix: for the routes a
+    dense budget bounds (realization, mixed pairs, the hybrid scatter)."""
     spec, count, dim = shape
     idx, coeff = monomial_terms(spec, count)
     linalg.as_matrix(coeff[None, :])
@@ -825,11 +826,11 @@ def _screened_gaussian(seed, stream: int, dim: int, count: int) -> tuple[np.ndar
     )
 
 
-def _riesz_basis(dim: int, seed, role: str = "f") -> np.ndarray:
-    """Basis ``role`` of ``random_riesz_pair(dim, seed)`` as an array; each
-    role has its own stream, and a random_riesz spec realizes the f basis."""
+def _riesz_basis(dim: int, seed, role: str = "f") -> tuple[np.ndarray, np.ndarray]:
+    """Basis ``role`` of ``random_riesz_pair(dim, seed)`` and the singular values its
+    condition screen computed; each role has its own stream, random_riesz the f's."""
     stream = _STREAM_RIESZ_F if role == "f" else _STREAM_RIESZ_G
-    return _screened_gaussian(seed, stream, dim, dim)[0]
+    return _screened_gaussian(seed, stream, dim, dim)
 
 
 def _frame_draw(dim: int, count: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -847,7 +848,7 @@ def random_riesz_pair(dim: int, seed: int) -> tuple[RealizedSequence, RealizedSe
     """Two independent well-conditioned bases of C^dim from one seed."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    f, g = (RealizedSequence(_riesz_basis(dim, seed, role)) for role in _ROLES)
+    f, g = (RealizedSequence(_riesz_basis(dim, seed, role)[0]) for role in _ROLES)
     return f, g
 
 

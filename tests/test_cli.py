@@ -1441,3 +1441,100 @@ def test_importing_the_cli_builds_no_parser():
     )
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+# the block reports' inputs for the chunk test: late.json reaches index 1 only
+# past its first chunks, so the bins grow down; rep_f/rep_g share blocks of two
+# terms, which straddle chunk edges, so their q takes the second pass; tiny.json
+# takes the 2**-e fold again; swap.json against inv.json is hybrid, and the
+# ex-blocked roles are rectangular
+CHUNK_SPECS = {
+    **MONOMIAL_SPECS,
+    "late.json": {"kind": "pattern",
+                  "head": [{"index": 20 + i, "coeff": [1, i]} for i in range(10)],
+                  "tail": [{"start_index": 1, "index_step": 1, "coeff": [0.5, 0]}]},
+}
+CHUNK_ARGVS = [
+    *(["example", "--id", ex_id, "--dim", dim] for ex_id in sequences.example_ids() for dim in ("8", "50", "300")),
+    *(["classify", "--input", name, "--dim", dim]
+      for name, dim in (("inv.json", "40"), ("tiny.json", "5"), ("late.json", "60"), ("rep_f.json", "31"))),
+    *([command, "--f", f, "--g", g, "--dim", dim] for command in ("cross-gram", "dual-check")
+      for f, g, dim in (("inv.json", "idx.json", "40"), ("rep_f.json", "rep_g.json", "31"),
+                        ("tiny.json", "tiny.json", "5"), ("late.json", "late.json", "60"),
+                        ("swap.json", "inv.json", "40"))),
+    ["cross-gram", "--f", "blk_f.json", "--g", "blk_g.json", "--dim", "51"],
+    *(["sweep", "--id", ex_id, "--dims", "2,10,100,1000"] for ex_id in sequences.example_ids()),
+]
+
+
+def test_envelopes_do_not_depend_on_the_chunk_sizes(tmp_path, monkeypatch, capsys):
+    # terms are generated and folded TERM_CHUNK at a time and geometric powers
+    # tabled _POWER_BLOCK at a time; neither may move a byte
+    monkeypatch.chdir(tmp_path)
+    for name, payload in CHUNK_SPECS.items():
+        Path(name).write_text(json.dumps(payload))
+
+    def envelopes():
+        sequences._power_block.cache_clear()  # its tables are _POWER_BLOCK long
+        out = []
+        for argv in CHUNK_ARGVS:
+            assert cli.main(argv) == 0, argv
+            out.append(capsys.readouterr().out)
+        return out
+
+    want = envelopes()
+    monkeypatch.setattr(diagnostics, "TERM_CHUNK", 7)
+    monkeypatch.setattr(sequences, "_POWER_BLOCK", 64)
+    got = envelopes()
+    sequences._power_block.cache_clear()
+    for argv, a, b in zip(CHUNK_ARGVS, want, got):
+        assert a == b, argv
+
+
+def test_entry_check_counts_the_whole_streamed_side(tmp_path, capsys):
+    # weights 1.005**k pass MAX_ENTRY near term 29,550, past the first chunk of
+    # terms, and 1.01**k near term 14,810, inside it: the count covers the
+    # whole side, f is refused before g, and no numpy warning is raised
+    geo = write_spec(tmp_path, "geo.json", {"kind": "scaled_basis", "weight": {
+        "rule": "geometric", "value": [1, 0], "ratio": [1.005, 0]}})
+    fast = write_spec(tmp_path, "fast.json", {"kind": "scaled_basis", "weight": {
+        "rule": "geometric", "value": [1, 0], "ratio": [1.01, 0]}})
+    inv = write_spec(tmp_path, "inv.json", MONOMIAL_SPECS["inv.json"])
+    line = (f"crossgram: error: {geo}: matrix entries must be at most MAX_ENTRY = 1e+64 "
+            f"in modulus (10453 larger entries)")
+    for argv in (["classify", "--input", geo], ["cross-gram", "--f", geo, "--g", inv],
+                 ["cross-gram", "--f", inv, "--g", geo], ["cross-gram", "--f", geo, "--g", fast],
+                 ["dual-check", "--f", geo, "--g", fast]):
+        assert cli.main([*argv, "--dim", "40000"]) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()) == ("", [line]), argv
+
+
+def test_block_reports_to_a_million_terms_hold_only_their_bins(tmp_path, monkeypatch, capsys):
+    # the reports stream their terms into per-index bins and drop each array
+    # once its verdicts are read: one side's |c|^2 sums are 8 bytes per
+    # index, and a square pair on shared indices holds both sides' sums, the
+    # pairing p and each bin's term count, 36 (decimal megabytes below)
+    monkeypatch.chdir(tmp_path)
+    Path("inv.json").write_text(json.dumps(MONOMIAL_SPECS["inv.json"]))
+    n = "1000000"
+    pair = ["--f", "inv.json", "--g", "inv.json", "--dim", n]
+    bounds = (
+        (["classify", "--input", "inv.json", "--dim", n], 16),
+        (["dual-check", *pair], 32),
+        (["cross-gram", *pair], 60),
+        (["example", "--id", "ex-identity", "--dim", n], 60),
+        (["example", "--id", "ex-canonical", "--dim", n], 60),
+        (["example", "--id", "ex-blocked", "--dim", n], 25),
+    )
+    assert cli.main(["example", "--id", "ex-canonical", "--dim", "8"]) == 0  # lazy imports
+    for argv, megabytes in bounds:
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= megabytes * 10**6, (argv, peak)
+    capsys.readouterr()

@@ -19,10 +19,14 @@ from crossgram import sequences as seqs
 from crossgram.sequences import SequenceSpec, WeightRule, paper_example, realize
 
 
+def example_shapes(example_id, n):
+    """The term shapes of both roles of a registry pair, as ``example`` hands them to its reports."""
+    return [seqs.term_shape(SequenceSpec.paper_example(example_id, role), n) for role in "fg"]
+
+
 def example_terms(example_id, n):
-    """The term arrays of both roles of a registry pair, as ``example`` generates them."""
-    roles = (SequenceSpec.paper_example(example_id, role) for role in "fg")
-    return [seqs.term_arrays(seqs.term_shape(spec, n)) for spec in roles]
+    """The term arrays of both roles of a registry pair."""
+    return [seqs.term_arrays(shape) for shape in example_shapes(example_id, n)]
 
 
 # ------------------------------------------------------------ classification
@@ -212,7 +216,7 @@ def test_check_duality_memory_is_quadratic_in_dim():
 
 def test_block_route_memory_is_linear_in_terms():
     n = 10**5
-    f, g = example_terms("ex-identity", n)
+    f, g = example_shapes("ex-identity", n)
     tracemalloc.start()
     try:
         diag.monomial_reports(f, g)
@@ -220,7 +224,7 @@ def test_block_route_memory_is_linear_in_terms():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 98 bytes per term, in the reports; the term arrays themselves are not counted
+    # the bins and two chunks of terms, which the reports now generate themselves
     assert peak < 120 * n
 
 
@@ -228,7 +232,7 @@ def test_block_route_duality_holds_no_probe():
     # p and |p - 1| take ~40 bytes per term; the random probes, which the
     # diagonal residual already bounds, took ~64
     n = 10**5
-    f, g = example_terms("ex-identity", n)
+    f, g = example_shapes("ex-identity", n)
     diag.monomial_duality(f, g)  # lazy imports stay out of the peak
     tracemalloc.start()
     try:
@@ -255,9 +259,10 @@ def assert_close(got, want):
 @pytest.mark.parametrize("example_id", ["ex-hs", "ex-norm89"])
 def test_real_pairs_agree_with_complex_lapack(example_id):
     # the real path moves the dense square fields and pairing_residual_3 by ulps only
-    f, g = example_terms(example_id, 128)
-    cross = diag.monomial_reports(f, g)[2]
-    pairing = diag.monomial_duality(f, g).pairing_residual_3
+    shapes = example_shapes(example_id, 128)
+    cross = diag.monomial_reports(*shapes)[2]
+    pairing = diag.monomial_duality(*shapes).pairing_residual_3
+    f, g = (seqs.term_arrays(shape) for shape in shapes)
     fm, gm = seqs.from_terms(*f).columns, seqs.from_terms(*g).columns
     m = gm.conj().T @ fm
     want = complex_square_fields(m, cross.op_norm)
@@ -282,7 +287,7 @@ def test_hybrid_reports_scatter_the_cross_gram_from_the_terms():
     # ~1.03 N^2 complex entries, G and one buffer for G - G*, G @ G - G and
     # G - I
     n = 400
-    f, g = example_terms("ex-hs", n)
+    f, g = example_shapes("ex-hs", n)
     tracemalloc.start()
     try:
         diag.monomial_reports(f, g)
@@ -294,7 +299,7 @@ def test_hybrid_reports_scatter_the_cross_gram_from_the_terms():
 
 def test_hybrid_reports_refuse_the_cross_gram_before_any_block_work():
     # a library caller hits the N x N budget before the bins are allocated
-    f, g = example_terms("ex-hs", 4097)
+    f, g = example_shapes("ex-hs", 4097)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="4097 x 4097 cross-Gram exceeds the budget MAX_DENSE"):
@@ -309,8 +314,8 @@ def test_hybrid_duality_scatters_the_residual_from_the_terms():
     # T_f T_g* - I is the one dense matrix, float64 for the real ex-hs, and
     # no side is realized: the peak is ~0.51 N^2 complex entries
     n = 500
-    f, g = example_terms("ex-hs", n)
-    diag.monomial_duality(*example_terms("ex-hs", 8))  # lazy imports stay out of the peak
+    f, g = example_shapes("ex-hs", n)
+    diag.monomial_duality(*example_shapes("ex-hs", 8))  # lazy imports stay out of the peak
     tracemalloc.start()
     try:
         diag.monomial_duality(f, g)
@@ -344,7 +349,8 @@ def test_op_norm_is_the_two_norm_bit_for_bit():
 
 
 def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypatch):
-    f, g = example_terms("ex-canonical", 40)
+    fs, gs = example_shapes("ex-canonical", 40)
+    f, g = (seqs.term_arrays(shape) for shape in (fs, gs))
     assert np.array_equal(f[0], g[0])
 
     def refuse(*args, **kwargs):
@@ -352,18 +358,18 @@ def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypa
 
     monkeypatch.setattr(diag, "_classification", refuse)
     monkeypatch.setattr(ops, "_block_spectrum", refuse)
-    got = diag.monomial_duality(f, g)
+    got = diag.monomial_duality(fs, gs)
     monkeypatch.undo()
     want = diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*g))
     assert got.is_dual_pair is want.is_dual_pair is True
     for field in ("reconstruction_residual_1", "reconstruction_residual_2", "pairing_residual_3"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=1e-12)
     # a count or ambient mismatch names the same fault as the dense route
-    for bad in ((f[0][:-1], f[1][:-1], f[2]), (f[0], f[1], f[2] + 1)):
+    for bad in ((gs[0], gs[1] - 1, gs[2]), (gs[0], gs[1], gs[2] + 1)):
         with pytest.raises(ValueError) as dense:
-            diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*bad))
+            diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*seqs.term_arrays(bad)))
         with pytest.raises(ValueError) as alone:
-            diag.monomial_duality(f, bad)
+            diag.monomial_duality(fs, bad)
         assert str(alone.value) == str(dense.value)
 
 
@@ -371,9 +377,9 @@ def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypa
     "entry", ["cross_gram", "check_duality", "monomial_reports", "monomial_duality"]
 )
 def test_every_pair_entry_point_names_the_same_ambient_mismatch(entry):
-    idx = np.arange(1, 6)
-    f, g = (idx, np.ones(5, complex), 5), (idx, np.full(5, 2.0 + 0j), 6)
-    dense = seqs.from_terms(*f), seqs.from_terms(*g)
+    f = (SequenceSpec.scaled_basis(WeightRule.constant()), 5, 5)
+    g = (SequenceSpec.scaled_basis(WeightRule.constant(2.0)), 5, 6)
+    dense = seqs.from_terms(*seqs.term_arrays(f)), seqs.from_terms(*seqs.term_arrays(g))
     calls = {
         "cross_gram": lambda: ops.cross_gram(*dense),
         "check_duality": lambda: diag.check_duality(*dense),

@@ -440,11 +440,12 @@ def _close(got, want, rtol=1e-9, atol=1e-12):
 @given(_monomial_pair())
 def test_block_route_agrees_with_dense_route(pair):
     (f_spec, nf), (g_spec, ng) = pair
-    f, g = (sequences.term_arrays(sequences.term_shape(spec, n)) for spec, n in pair)
-    dim = max(f[2], g[2])
-    f, g = f[:2] + (dim,), g[:2] + (dim,)
+    fs, gs = (sequences.term_shape(spec, n) for spec, n in pair)
+    dim = max(fs[2], gs[2])
+    fs, gs = fs[:2] + (dim,), gs[:2] + (dim,)
+    f, g = (sequences.term_arrays(shape) for shape in (fs, gs))
     square = nf == ng
-    f_cls, g_cls, cross = diagnostics.monomial_reports(f, g)
+    f_cls, g_cls, cross, _ = diagnostics.monomial_reports(fs, gs)
     fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
 
     for got, want in ((f_cls, diagnostics.classify_sequence(fd)), (g_cls, diagnostics.classify_sequence(gd))):
@@ -487,7 +488,7 @@ def test_block_route_agrees_with_dense_route(pair):
         got_g = (cross.idempotency_defect, cross.identity_distance)
         assert got_g == (want.idempotency_defect, want.identity_distance)
 
-    duality = diagnostics.monomial_duality(f, g)
+    duality = diagnostics.monomial_duality(fs, gs)
     want = diagnostics.check_duality(fd, gd)
     if _far(duality.pairing_residual_3, 1e-10):
         assert duality.is_dual_pair == want.is_dual_pair
@@ -517,7 +518,13 @@ def _shared_index_pair(draw):
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     else:
         b = np.zeros(n, complex) if shape == "zero" else np.conj(draw(_COEFFS) / a)
-    return (idx, a, dim), (idx, b, dim)
+    return _shape(idx, a, dim), _shape(idx, b, dim)
+
+
+def _shape(idx, coeff, dim):
+    """A term shape whose terms are ``(idx, coeff)``: a pattern of head terms alone."""
+    head = tuple(sequences.PatternTerm(int(i), complex(c)) for i, c in zip(idx, coeff))
+    return sequences.SequenceSpec.pattern(sequences.PatternProgram(head=head)), len(idx), dim
 
 
 @settings(max_examples=200, deadline=None)
@@ -552,9 +559,10 @@ def test_square_verdicts_keep_their_bits_when_g_is_scaled_dense_route(seed, n, s
 @given(_shared_index_pair(), st.integers(-40, 40))
 def test_square_verdicts_keep_their_bits_when_g_is_scaled_block_route(pair, k):
     # G = T_g* T_f scales with f's coefficients, exactly by a power of two
-    (idx, a, dim), g = pair
-    want = _square_verdicts(diagnostics.monomial_reports((idx, a, dim), g)[2])
-    got = _square_verdicts(diagnostics.monomial_reports((idx, a * 2.0**k, dim), g)[2])
+    f, g = pair
+    idx, a, dim = sequences.term_arrays(f)
+    want = _square_verdicts(diagnostics.monomial_reports(f, g)[2])
+    got = _square_verdicts(diagnostics.monomial_reports(_shape(idx, a * 2.0**k, dim), g)[2])
     assert got == want
 
 
