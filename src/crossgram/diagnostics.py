@@ -39,15 +39,15 @@ MAX_BATTERY_WORK = 10**7
 MAX_BATTERY_DIM = 64
 
 # the sum of the truncations of one sweep: each row reads its block spectrum
-# off bins as wide as its index span, ~0.1 s per row near 1e7 terms, so the
-# slowest sweep the budget admits, 500 rows up to 1e7, took 48 s (ex-hs) and
-# 56 s (ex-identity) on one core of a 2-core x86-64 machine
+# off bins as wide as its index span, ~0.07 s per row near 1e7 terms, so the
+# slowest sweep the budget admits, 500 rows up to 1e7, took about 36 s (ex-hs
+# and ex-identity alike) on one core of a 2-core x86-64 machine
 MAX_SWEEP_WORK = 5 * 10**9
 
-# the most terms the sweep and the block reports generate and fold at a time:
-# their indices, coefficients and squared moduli take ~0.6 MB, so each chunk
-# stays in cache, and the per-index bins alone set the peak
-TERM_CHUNK = 1 << 14
+# the most terms the sweep and the block reports generate and fold, and bins they
+# read, at a time: a chunk's indices, coefficients and squared moduli take ~0.2 MB,
+# so each chunk stays in cache, and the per-index bins alone set the peak
+TERM_CHUNK = 1 << 13
 
 
 # --------------------------------------------------------------------------
@@ -261,15 +261,15 @@ def _chunks(spec, count: int, start: int = 0):
         yield sequences.monomial_terms(spec, min(lo + TERM_CHUNK, count), start=lo)
 
 
-def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing: bool = False):
+def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing=False):
     """One pass over the chunks ``sources`` make for each side, side by side, into
     bins up to ``dim``, widened at their front as chunks reach below them (bin j
     holds index base + j; bin 0 no term, as numpy's pairwise sums need): each
-    side's |c|^2 given ``sums``, and given ``pairing`` (one index array) the
-    diagonal p of T_f T_g* and each bin's term count.  A side past the entry
-    bounds of a matrix is refused through its ``named`` after the pass, f
+    side's |c|^2 given ``sums``, and given ``pairing``, the dtype of p (one index
+    array), the diagonal p of T_f T_g* and each bin's term count.  A side past the
+    entry bounds of a matrix is refused through its ``named`` after the pass, f
     first.  Returns the bins, base, each side's (max, min) |c| and last chunk."""
-    dtypes = [float] * len(sources) * sums + [complex, np.int32] * pairing
+    dtypes = [float] * len(sources) * sums + ([pairing, np.int32] if pairing else [])
     bins, base = [np.zeros(1, t) for t in dtypes], dim
     faults = np.zeros((len(sources), 2), int)
     moduli = [(0.0, np.inf)] * len(sources)
@@ -321,7 +321,7 @@ def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, n
     wraps each side's entry check (the CLI names the spec file)."""
     sides, dim = ((f,) if g is None else (f, g)), f[2]
     square = g is not None and f[1] == g[1]
-    hybrid = square and not sequences._same_indices(f[0], g[0], f[1])
+    hybrid = square and not sequences._same_indices(f[0], g[0], f[1], TERM_CHUNK)
     _check_duality(dim, sides[-1][2], duality and (f[1], g[1]), dense=duality and hybrid)
     shared, dual = square and not hybrid, None
     if hybrid:
@@ -336,7 +336,8 @@ def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, n
         sources = [functools.partial(iter, [(i, c)]) for i, c, _ in arrays]
     else:
         sources = [functools.partial(_chunks, spec, count) for spec, count, _ in sides]
-    bins, base, moduli, last = _block_fold(sources, dim, named, sums=cross, pairing=shared)
+    pairing = shared and (float if f[0]._real and g[0]._real else complex)  # before the pass
+    bins, base, moduli, last = _block_fold(sources, dim, named, sums=cross, pairing=pairing)
     if duality and shared:  # T_f T_g* - I is diagonal: p - 1 in the bins, -1 off them
         p = bins[-2][operators._basis(dim, base, len(bins[-2]))]
         blocks = range(0, len(p), TERM_CHUNK)
@@ -366,11 +367,8 @@ def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, n
     if g is None:
         return classes[0], None, None, None
 
-    block_sq = bins[0]
-    block_sq *= bins[1]
-    bins[:2] = ()  # g_sq is dropped, and f_sq after the spectrum
-    op, sigma_min, hs = operators._block_spectrum(block_sq, min(f[1], g[1]))
-    del block_sq
+    op, sigma_min, hs = operators._block_spectrum(bins[0], bins[1], min(f[1], g[1]), TERM_CHUNK)
+    bins[:2] = ()  # f_sq and g_sq are dropped
     if not square:
         fields = _RECTANGULAR
     elif not shared:
@@ -393,7 +391,7 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> No
     arrays, whose residual and cross-Gram are dense as with a dense side."""
     (fs, count, dim), (gs, g_count, g_dim) = f, g
     monomial = fs is not None and gs is not None
-    block = monomial and (count != g_count or sequences._same_indices(fs, gs, count))
+    block = monomial and (count != g_count or sequences._same_indices(fs, gs, count, TERM_CHUNK))
     if duality:
         _check_duality(dim, g_dim, (count, g_count), dense=not block)
     else:
@@ -773,11 +771,10 @@ def _trend(values: list[float]) -> str:
     return "inconclusive"
 
 
-def _prefix_sums(spec, counts: list[int], size: int):
+def _prefix_sums(spec, counts: list[int], sums: np.ndarray):
     """Yield, for each of the nondecreasing ``counts``, the per-index sums of |c|^2
-    over that many first terms of ``spec``, bin i holding index i: one array,
+    over that many first terms of ``spec``, bin i holding index i: ``sums``,
     into which each count's new terms are folded from ``_chunks`` in term order."""
-    sums = np.zeros(size)
     done = 0  # terms folded so far
     for count in counts:
         for idx, coeff in _chunks(spec, count, done):
@@ -821,12 +818,15 @@ def truncation_sweep(
     # role starts at e1, so a row's bins are the first dim + 1
     shapes = [[sequences.term_shape(role, n) for role in roles] for n in ns]
     (f, _, top), (g, _, _) = shapes[-1]
-    f_sums = _prefix_sums(f, [fs[1] for fs, _ in shapes], top + 1)
-    g_sums = _prefix_sums(g, [gs[1] for _, gs in shapes], top + 1)
+    # both sides' bins in one block, which malloc keeps for the next sweep rather
+    # than return and fault in again (2,221 minor faults per benchmark op, then 1)
+    bins = np.zeros((2, top + 1))
+    f_sums = _prefix_sums(f, [fs[1] for fs, _ in shapes], bins[0])
+    g_sums = _prefix_sums(g, [gs[1] for _, gs in shapes], bins[1])
     rows = []
     for n, ((_, fc, dim), (_, gc, _)), f_all, g_all in zip(ns, shapes, f_sums, g_sums):
         f_sq, g_sq = f_all[: dim + 1], g_all[: dim + 1]
-        op, sigma_min, hs = operators._block_spectrum(f_sq * g_sq, min(fc, gc))
+        op, sigma_min, hs = operators._block_spectrum(f_sq, g_sq, min(fc, gc), TERM_CHUNK)
         bessel = float(f_sq.max()), float(g_sq.max())
         rows.append(SweepRow(n, dim, fc, gc, op, sigma_min, hs, *bessel))
 

@@ -130,15 +130,26 @@ def _fold(sums: np.ndarray, idx: np.ndarray, weights) -> None:
     np.add.at(sums, idx, weights)
 
 
-def _block_spectrum(block_sq: np.ndarray, full: int) -> tuple[float, float, float]:
-    """op_norm, sigma_min and hs from the squared singular values
-    ``block_sq`` = f_sq * g_sq of the blocks; ``full`` is min(rows, cols)."""
-    active = block_sq > 0.0
-    rank = int(np.count_nonzero(active))
-    op = float(np.sqrt(block_sq.max())) if rank else 0.0
-    least = np.min(block_sq, where=active, initial=np.inf) if rank == full else 0.0
-    sigma_min = float(np.sqrt(least))
-    return op, sigma_min, float(np.sqrt(block_sq.sum()))
+def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int, step: int):
+    """op_norm, sigma_min and hs from two sides' bins of |c|^2 sums, whose products are
+    the blocks' squared singular values, read ``step`` (>= 128) bins at a time; ``full``
+    is min(rows, cols)."""
+    total, top, least, rank = _spectrum_sums(f_sq, g_sq, 0, len(f_sq), max(step, 128))
+    return float(np.sqrt(top)), float(np.sqrt(least)) if rank == full else 0.0, float(np.sqrt(total))
+
+
+def _spectrum_sums(f_sq: np.ndarray, g_sq: np.ndarray, lo: int, hi: int, leaf: int):
+    """Sum, max, least positive entry and number of positive entries of f_sq * g_sq
+    over bins lo .. hi - 1, split as numpy's pairwise sum of a float64 array is (at
+    half, down to a multiple of 8): leaves of >= 128 bins give ``np.sum``'s bits."""
+    if hi - lo <= leaf:
+        sq = f_sq[lo:hi] * g_sq[lo:hi]
+        total, top, rank = np.add.reduce(sq), sq.max(), np.count_nonzero(sq)
+        sq[sq == 0.0] = np.inf  # the least positive entry is then the least one
+        return total, top, sq.min(), rank
+    mid = lo + (hi - lo) // 2 // 8 * 8
+    a, b = _spectrum_sums(f_sq, g_sq, lo, mid, leaf), _spectrum_sums(f_sq, g_sq, mid, hi, leaf)
+    return a[0] + b[0], max(a[1], b[1]), min(a[2], b[2]), a[3] + b[3]
 
 
 def _term_gram(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -159,7 +170,9 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
 
 
 def _fold_pairing(p: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Fold into the diagonal p of T_f T_g*, p_i = sum a conj(b) over the terms on bin i."""
+    """Fold into the diagonal p of T_f T_g*, p_i = sum a conj(b) over bin i's terms."""
+    if p.dtype == float:  # two real sides
+        return _fold(p, at, a * b)
     # the parts of p as separate real products, so that a = b gives Im p = 0
     _fold(p.real, at, a.real * b.real + a.imag * b.imag)
     _fold(p.imag, at, a.imag * b.real - a.real * b.imag)
@@ -174,7 +187,8 @@ def _fold_q(sums: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, p=No
         return
     alpha_k, toward = alpha[at], np.zeros(len(at), complex)  # conj(p) / |a|^2
     np.divide(p.real[at], alpha_k, out=toward.real, where=alpha_k > 0.0)
-    np.divide(-p.imag[at], alpha_k, out=toward.imag, where=alpha_k > 0.0)
+    if p.dtype == complex:  # a float64 p has no imaginary part to read
+        np.divide(-p.imag[at], alpha_k, out=toward.imag, where=alpha_k > 0.0)
     _fold(sums, at, np.abs(b - a * toward) ** 2)
 
 

@@ -24,14 +24,7 @@ MAX_ATTEMPTS = 64
 
 _WEIGHT_RULES = ("inverse_index", "index", "constant", "geometric", "table")
 _COEFF_RULES = ("constant", "geometric", "inverse_term")
-_KINDS = (
-    "explicit",
-    "scaled_basis",
-    "pattern",
-    "paper_example",
-    "random_riesz",
-    "random_frame",
-)
+_KINDS = ("explicit", "scaled_basis", "pattern", "paper_example", "random_riesz", "random_frame")
 _ROLES = ("f", "g")
 # kinds whose every term is one coefficient on one basis vector
 MONOMIAL_KINDS = ("scaled_basis", "pattern", "paper_example")
@@ -258,6 +251,17 @@ class SequenceSpec:
         if self.seed is None or self.seed < 0:
             raise ValueError(f"random specs need a seed >= 0, got {self.seed}")
 
+    @functools.cached_property
+    def _real(self) -> bool:
+        """Whether no term of a scaled_basis or pattern spec can have an imaginary part,
+        read once off its values (weight value, ratio, table; coefficients, ratios)."""
+        if self.kind == "scaled_basis":
+            values = (self.weight.value, self.weight.ratio, *(self.weight.values or ()))
+        else:
+            values = [t.coeff for t in self.program.head]
+            values += [v for slot in self.program.tail for v in (slot.coeff, slot.ratio)]
+        return not any(v.imag for v in values)
+
     @classmethod
     def explicit(cls, columns) -> "SequenceSpec":
         return cls(kind="explicit", columns=columns)
@@ -321,10 +325,9 @@ MAX_DENSE_ENTRIES = 1 << 24
 
 # The term budget (term count and index span) of monomial sequences read
 # without a matrix, and the only bound on the block route, whose terms stream
-# through in chunks: a square pair on shared index arrays holds ~36 bytes per
-# index of its span (376 MB peak RSS for `example --id ex-identity --dim
-# 10000000`), the sweep ~25 (two arrays of per-index sums and one row's block
-# spectrum).
+# through in chunks: a real square pair on shared index arrays holds ~28 bytes
+# per index of its span (298 MB peak RSS for `example --id ex-identity --dim
+# 10000000`), the sweep ~16 (two arrays of per-index sums).
 MAX_SWEEP_TRUNCATION = 10**7
 
 
@@ -387,12 +390,13 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
 def monomial_terms(spec: SequenceSpec, n: int, *, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Term list (basis indices, coefficients) for one-index-per-term specs.
 
-    Term k is ``coeff[k]`` on basis vector ``idx[k]`` (indices from 1).
-    This is the one place terms are generated: dense realization scatters
-    these arrays, and the truncation sweep folds them chunk by chunk into
-    per-index sums without materializing dim x count matrices.  It covers
-    scaled_basis, pattern, and every registry example.  With ``start`` the
-    arrays hold terms ``start`` .. ``n - 1`` only, bit for bit
+    Term k is ``coeff[k]`` on basis vector ``idx[k]`` (indices from 1), and the
+    coefficients are float64 for a spec with no imaginary value (every registry
+    role), else complex128.  This is the one place terms are generated: dense
+    realization scatters these arrays, and the truncation sweep folds them chunk
+    by chunk into per-index sums without materializing dim x count matrices.  It
+    covers scaled_basis, pattern, and every registry example.  With ``start``
+    the arrays hold terms ``start`` .. ``n - 1`` only, bit for bit
     ``monomial_terms(spec, n)[start:]``.
     """
     spec, n = _monomial(spec, n)
@@ -442,8 +446,8 @@ def _monomial(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int]:
 def _terms(spec: SequenceSpec, n: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Terms ``start`` .. ``n - 1`` of a scaled_basis or pattern spec."""
     if spec.kind == "scaled_basis":
-        return _weight_terms(spec.weight, n, start)
-    return _pattern_terms(spec.program, n, start)
+        return _weight_terms(spec.weight, n, start, spec._real)
+    return _pattern_terms(spec.program, n, start, spec._real)
 
 
 def _check_table(rule: WeightRule, n: int) -> None:
@@ -454,20 +458,20 @@ def _check_table(rule: WeightRule, n: int) -> None:
         )
 
 
-def _weight_terms(rule: WeightRule, n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+def _weight_terms(rule: WeightRule, n: int, start: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
     _check_table(rule, n)
     k = np.arange(start + 1, n + 1, dtype=np.int64)
     if rule.rule == "inverse_index":
-        coeff = (1.0 / k).astype(complex)
+        coeff = 1.0 / k
     elif rule.rule == "index":
-        coeff = k.astype(complex)
+        coeff = k.astype(float)
     elif rule.rule == "constant":
-        coeff = np.full(n - start, rule.value, dtype=complex)
+        coeff = np.full(n - start, rule.value)
     elif rule.rule == "geometric":
-        coeff = _geometric(rule.value, rule.ratio, n, start)
+        return k, _geometric(rule.value, rule.ratio, n, start, real)
     else:
-        coeff = np.asarray(rule.values[start:n], dtype=complex)
-    return k, coeff
+        coeff = np.array(rule.values[start:n])
+    return k, np.ascontiguousarray(coeff.real) if real else coeff.astype(complex, copy=False)
 
 
 def _tail_slots(program: PatternProgram, n: int) -> tuple[int, list]:
@@ -488,14 +492,17 @@ def _tail_slots(program: PatternProgram, n: int) -> tuple[int, list]:
     return h, slots
 
 
-def _pattern_terms(program: PatternProgram, n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+def _pattern_terms(
+    program: PatternProgram, n: int, start: int, real: bool
+) -> tuple[np.ndarray, np.ndarray]:
     h, slots = _tail_slots(program, n)
     period = len(program.tail)
     idx = np.empty(n - start, dtype=np.int64)
-    coeff = np.empty(n - start, dtype=complex)
+    coeff = np.empty(n - start, dtype=float if real else complex)
     lead = program.head[start:h]
     idx[: len(lead)] = [t.index for t in lead]
-    coeff[: len(lead)] = [t.coeff for t in lead]
+    head = np.array([t.coeff for t in lead], dtype=complex)
+    coeff[: len(lead)] = head.real if real else head
     for pos, (slot, cycles, _) in enumerate(slots):
         first = h + pos  # the term of the slot's cycle 0
         skip = max(0, -((first - start) // period))  # its cycles before ``start``
@@ -507,59 +514,69 @@ def _pattern_terms(program: PatternProgram, n: int, start: int) -> tuple[np.ndar
         steps += slot.start_index
         idx[at] = steps
         if slot.coeff_rule == "constant":
-            coeff[at] = slot.coeff
+            coeff[at] = slot.coeff.real if real else slot.coeff
         elif slot.coeff_rule == "geometric":
-            coeff[at] = _geometric(slot.coeff, slot.ratio, cycles, skip)
+            coeff[at] = _geometric(slot.coeff, slot.ratio, cycles, skip, real)
         else:  # inverse_term: coeff / m for the overall term number m
             m = np.arange(first + skip * period + 1, n + 1, period, dtype=float)
-            coeff.real[at] = slot.coeff.real / m
-            coeff.imag[at] = slot.coeff.imag / m
+            for part, value in zip(_parts(coeff, real), _parts(slot.coeff, real)):
+                part[at] = value / m
     return idx, coeff
 
 
 # _geometric doubles its powers up to this many, then folds in higher bits
-_POWER_BLOCK = 1 << 14
+_POWER_BLOCK = 1 << 13
 
 
-def _powers(ratio: complex, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of ratio**j for j < size, by doubling: the
-    powers 2**b .. 2**(b+1) - 1 are the lower ones times ratio**(2**b)."""
-    re = np.empty(size)
-    im = np.empty(size)
-    re[0], im[0] = 1.0, 0.0
-    qr, qi, step = ratio.real, ratio.imag, 1  # q = ratio**step
+def _parts(z, real: bool) -> tuple:
+    """The parts (re, im) of a number or array z, or (re,) alone when ``real``."""
+    return (z.real,) if real else (z.real, z.imag)
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    """x times y, numbers or arrays given as ``_parts``, by the component formulas."""
+    if len(x) == 1:  # a real x of a real spec, whose y is real too
+        return (x[0] * y[0],)
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _powers(ratio: complex, size: int, real: bool) -> tuple:
+    """The ``_parts`` of ratio**j for j < size, by doubling: the powers
+    2**b .. 2**(b+1) - 1 are the lower ones times ratio**(2**b)."""
+    parts = (np.ones(size),) if real else (np.ones(size), np.zeros(size))
+    q, step = _parts(ratio, real), 1  # q = ratio**step
     with np.errstate(over="ignore", invalid="ignore"):
         while step < size:
             top = min(2 * step, size)
-            low_re, low_im = re[: top - step], im[: top - step]
-            re[step:top] = low_re * qr - low_im * qi
-            im[step:top] = low_re * qi + low_im * qr
-            qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
+            for part, low in zip(parts, _times([p[: top - step] for p in parts], q)):
+                part[step:top] = low
+            q = _times(q, q)
             step *= 2
-    return re, im
+    return parts
 
 
 @functools.lru_cache(maxsize=2)
-def _power_block(ratio_bits: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _power_block(ratio_bits: bytes, real: bool) -> tuple:
     """``_powers`` of the ratio with these bits over one whole block,
     read-only.  A side generated in chunks past the first block builds it
-    once instead of per chunk (a sweep has two sides; each table is
-    256 KiB).  The key is the ratio's bits, so 0.0 and -0.0 stay apart."""
-    re, im = _powers(complex(np.frombuffer(ratio_bits, dtype=complex)[0]), _POWER_BLOCK)
-    re.setflags(write=False)
-    im.setflags(write=False)
-    return re, im
+    once instead of per chunk (a sweep has two sides; each part is
+    64 KiB).  The key is the ratio's bits, so 0.0 and -0.0 stay apart."""
+    parts = _powers(complex(np.frombuffer(ratio_bits, dtype=complex)[0]), _POWER_BLOCK, real)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
-def _geometric(coeff: complex, ratio: complex, count: int, start: int = 0) -> np.ndarray:
-    """``coeff * ratio**c`` for c = start .. count-1.
+def _geometric(coeff: complex, ratio: complex, count: int, start: int, real: bool) -> np.ndarray:
+    """``coeff * ratio**c`` for c = start .. count-1, float64 for a ``real`` spec.
 
     The powers repeat CPython's square-and-multiply for ``complex ** int``,
     which takes the bits of c lowest first: ratio**c is ratio**(c - 2**b)
     times ratio**(2**b) for the top bit b of c.  With the products written
     as its component formulas, every coefficient up to c = 100 equals the
     scalar expression exactly.  Past c = 100 CPython switches to polar
-    form, which agrees with this to a few ulp per unit of c.
+    form, which agrees with this to a few ulp per unit of c.  The real formulas
+    drop only zero products: real parts keep their values, moduli their bits.
 
     The powers below ``_POWER_BLOCK`` come from ``_powers``.  A power
     past it is the table's power of its low bits times ratio**(2**b) for
@@ -567,30 +584,30 @@ def _geometric(coeff: complex, ratio: complex, count: int, start: int = 0) -> np
     doubling's order, so any range of c gives the bits of the whole array.
     """
     if count <= _POWER_BLOCK:
-        re, im = _powers(ratio, count)
+        table = _powers(ratio, count, real)
     else:
-        re, im = _power_block(np.complex128(ratio).tobytes())
-    qr, qi, step = ratio.real, ratio.imag, 1  # q = ratio**step
+        table = _power_block(np.complex128(ratio).tobytes(), real)
+    q, step = _parts(ratio, real), 1  # q = ratio**step
     high = []  # q for the steps past the table, lowest first
-    out = np.empty(count - start, dtype=complex)
+    out = np.empty(count - start, dtype=float if real else complex)
+    views = _parts(out, real)
     # powers past the float range become inf or NaN quietly; the entry
     # bound MAX_ENTRY refuses them with a message naming the spec
     with np.errstate(over="ignore", invalid="ignore"):
         while step < count:
             if step >= _POWER_BLOCK:
-                high.append((qr, qi))
-            qr, qi = qr * qr - qi * qi, qr * qi + qi * qr
+                high.append(q)
+            q = _times(q, q)
             step *= 2
         for block in range(start // _POWER_BLOCK, (count - 1) // _POWER_BLOCK + 1):
             first = block * _POWER_BLOCK
             lo, hi = max(start, first), min(count, first + _POWER_BLOCK)
-            wr, wi = re[lo - first : hi - first], im[lo - first : hi - first]
-            for bit, (sr, si) in enumerate(high):
+            w = [part[lo - first : hi - first] for part in table]
+            for bit, s in enumerate(high):
                 if block >> bit & 1:
-                    wr, wi = wr * sr - wi * si, wi * sr + wr * si
-            at = slice(lo - start, hi - start)
-            out.real[at] = wr * coeff.real - coeff.imag * wi
-            out.imag[at] = wi * coeff.real + coeff.imag * wr
+                    w = _times(w, s)
+            for view, part in zip(views, _times(w, _parts(coeff, real))):
+                view[lo - start : hi - start] = part
     return out
 
 
@@ -781,23 +798,23 @@ def term_arrays(shape: tuple[SequenceSpec, int, int]) -> tuple[np.ndarray, np.nd
     dense budget bounds (realization, mixed pairs, the hybrid scatter)."""
     spec, count, dim = shape
     idx, coeff = monomial_terms(spec, count)
-    linalg.as_matrix(coeff[None, :])
+    linalg._refuse(*linalg._faults(coeff))
     return idx, coeff, dim
 
 
-def _same_indices(f: SequenceSpec, g: SequenceSpec, n: int) -> bool:
-    """Whether the first ``n`` terms of two scaled_basis or pattern specs sit
-    on the same basis indices, read off a short prefix.  Past the longer
-    head, each side's index is affine in the cycle on every residue class
-    modulo L, the least common multiple of the tail periods, so two sides
-    that agree on their first (longer head + 2 L) terms agree on all."""
+def _same_indices(f: SequenceSpec, g: SequenceSpec, n: int, step: int) -> bool:
+    """Whether the first ``n`` terms of two scaled_basis or pattern specs sit on the same
+    basis indices, read off a prefix ``step`` terms at a time up to the first that differ.
+    Past the longer head, each side's index is affine in the cycle on each residue class
+    mod L, the lcm of the tail periods: sides that agree on (longer head + 2 L) terms agree."""
     heads, periods = [0], [1]  # a scaled_basis spec is a tail of one slot
     for spec in (f, g):
         if spec.kind == "pattern":
             heads.append(len(spec.program.head))
             periods.append(len(spec.program.tail) or 1)
     k = min(n, max(heads) + 2 * math.lcm(*periods))
-    return bool(np.array_equal(_terms(f, k)[0], _terms(g, k)[0]))
+    spans = ((lo, min(lo + step, k)) for lo in range(0, k, step))
+    return all(np.array_equal(_terms(f, hi, lo)[0], _terms(g, hi, lo)[0]) for lo, hi in spans)
 
 
 # --------------------------------------------------------------------------

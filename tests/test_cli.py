@@ -1510,11 +1510,50 @@ def test_entry_check_counts_the_whole_streamed_side(tmp_path, capsys):
         assert (out, err.splitlines()) == ("", [line]), argv
 
 
+def test_overflowing_real_geometric_specs_keep_their_refusals(tmp_path, capsys):
+    # real specs stream float64 terms, with no imaginary channel to turn an
+    # overflowing power into NaN; each line below was recorded from the complex
+    # stream, and the counts and the order (f first) must not move
+    def geo(value, ratio):
+        return {"kind": "scaled_basis", "weight": {
+            "rule": "geometric", "value": [value, 0], "ratio": [ratio, 0]}}
+
+    specs = {
+        "r10.json": geo(1, 10),  # past MAX_ENTRY from term 65, finite to 309
+        "r1e10.json": geo(1, 1e10),  # inf from term 32
+        "r11.json": geo(-2, -1.1),  # past its power tables (2**13 cycles)
+        "tail.json": {"kind": "pattern", "head": [{"index": 1, "coeff": [3, 0]}], "tail": [
+            {"start_index": 2, "index_step": 1, "coeff": [0.5, 0], "coeff_rule": "geometric",
+             "ratio": [1e10, 0]},
+            {"start_index": 3, "index_step": 1}]},
+    }
+    paths = {name: write_spec(tmp_path, name, payload) for name, payload in specs.items()}
+    larger = "matrix entries must be at most MAX_ENTRY = 1e+64 in modulus ({} larger entries)"
+    finite = "matrix entries must be finite ({} non-finite entries)"
+    cases = (
+        (["classify", "--input", "r10.json", "--dim", "100"], "r10.json", larger.format(36)),
+        (["classify", "--input", "r1e10.json", "--dim", "40"], "r1e10.json", finite.format(9)),
+        (["classify", "--input", "r11.json", "--dim", "20000"], "r11.json", finite.format(12560)),
+        (["classify", "--input", "tail.json", "--dim", "100"], "tail.json", finite.format(19)),
+        (["cross-gram", "--f", "r1e10.json", "--g", "r10.json", "--dim", "100"], "r1e10.json",
+         finite.format(69)),
+        (["cross-gram", "--f", "r10.json", "--g", "r1e10.json", "--dim", "100"], "r10.json",
+         larger.format(36)),
+        (["dual-check", "--f", "r11.json", "--g", "r10.json", "--dim", "20000"], "r11.json",
+         finite.format(12560)),
+    )
+    for argv, name, message in cases:
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"crossgram: error: {paths[name]}: {message}\n"), argv
+
+
 def test_block_reports_to_a_million_terms_hold_only_their_bins(tmp_path, monkeypatch, capsys):
     # the reports stream their terms into per-index bins and drop each array
     # once its verdicts are read: one side's |c|^2 sums are 8 bytes per
     # index, and a square pair on shared indices holds both sides' sums, the
-    # pairing p and each bin's term count, 36 (decimal megabytes below)
+    # pairing p (float64 for real specs) and each bin's term count, 28
+    # (decimal megabytes below)
     monkeypatch.chdir(tmp_path)
     Path("inv.json").write_text(json.dumps(MONOMIAL_SPECS["inv.json"]))
     n = "1000000"
@@ -1523,7 +1562,7 @@ def test_block_reports_to_a_million_terms_hold_only_their_bins(tmp_path, monkeyp
         (["classify", "--input", "inv.json", "--dim", n], 16),
         (["dual-check", *pair], 32),
         (["cross-gram", *pair], 60),
-        (["example", "--id", "ex-identity", "--dim", n], 60),
+        (["example", "--id", "ex-identity", "--dim", n], 35),
         (["example", "--id", "ex-canonical", "--dim", n], 60),
         (["example", "--id", "ex-blocked", "--dim", n], 25),
     )

@@ -193,3 +193,61 @@ def test_hs_norm_equals_column_sum_oracle():
     assert hs == pytest.approx(by_columns, rel=1e-13)
     assert hs == pytest.approx(np.linalg.norm(m, "fro"), rel=1e-15)
     assert hs >= np.linalg.norm(m, 2) - 1e-12
+
+
+# The block kernel reads numpy's own summation order in pieces.  These two
+# tests pin the numpy behaviour it relies on, so that a numpy build which sums
+# differently fails here by name rather than in an envelope digest.
+
+
+def test_chunked_pairwise_sum_is_np_sum_bit_for_bit():
+    # np.sum of a contiguous float64 array splits n at n/2 rounded down to a
+    # multiple of 8 down to blocks of 128; _spectrum_sums splits the same way
+    # and reduces each leaf with np.add.reduce, so any leaf >= 128 gives its
+    # bits (leaves of 128, the deepest split, on the lengths up to 10**5,
+    # which keeps this test near a second)
+    rng = np.random.default_rng(26)
+    top = 3 * 10**6
+    lengths = np.unique(np.exp(rng.uniform(0.0, np.log(top), 420)).astype(int))
+    lengths = [*lengths[:310], 127, 128, 129, 8191, 8192, 8193, 65536, 65537, top]
+    assert len(set(lengths)) >= 300
+    f = rng.random(top) * rng.choice([0.0, 1.0, 1e-300, 1e300], top, p=[0.1, 0.8, 0.05, 0.05])
+    g = rng.random(top) * rng.choice([0.0, 1.0], top, p=[0.1, 0.9])
+    for n in lengths:
+        a, b = f[:n], g[:n]
+        sq = a * b
+        want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), np.count_nonzero(sq))
+        for leaf in (128, 1 << 13, 1 << 16) if n <= 10**5 else (1 << 13, 1 << 16):
+            got = ops._spectrum_sums(a, b, 0, n, leaf)
+            assert [float(x) for x in got] == [float(x) for x in want], (n, leaf)
+
+
+def test_chunked_add_at_fold_is_bincount_of_the_whole_array():
+    # np.add.at adds one term at a time in term order, as np.bincount does, so
+    # the chunked folds of the sweep and the block reports give its bits
+    rng = np.random.default_rng(27)
+    n, bins = 100_003, 5_000
+    idx = rng.integers(0, bins, n)
+    weights = rng.standard_normal(n) * np.exp(rng.uniform(-300, 300, n))
+    want = np.bincount(idx, weights, minlength=bins)
+    for chunk in (7, 1 << 13, 1 << 14, n):
+        got = np.zeros(bins)
+        for lo in range(0, n, chunk):
+            ops._fold(got, idx[lo : lo + chunk], weights[lo : lo + chunk])
+        assert got.tobytes() == want.tobytes(), chunk
+
+
+def test_block_spectrum_reads_the_bins_a_chunk_at_a_time():
+    # the whole-array formulas it replaced, on bins with empty and tiny entries
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 200, 8193, 50_001):
+        f = rng.random(n) * (rng.random(n) > 0.2)
+        g = rng.random(n) ** 40 * (rng.random(n) > 0.2)
+        sq = f * g
+        rank = int(np.count_nonzero(sq))
+        for full in (rank, rank + 1):
+            least = np.min(sq, where=sq > 0.0, initial=np.inf) if rank == full else 0.0
+            want = (float(np.sqrt(sq.max())) if rank else 0.0, float(np.sqrt(least)),
+                    float(np.sqrt(sq.sum())))
+            for step in (7, 128, 1 << 13):
+                assert ops._block_spectrum(f, g, full, step) == want, (n, full, step)

@@ -251,8 +251,9 @@ def test_weight_terms_match_scalar_definition(rule, n):
 # monomial_terms(spec, n, start=s) is monomial_terms(spec, n)[s:] bit for
 # bit, and monomial_extent(spec, n) the span of the whole index array: the
 # sweep generates its terms a chunk at a time and sizes its bins from the
-# extents.  Geometric powers are built in aligned blocks of 2**15 cycles, so
-# n reaches past three blocks of the tail and the starts cluster at the
+# extents.  Geometric powers are built in aligned blocks of 2**13 cycles
+# (sequences._POWER_BLOCK), of which _BLOCK is a multiple, so n reaches past
+# three _BLOCKs of the tail and the starts cluster at the
 # head/tail edge and at the block edges; the ratios include complex ones and
 # ones whose powers overflow to inf and NaN.
 
@@ -342,7 +343,7 @@ def test_power_tables_keep_signed_zeros_apart():
     # hand the second ratio the first one's signed zeros
     count = _BLOCK + 4
     for ratio in (complex(0.0, 0.5), complex(-0.0, 0.5)):
-        got = sequences._geometric(1 + 0j, ratio, count, _BLOCK)
+        got = sequences._geometric(1 + 0j, ratio, count, _BLOCK, False)
         want_re, _ = _doubling(1 + 0j, ratio, count)
         assert np.signbit(got.real).tolist() == np.signbit(want_re[_BLOCK:]).tolist()
 
@@ -369,7 +370,7 @@ def test_same_indices_reads_a_prefix(program, unroll, perturb, n):
     g = sequences.SequenceSpec.pattern(sequences.PatternProgram(tuple(head), tuple(tail)))
     same = np.array_equal(sequences.monomial_terms(f, n)[0], sequences.monomial_terms(g, n)[0])
     assert same or perturb
-    assert sequences._same_indices(f, g, n) == same
+    assert sequences._same_indices(f, g, n, 7) == same
 
 
 # the block route (term arrays) against the dense route (realized matrices)

@@ -441,16 +441,103 @@ def test_same_indices_on_the_registry_and_restated_bases():
                 continue
             fi = monomial_terms(entry.f, fc)[0]
             gi = monomial_terms(entry.g, fc)[0]
-            assert seqs._same_indices(entry.f, entry.g, fc) == np.array_equal(fi, gi), (ex_id, n)
+            assert seqs._same_indices(entry.f, entry.g, fc, 7) == np.array_equal(fi, gi), (ex_id, n)
     basis = SequenceSpec.scaled_basis(WeightRule.constant())
     shifted = PatternProgram(head=(PatternTerm(1, 1.0),), tail=(TailSlot(2, 1),))
     odd = PatternProgram(tail=(TailSlot(1, 2),))
-    assert seqs._same_indices(basis, SequenceSpec.pattern(shifted), 10**7)
-    assert seqs._same_indices(basis, SequenceSpec.pattern(odd), 1)
-    assert not seqs._same_indices(basis, SequenceSpec.pattern(odd), 2)
+    assert seqs._same_indices(basis, SequenceSpec.pattern(shifted), 10**7, 1 << 13)
+    assert seqs._same_indices(basis, SequenceSpec.pattern(odd), 1, 7)
+    assert not seqs._same_indices(basis, SequenceSpec.pattern(odd), 2, 7)
 
 
 # ---------------------------------------------------------------- random
+
+
+def spread(period):
+    # period tail slots that put term m on e_m
+    return SequenceSpec.pattern(PatternProgram(tail=tuple(TailSlot(j + 1, period) for j in range(period))))
+
+
+def test_same_indices_reads_its_prefix_a_chunk_at_a_time(monkeypatch):
+    # tail periods 997 and 1009 are coprime, so the prefix that decides is every
+    # term; generated whole it held ~32 bytes per term, and a chunk at a time it
+    # holds about one chunk's index and coefficient arrays of each side
+    f, g = spread(997), spread(1009)
+    n, step = 10**5, 1 << 13
+    assert seqs._same_indices(f, g, n, step)  # first-call allocations are not traced
+    tracemalloc.start()
+    try:
+        assert seqs._same_indices(f, g, n, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 * 16 * step, peak
+    # a side that leaves the other is found in the chunk where it leaves
+    slots = list(g.program.tail)
+    slots[1008] = TailSlot(1009, 1010)  # leaves at term 2 * 1009
+    calls = []
+    terms = seqs._terms
+    monkeypatch.setattr(seqs, "_terms", lambda *args: calls.append(args) or terms(*args))
+    assert not seqs._same_indices(f, SequenceSpec.pattern(PatternProgram(tail=tuple(slots))), n, step)
+    assert [args[1:] for args in calls] == [(step, 0)] * 2
+
+
+REAL_RULES = (
+    WeightRule.inverse_index(), WeightRule.index(), WeightRule.constant(-2.5),
+    WeightRule.geometric(-0.5, 3.0), WeightRule.table([1.0, -2.0, 0.0, 4.0]),
+)
+REAL_PROGRAM = PatternProgram(
+    head=(PatternTerm(3, -1.0),),
+    tail=(TailSlot(1, 2, 0.5, "geometric", -0.9), TailSlot(2, 0, 2.0), TailSlot(5, 1, -1.0, "inverse_term")),
+)
+
+
+def test_real_specs_stream_float64_coefficients():
+    # no value of these specs has an imaginary part, so no term can have one
+    specs = [SequenceSpec.scaled_basis(rule) for rule in REAL_RULES]
+    specs += [SequenceSpec.pattern(REAL_PROGRAM)]
+    specs += [SequenceSpec.paper_example(ex_id, role) for ex_id in example_ids() for role in "fg"]
+    for spec in specs:
+        for start in (0, 2):
+            assert monomial_terms(spec, 4, start=start)[1].dtype == np.float64, (spec, start)
+
+
+def test_complex_specs_stream_complex128_coefficients():
+    # one imaginary value anywhere in the spec makes every chunk complex, even
+    # where no generated term has an imaginary part
+    rules = (WeightRule.constant(1j), WeightRule.geometric(0.5j), WeightRule.geometric(0.5, 1 + 1j),
+             WeightRule.table([1.0, 2.0, 3.0, 4.0, 5j]))
+    specs = [SequenceSpec.scaled_basis(rule) for rule in rules]
+    head, (geo, const, inv) = REAL_PROGRAM.head, REAL_PROGRAM.tail
+    for program in (
+        PatternProgram((PatternTerm(3, 1j),), REAL_PROGRAM.tail),
+        PatternProgram(head, (TailSlot(1, 2, 0.5, "geometric", 0.9j), const, inv)),
+        PatternProgram(head, (geo, TailSlot(2, 0, 2.0, ratio=1j), inv)),
+        PatternProgram(head, (geo, const, TailSlot(5, 1, 1 - 1j, "inverse_term"))),
+    ):
+        specs.append(SequenceSpec.pattern(program))
+    for spec in specs:
+        for start in (0, 3):
+            assert monomial_terms(spec, 4, start=start)[1].dtype == np.complex128, (spec, start)
+
+
+def test_real_stream_keeps_the_real_parts_of_the_complex_formulas():
+    # the complex formulas on the same values add only zero products to the
+    # real parts, so the finite ones keep their values (a zero can change its
+    # sign: -0.0 - -0.0 is +0.0), the moduli keep their bits, and the rest stay
+    # non-finite
+    n = 3 * seqs._POWER_BLOCK + 5
+    for ratio in (0.5, -0.7, 1.001, -1.0001, 10.0, 1e10, 1e-200, 0.0, -0.0):
+        for value in (1.0, -3.0):
+            rule = WeightRule.geometric(ratio, value)
+            for start in (0, 100, seqs._POWER_BLOCK + 1, n - 3):
+                real = seqs._weight_terms(rule, n, start, True)[1]
+                twin = seqs._weight_terms(rule, n, start, False)[1]
+                finite = np.isfinite(real)
+                assert finite.tolist() == np.isfinite(twin).tolist(), (ratio, value, start)
+                assert np.array_equal(real[finite], twin.real[finite]), (ratio, value, start)
+                assert np.abs(real[finite]).tobytes() == np.abs(twin[finite]).tobytes()
+                assert not twin.imag[finite].any()
 
 
 def test_random_riesz_pair_is_deterministic_and_screened():

@@ -144,8 +144,8 @@ def test_sweep_generates_each_rows_terms_only_when_it_folds_them(monkeypatch):
 
 
 def test_sweep_to_a_million_terms_is_linear_in_memory():
-    # two arrays of per-index sums and one row's block spectrum over the
-    # span, and a chunk of terms at a time: under 32 bytes per term
+    # two float64 arrays of per-index sums over the span, read a chunk at a
+    # time, and a chunk of real terms at a time: under 20 bytes per term
     n = 10**6
     for ex_id in example_ids():
         tracemalloc.start()
@@ -154,7 +154,7 @@ def test_sweep_to_a_million_terms_is_linear_in_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * n, (ex_id, peak)
+        assert peak < 20 * n, (ex_id, peak)
         if ex_id == "ex-hs":
             assert table.rows[-1].hs ** 2 == pytest.approx(partial_hs_sq(n), rel=1e-12)
 
@@ -183,7 +183,8 @@ def test_sweep_envelope_bytes_are_unchanged(ex_id, capsys):
 # SHA-256 of `sweep --id <id> --dims 2,32767,32768,32769,65537,100000`, recorded
 # from the sweep that generated every term at once: rows on both sides of
 # 2**15 and 2**16, edges of the term chunks and of the cycle blocks of
-# geometric powers (both 2**15 long when recorded, 2**14 since)
+# geometric powers (both 2**15 long when recorded, 2**13 since, of which
+# these dims are still edges)
 CHUNK_DIGESTS = {
     "ex-identity": "5877c1f1b8117d2ed730be990e35032f8f230c522bccc251bc92a49f3f75f333",
     "ex-hs": "ddfe4fbb88bf9eec6d26d65de80c862074ba6c165c48f5e829101d559a68fcd4",
