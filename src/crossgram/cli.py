@@ -115,14 +115,12 @@ def _validate(ns: argparse.Namespace) -> None:
         raise ValueError(f"seed must be non-negative, got {ns.seed}")
 
 
-def _named(path: str | None, make, *args):
+def _named(path: str, make, *args):
     """``make(*args)``; an error names the spec file ``path``, as a decoding
-    error does, unless ``path`` is None."""
+    error does."""
     try:
         return make(*args)
     except ValueError as exc:
-        if path is None:
-            raise
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -137,33 +135,31 @@ def _side(path: str, n: int):
 
 
 def _names(*paths):
-    """The block reports' ``named``: a side's errors name its spec file, if any."""
+    """The block reports' ``named``: a side's errors name its spec file."""
     return [functools.partial(_named, path) for path in paths]
 
 
-def _pair(f, g, n: int, *, duality: bool = False, cross: bool = True):
-    """Both sides of a pair command at truncation ``n``, refused over the
-    budgets of its reports (the duality report given ``duality``, the
-    cross-Gram report given ``cross``) before a term is generated: term
-    shapes when both are monomial (the block reports generate and check
-    their terms), else dense realizations.  A side is a spec file path, or
-    a registry role's ``sequences.term_shape``, whose errors name no file."""
-    paths = [side if isinstance(side, str) else None for side in (f, g)]
-    sides = [_side(side, n) if isinstance(side, str) else side for side in (f, g)]
+def _pair(f: str, g: str, n: int, *, duality: bool = False, cross: bool = True):
+    """Both sides of a pair command, spec file paths, at truncation ``n``:
+    two monomial sides as term shapes, which ``diagnostics.monomial_reports``
+    gates and routes; else dense realizations, refused over the budgets of
+    their reports (the duality report given ``duality``, the cross-Gram
+    report given ``cross``) by ``diagnostics.check_pair_budgets`` before a
+    monomial side is realized."""
+    paths = (f, g)
+    sides = [_side(path, n) for path in paths]
+    if all(isinstance(side, tuple) for side in sides):
+        return sides
     shapes = [side if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
-    block = all(spec is not None for spec, _, _ in shapes)
     for path, (spec, count, dim) in zip(paths, shapes):
-        if spec is not None and not block:  # a monomial side of a mixed pair is realized
+        if spec is not None:  # a monomial side of a mixed pair is realized
             _named(path, sequences._check_dense, dim, count)
     diagnostics.check_pair_budgets(*shapes, duality=duality, cross=cross)
-    if block:
-        return sides
-    out = []
-    for path, side in zip(paths, sides):
-        if isinstance(side, tuple):
-            side = _named(path, sequences.from_terms, *_named(path, sequences.term_arrays, side))
-        out.append(side)
-    return out
+    return [
+        _named(path, sequences.from_terms, *_named(path, sequences.term_arrays, side))
+        if isinstance(side, tuple) else side
+        for path, side in zip(paths, sides)
+    ]
 
 
 def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
@@ -200,12 +196,11 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
 
     if command == "example":
         entry = sequences.example_entry(ns.example_id)
-        shapes = [
+        ft, gt = (
             sequences.term_shape(sequences.SequenceSpec.paper_example(entry.example_id, role), ns.dim)
             for role in ("f", "g")
-        ]
-        square = shapes[0][1] == shapes[1][1]
-        ft, gt = _pair(*shapes, ns.dim, duality=square)
+        )
+        square = ft[1] == gt[1]
         f_cls, g_cls, cross, duality = diagnostics.monomial_reports(ft, gt, tol=tol, duality=square)
         report = {
             "example_id": entry.example_id,

@@ -225,17 +225,11 @@ class DualityReport:
 def check_duality(f: RealizedSequence, g: RealizedSequence, tol: float = DEFAULT_TOL) -> DualityReport:
     """Whether g is a dual of f, from one SVD of T_f T_g* - I, after the
     pair check and the residual's dense budget."""
-    _check_duality(f.dim, g.dim, (f.count, g.count))
+    operators._check_pair(f.dim, g.dim, (f.count, g.count))
+    sequences._check_dense(f.dim, f.dim, "dual-pair residual")
     # the caller's realizations are freed here if nothing else holds them
     f, g = _real_parts(f.columns, g.columns)
     return _duality(f @ g.conj().T, tol)
-
-
-def _check_duality(dim: int, g_dim: int, counts: tuple, dense=True) -> None:
-    """Refuse what ``check_duality`` refuses, in its order; ``dense`` false skips the residual."""
-    operators._check_pair(dim, g_dim, counts)
-    if dense:
-        sequences._check_dense(dim, dim, "dual-pair residual")
 
 
 def _duality(r: np.ndarray, tol: float) -> DualityReport:
@@ -310,23 +304,44 @@ def _block_q(shapes, terms: np.ndarray, p: np.ndarray, base: int, last):
     return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
 
 
+def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> bool:
+    """Refuse a pair where its reports would refuse it, in the same order,
+    before a term is generated, and return whether it is hybrid: two
+    monomial sides in a square pair on different index arrays, whose
+    residual and cross-Gram are dense, scattered from the terms.  Any other
+    monomial pair takes the block route, and a pair with a dense side the
+    dense route.  This is the one place a pair's route is decided:
+    ``monomial_reports`` gates a monomial pair, the CLI a dense or mixed one.
+    ``f`` and ``g`` are ``(spec, count, dim)``: a monomial side's
+    ``sequences.term_shape``, or ``spec`` None for a side realized densely.
+    ``duality`` asks for the duality report, ``cross`` for the cross-Gram
+    report."""
+    (fs, count, dim), (gs, g_count, g_dim) = f, g
+    operators._check_pair(dim, g_dim, duality and (count, g_count))
+    monomial = fs is not None and gs is not None
+    hybrid = monomial and count == g_count and not sequences._same_indices(fs, gs, count, TERM_CHUNK)
+    if hybrid or not monomial:  # the dense route
+        if duality:
+            sequences._check_dense(dim, dim, "dual-pair residual")
+        if cross:
+            sequences._check_dense(g_count, count, "cross-Gram")
+    return hybrid
+
+
 def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_call, _call)):
     """The reports of monomial sides given as ``sequences.term_shape``s, from
     one pass over their terms into per-index bins, each dropped once read: the
     classifications of f and g and the cross-Gram report given ``cross`` (None
     for g and the cross-Gram without g), and the duality report given
-    ``duality``.  A square pair on different index arrays refuses its N x N G
-    over budget first, then reads the square-only fields and the residual off
-    G and T_f T_g*, scattered from its ``sequences.term_arrays``.  ``named``
+    ``duality``.  A pair passes ``check_pair_budgets`` first, which gives its
+    route: a hybrid pair reads the square-only fields and the residual off G
+    and T_f T_g*, scattered from its ``sequences.term_arrays``.  ``named``
     wraps each side's entry check (the CLI names the spec file)."""
     sides, dim = ((f,) if g is None else (f, g)), f[2]
+    hybrid = g is not None and check_pair_budgets(f, g, duality=duality, cross=cross)
     square = g is not None and f[1] == g[1]
-    hybrid = square and not sequences._same_indices(f[0], g[0], f[1], TERM_CHUNK)
-    _check_duality(dim, sides[-1][2], duality and (f[1], g[1]), dense=duality and hybrid)
     shared, dual = square and not hybrid, None
     if hybrid:
-        if cross:
-            sequences._check_dense(g[1], f[1], "cross-Gram")
         arrays = [nm(sequences.term_arrays, s) for nm, s in zip(named, sides)]
         (fi, a, _), (gi, b, _) = arrays
         if duality:
@@ -379,25 +394,6 @@ def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, n
         herm, idem, ident, least = operators._block_square(p, terms, q, TERM_CHUNK)
         fields = (*_hermitian(herm, op, tol, lambda: least), idem, ident)
     return (*classes, _cross_report(g[1], f[1], op, sigma_min, hs, *fields, tol), dual)
-
-
-def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> None:
-    """Refuse a pair where its reports would refuse it, in the same order,
-    before a term is generated.  ``f`` and ``g`` are ``(spec, count, dim)``:
-    a monomial side's ``sequences.term_shape``, or ``spec`` None for a side
-    realized densely.  ``duality`` asks for the duality report, ``cross``
-    for the cross-Gram report.  Two monomial sides read their reports off
-    the block kernel unless they are a square pair on different index
-    arrays, whose residual and cross-Gram are dense as with a dense side."""
-    (fs, count, dim), (gs, g_count, g_dim) = f, g
-    monomial = fs is not None and gs is not None
-    block = monomial and (count != g_count or sequences._same_indices(fs, gs, count, TERM_CHUNK))
-    if duality:
-        _check_duality(dim, g_dim, (count, g_count), dense=not block)
-    else:
-        operators._check_pair(dim, g_dim)
-    if cross and not block:
-        sequences._check_dense(g_count, count, "cross-Gram")
 
 
 def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, named=(_call, _call)):

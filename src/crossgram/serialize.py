@@ -345,7 +345,8 @@ def render_text(envelope: dict) -> str:
 
 
 def emit_report(envelope: dict, *, fmt: str = "json", out: str | None = None) -> str:
-    """Render the envelope; write atomically to *out* or return the text."""
+    """Render the envelope; write atomically to *out* or return the text.
+    A failed write names *out* and the OS reason, not the temporary file."""
     if fmt == "json":
         text = render_json(envelope)
     elif fmt == "text":
@@ -353,14 +354,16 @@ def emit_report(envelope: dict, *, fmt: str = "json", out: str | None = None) ->
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'text'")
     if out is not None:
-        directory = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.replace(tmp, out)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise OSError(f"{out}: cannot write report: {exc.strerror or exc}") from exc
     return text

@@ -935,8 +935,9 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
 
 
 def test_each_monomial_side_is_shaped_and_generated_once(tmp_path, monkeypatch, capsys):
-    # one pair path: each side's term shape, one generation, one gate per pair command
-    names = ("term_shape", "monomial_terms", "monomial_extent", "check_pair_budgets")
+    # one pair path: each side's term shape, one generation, one gate per pair
+    # command, and one index comparison per square monomial pair, in the gate
+    names = ("term_shape", "monomial_terms", "monomial_extent", "check_pair_budgets", "_same_indices")
     calls = dict.fromkeys(names, 0)
 
     def spy(module, name):
@@ -961,27 +962,39 @@ def test_each_monomial_side_is_shaped_and_generated_once(tmp_path, monkeypatch, 
         {"kind": "pattern", "head": [{"index": 2}, {"index": 1}], "tail": [{"start_index": 3, "index_step": 1}]},
     )
     role = write_spec(tmp_path, "hs_g.json", {"kind": "paper_example", "example": "ex-hs", "role": "g"})
+    # 5 and 8 vectors in C^4: a rectangular monomial pair
+    blocked = [
+        write_spec(tmp_path, f"blocked_{r}.json", {"kind": "paper_example", "example": "ex-blocked", "role": r})
+        for r in ("f", "g")
+    ]
     eye = write_spec(
         tmp_path, "eye.json",
         {"kind": "explicit", "columns": [[[float(i == j), 0.0] for i in range(3)] for j in range(3)]},
     )
-    # (argv, monomial sides, gate calls, extents read: two per registry role)
-    for argv, sides, gates, extents in (
-        (["classify", "--input", odd, "--dim", "8"], 1, 0, 1),
-        (["classify", "--input", role, "--dim", "8"], 1, 0, 2),
-        (["cross-gram", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2),
-        (["cross-gram", "--f", odd, "--g", odd, "--dim", "8"], 2, 1, 2),
-        (["cross-gram", "--f", const, "--g", swap, "--dim", "8"], 2, 1, 2),
-        (["dual-check", "--f", swap, "--g", const, "--dim", "8"], 2, 1, 2),
-        (["dual-check", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2),
-        (["dual-check", "--f", inv, "--g", role, "--dim", "8"], 2, 1, 3),
-        (["cross-gram", "--f", const, "--g", eye, "--dim", "3"], 1, 1, 1),
-        *((["example", "--id", ex_id, "--dim", "8"], 2, 1, 4) for ex_id in sequences.example_ids()),
+    # (argv, monomial sides, gate calls, extents read: two per registry role,
+    # index comparisons: one per square monomial pair)
+    for argv, sides, gates, extents, compared in (
+        (["classify", "--input", odd, "--dim", "8"], 1, 0, 1, 0),
+        (["classify", "--input", role, "--dim", "8"], 1, 0, 2, 0),
+        (["cross-gram", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2, 1),
+        (["cross-gram", "--f", odd, "--g", odd, "--dim", "8"], 2, 1, 2, 1),
+        (["cross-gram", "--f", const, "--g", swap, "--dim", "8"], 2, 1, 2, 1),
+        (["cross-gram", "--f", *blocked[:1], "--g", *blocked[1:], "--dim", "8"], 2, 1, 4, 0),
+        (["dual-check", "--f", swap, "--g", const, "--dim", "8"], 2, 1, 2, 1),
+        (["dual-check", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2, 1),
+        (["dual-check", "--f", odd, "--g", odd, "--dim", "8"], 2, 1, 2, 1),
+        (["dual-check", "--f", inv, "--g", role, "--dim", "8"], 2, 1, 3, 1),
+        (["cross-gram", "--f", const, "--g", eye, "--dim", "3"], 1, 1, 1, 0),
+        (["dual-check", "--f", eye, "--g", const, "--dim", "3"], 1, 1, 1, 0),
+        *(
+            (["example", "--id", ex_id, "--dim", "8"], 2, 1, 4, int(ex_id != "ex-blocked"))
+            for ex_id in sequences.example_ids()
+        ),
     ):
         calls.update(dict.fromkeys(names, 0))
         assert cli.main(argv) == 0, argv
         capsys.readouterr()
-        assert calls == dict(zip(names, (sides, sides, extents, gates))), argv
+        assert calls == dict(zip(names, (sides, sides, extents, gates, compared))), argv
 
 
 def _booleans(value):
@@ -1302,6 +1315,19 @@ def test_out_flag_writes_atomically(tmp_path, report_schema):
     env = check_envelope(out.read_text(), report_schema)
     assert env["command"] == "example"
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_out_flag_failure_names_the_out_path(tmp_path, monkeypatch, capsys):
+    # the error names --out and the OS reason, never the temporary file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    for out, reason in (("missing/y.json", "No such file or directory"), ("outdir", "Is a directory")):
+        runs = []
+        for _ in range(2):
+            assert cli.main(["example", "--id", "ex-canonical", "--dim", "8", "--out", out]) == 2
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] == ("", f"crossgram: error: {out}: cannot write report: {reason}\n")
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 def test_env_var_sets_default_tolerance(tmp_path):
