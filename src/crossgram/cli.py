@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from . import diagnostics, operators, sequences, serialize
+from . import diagnostics, sequences, serialize
 from .linalg import DEFAULT_TOL
 from .sequences import GenerationError
 
@@ -116,11 +116,11 @@ def _validate(ns: argparse.Namespace) -> None:
 
 
 def _named(path: str, make, *args):
-    """``make(*args)``; an error names the spec file ``path``, as a decoding
-    error does."""
+    """``make(*args)``; an error, or a random draw that fails, names the spec
+    file ``path``, as a decoding error does."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, GenerationError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -135,31 +135,8 @@ def _side(path: str, n: int):
 
 
 def _names(*paths):
-    """The block reports' ``named``: a side's errors name its spec file."""
+    """The reports' ``named``: a side's errors name its spec file."""
     return [functools.partial(_named, path) for path in paths]
-
-
-def _pair(f: str, g: str, n: int, *, duality: bool = False, cross: bool = True):
-    """Both sides of a pair command, spec file paths, at truncation ``n``:
-    two monomial sides as term shapes, which ``diagnostics.monomial_reports``
-    gates and routes; else dense realizations, refused over the budgets of
-    their reports (the duality report given ``duality``, the cross-Gram
-    report given ``cross``) by ``diagnostics.check_pair_budgets`` before a
-    monomial side is realized."""
-    paths = (f, g)
-    sides = [_side(path, n) for path in paths]
-    if all(isinstance(side, tuple) for side in sides):
-        return sides
-    shapes = [side if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
-    for path, (spec, count, dim) in zip(paths, shapes):
-        if spec is not None:  # a monomial side of a mixed pair is realized
-            _named(path, sequences._check_dense, dim, count)
-    diagnostics.check_pair_budgets(*shapes, duality=duality, cross=cross)
-    return [
-        _named(path, sequences.from_terms, *_named(path, sequences.term_arrays, side))
-        if isinstance(side, tuple) else side
-        for path, side in zip(paths, sides)
-    ]
 
 
 def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
@@ -169,28 +146,16 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
 
     if command == "classify":
         seq = _side(ns.input, ns.dim)
-        if isinstance(seq, tuple):
-            report = diagnostics.monomial_reports(seq, tol=tol, named=_names(ns.input))[0]
-        else:
-            report = diagnostics.classify_sequence(seq, tol=tol)
+        report = diagnostics.reports(seq, tol=tol, named=_names(ns.input))[0]
         echo = {"input": ns.input, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
-    if command == "cross-gram":
-        f, g = _pair(ns.f, ns.g, ns.dim)
-        if isinstance(f, tuple):
-            report = diagnostics.monomial_reports(f, g, tol=tol, named=_names(ns.f, ns.g))[2]
-        else:
-            report = diagnostics.analyze_cross_gram(operators.cross_gram(f, g), tol=tol)
-        echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, "tol": tol}
-        return 0, serialize.build_envelope(command, echo, report)
-
-    if command == "dual-check":
-        f, g = _pair(ns.f, ns.g, ns.dim, duality=True, cross=False)
-        if isinstance(f, tuple):
-            report = diagnostics.monomial_duality(f, g, tol=tol, named=_names(ns.f, ns.g))
-        else:
-            report = diagnostics.check_duality(f, g, tol=tol)
+    if command in ("cross-gram", "dual-check"):
+        duality = command == "dual-check"
+        f, g = (_side(path, ns.dim) for path in (ns.f, ns.g))
+        report = diagnostics.reports(
+            f, g, tol=tol, duality=duality, cross=not duality, named=_names(ns.f, ns.g)
+        )[3 if duality else 2]
         echo = {"f": ns.f, "g": ns.g, "dim": ns.dim, "tol": tol}
         return 0, serialize.build_envelope(command, echo, report)
 
@@ -201,7 +166,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
             for role in ("f", "g")
         )
         square = ft[1] == gt[1]
-        f_cls, g_cls, cross, duality = diagnostics.monomial_reports(ft, gt, tol=tol, duality=square)
+        f_cls, g_cls, cross, duality = diagnostics.reports(ft, gt, tol=tol, duality=square)
         report = {
             "example_id": entry.example_id,
             "title": entry.title,

@@ -310,9 +310,10 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> bo
     monomial sides in a square pair on different index arrays, whose
     residual and cross-Gram are dense, scattered from the terms.  Any other
     monomial pair takes the block route, and a pair with a dense side the
-    dense route.  This is the one place a pair's route is decided:
-    ``monomial_reports`` gates a monomial pair, the CLI a dense or mixed one.
-    ``f`` and ``g`` are ``(spec, count, dim)``: a monomial side's
+    dense route.  This is the one place a pair's route is decided, and
+    ``reports`` gates every pair through it: a monomial pair before its
+    pass, a dense or mixed one before its monomial side is realized.  ``f``
+    and ``g`` are ``(spec, count, dim)``: a monomial side's
     ``sequences.term_shape``, or ``spec`` None for a side realized densely.
     ``duality`` asks for the duality report, ``cross`` for the cross-Gram
     report."""
@@ -328,17 +329,36 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> bo
     return hybrid
 
 
-def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_call, _call)):
-    """The reports of monomial sides given as ``sequences.term_shape``s, from
-    one pass over their terms into per-index bins, each dropped once read: the
-    classifications of f and g and the cross-Gram report given ``cross`` (None
-    for g and the cross-Gram without g), and the duality report given
-    ``duality``.  A pair passes ``check_pair_budgets`` first, which gives its
-    route: a hybrid pair reads the square-only fields and the residual off G
-    and T_f T_g*, scattered from its ``sequences.term_arrays``.  ``named``
-    wraps each side's entry check (the CLI names the spec file)."""
-    sides, dim = ((f,) if g is None else (f, g)), f[2]
+def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_call, _call)):
+    """The reports of f and of the pair (f, g), each side a monomial spec's
+    ``sequences.term_shape`` or a ``RealizedSequence``: the classifications of
+    f and g and the cross-Gram report given ``cross`` (None for g and the
+    cross-Gram without g), and the duality report given ``duality``.  Every
+    pair passes ``check_pair_budgets``, which gives its route.  Monomial sides
+    are read off one pass over their terms into per-index bins, each dropped
+    once read; a hybrid pair reads the square-only fields and the residual off
+    G and T_f T_g*, scattered from its ``sequences.term_arrays``.  A pair with
+    a dense side is dense: its monomial side is refused over a realization's
+    budget, the pair gated, and the side realized, and the pair reports no
+    classification.  ``named`` wraps each side's checks (the CLI names the
+    spec file)."""
+    sides = (f,) if g is None else (f, g)
+    if not all(isinstance(side, tuple) for side in sides):  # the dense route
+        if g is None:
+            return classify_sequence(f, tol), None, None, None
+        shapes = [side if isinstance(side, tuple) else (None, side.count, side.dim) for side in sides]
+        for nm, (spec, count, side_dim) in zip(named, shapes):
+            if spec is not None:  # the monomial side is realized
+                nm(sequences._check_dense, side_dim, count)
+        check_pair_budgets(*shapes, duality=duality, cross=cross)
+        f, g = (
+            nm(sequences.from_terms, *nm(sequences.term_arrays, side)) if isinstance(side, tuple) else side
+            for nm, side in zip(named, sides)
+        )
+        report = analyze_cross_gram(operators.cross_gram(f, g), tol) if cross else None
+        return None, None, report, check_duality(f, g, tol) if duality else None
     hybrid = g is not None and check_pair_budgets(f, g, duality=duality, cross=cross)
+    dim = f[2]
     square = g is not None and f[1] == g[1]
     shared, dual = square and not hybrid, None
     if hybrid:
@@ -354,14 +374,14 @@ def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, n
     pairing = shared and (float if f[0]._real and g[0]._real else complex)  # before the pass
     bins, base, moduli, last = _block_fold(sources, dim, named, sums=cross, pairing=pairing)
     if duality and shared:  # T_f T_g* - I is diagonal: p - 1 in the bins, -1 off them
-        p = bins[-2][operators._basis(dim, base, len(bins[-2]))]
+        p = bins[-2][operators._basis(base)]
         blocks = range(0, len(p), TERM_CHUNK)
         x = max(float(np.abs(p[lo : lo + TERM_CHUNK] - 1.0).max()) for lo in blocks)
         dual = DualityReport(x, x, x, x <= tol, tol)
     if not cross:
         return None, None, None, dual
 
-    basis = operators._basis(dim, base, len(bins[0]))
+    basis = operators._basis(base)
     classes = []
     for k, (top, least) in enumerate(moduli):
         s_e = bins[k]
@@ -394,12 +414,6 @@ def monomial_reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, n
         herm, idem, ident, least = operators._block_square(p, terms, q, TERM_CHUNK)
         fields = (*_hermitian(herm, op, tol, lambda: least), idem, ident)
     return (*classes, _cross_report(g[1], f[1], op, sigma_min, hs, *fields, tol), dual)
-
-
-def monomial_duality(f, g, *, tol: float = DEFAULT_TOL, named=(_call, _call)):
-    """``check_duality`` of two ``sequences.term_shape``s: on shared index arrays
-    max|p - 1| off the bins of p, else one SVD of T_f T_g* - I scattered."""
-    return monomial_reports(f, g, tol=tol, duality=True, cross=False, named=named)[3]
 
 
 # --------------------------------------------------------------------------

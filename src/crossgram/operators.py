@@ -118,9 +118,10 @@ def _dual_columns(t: np.ndarray, bounds: FrameBounds, path=(), scale: float = 0.
     return dual
 
 
-def _basis(dim: int, base: int, size: int) -> slice:
-    """The bins that stand for basis vectors: bin 0 for those outside the span, if any."""
-    return slice(0 if base or dim > base + size - 1 else 1, None)
+def _basis(base: int) -> slice:
+    """The bins that stand for basis vectors: all but bin 0, and bin 0 too,
+    index ``base``, which no term reaches, unless ``base`` is 0."""
+    return slice(0 if base else 1, None)
 
 
 def _fold(sums: np.ndarray, idx: np.ndarray, weights) -> None:

@@ -653,6 +653,17 @@ def test_realize_errors_name_the_spec_file(tmp_path, capsys):
         assert f not in err
 
 
+def test_random_draw_failures_name_the_spec_file(tmp_path, capsys):
+    # a 200 x 200 complex Gaussian draw almost never meets the condition
+    # screen; the condition number the message ends with is LAPACK's, so
+    # only the prefix is pinned
+    frame = write_spec(tmp_path, "rf200.json", {"kind": "random_frame", "d": 200, "n": 200, "seed": 1})
+    assert cli.main(["classify", "--input", frame, "--dim", "200"]) == 2
+    err = capsys.readouterr().err
+    want = f"crossgram: error: {frame}: no 200x200 draw met condition <= 100 after 64 attempts"
+    assert err.startswith(want), err
+
+
 # sha256 of the envelopes of the three explicit-spec commands on a seeded
 # 12 x 18 frame f and its canonical dual, recorded before explicit columns
 # were decoded as one array.  dual-check was re-recorded once, at one BLAS
@@ -914,6 +925,9 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
     const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
     # 5000 explicit vectors in C^1: a dense side that leaves const to be realized
     row = write_spec(tmp_path, "row.json", {"kind": "explicit", "columns": [[[1.0, 0.0]]] * 5000})
+    # 4096 in C^1: const's 4096 x 4096 realization sits at the dense budget,
+    # so only the pair check, which runs before const is realized, refuses
+    row4k = write_spec(tmp_path, "row4k.json", {"kind": "explicit", "columns": [[[1.0, 0.0]]] * 4096})
     dense = f"exceed{{}} the budget MAX_DENSE_ENTRIES = {sequences.MAX_DENSE_ENTRIES} entries"
     terms = "exceeds the term budget MAX_SWEEP_TRUNCATION = 10000000"
     for argv, message in (
@@ -924,6 +938,10 @@ def test_budgets_refuse_before_any_term_is_generated(tmp_path, monkeypatch, caps
          f"{odd}: index span 11999999 {terms}"),
         (["cross-gram", "--f", const, "--g", row, "--dim", "5000"],
          f"{const}: a dense 5000 x 5000 realization " + dense.format("s")),
+        (["cross-gram", "--f", const, "--g", row4k, "--dim", "4096"],
+         "sequences live in different ambient dimensions: 4096 vs 1"),
+        (["dual-check", "--f", row4k, "--g", const, "--dim", "4096"],
+         "sequences live in different ambient dimensions: 1 vs 4096"),
         (["example", "--id", "ex-identity", "--dim", "10000001"], f"term count 10000001 {terms}"),
         (["example", "--id", "ex-canonical", "--dim", "10000001"], f"term count 10000001 {terms}"),
         (["example", "--id", "ex-hs", "--dim", "5000"],

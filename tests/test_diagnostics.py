@@ -219,8 +219,8 @@ def test_block_route_memory_is_linear_in_terms():
     f, g = example_shapes("ex-identity", n)
     tracemalloc.start()
     try:
-        diag.monomial_reports(f, g)
-        diag.monomial_duality(f, g)
+        diag.reports(f, g)
+        diag.reports(f, g, duality=True, cross=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -233,10 +233,10 @@ def test_block_route_duality_holds_no_probe():
     # diagonal residual already bounds, took ~64
     n = 10**5
     f, g = example_shapes("ex-identity", n)
-    diag.monomial_duality(f, g)  # lazy imports stay out of the peak
+    diag.reports(f, g, duality=True, cross=False)  # lazy imports stay out of the peak
     tracemalloc.start()
     try:
-        diag.monomial_duality(f, g)
+        diag.reports(f, g, duality=True, cross=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,8 +260,8 @@ def assert_close(got, want):
 def test_real_pairs_agree_with_complex_lapack(example_id):
     # the real path moves the dense square fields and pairing_residual_3 by ulps only
     shapes = example_shapes(example_id, 128)
-    cross = diag.monomial_reports(*shapes)[2]
-    pairing = diag.monomial_duality(*shapes).pairing_residual_3
+    cross = diag.reports(*shapes)[2]
+    pairing = diag.reports(*shapes, duality=True, cross=False)[3].pairing_residual_3
     f, g = (seqs.term_arrays(shape) for shape in shapes)
     fm, gm = seqs.from_terms(*f).columns, seqs.from_terms(*g).columns
     m = gm.conj().T @ fm
@@ -290,7 +290,7 @@ def test_hybrid_reports_scatter_the_cross_gram_from_the_terms():
     f, g = example_shapes("ex-hs", n)
     tracemalloc.start()
     try:
-        diag.monomial_reports(f, g)
+        diag.reports(f, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -303,7 +303,7 @@ def test_hybrid_reports_refuse_the_cross_gram_before_any_block_work():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="4097 x 4097 cross-Gram exceeds the budget MAX_DENSE"):
-            diag.monomial_reports(f, g)
+            diag.reports(f, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -315,10 +315,10 @@ def test_hybrid_duality_scatters_the_residual_from_the_terms():
     # no side is realized: the peak is ~0.51 N^2 complex entries
     n = 500
     f, g = example_shapes("ex-hs", n)
-    diag.monomial_duality(*example_shapes("ex-hs", 8))  # lazy imports stay out of the peak
+    diag.reports(*example_shapes("ex-hs", 8), duality=True, cross=False)  # lazy imports stay out of the peak
     tracemalloc.start()
     try:
-        diag.monomial_duality(f, g)
+        diag.reports(f, g, duality=True, cross=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -358,7 +358,7 @@ def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypa
 
     monkeypatch.setattr(diag, "_classification", refuse)
     monkeypatch.setattr(ops, "_block_spectrum", refuse)
-    got = diag.monomial_duality(fs, gs)
+    got = diag.reports(fs, gs, duality=True, cross=False)[3]
     monkeypatch.undo()
     want = diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*g))
     assert got.is_dual_pair is want.is_dual_pair is True
@@ -369,7 +369,7 @@ def test_monomial_duality_on_shared_index_arrays_reads_only_the_pairing(monkeypa
         with pytest.raises(ValueError) as dense:
             diag.check_duality(seqs.from_terms(*f), seqs.from_terms(*seqs.term_arrays(bad)))
         with pytest.raises(ValueError) as alone:
-            diag.monomial_duality(fs, bad)
+            diag.reports(fs, bad, duality=True, cross=False)
         assert str(alone.value) == str(dense.value)
 
 
@@ -383,8 +383,8 @@ def test_every_pair_entry_point_names_the_same_ambient_mismatch(entry):
     calls = {
         "cross_gram": lambda: ops.cross_gram(*dense),
         "check_duality": lambda: diag.check_duality(*dense),
-        "monomial_reports": lambda: diag.monomial_reports(f, g),
-        "monomial_duality": lambda: diag.monomial_duality(f, g),
+        "monomial_reports": lambda: diag.reports(f, g),
+        "monomial_duality": lambda: diag.reports(f, g, duality=True, cross=False),
     }
     with pytest.raises(ValueError) as err:
         calls[entry]()

@@ -446,7 +446,7 @@ def test_block_route_agrees_with_dense_route(pair):
     fs, gs = fs[:2] + (dim,), gs[:2] + (dim,)
     f, g = (sequences.term_arrays(shape) for shape in (fs, gs))
     square = nf == ng
-    f_cls, g_cls, cross, _ = diagnostics.monomial_reports(fs, gs)
+    f_cls, g_cls, cross, _ = diagnostics.reports(fs, gs)
     fd, gd = sequences.from_terms(*f), sequences.from_terms(*g)
 
     for got, want in ((f_cls, diagnostics.classify_sequence(fd)), (g_cls, diagnostics.classify_sequence(gd))):
@@ -489,7 +489,7 @@ def test_block_route_agrees_with_dense_route(pair):
         got_g = (cross.idempotency_defect, cross.identity_distance)
         assert got_g == (want.idempotency_defect, want.identity_distance)
 
-    duality = diagnostics.monomial_duality(fs, gs)
+    duality = diagnostics.reports(fs, gs, duality=True, cross=False)[3]
     want = diagnostics.check_duality(fd, gd)
     if _far(duality.pairing_residual_3, 1e-10):
         assert duality.is_dual_pair == want.is_dual_pair
@@ -533,7 +533,7 @@ def _shape(idx, coeff, dim):
 def test_block_route_reconstruction_residuals_are_the_pairing_residual(pair):
     # T_f T_g* - I is diagonal, so its largest entry is its norm and bounds
     # every unit vector's residual: all three residuals are that entry
-    rep = diagnostics.monomial_duality(*pair)
+    rep = diagnostics.reports(*pair, duality=True, cross=False)[3]
     assert rep.reconstruction_residual_1 == rep.reconstruction_residual_2 == rep.pairing_residual_3
 
 
@@ -562,8 +562,8 @@ def test_square_verdicts_keep_their_bits_when_g_is_scaled_block_route(pair, k):
     # G = T_g* T_f scales with f's coefficients, exactly by a power of two
     f, g = pair
     idx, a, dim = sequences.term_arrays(f)
-    want = _square_verdicts(diagnostics.monomial_reports(f, g)[2])
-    got = _square_verdicts(diagnostics.monomial_reports(_shape(idx, a * 2.0**k, dim), g)[2])
+    want = _square_verdicts(diagnostics.reports(f, g)[2])
+    got = _square_verdicts(diagnostics.reports(_shape(idx, a * 2.0**k, dim), g)[2])
     assert got == want
 
 
