@@ -100,9 +100,11 @@ def classify_sequence(seq: RealizedSequence, tol: float = DEFAULT_TOL) -> Sequen
     the Bessel bound is sigma_max^2, the optimal lower frame bound is
     sigma_dim^2 (zero when fewer than dim vectors), completeness is full
     numeric row rank, and the Riesz verdict additionally needs count == dim
-    with a Gram spectrum bounded away from zero.
+    with a Gram spectrum bounded away from zero.  A random spec's realization
+    reuses the singular values its condition screen computed.
     """
-    return _classify(*_real_parts(seq.columns), tol)
+    (t,) = _real_parts(seq.columns)
+    return _classify(t, tol, seq._singular_values if t is seq.columns else None)
 
 
 def _classify(t: np.ndarray, tol: float, s=None) -> SequenceClassification:

@@ -77,8 +77,11 @@ def cross_gram(f: RealizedSequence, g: RealizedSequence) -> np.ndarray:
 
 
 def frame_bounds(seq: RealizedSequence, tol: float = linalg.DEFAULT_TOL) -> FrameBounds:
-    """Optimal bounds A, B from the singular values of the synthesis matrix."""
-    s = np.linalg.svd(seq.columns, compute_uv=False)
+    """Optimal bounds A, B from the singular values of the synthesis matrix
+    (a random spec's realization keeps those its condition screen computed)."""
+    s = seq._singular_values
+    if s is None:
+        s = np.linalg.svd(seq.columns, compute_uv=False)
     return bounds_from_singular_values(s, seq.dim, tol)
 
 

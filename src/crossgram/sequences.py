@@ -298,6 +298,10 @@ class RealizedSequence:
 
     columns: np.ndarray
 
+    # the singular values of ``columns`` when a random spec's condition screen
+    # computed them (set by ``realize``), read in place of a second SVD
+    _singular_values = None
+
     def __post_init__(self):
         m = linalg.as_matrix(self.columns).view()
         m.setflags(write=False)
@@ -365,7 +369,7 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
             raise ValueError(
                 f"explicit spec stores count {len(spec.columns)}, truncation {n} requested"
             )
-        cols = spec.columns.T
+        cols, s = spec.columns.T, None
     elif spec.kind in MONOMIAL_KINDS:
         shape = term_shape(spec, n)
         _check_dense(shape[2], shape[1])
@@ -375,16 +379,19 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
             raise ValueError(
                 f"random_riesz realizes exactly dim terms: truncation {n} != dim {spec.dim}"
             )
-        cols, _ = _riesz_basis(spec.dim, spec.seed)
+        cols, s = _riesz_basis(spec.dim, spec.seed)
     elif spec.kind == "random_frame":
         if n != spec.count:
             raise ValueError(
                 f"random_frame realizes exactly count terms: truncation {n} != count {spec.count}"
             )
-        cols, _ = _frame_draw(spec.dim, spec.count, spec.seed)
+        cols, s = _frame_draw(spec.dim, spec.count, spec.seed)
     else:  # pragma: no cover - kinds are validated at construction
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
-    return RealizedSequence(cols)
+    seq = RealizedSequence(cols)
+    if s is not None:  # a random draw is shared, not copied: these are its values
+        object.__setattr__(seq, "_singular_values", s)
+    return seq
 
 
 def monomial_terms(spec: SequenceSpec, n: int, *, start: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import tempfile
@@ -262,6 +263,24 @@ def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
 
 def load_sequence_file(path: str) -> SequenceSpec:
     """Read and decode one sequence spec from a JSON file."""
+    # the parsed tree holds no cycle, yet a 128 x 192 explicit spec makes
+    # ~25,000 lists, enough to set off ~35 collections that find nothing, so
+    # the collector is paused until the tree is dropped; the young collection
+    # first frees the cyclic garbage of earlier commands, which would
+    # otherwise stay live through the decode's peak
+    enabled = gc.isenabled()
+    gc.collect(0)
+    gc.disable()
+    try:
+        return _decode_file(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode_file(path: str) -> SequenceSpec:
+    """``load_sequence_file``'s read and decode: the parsed tree is dropped when
+    this returns, before the collector is put back."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -329,19 +348,21 @@ def render_json(envelope: dict) -> str:
 def render_text(envelope: dict) -> str:
     """Flatten the envelope into sorted "dotted.path = value" lines."""
     lines: list[str] = []
-
-    def walk(prefix: str, value: Any) -> None:
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}.{key}" if prefix else key, value[key])
-        elif isinstance(value, list):
-            for i, item in enumerate(value):
-                walk(f"{prefix}[{i}]", item)
-        else:
-            lines.append(f"{prefix} = {value}")
-
-    walk("", envelope)
+    _walk(lines, "", envelope)
     return "\n".join(lines) + "\n"
+
+
+def _walk(lines: list[str], prefix: str, value: Any) -> None:
+    """Append the "path = value" lines of ``value`` under ``prefix`` to ``lines``:
+    a module-level function, so a render leaves no closure cycle behind."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _walk(lines, f"{prefix}.{key}" if prefix else key, value[key])
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _walk(lines, f"{prefix}[{i}]", item)
+    else:
+        lines.append(f"{prefix} = {value}")
 
 
 def emit_report(envelope: dict, *, fmt: str = "json", out: str | None = None) -> str:

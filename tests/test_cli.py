@@ -8,6 +8,7 @@ Reports must be byte-identical for identical (config, seed).
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -199,6 +200,53 @@ def test_spec_file_text_is_freed_before_the_tree_is_decoded(tmp_path):
     floor = peak(lambda: json.loads(Path(path).read_text(encoding="utf-8")))
     assert floor > 2**20
     assert peak(lambda: serialize.load_sequence_file(path)) <= 1.05 * floor
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_sequence_file_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # decoding pauses the cyclic collector; a caller that had disabled it
+    # finds it disabled, on success and on every error path
+    good = write_spec(tmp_path, "good.json", {"kind": "random_frame", "d": 2, "n": 3, "seed": 1})
+    bad_field = write_spec(tmp_path, "field.json", {"kind": "random_frame", "d": 2.5, "n": 3, "seed": 1})
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "broken.json").write_text('{"kind": ')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    failing = [str(tmp_path / name) for name in ("missing.json", "utf16.json", "broken.json", "deep.json")]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        serialize.load_sequence_file(good)
+        assert gc.isenabled() is enabled
+        for path in [*failing, bad_field]:
+            with pytest.raises(SpecFileError):
+                serialize.load_sequence_file(path)
+            assert gc.isenabled() is enabled, path
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_explicit_decode_runs_at_most_one_young_collection(tmp_path):
+    # the ~25,000 lists of a 128 x 192 explicit spec set off ~35 collections,
+    # none of which finds a cycle, when the collector runs through the decode
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((128, 192)) + 1j * rng.standard_normal((128, 192))
+    columns = [[[float(z.real), float(z.imag)] for z in col] for col in t.T]
+    path = write_spec(tmp_path, "f.json", {"kind": "explicit", "columns": columns})
+    del columns
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        spec = serialize.load_sequence_file(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert runs in ([], [0])
+    np.testing.assert_array_equal(spec.columns, t.T)
 
 
 @pytest.mark.parametrize(
@@ -774,6 +822,38 @@ def test_real_matrices_take_real_lapack_and_complex_ones_complex(tmp_path, monke
     diagnostics.theorem_battery(42, 5)
     assert seen and set(seen) == {np.dtype(np.complex128)}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "payload, n",
+    [
+        ({"kind": "random_frame", "d": 6, "n": 9, "seed": 3}, 9),
+        ({"kind": "random_riesz", "d": 7, "seed": 4}, 7),
+    ],
+)
+def test_classify_of_a_random_spec_takes_one_svd(tmp_path, monkeypatch, capsys, payload, n):
+    # the condition screen's SVD of the accepted draw is the only one: the
+    # classification and the frame bounds read its singular values
+    path = write_spec(tmp_path, "random.json", payload)
+    svd, calls = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        calls.append(1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert cli.main(["classify", "--input", path, "--dim", str(n), "--tol", "1e-9"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    seq = sequences.realize(serialize.load_sequence_file(path), n)
+    calls.clear()
+    bounds = operators.frame_bounds(seq, 1e-9)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = diagnostics._classify(seq.columns, 1e-9)  # s=None: an SVD of its own
+    assert bounds == fresh.frame
+    echo = {"input": path, "dim": n, "tol": 1e-9}
+    assert out == serialize.render_json(serialize.build_envelope("classify", echo, fresh))
 
 
 def test_hybrid_example_holds_about_one_dense_matrix():
@@ -1426,6 +1506,35 @@ def test_text_format(tmp_path):
     assert res.returncode == 0
     assert "command = example" in res.stdout
     assert "report.cross_gram.op_norm" in res.stdout
+
+
+def test_text_rendering_leaves_no_cyclic_garbage():
+    # a recursive closure would keep every rendered line alive until a collection
+    envelope = serialize.build_envelope("example", {"id": "ex-identity"}, {
+        "rows": [{"n": 1, "v": [0.5, -0.0]}, {"n": 2, "v": None}], "ok": True,
+    })
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        text = serialize.render_text(envelope)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert text.splitlines()[:4] == [
+        "command = example", "config.id = ex-identity", "report.ok = True", "report.rows[0].n = 1",
+    ]
+
+
+# sha256 of `example --id ex-identity --dim 8 --format text`: the block route
+# makes no LAPACK call, so these bytes hold on any BLAS
+TEXT_DIGEST = "d248efa5035264fb7c3d8319d86af2277ebedb6bc17aac81f810a0d3202be0b1"
+
+
+def test_text_envelope_bytes_are_unchanged(capsys):
+    assert cli.main(["example", "--id", "ex-identity", "--dim", "8", "--format", "text"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TEXT_DIGEST
 
 
 def test_unknown_command_exits_2():
