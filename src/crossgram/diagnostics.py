@@ -252,9 +252,11 @@ def _call(make, *args):
 
 def _chunks(spec, count: int, start: int = 0):
     """Terms ``start`` .. ``count - 1`` of a scaled_basis or pattern spec, at most
-    ``TERM_CHUNK`` at a time: the one stream the sweep and the block reports fold."""
+    ``TERM_CHUNK`` at a time, as (indices, coefficients, ``sequences._index_stride``):
+    the one stream the sweep and the block reports fold, each by ``operators._fold``."""
     for lo in range(start, count, TERM_CHUNK):
-        yield sequences.monomial_terms(spec, min(lo + TERM_CHUNK, count), start=lo)
+        stride = sequences._index_stride(spec, lo)  # this frame holds no chunk once yielded
+        yield *sequences.monomial_terms(spec, min(lo + TERM_CHUNK, count), start=lo), stride
 
 
 def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing=False):
@@ -282,11 +284,11 @@ def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing=False):
             if terms:
                 mod = np.abs(terms[1])
                 moduli[k] = max(moduli[k][0], mod.max()), min(moduli[k][1], mod.min())
-                operators._fold(bins[k], terms[0] - base, mod**2)
-        if pairing:
-            (fi, a), (_, b) = chunk
-            operators._fold_pairing(bins[-2], fi - base, a, b)
-            operators._fold(bins[-1], fi - base, np.int32(1))  # int32: add.at's fast path
+                operators._fold(bins[k], terms[0] - base, mod**2, terms[2])
+        if pairing:  # f's stride is g's on one index array
+            (fi, a, stride), (_, b, _) = chunk
+            operators._fold_pairing(bins[-2], fi - base, a, b, stride)
+            operators._fold(bins[-1], fi - base, np.int32(1), stride)  # int32: add.at's fast path
     for nm, fault in zip(named, faults.tolist()):
         nm(linalg._refuse, *fault)
     return bins, base, moduli, chunk
@@ -300,7 +302,7 @@ def _block_q(shapes, terms: np.ndarray, p: np.ndarray, base: int, last):
     alpha, r = np.zeros(len(p)), np.zeros(len(p))
     for sums in (alpha, r):
         chunks = [last] if shapes[0][1] <= TERM_CHUNK else zip(*(_chunks(s, n) for s, n, _ in shapes))
-        for (fi, a), (_, b) in chunks:
+        for (fi, a, _), (_, b, _) in chunks:
             m = np.flatnonzero(terms[fi - base] > 1)
             operators._fold_q(sums, fi[m] - base, a[m], b[m], *((p, alpha) if sums is r else ()))
     return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
@@ -370,7 +372,7 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
             dual = _duality(operators._term_frame(fi, gi, *_real_parts(a, b), dim), tol)
         if not cross:
             return None, None, None, dual
-        sources = [functools.partial(iter, [(i, c)]) for i, c, _ in arrays]
+        sources = [functools.partial(iter, [(i, c, None)]) for i, c, _ in arrays]
     else:
         sources = [functools.partial(_chunks, spec, count) for spec, count, _ in sides]
     pairing = shared and (float if f[0]._real and g[0]._real else complex)  # before the pass
@@ -392,8 +394,8 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
         e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
         if e:
             s_e[:] = 0.0
-            for idx, c in sources[k]():
-                operators._fold(s_e, idx - base, np.ldexp(np.abs(c), -e) ** 2)
+            for idx, c, stride in sources[k]():
+                operators._fold(s_e, idx - base, np.ldexp(np.abs(c), -e) ** 2, stride)
         hi, lo = float(s_e[basis].max()), float(s_e[basis].min())
         frame = operators.FrameBounds(math.ldexp(lo, 2 * e), math.ldexp(hi, 2 * e), tol)
         # completeness is a ratio, so it is read before the shift
@@ -786,20 +788,13 @@ def _trend(values: list[float]) -> str:
 def _prefix_sums(spec, counts: list[int], sums: np.ndarray):
     """Yield, for each of the nondecreasing ``counts``, the per-index sums of |c|^2
     over that many first terms of ``spec``, bin i holding index i: ``sums``,
-    into which each count's new terms are folded from ``_chunks`` in term order.
-    A chunk on evenly spaced indices (``sequences._index_stride``) is folded by one
-    slice add: its indices are distinct, so each bin takes the one addition
-    ``operators._fold`` would make, and the bits are the same."""
+    into which each count's new terms are folded from ``_chunks`` in term order."""
     done = 0  # terms folded so far
     for count in counts:
-        for idx, coeff in _chunks(spec, count, done):
+        for idx, coeff, stride in _chunks(spec, count, done):
             # for real values np.square is bit for bit |c|^2, in one pass
             sq = np.square(coeff) if coeff.dtype == np.float64 else np.abs(coeff) ** 2
-            stride = sequences._index_stride(spec, done)
-            if stride:
-                sums[idx[0] : idx[-1] + 1 : stride] += sq
-            else:
-                operators._fold(sums, idx, sq)
+            operators._fold(sums, idx, sq, stride)
             done += len(idx)
             del idx, coeff, sq  # not held while the other side or the next chunk is made
         yield sums

@@ -127,11 +127,16 @@ def _basis(base: int) -> slice:
     return slice(0 if base else 1, None)
 
 
-def _fold(sums: np.ndarray, idx: np.ndarray, weights) -> None:
+def _fold(sums: np.ndarray, idx: np.ndarray, weights, stride=None) -> None:
     """Add ``weights`` into the bins ``sums``, bin i holding index i, one term
     at a time, in term order, as ``np.bincount`` does: terms folded chunk by
-    chunk give the bits of ``np.bincount`` of them all."""
-    np.add.at(sums, idx, weights)
+    chunk give the bits of ``np.bincount`` of them all.  Given the ``stride`` of
+    evenly spaced ``idx``, one slice add: the indices are distinct, so each bin
+    takes the one addition ``np.add.at`` would make, and the bits are the same."""
+    if stride:
+        sums[idx[0] : idx[-1] + 1 : stride] += weights
+    else:
+        np.add.at(sums, idx, weights)
 
 
 def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int, step: int):
@@ -173,13 +178,13 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
     return r
 
 
-def _fold_pairing(p: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def _fold_pairing(p: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, stride=None) -> None:
     """Fold into the diagonal p of T_f T_g*, p_i = sum a conj(b) over bin i's terms."""
     if p.dtype == float:  # two real sides
-        return _fold(p, at, a * b)
+        return _fold(p, at, a * b, stride)
     # the parts of p as separate real products, so that a = b gives Im p = 0
-    _fold(p.real, at, a.real * b.real + a.imag * b.imag)
-    _fold(p.imag, at, a.imag * b.real - a.real * b.imag)
+    _fold(p.real, at, a.real * b.real + a.imag * b.imag, stride)
+    _fold(p.imag, at, a.imag * b.real - a.real * b.imag, stride)
 
 
 def _fold_q(sums: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, p=None, alpha=None):

@@ -406,10 +406,10 @@ def monomial_terms(spec: SequenceSpec, n: int, *, start: int = 0) -> tuple[np.nd
     Term k is ``coeff[k]`` on basis vector ``idx[k]`` (indices from 1), and the
     coefficients are float64 for a spec with no imaginary value (every registry
     role), else complex128.  This is the one place terms are generated: dense
-    realization scatters these arrays, and the truncation sweep folds them chunk
-    by chunk into per-index sums without materializing dim x count matrices.  It
-    covers scaled_basis, pattern, and every registry example.  With ``start``
-    the arrays hold terms ``start`` .. ``n - 1`` only, bit for bit
+    realization scatters these arrays, and the sweep and the block reports fold
+    them chunk by chunk into per-index sums without materializing dim x count
+    matrices.  It covers scaled_basis, pattern, and every registry example.  With
+    ``start`` the arrays hold terms ``start`` .. ``n - 1`` only, bit for bit
     ``monomial_terms(spec, n)[start:]``.
     """
     spec, n = _monomial(spec, n)

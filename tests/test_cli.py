@@ -1644,6 +1644,37 @@ def test_envelopes_do_not_depend_on_the_chunk_sizes(tmp_path, monkeypatch, capsy
         assert a == b, argv
 
 
+def test_strided_folds_of_a_complex_shared_pair_give_the_add_at_bytes(tmp_path, monkeypatch, capsys):
+    # a complex pair on one index array e4, e1, e4, e7, ...: the head chunk
+    # folds by np.add.at, the later ones by slice adds (Re p and Im p through
+    # strided views of p) onto bins that the head already reached
+    monkeypatch.chdir(tmp_path)
+    specs = {
+        "f.json": {"kind": "pattern", "head": [{"index": 4, "coeff": [1, 1]}], "tail": [
+            {"start_index": 1, "index_step": 3, "coeff_rule": "geometric", "coeff": [0.5, 0.25],
+             "ratio": [0.6, 0.8]}]},
+        "g.json": {"kind": "pattern", "head": [{"index": 4, "coeff": [-0.5, 2]}], "tail": [
+            {"start_index": 1, "index_step": 3, "coeff_rule": "inverse_term", "coeff": [0.3, -0.7]}]},
+    }
+    for name, payload in specs.items():
+        Path(name).write_text(json.dumps(payload))
+    pair = ["--f", "f.json", "--g", "g.json"]
+    argvs = [["classify", "--input", "f.json"], ["classify", "--input", "g.json"],
+             ["cross-gram", *pair], ["dual-check", *pair]]
+
+    def envelopes():
+        out = []
+        for argv in argvs:
+            assert cli.main([*argv, "--dim", "30000"]) == 0, argv
+            out.append(capsys.readouterr().out)
+        return out
+
+    want = envelopes()
+    monkeypatch.setattr(sequences, "_index_stride", lambda spec, start: None)
+    for argv, a, b in zip(argvs, want, envelopes(), strict=True):
+        assert a == b, argv
+
+
 def test_entry_check_counts_the_whole_streamed_side(tmp_path, capsys):
     # weights 1.005**k pass MAX_ENTRY near term 29,550, past the first chunk of
     # terms, and 1.01**k near term 14,810, inside it: the count covers the

@@ -7,6 +7,7 @@ floating point rounding.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -661,6 +662,30 @@ def _check_prefix_sums(spec, counts: list[int]) -> None:
         assert bins.tobytes() == want.tobytes(), count
 
 
+def _check_block_fold(spec, counts: list[int]) -> None:
+    """The block reports' bins of ``spec`` paired with itself at each count, both
+    sides' |c|^2, p and the term count, are those of ``np.bincount`` over that
+    many first terms, byte for byte, whichever way each chunk was folded."""
+    idx, c = sequences.monomial_terms(spec, counts[-1])
+    pairing = float if spec._real else complex
+    for count in counts:
+        at, a = idx[:count], c[:count]
+        source = functools.partial(diagnostics._chunks, spec, count)
+        bins, base, _, _ = diagnostics._block_fold([source] * 2, int(at.max()), [diagnostics._call] * 2,
+                                                   pairing=pairing)
+        f_sq, g_sq, p, terms = bins
+        folds = [(f_sq, np.abs(a) ** 2), (g_sq, np.abs(a) ** 2)]
+        if pairing is float:
+            folds.append((p, a * a))
+        else:  # the parts of p = sum a conj(a) as operators._fold_pairing forms them
+            folds += [(p.real, a.real * a.real + a.imag * a.imag), (p.imag, a.imag * a.real - a.real * a.imag)]
+        for k, (sums, weights) in enumerate(folds):
+            want = np.bincount(at - base, weights, len(sums))
+            assert sums.tobytes() == want.tobytes(), (count, k)
+        want = np.bincount(at - base, minlength=len(terms)).astype(np.int32)
+        assert terms.tobytes() == want.tobytes(), count
+
+
 @given(monomial_specs, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=40))
 def test_index_stride_gives_the_indices_of_the_terms_past_start(spec, start, extra):
     _check_stride(spec, start, start + extra)
@@ -671,6 +696,7 @@ def test_prefix_sums_give_the_bincount_bits_across_chunk_edges(spec, first):
     # the first count may end inside the head or past it; the others put
     # chunk edges one term before, at and after TERM_CHUNK
     _check_prefix_sums(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
+    _check_block_fold(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
 
 
 def _pattern(head, *tail):
@@ -700,3 +726,4 @@ def test_index_stride_hand_cases(spec, strides):
         _check_stride(spec, start, CHUNK + 1)
     for first in (1, 2, 3):
         _check_prefix_sums(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
+        _check_block_fold(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])

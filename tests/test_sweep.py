@@ -143,21 +143,46 @@ def test_sweep_generates_each_rows_terms_only_when_it_folds_them(monkeypatch):
     assert folded == {spec: c[-1] for spec, c in counts.items()}
 
 
-def test_sweep_folds_chunks_on_consecutive_indices_by_slice_add(monkeypatch):
-    # only a chunk that reaches a head, or a side of more than one tail slot
-    # or of a step-0 slot, goes through np.add.at
+@pytest.fixture
+def add_at_folds(monkeypatch):
+    """The length of each chunk ``operators._fold`` folds by ``np.add.at``."""
     fold, calls = ops._fold, []
 
-    def spy(sums, idx, weights):
-        calls.append(len(idx))
-        return fold(sums, idx, weights)
+    def spy(sums, idx, weights, stride=None):
+        if not stride:
+            calls.append(len(idx))
+        return fold(sums, idx, weights, stride)
 
     monkeypatch.setattr(ops, "_fold", spy)
+    return calls
+
+
+def test_sweep_folds_chunks_on_consecutive_indices_by_slice_add(add_at_folds):
+    # only a chunk that reaches a head, or a side of more than one tail slot
+    # or of a step-0 slot, goes through np.add.at
     g_hs = [10, 90] + [diag.TERM_CHUNK] * 12 + [99900 - 12 * diag.TERM_CHUNK]
     for ex_id, chunks in (("ex-identity", []), ("ex-canonical", [10, 10]), ("ex-hs", g_hs)):
-        calls.clear()
+        add_at_folds.clear()
         diag.truncation_sweep(ex_id, (10, 100, 100000))
-        assert calls == chunks, ex_id
+        assert add_at_folds == chunks, ex_id
+
+
+def test_block_reports_fold_chunks_on_consecutive_indices_by_slice_add(add_at_folds, capsys):
+    # the sweep's rule on the block route: ex-canonical's head chunk takes
+    # np.add.at for f's and g's |c|^2, p and the term count, then _block_q
+    # folds the 2-term bins of each chunk (two passes); ex-blocked's f takes
+    # it only for its head chunk, and g's two slots for every chunk
+    chunk = diag.TERM_CHUNK
+    expected = (
+        ("ex-identity", []),
+        ("ex-canonical", [chunk] * 4 + [2, 0, 0] * 2),
+        ("ex-blocked", [chunk] * 3 + [5]),
+    )
+    for ex_id, chunks in expected:
+        add_at_folds.clear()
+        assert cli.main(["example", "--id", ex_id, "--dim", str(2 * chunk + 5)]) == 0
+        assert add_at_folds == chunks, ex_id
+    capsys.readouterr()
 
 
 def test_square_is_the_modulus_squared_bit_for_bit():
