@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import tempfile
 from itertools import chain
 from typing import Any
@@ -129,12 +130,10 @@ def _sized(data: dict, short: str, long_: str, source: str) -> int:
     return _integer(data[present[0]], source, present[0])
 
 
-def _columns_from(obj: Any, source: str):
-    """Explicit columns as one complex128 (count, dim) array, or as the
-    walker's tuples when the fast path declines them."""
-    cols = _array(obj, source, "columns")
-    # one scan of exact types (bool, str and tuple decline) and lengths, then
-    # one conversion; error messages come only from the walker below
+def _as_array(cols: list) -> np.ndarray | None:
+    """Equal-width explicit columns as one complex128 (count, dim) array, bit for
+    bit what ``complex(re, im)`` gives; None for an entry other than an exact
+    [re, im] list of int or float parts within the float range, or a ragged column."""
     if set(map(type, cols)) == {list} and len(set(map(len, cols))) == 1:
         entries = list(chain.from_iterable(cols))
         if (
@@ -145,6 +144,15 @@ def _columns_from(obj: Any, source: str):
             with contextlib.suppress(OverflowError):  # an integer past the float range
                 flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries))
                 return flat.view(np.complex128).reshape(len(cols), -1)
+    return None
+
+
+def _columns_from(obj: Any, source: str):
+    """Explicit columns as one complex128 (count, dim) array, or as the
+    walker's tuples when the fast path declines them."""
+    cols = _array(obj, source, "columns")
+    if (fast := _as_array(cols)) is not None:
+        return fast
     if not cols:
         raise SpecFileError("columns must be nonempty", source=source, field="columns")
     out = []
@@ -261,13 +269,42 @@ def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
         raise SpecFileError(str(exc), source=source, field=None) from exc
 
 
+_WS = "[ \t\n\r]*"  # JSON whitespace
+_KIND = f'{_WS}"kind"{_WS}:{_WS}"explicit"{_WS}'
+# an explicit spec's frame, either key first: opening, comma between columns, closing
+_OPEN = re.compile(f'{_WS}{{({_KIND},)?{_WS}"columns"{_WS}:{_WS}\\[{_WS}')
+_COMMA = re.compile(f"{_WS},{_WS}")
+_CLOSE = re.compile(f"{_WS}\\]{_WS}(,{_KIND})?}}{_WS}")
+_DECODER = json.JSONDecoder()
+_BATCH = 16  # columns whose types are checked at once
+
+
+def _stream_explicit(text: str) -> list[np.ndarray] | None:
+    """An explicit spec's columns as complex128 blocks, each column parsed by json's
+    own scanner so that no whole tree is built; None for any other input or fault."""
+    if (head := _OPEN.match(text)) is None:
+        return None
+    comma, blocks, batch = head, [], []
+    try:
+        while comma:  # each match ends where the next column starts
+            col, i = _DECODER.raw_decode(text, comma.end())
+            batch.append(col)
+            if (comma := _COMMA.match(text, i)) is None or len(batch) == _BATCH:
+                blocks.append(_as_array(batch))
+                batch.clear()
+                if blocks[-1] is None or blocks[-1].shape[1] != blocks[0].shape[1]:
+                    return None
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        return None
+    tail = _CLOSE.fullmatch(text, i)  # each key once, whichever came first
+    return blocks if tail and (head.group(1) is None) != (tail.group(1) is None) else None
+
+
 def load_sequence_file(path: str) -> SequenceSpec:
     """Read and decode one sequence spec from a JSON file."""
-    # the parsed tree holds no cycle, yet a 128 x 192 explicit spec makes
-    # ~25,000 lists, enough to set off ~35 collections that find nothing, so
-    # the collector is paused until the tree is dropped; the young collection
-    # first frees the cyclic garbage of earlier commands, which would
-    # otherwise stay live through the decode's peak
+    # a json.loads tree holds no cycle, yet its lists set off ~35 fruitless collections
+    # per 128 x 192 explicit spec the stream declines, so the collector is paused; a
+    # young collection first keeps earlier commands' cyclic garbage out of the peak
     enabled = gc.isenabled()
     gc.collect(0)
     gc.disable()
@@ -291,6 +328,9 @@ def _decode_file(path: str) -> SequenceSpec:
             f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}",
             source=path,
         ) from exc
+    if (blocks := _stream_explicit(text)) is not None:
+        del text  # freed before the blocks are joined
+        return SequenceSpec.explicit(np.concatenate(blocks))
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

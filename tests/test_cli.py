@@ -249,6 +249,108 @@ def test_explicit_decode_runs_at_most_one_young_collection(tmp_path):
     np.testing.assert_array_equal(spec.columns, t.T)
 
 
+def _dense_explicit_spec(tmp_path):
+    """A 128 x 192 explicit spec file (~1 MB) and its columns as an array."""
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((128, 192)) + 1j * rng.standard_normal((128, 192))
+    columns = [[[float(z.real), float(z.imag)] for z in col] for col in t.T]
+    return write_spec(tmp_path, "f.json", {"kind": "explicit", "columns": columns}), t.T
+
+
+def test_streamed_spec_file_peaks_with_its_text_and_the_read_buffer(tmp_path):
+    # the read holds the file's bytes beside its text, about len(text) more;
+    # streamed one column at a time, no later step of the decode passes that
+    # (the text, the matrix's blocks and ~16 columns' lists), while the whole
+    # tree of json.loads peaked at ~len(text) + 3.5 MB
+    path, want = _dense_explicit_spec(tmp_path)
+    serialize.load_sequence_file(path)  # lazy imports stay out of the peak
+    size = len(Path(path).read_text(encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        spec = serialize.load_sequence_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + 3 * 16 * 128 * 192
+    np.testing.assert_array_equal(spec.columns, want)
+
+
+@pytest.fixture
+def json_loads_calls(monkeypatch):
+    """The texts passed to json.loads while the test runs."""
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
+    return calls
+
+
+def test_canonical_explicit_spec_files_are_streamed(tmp_path, monkeypatch, json_loads_calls):
+    monkeypatch.chdir(tmp_path)
+    write_explicit_pair()
+    path, want = _dense_explicit_spec(tmp_path)
+    specs = [serialize.load_sequence_file(name) for name in ("f.json", "dual.json", path)]
+    assert json_loads_calls == []
+    np.testing.assert_array_equal(specs[-1].columns, want)
+
+
+# explicit spec files the stream declines (all but the last, whose NaN it takes
+# and realize refuses): each decodes, or fails with the same message, as
+# json.loads and spec_from_json make of it
+_ONE = "[[1, 0], [0, 1]]"
+_SPEC_TEXTS = {
+    "duplicate-columns": (
+        '{"kind": "explicit", "columns": [[[1, 0]]], "columns": [[[0, 1]], [[2, 0]]]}',
+        None,
+    ),
+    "no-kind": ('{"columns": [[[1, 0]]]}', "missing required key 'kind'"),
+    "extra-key": ('{"kind": "explicit", "columns": [[[1, 0]]], "note": 1}', "unexpected keys"),
+    "no-columns": ('{"kind": "explicit", "columns": []}', "columns must be nonempty"),
+    "trailing-data": ('{"kind": "explicit", "columns": [[[1, 0]]]} []', "line 1, column 45: Extra"),
+    "truncated": (
+        '{"kind": "explicit",\n "columns": [[[1, 0], [0.5, ',
+        "line 2, column 29: Expecting value",
+    ),
+    "bom": ('\ufeff{"kind": "explicit", "columns": [[[1, 0]]]}', "Unexpected UTF-8 BOM"),
+    "digits": ('{"kind": "explicit", "columns": [[[1, %s]]]}' % ("7" * 5000), "Exceeds the limit"),
+    "deep": ('{"kind": "explicit", "columns": [' + "[" * 100_000, "nested too deeply"),
+    # a ragged column that opens the second batch of columns checked at once
+    "ragged-late": (
+        '{"kind": "explicit", "columns": [%s, [[1, 0]]]}' % ", ".join([_ONE] * serialize._BATCH),
+        f"column {serialize._BATCH} has length 1, expected 2",
+    ),
+    "nan": ('{"kind": "explicit", "columns": [[[NaN, 0]], [[1, 0]]]}', None),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPEC_TEXTS))
+def test_spec_files_the_stream_declines_decode_as_json_loads_does(
+    tmp_path, monkeypatch, capsys, json_loads_calls, name
+):
+    text, message = _SPEC_TEXTS[name]
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome():
+        try:
+            spec = serialize.load_sequence_file(str(path))
+        except SpecFileError as exc:
+            return str(exc)
+        return spec.columns.shape, spec.columns.tobytes()
+
+    got = outcome()
+    if name == "nan":  # realize refuses the NaN the stream took
+        assert cli.main(["classify", "--input", str(path), "--dim", "2"]) == 2
+        assert "matrix entries must be finite (1 non-finite entries)" in capsys.readouterr().err
+        assert json_loads_calls == []
+    else:
+        assert len(json_loads_calls) == 1
+    monkeypatch.setattr(serialize, "_stream_explicit", lambda text: None)
+    assert got == outcome()
+    if message is not None:
+        assert got.startswith(f"{path}: ") and message in got, got
+    elif name == "duplicate-columns":
+        assert got[0] == (2, 1)  # the last "columns" wins
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [

@@ -8,6 +8,7 @@ floating point rounding.
 
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -580,9 +581,9 @@ _PARTS = st.one_of(
 
 
 @st.composite
-def _columns(draw):
-    count, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    pair = st.lists(_PARTS, min_size=2, max_size=2)
+def _columns(draw, parts=_PARTS, max_count=4, max_dim=4):
+    count, dim = draw(st.integers(1, max_count)), draw(st.integers(1, max_dim))
+    pair = st.lists(parts, min_size=2, max_size=2)
     return [[draw(pair) for _ in range(dim)] for _ in range(count)]
 
 
@@ -602,6 +603,28 @@ def test_explicit_columns_decode_bit_for_bit(columns):
     from_array = sequences.SequenceSpec.explicit(want)
     assert nested == from_array == spec
     assert _bits(nested.columns) == _bits(from_array.columns) == _bits(want)
+
+
+# a spec file's explicit columns are streamed one column at a time: past the
+# batch of columns whose types are checked at once, in both key orders and in
+# every json.dumps layout, they must decode as json.loads and spec_from_json do
+_FILE_PARTS = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1e-300]), _PARTS)
+_LAYOUTS = [{}, {"indent": 2}, {"separators": (",", ":")}, {"indent": "\t"}]
+
+
+@given(_columns(_FILE_PARTS, max_count=2 * serialize._BATCH + 3, max_dim=3))
+def test_streamed_spec_files_decode_as_the_parsed_tree_does(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("stream") / "f.json"
+    kind_first = {"kind": "explicit", "columns": columns}
+    for payload in (kind_first, dict(reversed(kind_first.items()))):
+        for layout in _LAYOUTS:
+            text = json.dumps(payload, **layout)
+            path.write_text(text, encoding="utf-8")
+            assert serialize._stream_explicit(text) is not None, layout
+            spec = serialize.load_sequence_file(str(path))
+            want = serialize.spec_from_json(json.loads(text))
+            assert spec == want
+            assert _bits(spec.columns) == _bits(want.columns)
 
 
 # ---------------------------------------------------------------- term strides
