@@ -152,7 +152,7 @@ def run_command(ns: argparse.Namespace) -> tuple[int, dict]:
 
     if command in ("cross-gram", "dual-check"):
         duality = command == "dual-check"
-        f, g = (_side(path, ns.dim) for path in (ns.f, ns.g))
+        f, g = (functools.partial(_side, path, ns.dim) for path in (ns.f, ns.g))  # loaded in reports
         report = diagnostics.reports(
             f, g, tol=tol, duality=duality, cross=not duality, named=_names(ns.f, ns.g)
         )[3 if duality else 2]

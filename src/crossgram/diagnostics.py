@@ -226,12 +226,8 @@ class DualityReport:
 
 def check_duality(f: RealizedSequence, g: RealizedSequence, tol: float = DEFAULT_TOL) -> DualityReport:
     """Whether g is a dual of f, from one SVD of T_f T_g* - I, after the
-    pair check and the residual's dense budget."""
-    operators._check_pair(f.dim, g.dim, (f.count, g.count))
-    sequences._check_dense(f.dim, f.dim, "dual-pair residual")
-    # the caller's realizations are freed here if nothing else holds them
-    f, g = _real_parts(f.columns, g.columns)
-    return _duality(f @ g.conj().T, tol)
+    pair check and the residual's dense budget: the dense route of ``reports``."""
+    return reports(f, g, tol=tol, duality=True, cross=False)[3]
 
 
 def _duality(r: np.ndarray, tol: float) -> DualityReport:
@@ -345,7 +341,8 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
     a dense side is dense: its monomial side is refused over a realization's
     budget, the pair gated, and the side realized, and the pair reports no
     classification.  ``named`` wraps each side's checks (the CLI names the
-    spec file)."""
+    spec file).  A side may be a callable that returns one, f called first."""
+    f, g = (side() if callable(side) else side for side in (f, g))
     sides = (f,) if g is None else (f, g)
     if not all(isinstance(side, tuple) for side in sides):  # the dense route
         if g is None:
@@ -359,8 +356,14 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
             nm(sequences.from_terms, *nm(sequences.term_arrays, side)) if isinstance(side, tuple) else side
             for nm, side in zip(named, sides)
         )
-        report = analyze_cross_gram(operators.cross_gram(f, g), tol) if cross else None
-        return None, None, report, check_duality(f, g, tol) if duality else None
+        del sides  # each matrix is freed once its last reader is done, unless the caller holds it
+        fr, gr = _real_parts(f.columns, g.columns) if duality else (None, None)
+        f, g = (f.columns, g.columns.conj().T) if cross else (None, None)  # conj(g) in g's place
+        m, f, g = (g @ f if cross else None), None, None  # G = T_g* T_f, as cross_gram forms it
+        gr = gr.conj() if duality else None  # conj(g) in g's place
+        r, fr, gr = (fr @ gr.T if duality else None), None, None  # T_f T_g*
+        report = analyze_cross_gram(m, tol) if cross else None
+        return None, None, report, _duality(r, tol) if duality else None
     hybrid = g is not None and check_pair_budgets(f, g, duality=duality, cross=cross)
     dim = f[2]
     square = g is not None and f[1] == g[1]

@@ -173,6 +173,10 @@ class PatternProgram:
 # sequence specs
 
 
+class _Decoded(np.ndarray):
+    """A decoder's complex128 (count, dim) array, held by nothing else: specs take it uncopied."""
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """Declarative description of a vector sequence."""
@@ -213,7 +217,7 @@ class SequenceSpec:
         for i, col in enumerate(cols):
             if len(col) != width:
                 raise ValueError(f"column {i} has length {len(col)}, expected {width}")
-        m = np.array(cols, dtype=np.complex128)  # a copy the caller cannot change
+        m = cols.view(np.ndarray) if type(cols) is _Decoded else np.array(cols, dtype=np.complex128)
         if m.ndim != 2:
             raise ValueError("explicit columns must hold complex scalars")
         m.setflags(write=False)
@@ -370,6 +374,7 @@ def realize(spec: SequenceSpec, n: int) -> RealizedSequence:
                 f"explicit spec stores count {len(spec.columns)}, truncation {n} requested"
             )
         cols, s = spec.columns.T, None
+        _check_dense(*cols.shape)
     elif spec.kind in MONOMIAL_KINDS:
         shape = term_shape(spec, n)
         _check_dense(shape[2], shape[1])
@@ -848,7 +853,10 @@ def _same_indices(f: SequenceSpec, g: SequenceSpec, n: int, step: int) -> bool:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    z = np.empty(shape, dtype=np.complex128)  # (re + 1j * im) / sqrt(2), re drawn first
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return np.divide(z, np.sqrt(2.0), out=z)
 
 
 def _screened_gaussian(seed, stream: int, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:

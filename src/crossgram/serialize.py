@@ -15,7 +15,7 @@ import json
 import os
 import re
 import tempfile
-from itertools import chain
+from itertools import chain, islice
 from typing import Any
 
 import numpy as np
@@ -29,6 +29,8 @@ from .sequences import (
     SequenceSpec,
     TailSlot,
     WeightRule,
+    _check_dense,
+    _Decoded,
 )
 
 TOOL_NAME = "crossgram"
@@ -148,11 +150,11 @@ def _as_array(cols: list) -> np.ndarray | None:
 
 
 def _columns_from(obj: Any, source: str):
-    """Explicit columns as one complex128 (count, dim) array, or as the
-    walker's tuples when the fast path declines them."""
+    """Explicit columns as one complex128 (count, dim) array, taken without a
+    copy, or as the walker's tuples when the fast path declines them."""
     cols = _array(obj, source, "columns")
     if (fast := _as_array(cols)) is not None:
-        return fast
+        return fast.view(_Decoded)
     if not cols:
         raise SpecFileError("columns must be nonempty", source=source, field="columns")
     out = []
@@ -277,27 +279,51 @@ _COMMA = re.compile(f"{_WS},{_WS}")
 _CLOSE = re.compile(f"{_WS}\\]{_WS}(,{_KIND})?}}{_WS}")
 _DECODER = json.JSONDecoder()
 _BATCH = 16  # columns whose types are checked at once
+_READ = 1 << 16  # characters per read of a spec file
 
 
-def _stream_explicit(text: str) -> list[np.ndarray] | None:
-    """An explicit spec's columns as complex128 blocks, each column parsed by json's
-    own scanner so that no whole tree is built; None for any other input or fault."""
-    if (head := _OPEN.match(text)) is None:
-        return None
-    comma, blocks, batch = head, [], []
-    try:
-        while comma:  # each match ends where the next column starts
-            col, i = _DECODER.raw_decode(text, comma.end())
-            batch.append(col)
-            if (comma := _COMMA.match(text, i)) is None or len(batch) == _BATCH:
-                blocks.append(_as_array(batch))
-                batch.clear()
-                if blocks[-1] is None or blocks[-1].shape[1] != blocks[0].shape[1]:
-                    return None
-    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-        return None
-    tail = _CLOSE.fullmatch(text, i)  # each key once, whichever came first
-    return blocks if tail and (head.group(1) is None) != (tail.group(1) is None) else None
+def _columns(fh):
+    """The columns of the explicit spec in the open file ``fh``, read ``_READ`` characters at
+    a time; ValueError at the first text that is not such a spec.  Each step, a separator and a
+    column, is parsed by json's scanner with twice the longest step yet read held past it, so a
+    read cuts one only when a column grows: that step is parsed again on twice the text held."""
+    text, at, ahead, end, sep, head = "", 0, 1, False, _OPEN, ""
+    while True:
+        while len(text) - at < ahead and not end:  # whole reads of _READ characters
+            step, text = None, text[at:] + fh.read((len(text) - at - ahead) // _READ * -_READ)
+            at, end = 0, len(text) < ahead
+        step, i = sep.match(text, at), -1
+        with contextlib.suppress(json.JSONDecodeError):  # a column cut by the read, or a fault
+            col, i = _DECODER.raw_decode(text, step.end()) if step else (None, -1)
+        if i >= 0:
+            yield col
+            ahead, at, sep, head = max(ahead, 2 * (i - at)), i, _COMMA, head or step[0]
+        elif end or not (step or sep is _COMMA or "[" not in text):  # the opening ends at "["
+            break
+        else:
+            ahead = 2 * (len(text) - at)
+    tail = sep is _COMMA and _CLOSE.fullmatch(text, at)  # each key once, either first
+    if not tail or ('"kind"' in head) == (tail.group(1) is not None):
+        raise ValueError("not an explicit spec the stream reads")
+
+
+def _stream_explicit(fh) -> np.ndarray | None:
+    """The explicit spec in ``fh`` as one complex128 (count, dim) array, ``_BATCH`` columns at a
+    time; None for any other input or fault, ValueError at a batch past ``MAX_DENSE_ENTRIES``."""
+    cols, blocks, count = _columns(fh), [], 0
+    while True:
+        try:
+            batch = list(islice(cols, _BATCH))
+        except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError among them
+            return None
+        if not batch:  # joined as T, C-contiguous, which realize takes without a copy
+            t = np.empty((blocks[0].shape[1], count), np.complex128)
+            return np.concatenate([b.T for b in blocks], axis=1, out=t).T.view(_Decoded)
+        blocks.append(_as_array(batch))
+        if blocks[-1] is None or blocks[-1].shape[1] != blocks[0].shape[1]:
+            return None
+        count, batch = count + len(batch), None  # its lists are freed before the next batch
+        _check_dense(blocks[0].shape[1], count, "realization of the columns read")
 
 
 def load_sequence_file(path: str) -> SequenceSpec:
@@ -320,6 +346,9 @@ def _decode_file(path: str) -> SequenceSpec:
     this returns, before the collector is put back."""
     try:
         with open(path, encoding="utf-8") as fh:
+            if (m := _stream_explicit(fh)) is not None:
+                return SequenceSpec.explicit(m)
+            fh.seek(0)  # declined: the file is read again whole
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read file: {exc.strerror}", source=path) from exc
@@ -328,9 +357,8 @@ def _decode_file(path: str) -> SequenceSpec:
             f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}",
             source=path,
         ) from exc
-    if (blocks := _stream_explicit(text)) is not None:
-        del text  # freed before the blocks are joined
-        return SequenceSpec.explicit(np.concatenate(blocks))
+    except ValueError as exc:  # the stream's dense budget
+        raise SpecFileError(str(exc), source=path) from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

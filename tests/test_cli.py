@@ -257,22 +257,111 @@ def _dense_explicit_spec(tmp_path):
     return write_spec(tmp_path, "f.json", {"kind": "explicit", "columns": columns}), t.T
 
 
-def test_streamed_spec_file_peaks_with_its_text_and_the_read_buffer(tmp_path):
-    # the read holds the file's bytes beside its text, about len(text) more;
-    # streamed one column at a time, no later step of the decode passes that
-    # (the text, the matrix's blocks and ~16 columns' lists), while the whole
-    # tree of json.loads peaked at ~len(text) + 3.5 MB
+def test_streamed_spec_file_peaks_at_its_blocks_and_their_join(tmp_path):
+    # read from disk a piece at a time, the decode holds the matrix's blocks,
+    # ~16 columns' lists and a few reads of text, and at its end the blocks
+    # and their join, which the spec takes without a copy: ~2.4 matrices,
+    # while the whole text (~2.7 matrices here) was once held with its bytes
     path, want = _dense_explicit_spec(tmp_path)
     serialize.load_sequence_file(path)  # lazy imports stay out of the peak
-    size = len(Path(path).read_text(encoding="utf-8"))
     tracemalloc.start()
     try:
         spec = serialize.load_sequence_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= size + 3 * 16 * 128 * 192
+    assert peak <= 3 * 16 * 128 * 192
     np.testing.assert_array_equal(spec.columns, want)
+
+
+def test_decoded_explicit_arrays_are_not_copied_again(tmp_path, monkeypatch):
+    # the stream's array and the fast path's become the spec's columns as they
+    # are; an array a library caller passes is copied, so the caller cannot
+    # change the spec through it
+    made = []
+
+    def keep(make):
+        return lambda *args: made.append(make(*args)) or made[-1]
+
+    monkeypatch.setattr(serialize, "_stream_explicit", keep(serialize._stream_explicit))
+    monkeypatch.setattr(serialize, "_as_array", keep(serialize._as_array))
+    path, want = _dense_explicit_spec(tmp_path)
+    streamed = serialize.load_sequence_file(path)
+    assert np.shares_memory(streamed.columns, made[-1])
+    parsed = serialize.spec_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    assert np.shares_memory(parsed.columns, made[-1])
+    mine = want.copy()
+    spec = SequenceSpec.explicit(mine)
+    assert not np.shares_memory(spec.columns, mine)
+    assert mine.flags.writeable and not spec.columns.flags.writeable
+    for got in (streamed, parsed, spec):
+        np.testing.assert_array_equal(got.columns, want)
+        assert type(got.columns) is np.ndarray and not got.columns.flags.writeable
+
+
+def test_dense_commands_free_each_matrix_once_read(tmp_path, capsys):
+    # an explicit classify holds the matrix's blocks and their join, not the
+    # file's text; a cross-gram of two random frames holds f, conj(g) and
+    # G = T_g* T_f at most: reports loads both sides and holds the only
+    # references, so each is dropped once its product is formed
+    import numpy.random  # noqa: F401 - its lazy import stays out of the peaks
+
+    d, n = 128, 192
+    path, _ = _dense_explicit_spec(tmp_path)
+    frames = [
+        write_spec(tmp_path, f"frame{seed}.json", {"kind": "random_frame", "d": d, "n": n, "seed": seed})
+        for seed in (1, 2)
+    ]
+    for argv, bound in (
+        (["classify", "--input", path, "--dim", str(n)], 3 * d * n * 16),
+        (["cross-gram", "--f", frames[0], "--g", frames[1], "--dim", str(n)],
+         1.1 * (2 * d * n + n * n) * 16),
+    ):
+        assert cli.main(argv) == 0  # lazy imports stay out of the peak
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= bound, (argv[0], peak)
+
+
+def test_explicit_specs_are_held_to_the_dense_budget(tmp_path, monkeypatch, capsys, json_loads_calls):
+    # realize refuses an explicit spec past MAX_DENSE_ENTRIES as it does a
+    # scaled_basis one; a spec file streamed is refused at the first batch of
+    # columns past it, so it is never read whole, and one the stream declines
+    # when it is realized
+    monkeypatch.setattr(sequences, "MAX_DENSE_ENTRIES", 100)
+    column = [[1.0, 0.0]] * 20
+    message = "a dense 20 x 20 realization exceeds the budget MAX_DENSE_ENTRIES = 100 entries"
+    for spec in (SequenceSpec.explicit(np.ones((20, 20))), SequenceSpec.scaled_basis(WeightRule.constant())):
+        with pytest.raises(ValueError, match=message):
+            sequences.realize(spec, 20)
+    long_ = write_spec(tmp_path, "long.json", {"kind": "explicit", "columns": [column] * 50_000})
+    declined = tmp_path / "declined.json"  # "columns" twice: json.loads keeps the last
+    declined.write_text('{"kind": "explicit", "columns": [[[0, 1]]], "columns": %s}' % json.dumps([column] * 20))
+    size = Path(long_).stat().st_size
+    for path, dim, what in (
+        (long_, 50_000, "a dense 20 x 16 realization of the columns read exceeds"),
+        (str(declined), 20, "a dense 20 x 20 realization exceeds"),
+    ):
+        tracemalloc.start()
+        try:
+            code = cli.main(["classify", "--input", path, "--dim", str(dim)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"crossgram: error: {path}: {what} the budget MAX_DENSE_ENTRIES = 100 entries\n"
+        )
+        assert path != long_ or peak < size / 8, peak
+    assert len(json_loads_calls) == 1  # the declined file alone
+    small = write_spec(tmp_path, "small.json", {"kind": "explicit", "columns": [column[:10]] * 10})
+    assert cli.main(["cross-gram", "--f", small, "--g", small, "--dim", "10"]) == 0
 
 
 @pytest.fixture
@@ -349,6 +438,21 @@ def test_spec_files_the_stream_declines_decode_as_json_loads_does(
         assert got.startswith(f"{path}: ") and message in got, got
     elif name == "duplicate-columns":
         assert got[0] == (2, 1)  # the last "columns" wins
+
+
+def test_a_bad_byte_past_the_first_read_keeps_its_file_offset(tmp_path, json_loads_calls):
+    # the stream declines at the read that meets the byte; the whole file is
+    # then read again and reports the byte at its offset in the file
+    path, _ = _dense_explicit_spec(tmp_path)
+    data = bytearray(Path(path).read_bytes())
+    at = 2 * serialize._READ + 7
+    assert len(data) > at and data[at] < 0x80
+    data[at] = 0xFF
+    Path(path).write_bytes(bytes(data))
+    with pytest.raises(SpecFileError) as info:
+        serialize.load_sequence_file(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0xff at offset {at}"
+    assert json_loads_calls == []
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ floating point rounding.
 import dataclasses
 import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -607,7 +608,9 @@ def test_explicit_columns_decode_bit_for_bit(columns):
 
 # a spec file's explicit columns are streamed one column at a time: past the
 # batch of columns whose types are checked at once, in both key orders and in
-# every json.dumps layout, they must decode as json.loads and spec_from_json do
+# every json.dumps layout, they must decode as json.loads and spec_from_json do,
+# also when the file is read 3 characters at a time, so that every column, comma
+# and whitespace run straddles a read
 _FILE_PARTS = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1e-300]), _PARTS)
 _LAYOUTS = [{}, {"indent": 2}, {"separators": (",", ":")}, {"indent": "\t"}]
 
@@ -620,11 +623,15 @@ def test_streamed_spec_files_decode_as_the_parsed_tree_does(tmp_path_factory, co
         for layout in _LAYOUTS:
             text = json.dumps(payload, **layout)
             path.write_text(text, encoding="utf-8")
-            assert serialize._stream_explicit(text) is not None, layout
             spec = serialize.load_sequence_file(str(path))
             want = serialize.spec_from_json(json.loads(text))
             assert spec == want
             assert _bits(spec.columns) == _bits(want.columns)
+            for read in (serialize._READ, 3):
+                with mock.patch.object(serialize, "_READ", read), open(path, encoding="utf-8") as fh:
+                    got = serialize._stream_explicit(fh)
+                assert got is not None, (layout, read)
+                assert _bits(got) == _bits(want.columns), (layout, read)
 
 
 # ---------------------------------------------------------------- term strides
