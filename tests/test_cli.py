@@ -331,9 +331,9 @@ def test_dense_commands_free_each_matrix_once_read(tmp_path, capsys):
 
 def test_explicit_specs_are_held_to_the_dense_budget(tmp_path, monkeypatch, capsys, json_loads_calls):
     # realize refuses an explicit spec past MAX_DENSE_ENTRIES as it does a
-    # scaled_basis one; a spec file streamed is refused at the first batch of
-    # columns past it, so it is never read whole, and one the stream declines
-    # when it is realized
+    # scaled_basis one, and the CLI exits 2 on either: an explicit spec file
+    # streamed at the first batch of columns past the budget, so it is never
+    # read whole, one the stream declines when it is realized
     monkeypatch.setattr(sequences, "MAX_DENSE_ENTRIES", 100)
     column = [[1.0, 0.0]] * 20
     message = "a dense 20 x 20 realization exceeds the budget MAX_DENSE_ENTRIES = 100 entries"
@@ -343,14 +343,20 @@ def test_explicit_specs_are_held_to_the_dense_budget(tmp_path, monkeypatch, caps
     long_ = write_spec(tmp_path, "long.json", {"kind": "explicit", "columns": [column] * 50_000})
     declined = tmp_path / "declined.json"  # "columns" twice: json.loads keeps the last
     declined.write_text('{"kind": "explicit", "columns": [[[0, 1]]], "columns": %s}' % json.dumps([column] * 20))
+    wide = write_spec(tmp_path, "wide.json", {"kind": "explicit", "columns": [column[:5]] * 20})
+    scaled = write_spec(tmp_path, "scaled.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
     size = Path(long_).stat().st_size
-    for path, dim, what in (
-        (long_, 50_000, "a dense 20 x 16 realization of the columns read exceeds"),
-        (str(declined), 20, "a dense 20 x 20 realization exceeds"),
+    for argv, path, what in (
+        (["classify", "--input", long_, "--dim", "50000"], long_,
+         "a dense 20 x 16 realization of the columns read exceeds"),
+        (["classify", "--input", str(declined), "--dim", "20"], str(declined),
+         "a dense 20 x 20 realization exceeds"),
+        (["cross-gram", "--f", wide, "--g", scaled, "--dim", "20"], scaled,  # a 5 x 20 f passes
+         "a dense 20 x 20 realization exceeds"),
     ):
         tracemalloc.start()
         try:
-            code = cli.main(["classify", "--input", path, "--dim", str(dim)])
+            code = cli.main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,7 +365,7 @@ def test_explicit_specs_are_held_to_the_dense_budget(tmp_path, monkeypatch, caps
             f"crossgram: error: {path}: {what} the budget MAX_DENSE_ENTRIES = 100 entries\n"
         )
         assert path != long_ or peak < size / 8, peak
-    assert len(json_loads_calls) == 1  # the declined file alone
+    assert len(json_loads_calls) == 2  # the declined file and the scaled_basis one, not the long one
     small = write_spec(tmp_path, "small.json", {"kind": "explicit", "columns": [column[:10]] * 10})
     assert cli.main(["cross-gram", "--f", small, "--g", small, "--dim", "10"]) == 0
 
