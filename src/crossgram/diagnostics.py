@@ -39,8 +39,8 @@ MAX_BATTERY_WORK = 10**7
 MAX_BATTERY_DIM = 64
 
 # the sum of the truncations of one sweep: each row reads its block spectrum
-# off bins as wide as its index span, ~0.07 s per row near 1e7 terms, so the
-# slowest sweep the budget admits, 500 rows up to 1e7, took about 36 s (ex-hs
+# off bins as wide as its index span, ~0.043 s per row near 1e7 terms, so the
+# slowest sweep the budget admits, 500 rows up to 1e7, took about 22 s (ex-hs
 # and ex-identity alike) on one core of a 2-core x86-64 machine
 MAX_SWEEP_WORK = 5 * 10**9
 

@@ -153,8 +153,10 @@ def _spectrum_sums(f_sq: np.ndarray, g_sq: np.ndarray, lo: int, hi: int, leaf: i
     half, down to a multiple of 8): leaves of >= 128 bins give ``np.sum``'s bits."""
     if hi - lo <= leaf:
         sq = f_sq[lo:hi] * g_sq[lo:hi]
-        total, top, rank = np.add.reduce(sq), sq.max(), np.count_nonzero(sq)
-        sq[sq == 0.0] = np.inf  # the least positive entry is then the least one
+        total, top, zero = np.add.reduce(sq), sq.max(), sq == 0.0
+        rank = len(sq) - np.count_nonzero(zero)
+        if rank < len(sq):  # the least positive entry is then the least one
+            np.putmask(sq, zero, np.inf)
         return total, top, sq.min(), rank
     mid = lo + (hi - lo) // 2 // 8 * 8
     a, b = _spectrum_sums(f_sq, g_sq, lo, mid, leaf), _spectrum_sums(f_sq, g_sq, mid, hi, leaf)

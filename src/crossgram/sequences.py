@@ -531,19 +531,23 @@ def _pattern_terms(
     idx = np.empty(n - start, dtype=np.int64)
     coeff = np.empty(n - start, dtype=float if real else complex)
     lead = program.head[start:h]
-    idx[: len(lead)] = [t.index for t in lead]
-    head = np.array([t.coeff for t in lead], dtype=complex)
-    coeff[: len(lead)] = head.real if real else head
+    if lead:
+        idx[: len(lead)] = [t.index for t in lead]
+        head = np.array([t.coeff for t in lead], dtype=complex)
+        coeff[: len(lead)] = head.real if real else head
     for pos, (slot, cycles, _) in enumerate(slots):
         first = h + pos  # the term of the slot's cycle 0
         skip = max(0, -((first - start) // period))  # its cycles before ``start``
         if skip == cycles:
             continue
         at = slice(first + skip * period - start, None, period)
-        steps = np.arange(skip, cycles, dtype=np.int64)
-        steps *= slot.index_step
-        steps += slot.start_index
-        idx[at] = steps
+        if slot.index_step:  # exact in int64; np.arange(a, b, step) sizes its range in float
+            steps = np.arange(skip, cycles, dtype=np.int64)
+            steps *= slot.index_step
+            steps += slot.start_index
+            idx[at] = steps
+        else:
+            idx[at] = slot.start_index
         if slot.coeff_rule == "constant":
             coeff[at] = slot.coeff.real if real else slot.coeff
         elif slot.coeff_rule == "geometric":

@@ -213,13 +213,22 @@ def test_chunked_pairwise_sum_is_np_sum_bit_for_bit():
     assert len(set(lengths)) >= 300
     f = rng.random(top) * rng.choice([0.0, 1.0, 1e-300, 1e300], top, p=[0.1, 0.8, 0.05, 0.05])
     g = rng.random(top) * rng.choice([0.0, 1.0], top, p=[0.1, 0.9])
-    for n in lengths:
-        a, b = f[:n], g[:n]
+
+    def check(a, b, leaves):
         sq = a * b
         want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), np.count_nonzero(sq))
-        for leaf in (128, 1 << 13, 1 << 16) if n <= 10**5 else (1 << 13, 1 << 16):
-            got = ops._spectrum_sums(a, b, 0, n, leaf)
-            assert [float(x) for x in got] == [float(x) for x in want], (n, leaf)
+        for leaf in leaves:
+            got = ops._spectrum_sums(a, b, 0, len(a), leaf)
+            assert [float(x) for x in got] == [float(x) for x in want], (len(a), leaf)
+
+    for n in lengths:
+        check(f[:n], g[:n], (128, 1 << 13, 1 << 16) if n <= 10**5 else (1 << 13, 1 << 16))
+    # a leaf of f and g above nearly always holds a zero: pin the leaves
+    # with no zero, and those of zeros only (least positive inf, rank 0)
+    positive = 1.0 + rng.random(65537)
+    for n in (127, 128, 129, 8193, 65537):
+        check(positive[:n], positive[::-1][:n], (128, 1 << 13))
+        check(positive[:n], np.zeros(n), (128, 1 << 13))
 
 
 def test_chunked_add_at_fold_is_bincount_of_the_whole_array():

@@ -125,8 +125,16 @@ def test_pattern_indices_must_fit_int64():
         TailSlot(start_index=1, index_step=2**63)
     prog = PatternProgram(tail=(TailSlot(start_index=1, index_step=2**62),))
     assert pattern_terms(prog, 2) == [(1, 1.0), (2**62 + 1, 1.0)]
+    idx, _ = monomial_terms(SequenceSpec.pattern(prog), 2, start=1)  # a chunk past cycle 0
+    assert idx.tolist() == [2**62 + 1]
     with pytest.raises(ValueError, match="tail slot 0 reaches basis index"):
         monomial_terms(SequenceSpec.pattern(prog), 3)
+    # a step-0 slot on the last index: every term sits on it, in any chunk
+    last = PatternProgram(head=(PatternTerm(2, 1.0),), tail=(TailSlot(start_index=2**63 - 1),))
+    whole = [2] + [2**63 - 1] * 4
+    for start in (0, 1, 3):
+        idx, _ = monomial_terms(SequenceSpec.pattern(last), 5, start=start)
+        assert idx.tolist() == whole[start:]
 
 
 def test_dense_realization_is_budgeted():
