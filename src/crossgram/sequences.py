@@ -174,7 +174,8 @@ class PatternProgram:
 
 
 class _Decoded(np.ndarray):
-    """A decoder's complex128 (count, dim) array, held by nothing else: specs take it uncopied."""
+    """A decoder's complex128 (count, dim) array in F order, held by nothing else: specs
+    take it uncopied, and realize takes its C-contiguous transpose uncopied."""
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class SequenceSpec:
     """Declarative description of a vector sequence."""
 
     kind: str
-    columns: np.ndarray | None = None  # explicit: read-only complex128 (count, dim)
+    columns: np.ndarray | None = None  # explicit: read-only complex128 (count, dim), F order
     weight: WeightRule | None = None
     program: PatternProgram | None = None
     example: str | None = None
@@ -217,7 +218,7 @@ class SequenceSpec:
         for i, col in enumerate(cols):
             if len(col) != width:
                 raise ValueError(f"column {i} has length {len(col)}, expected {width}")
-        m = cols.view(np.ndarray) if type(cols) is _Decoded else np.array(cols, dtype=np.complex128)
+        m = cols.view(np.ndarray) if type(cols) is _Decoded else np.array(cols, np.complex128, order="F")
         if m.ndim != 2:
             raise ValueError("explicit columns must hold complex scalars")
         m.setflags(write=False)

@@ -16,6 +16,8 @@ import os
 import re
 import tempfile
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Any
 
 import numpy as np
@@ -132,7 +134,7 @@ def _sized(data: dict, short: str, long_: str, source: str) -> int:
     return _integer(data[present[0]], source, present[0])
 
 
-def _as_array(cols: list) -> np.ndarray | None:
+def _block(cols: list) -> np.ndarray | None:
     """Equal-width explicit columns as one complex128 (count, dim) array, bit for
     bit what ``complex(re, im)`` gives; None for an entry other than an exact
     [re, im] list of int or float parts within the float range, or a ragged column."""
@@ -149,12 +151,28 @@ def _as_array(cols: list) -> np.ndarray | None:
     return None
 
 
+def _joined(blocks: list) -> np.ndarray:
+    """Equal-width ``_block`` arrays as one (count, dim) array whose transpose is
+    C-contiguous: the matrix ``realize`` takes without a copy."""
+    t = np.empty((blocks[0].shape[1], sum(map(len, blocks))), np.complex128)
+    return np.concatenate([b.T for b in blocks], axis=1, out=t).T.view(_Decoded)
+
+
+def _as_array(cols: list) -> np.ndarray | None:
+    """Explicit columns converted ``_BATCH`` at a time and joined, as a streamed
+    file's are; None when a batch declines or two batches differ in width."""
+    blocks = [_block(cols[j : j + _BATCH]) for j in range(0, len(cols), _BATCH)]
+    if blocks and all(b is not None for b in blocks) and len({b.shape[1] for b in blocks}) == 1:
+        return _joined(blocks)
+    return None
+
+
 def _columns_from(obj: Any, source: str):
-    """Explicit columns as one complex128 (count, dim) array, taken without a
-    copy, or as the walker's tuples when the fast path declines them."""
+    """Explicit columns as ``_as_array`` lays them out, taken without a copy,
+    or as the walker's tuples when the fast path declines them."""
     cols = _array(obj, source, "columns")
     if (fast := _as_array(cols)) is not None:
-        return fast.view(_Decoded)
+        return fast
     if not cols:
         raise SpecFileError("columns must be nonempty", source=source, field="columns")
     out = []
@@ -316,10 +334,9 @@ def _stream_explicit(fh) -> np.ndarray | None:
             batch = list(islice(cols, _BATCH))
         except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError among them
             return None
-        if not batch:  # joined as T, C-contiguous, which realize takes without a copy
-            t = np.empty((blocks[0].shape[1], count), np.complex128)
-            return np.concatenate([b.T for b in blocks], axis=1, out=t).T.view(_Decoded)
-        blocks.append(_as_array(batch))
+        if not batch:
+            return _joined(blocks)
+        blocks.append(_block(batch))
         if blocks[-1] is None or blocks[-1].shape[1] != blocks[0].shape[1]:
             return None
         count, batch = count + len(batch), None  # its lists are freed before the next batch
@@ -374,43 +391,67 @@ def _decode_file(path: str) -> SequenceSpec:
     return spec_from_json(obj, source=path)
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Convert dataclasses, tuples, and numpy scalars to plain JSON types."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
+# each report dataclass's field names, sorted; the JSON text of each leaf type
+# but float, whose text also needs a finite value
+_FIELDS: dict[type, tuple[str, ...]] = {}
+_NAMED = {None: "null", True: "true", False: "false"}
+_LEAVES = {str: _quote, int: int.__repr__, bool: _NAMED.get, type(None): _NAMED.get}
+
+
+def _plain(obj: Any) -> Any:
+    """A value other than a list, tuple or exact JSON leaf, as the writers read it: a dict or
+    report dataclass as a dict sorted by key, a numpy scalar as a Python one, a complex as
+    [re, im], and a subclass of float, int or str as a value of that type."""
+    cls = type(obj)
+    if cls not in _FIELDS and dataclasses.is_dataclass(cls):
+        _FIELDS[cls] = tuple(sorted(f.name for f in dataclasses.fields(cls)))
+    if cls in _FIELDS:
+        return {name: getattr(obj, name) for name in _FIELDS[cls]}
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
+        return dict(sorted({str(k): v for k, v in obj.items()}.items()))
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return to_jsonable(obj.item())
+        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, float):
-        return float(obj)
-    if obj is None or isinstance(obj, (int, str)):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    for base in (float, int, str):
+        if isinstance(obj, base):
+            return base(obj)
+    raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 def build_envelope(command: str, config: dict, report: Any) -> dict:
-    """Assemble the report envelope shared by every command."""
+    """Assemble the report envelope shared by every command, its objects as they are."""
     from crossgram import __version__
 
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "command": command,
-        "config": to_jsonable(config),
-        "report": to_jsonable(report),
+        "config": config,
+        "report": report,
     }
 
 
 def render_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` of the plain envelope, in one pass."""
+    return _json(envelope, "\n") + "\n"
+
+
+def _json(value: Any, nl: str) -> str:
+    """The JSON text of ``value`` nested at the indent that ends ``nl``."""
+    cls = type(value)
+    if cls is float and isfinite(value):
+        return float.__repr__(value)
+    if cls in _LEAVES:
+        return _LEAVES[cls](value)
+    if cls is float:  # json's own message
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        return f"[{','.join([inner + _json(v, inner) for v in value])}{nl}]" if value else "[]"
+    if type(value := _plain(value)) is not dict:
+        return _json(value, nl)
+    items = [f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in value.items()]
+    return f"{{{','.join(items)}{nl}}}" if items else "{}"
 
 
 def render_text(envelope: dict) -> str:
@@ -423,14 +464,16 @@ def render_text(envelope: dict) -> str:
 def _walk(lines: list[str], prefix: str, value: Any) -> None:
     """Append the "path = value" lines of ``value`` under ``prefix`` to ``lines``:
     a module-level function, so a render leaves no closure cycle behind."""
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _walk(lines, f"{prefix}.{key}" if prefix else key, value[key])
-    elif isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _walk(lines, f"{prefix}[{i}]", item)
-    else:
+    elif type(value) in _LEAVES or type(value) is float:
         lines.append(f"{prefix} = {value}")
+    elif type(value := _plain(value)) is not dict:
+        _walk(lines, prefix, value)
+    else:
+        for key, item in value.items():
+            _walk(lines, f"{prefix}.{key}" if prefix else key, item)
 
 
 def emit_report(envelope: dict, *, fmt: str = "json", out: str | None = None) -> str:

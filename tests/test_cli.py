@@ -299,6 +299,33 @@ def test_decoded_explicit_arrays_are_not_copied_again(tmp_path, monkeypatch):
         assert type(got.columns) is np.ndarray and not got.columns.flags.writeable
 
 
+def test_explicit_specs_realize_without_a_copy(tmp_path, json_loads_calls):
+    # every explicit spec holds its (count, dim) columns in F order, so realize
+    # takes their C-contiguous transpose as the matrix: a spec made from lists
+    # or an array, spec_from_json's, a file the stream declines ("kind" twice)
+    # and a streamed file; a caller's array is still copied and left writable
+    cols = [[[1.0, 2.0], [3, 4], [-0.0, 5e-324]], [[0, 1], [2, 3], [4, 5]]]
+    want = np.array([[complex(re, im) for re, im in col] for col in cols])
+    mine = want.copy()
+    declined = tmp_path / "declined.json"
+    declined.write_text('{"kind": "explicit", "kind": "explicit", "columns": %s}' % json.dumps(cols))
+    streamed = write_spec(tmp_path, "streamed.json", {"kind": "explicit", "columns": cols})
+    specs = {
+        "lists": SequenceSpec.explicit(want.tolist()),
+        "array": SequenceSpec.explicit(mine),
+        "spec_from_json": serialize.spec_from_json({"kind": "explicit", "columns": cols}),
+        "declined": serialize.load_sequence_file(str(declined)),
+        "streamed": serialize.load_sequence_file(streamed),
+    }
+    assert len(json_loads_calls) == 1  # the declined file alone
+    for name, spec in specs.items():
+        seq = sequences.realize(spec, len(cols))
+        assert np.shares_memory(seq.columns, spec.columns), name
+        assert not spec.columns.flags.writeable, name
+        np.testing.assert_array_equal(seq.columns, want.T)
+    assert not np.shares_memory(specs["array"].columns, mine) and mine.flags.writeable
+
+
 def test_dense_commands_free_each_matrix_once_read(tmp_path, capsys):
     # an explicit classify holds the matrix's blocks and their join, not the
     # file's text; a cross-gram of two random frames holds f, conj(g) and
@@ -1737,6 +1764,60 @@ def test_text_rendering_leaves_no_cyclic_garbage():
     assert text.splitlines()[:4] == [
         "command = example", "config.id = ex-identity", "report.ok = True", "report.rows[0].n = 1",
     ]
+
+
+def test_json_rendering_leaves_no_cyclic_garbage():
+    # json.dumps(indent=2) ran json's pure-Python encoder, whose closures left a
+    # 33-object cycle per render; the writer walks the report objects with none
+    report = diagnostics.truncation_sweep("ex-hs", (10, 100, 1000), tol=1e-10)
+    config = {"id": "ex-hs", "truncations": [10, 100, 1000], "tol": 1e-10}
+    envelope = serialize.build_envelope("sweep", config, report)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        text = serialize.render_json(envelope)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert json.loads(text)["report"]["rows"][2]["truncation"] == 1000
+
+
+def _flattened(value, prefix=""):
+    """The "path = value" lines of a parsed JSON envelope, sorted as --format text sorts them."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flattened(value[key], f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flattened(item, f"{prefix}[{i}]")
+    else:
+        yield f"{prefix} = {value}"
+
+
+def test_text_output_flattens_the_json_output(tmp_path, monkeypatch, capsys):
+    # both writers walk the same report objects: each command's --format text
+    # lines are exactly the leaves of its JSON envelope, parsed back
+    monkeypatch.chdir(tmp_path)
+    write_explicit_pair()
+    for seed in (1, 2):
+        write_spec(tmp_path, f"frame{seed}.json", {"kind": "random_frame", "d": 4, "n": 7, "seed": seed})
+    commands = [["example", "--id", eid, "--dim", "64"] for eid in sequences.example_ids()]
+    commands += [["sweep", "--id", "ex-hs", "--dims", "10,100,1000"], ["battery", "--trials", "5"]]
+    for f, g, n in (("f.json", "dual.json", "18"), ("frame1.json", "frame2.json", "7")):
+        commands += [
+            ["classify", "--input", f, "--dim", n],
+            ["cross-gram", "--f", f, "--g", g, "--dim", n],
+            ["dual-check", "--f", f, "--g", g, "--dim", n],
+        ]
+    for argv in commands:
+        code = cli.main(argv)
+        envelope = json.loads(capsys.readouterr().out)
+        assert cli.main([*argv, "--format", "text"]) == code, argv
+        text = capsys.readouterr().out
+        assert text.splitlines() == list(_flattened(envelope)), argv
+        assert text.endswith("\n") and code in (0, 3), argv
 
 
 # sha256 of `example --id ex-identity --dim 8 --format text`: the block route

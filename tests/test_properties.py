@@ -757,3 +757,83 @@ def test_index_stride_hand_cases(spec, strides):
     for first in (1, 2, 3):
         _check_prefix_sums(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
         _check_block_fold(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
+
+
+# ------------------------------------------------------------ envelope writer
+
+# render_json walks the report objects once; json.dumps of the plain tree the
+# old conversion made is the reference for every byte and every refusal
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    value: object
+    label: str = "row"
+
+
+_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x08\x1f\x7f\n\t é€\U0001f600'), max_size=6)
+_LEAVES = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2**64, -(2**64) - 1, 2**70, True, False, None]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    _TEXT,
+    st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.text(max_size=4)), kids, max_size=4),
+        st.builds(_Row, kids, _TEXT),
+    ),
+    max_leaves=24,
+)
+
+
+def _reference(tree):
+    """``tree`` as plain JSON types, as the envelope's old conversion made it."""
+    if dataclasses.is_dataclass(tree):
+        return {f.name: _reference(getattr(tree, f.name)) for f in dataclasses.fields(tree)}
+    if isinstance(tree, dict):
+        return {k: _reference(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_reference(v) for v in tree]
+    if isinstance(tree, np.generic):
+        return tree.item()
+    if isinstance(tree, complex):
+        return [tree.real, tree.imag]
+    return tree
+
+
+def _dumps(tree) -> str:
+    return json.dumps(_reference(tree), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_render_json_writes_the_bytes_json_dumps_writes(tree):
+    assert serialize.render_json(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), np.float64("-inf"), complex(1, float("nan"))]
+)
+def test_render_json_refuses_non_finite_floats_with_jsons_message(bad):
+    tree = {"report": _Row([1.0, bad])}
+    with pytest.raises(ValueError) as want:
+        _dumps(tree)
+    with pytest.raises(ValueError) as got:
+        serialize.render_json(tree)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+@pytest.mark.parametrize("bad, name", [(object(), "object"), (b"x", "bytes"), ({1}, "set"), (_Row, "type")])
+def test_render_json_refuses_unknown_types(bad, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        serialize.render_json({"report": [1, {"x": bad}]})
