@@ -1,19 +1,16 @@
 """Classification, cross-Gram reports, duality checks, battery, and sweep.
 
 The reports turn what ``operators`` computes on either route, dense
-matrices or the block kernel, into verdicts at a tolerance; the truncation
-sweep is the block route at each prefix.  The theorem battery replays the
-structural facts about cross-Gram matrices on seeded random instances and
-reports the worst margin per check; two negative controls feed
-deliberately broken instances through the same assertions to prove the
-wiring can fail.
+matrices or the block route's numbers, into verdicts at a tolerance; the
+truncation sweep makes rows of the block route's numbers at each prefix.
+The theorem battery replays the structural facts about cross-Gram matrices
+on seeded random instances and reports the worst margin per check; two
+negative controls feed deliberately broken instances through the same
+assertions to prove the wiring can fail.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +40,6 @@ MAX_BATTERY_DIM = 64
 # slowest sweep the budget admits, 500 rows up to 1e7, took about 22 s (ex-hs
 # and ex-identity alike) on one core of a 2-core x86-64 machine
 MAX_SWEEP_WORK = 5 * 10**9
-
-# the most terms the sweep and the block reports generate and fold, and bins they
-# read, at a time: a chunk's indices, coefficients and squared moduli take ~0.2 MB,
-# so each chunk stays in cache, and the per-index bins alone set the peak
-TERM_CHUNK = 1 << 13
-
 
 # --------------------------------------------------------------------------
 # spectral rules
@@ -114,11 +105,11 @@ def _classify(t: np.ndarray, tol: float, s=None) -> SequenceClassification:
     s = np.linalg.svd(t, compute_uv=False) if s is None else s
     frame = operators.bounds_from_singular_values(s, dim, tol)
     norms = np.linalg.norm(t, axis=0)
-    return _classification(dim, frame, _rank_of(s, tol) == dim, len(norms), norms.max(), norms.min())
+    return _classification(dim, len(norms), frame, _rank_of(s, tol) == dim, norms.max(), norms.min())
 
 
-def _classification(dim: int, frame: operators.FrameBounds, complete: bool, count: int, sup, inf):
-    """The verdicts from the frame bounds, completeness, count and extreme column norms."""
+def _classification(dim: int, count: int, frame: operators.FrameBounds, complete: bool, sup, inf):
+    """The verdicts from the count, frame bounds, completeness and extreme column norms."""
     riesz = bool(complete and count == dim and frame.spans_ambient)
     return SequenceClassification(
         count, dim, frame.upper, frame, bool(complete), riesz, float(sup), float(inf), frame.tol
@@ -238,70 +229,12 @@ def _duality(r: np.ndarray, tol: float) -> DualityReport:
 
 
 # --------------------------------------------------------------------------
-# block route
+# the pair gate and the reports
 
 
 def _call(make, *args):
     """``make(*args)``: the ``named`` of a side whose errors name no file."""
     return make(*args)
-
-
-def _chunks(spec, count: int, start: int = 0):
-    """Terms ``start`` .. ``count - 1`` of a scaled_basis or pattern spec, at most
-    ``TERM_CHUNK`` at a time, as (indices, coefficients, ``sequences._index_stride``):
-    the one stream the sweep and the block reports fold, each by ``operators._fold``."""
-    for lo in range(start, count, TERM_CHUNK):
-        stride = sequences._index_stride(spec, lo)  # this frame holds no chunk once yielded
-        yield *sequences.monomial_terms(spec, min(lo + TERM_CHUNK, count), start=lo), stride
-
-
-def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing=False):
-    """One pass over the chunks ``sources`` make for each side, side by side, into
-    bins up to ``dim``, widened at their front as chunks reach below them (bin j
-    holds index base + j; bin 0 no term, as numpy's pairwise sums need): each
-    side's |c|^2 given ``sums``, and given ``pairing``, the dtype of p (one index
-    array), the diagonal p of T_f T_g* and each bin's term count.  A side past the
-    entry bounds of a matrix is refused through its ``named`` after the pass, f
-    first.  Returns the bins, base, each side's (max, min) |c| and last chunk."""
-    dtypes = [float] * len(sources) * sums + ([pairing, np.int32] if pairing else [])
-    bins, base = [np.zeros(1, t) for t in dtypes], dim
-    faults = np.zeros((len(sources), 2), int)
-    moduli = [(0.0, np.inf)] * len(sources)
-    for chunk in itertools.zip_longest(*(make() for make in sources)):
-        faults += [linalg._faults(terms[1]) if terms else (0, 0) for terms in chunk]
-        if faults.any():  # a refused side folds nothing more
-            continue
-        low = min(int(terms[0].min()) for terms in chunk if terms)
-        for k, b in enumerate(bins if low <= base else ()):  # one array at a time
-            bins[k] = np.zeros(len(b) + base - low + 1, b.dtype)
-            bins[k][base - low + 1 :] = b
-        base = min(base, low - 1)
-        for k, terms in enumerate(chunk if sums else ()):
-            if terms:
-                mod = np.abs(terms[1])
-                moduli[k] = max(moduli[k][0], mod.max()), min(moduli[k][1], mod.min())
-                operators._fold(bins[k], terms[0] - base, mod**2, terms[2])
-        if pairing:  # f's stride is g's on one index array
-            (fi, a, stride), (_, b, _) = chunk
-            operators._fold_pairing(bins[-2], fi - base, a, b, stride)
-            operators._fold(bins[-1], fi - base, np.int32(1), stride)  # int32: add.at's fast path
-    for nm, fault in zip(named, faults.tolist()):
-        nm(linalg._refuse, *fault)
-    return bins, base, moduli, chunk
-
-
-def _block_q(shapes, terms: np.ndarray, p: np.ndarray, base: int, last):
-    """q of each bin of a pair on one index array (0 without bins of 2+ terms)
-    from two more passes, reusing the first pass's chunk if it was the only one."""
-    if not (terms > 1).any():
-        return 0.0
-    alpha, r = np.zeros(len(p)), np.zeros(len(p))
-    for sums in (alpha, r):
-        chunks = [last] if shapes[0][1] <= TERM_CHUNK else zip(*(_chunks(s, n) for s, n, _ in shapes))
-        for (fi, a, _), (_, b, _) in chunks:
-            m = np.flatnonzero(terms[fi - base] > 1)
-            operators._fold_q(sums, fi[m] - base, a[m], b[m], *((p, alpha) if sums is r else ()))
-    return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
 
 
 def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> bool:
@@ -320,7 +253,7 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> bo
     (fs, count, dim), (gs, g_count, g_dim) = f, g
     operators._check_pair(dim, g_dim, duality and (count, g_count))
     monomial = fs is not None and gs is not None
-    hybrid = monomial and count == g_count and not sequences._same_indices(fs, gs, count, TERM_CHUNK)
+    hybrid = monomial and count == g_count and not operators._same_indices(fs, gs, count)
     if hybrid or not monomial:  # the dense route
         if duality:
             sequences._check_dense(dim, dim, "dual-pair residual")
@@ -334,14 +267,14 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
     ``sequences.term_shape`` or a ``RealizedSequence``: the classifications of
     f and g and the cross-Gram report given ``cross`` (None for g and the
     cross-Gram without g), and the duality report given ``duality``.  Every
-    pair passes ``check_pair_budgets``, which gives its route.  Monomial sides
-    are read off one pass over their terms into per-index bins, each dropped
-    once read; a hybrid pair reads the square-only fields and the residual off
-    G and T_f T_g*, scattered from its ``sequences.term_arrays``.  A pair with
-    a dense side is dense: its monomial side is refused over a realization's
-    budget, the pair gated, and the side realized, and the pair reports no
-    classification.  ``named`` wraps each side's checks (the CLI names the
-    spec file).  A side may be a callable that returns one, f called first."""
+    pair passes ``check_pair_budgets``, which gives its route: monomial sides
+    take the block route (``operators._block_reports``), a hybrid pair reads
+    the square-only fields and the residual off G and T_f T_g* scattered from
+    its ``sequences.term_arrays``, and a pair with a dense side is dense, with
+    no classification (its monomial side refused over a realization's budget,
+    the pair gated, then the side realized).  ``named`` wraps each side's
+    checks (the CLI names the spec file).  A side may be a callable that
+    returns one, f called first."""
     f, g = (side() if callable(side) else side for side in (f, g))
     sides = (f,) if g is None else (f, g)
     if not all(isinstance(side, tuple) for side in sides):  # the dense route
@@ -365,9 +298,7 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
         report = analyze_cross_gram(m, tol) if cross else None
         return None, None, report, _duality(r, tol) if duality else None
     hybrid = g is not None and check_pair_budgets(f, g, duality=duality, cross=cross)
-    dim = f[2]
-    square = g is not None and f[1] == g[1]
-    shared, dual = square and not hybrid, None
+    dim, square, arrays, dual = f[2], g is not None and f[1] == g[1], None, None
     if hybrid:
         arrays = [nm(sequences.term_arrays, s) for nm, s in zip(named, sides)]
         (fi, a, _), (gi, b, _) = arrays
@@ -375,50 +306,20 @@ def reports(f, g=None, *, tol=DEFAULT_TOL, duality=False, cross=True, named=(_ca
             dual = _duality(operators._term_frame(fi, gi, *_real_parts(a, b), dim), tol)
         if not cross:
             return None, None, None, dual
-        sources = [functools.partial(iter, [(i, c, None)]) for i, c, _ in arrays]
-    else:
-        sources = [functools.partial(_chunks, spec, count) for spec, count, _ in sides]
-    pairing = shared and (float if f[0]._real and g[0]._real else complex)  # before the pass
-    bins, base, moduli, last = _block_fold(sources, dim, named, sums=cross, pairing=pairing)
-    if duality and shared:  # T_f T_g* - I is diagonal: p - 1 in the bins, -1 off them
-        p = bins[-2][operators._basis(base)]
-        blocks = range(0, len(p), TERM_CHUNK)
-        x = max(float(np.abs(p[lo : lo + TERM_CHUNK] - 1.0).max()) for lo in blocks)
-        dual = DualityReport(x, x, x, x <= tol, tol)
+    classes, spectrum, block, gap = operators._block_reports(sides, named, tol, cross, duality, arrays)
+    dual = dual if gap is None else DualityReport(gap, gap, gap, gap <= tol, tol)  # on one index array
     if not cross:
         return None, None, None, dual
-
-    basis = operators._basis(base)
-    classes = []
-    for k, (top, least) in enumerate(moduli):
-        s_e = bins[k]
-        # |c|^2 underflows below |c| ~1e-154: a side whose largest |c| is under
-        # 2**-300 is folded again as |c| 2**-e, 2**e near it, an exact scaling
-        e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
-        if e:
-            s_e[:] = 0.0
-            for idx, c, stride in sources[k]():
-                operators._fold(s_e, idx - base, np.ldexp(np.abs(c), -e) ** 2, stride)
-        hi, lo = float(s_e[basis].max()), float(s_e[basis].min())
-        frame = operators.FrameBounds(math.ldexp(lo, 2 * e), math.ldexp(hi, 2 * e), tol)
-        # completeness is a ratio, so it is read before the shift
-        complete = np.sqrt(lo) > tol * np.sqrt(hi)
-        classes.append(_classification(dim, frame, complete, sides[k][1], top, least))
-        np.ldexp(s_e, 2 * e, out=s_e)
-    del s_e
+    classes = [_classification(dim, side[1], *numbers) for side, numbers in zip(sides, classes)]
     if g is None:
         return classes[0], None, None, None
-
-    op, sigma_min, hs = operators._block_spectrum(bins[0], bins[1], min(f[1], g[1]), TERM_CHUNK)
-    bins[:2] = ()  # f_sq and g_sq are dropped
+    op, sigma_min, hs = spectrum
     if not square:
         fields = _RECTANGULAR
-    elif not shared:
+    elif hybrid:
         fields = _square_fields(operators._term_gram(fi, gi, *_real_parts(a, b)), op, tol)
     else:
-        p, terms = bins
-        q = _block_q(sides, terms, p, base, last)
-        herm, idem, ident, least = operators._block_square(p, terms, q, TERM_CHUNK)
+        herm, idem, ident, least = block
         fields = (*_hermitian(herm, op, tol, lambda: least), idem, ident)
     return (*classes, _cross_report(g[1], f[1], op, sigma_min, hs, *fields, tol), dual)
 
@@ -788,21 +689,6 @@ def _trend(values: list[float]) -> str:
     return "inconclusive"
 
 
-def _prefix_sums(spec, counts: list[int], sums: np.ndarray):
-    """Yield, for each of the nondecreasing ``counts``, the per-index sums of |c|^2
-    over that many first terms of ``spec``, bin i holding index i: ``sums``,
-    into which each count's new terms are folded from ``_chunks`` in term order."""
-    done = 0  # terms folded so far
-    for count in counts:
-        for idx, coeff, stride in _chunks(spec, count, done):
-            # for real values np.square is bit for bit |c|^2, in one pass
-            sq = np.square(coeff) if coeff.dtype == np.float64 else np.abs(coeff) ** 2
-            operators._fold(sums, idx, sq, stride)
-            done += len(idx)
-            del idx, coeff, sq  # not held while the other side or the next chunk is made
-        yield sums
-
-
 def truncation_sweep(
     example_id: str,
     truncations,
@@ -831,24 +717,8 @@ def truncation_sweep(
             f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}"
         )
 
-    # term m does not depend on n and the counts grow with n, so each row
-    # reads per-index sums over a prefix of the terms, folded a chunk at a
-    # time into bins over the largest truncation's span; every registry
-    # role starts at e1, so a row's bins are the first dim + 1
     shapes = [[sequences.term_shape(role, n) for role in roles] for n in ns]
-    (f, _, top), (g, _, _) = shapes[-1]
-    # both sides' bins in one block, which malloc keeps for the next sweep rather
-    # than return and fault in again (2,221 minor faults per benchmark op, then 1)
-    bins = np.zeros((2, top + 1))
-    f_sums = _prefix_sums(f, [fs[1] for fs, _ in shapes], bins[0])
-    g_sums = _prefix_sums(g, [gs[1] for _, gs in shapes], bins[1])
-    rows = []
-    for n, ((_, fc, dim), (_, gc, _)), f_all, g_all in zip(ns, shapes, f_sums, g_sums):
-        f_sq, g_sq = f_all[: dim + 1], g_all[: dim + 1]
-        op, sigma_min, hs = operators._block_spectrum(f_sq, g_sq, min(fc, gc), TERM_CHUNK)
-        bessel = float(f_sq.max()), float(g_sq.max())
-        rows.append(SweepRow(n, dim, fc, gc, op, sigma_min, hs, *bessel))
-
+    rows = [SweepRow(n, *row) for n, row in zip(ns, operators._sweep_rows(shapes))]
     return ConvergenceTable(
         example_id=example_id,
         rows=tuple(rows),

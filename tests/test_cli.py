@@ -1915,26 +1915,42 @@ CHUNK_ARGVS = [
 
 def test_envelopes_do_not_depend_on_the_chunk_sizes(tmp_path, monkeypatch, capsys):
     # terms are generated and folded TERM_CHUNK at a time and geometric powers
-    # tabled _POWER_BLOCK at a time; neither may move a byte
+    # tabled _POWER_BLOCK at a time; neither may move a byte.  A spy on
+    # operators._fold shows that the patch reaches the pass: a command whose
+    # sides stream in more than one patched chunk folds more, and shorter,
+    # chunks, while a hybrid pair folds its whole term arrays either way
     monkeypatch.chdir(tmp_path)
     for name, payload in CHUNK_SPECS.items():
         Path(name).write_text(json.dumps(payload))
+    fold, folds = operators._fold, []
+
+    def spy(sums, idx, weights, stride=None):
+        folds[-1].append(len(idx))
+        return fold(sums, idx, weights, stride)
 
     def envelopes():
         sequences._power_block.cache_clear()  # its tables are _POWER_BLOCK long
         out = []
         for argv in CHUNK_ARGVS:
+            folds.append([])
             assert cli.main(argv) == 0, argv
             out.append(capsys.readouterr().out)
         return out
 
+    monkeypatch.setattr(operators, "_fold", spy)
     want = envelopes()
-    monkeypatch.setattr(diagnostics, "TERM_CHUNK", 7)
+    whole, folds[:] = folds[:], []
+    monkeypatch.setattr(operators, "TERM_CHUNK", 7)
     monkeypatch.setattr(sequences, "_POWER_BLOCK", 64)
     got = envelopes()
     sequences._power_block.cache_clear()
-    for argv, a, b in zip(CHUNK_ARGVS, want, got):
+    hybrid = {"ex-hs", "ex-norm89", "swap.json"}
+    for argv, a, b, before, after in zip(CHUNK_ARGVS, want, got, whole, folds, strict=True):
         assert a == b, argv
+        if argv[0] != "sweep" and hybrid & set(argv):
+            assert after == before, argv
+        elif max(before, default=0) > 7:  # tiny.json's five terms are one chunk either way
+            assert len(after) > len(before) and max(after) <= 7, (argv, before, after)
 
 
 def test_strided_folds_of_a_complex_shared_pair_give_the_add_at_bytes(tmp_path, monkeypatch, capsys):

@@ -246,7 +246,7 @@ def test_chunked_add_at_fold_is_bincount_of_the_whole_array():
         assert got.tobytes() == want.tobytes(), chunk
 
 
-def test_block_spectrum_reads_the_bins_a_chunk_at_a_time():
+def test_block_spectrum_reads_the_bins_a_chunk_at_a_time(monkeypatch):
     # the whole-array formulas it replaced, on bins with empty and tiny entries
     rng = np.random.default_rng(28)
     for n in (1, 2, 200, 8193, 50_001):
@@ -259,4 +259,5 @@ def test_block_spectrum_reads_the_bins_a_chunk_at_a_time():
             want = (float(np.sqrt(sq.max())) if rank else 0.0, float(np.sqrt(least)),
                     float(np.sqrt(sq.sum())))
             for step in (7, 128, 1 << 13):
-                assert ops._block_spectrum(f, g, full, step) == want, (n, full, step)
+                monkeypatch.setattr(ops, "TERM_CHUNK", step)
+                assert ops._block_spectrum(f, g, full) == want, (n, full, step)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crossgram import diagnostics, operators, sequences, serialize
+from crossgram import cli, diagnostics, operators, sequences, serialize
 from crossgram.sequences import RealizedSequence
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -636,7 +636,7 @@ def test_streamed_spec_files_decode_as_the_parsed_tree_does(tmp_path_factory, co
 
 # ---------------------------------------------------------------- term strides
 
-CHUNK = diagnostics.TERM_CHUNK
+CHUNK = operators.TERM_CHUNK
 moduli = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 coeffs = st.one_of(moduli, st.builds(complex, moduli, moduli))
 ratios = st.sampled_from([1.0, 0.5, -0.9, 0.5j, 0.6 + 0.8j])
@@ -687,7 +687,7 @@ def _check_prefix_sums(spec, counts: list[int]) -> None:
     first terms, byte for byte, whichever way each chunk was folded."""
     idx, c = sequences.monomial_terms(spec, counts[-1])
     sums = np.zeros(int(idx.max()) + 1)
-    for count, bins in zip(counts, diagnostics._prefix_sums(spec, counts, sums), strict=True):
+    for count, bins in zip(counts, operators._prefix_sums(spec, counts, sums), strict=True):
         want = np.bincount(idx[:count], np.abs(c[:count]) ** 2, minlength=len(sums))
         assert bins.tobytes() == want.tobytes(), count
 
@@ -700,9 +700,9 @@ def _check_block_fold(spec, counts: list[int]) -> None:
     pairing = float if spec._real else complex
     for count in counts:
         at, a = idx[:count], c[:count]
-        source = functools.partial(diagnostics._chunks, spec, count)
-        bins, base, _, _ = diagnostics._block_fold([source] * 2, int(at.max()), [diagnostics._call] * 2,
-                                                   pairing=pairing)
+        source = functools.partial(operators._chunks, spec, count)
+        bins, base, _ = operators._block_fold([source] * 2, int(at.max()), [diagnostics._call] * 2,
+                                              pairing=pairing)
         f_sq, g_sq, p, terms = bins
         folds = [(f_sq, np.abs(a) ** 2), (g_sq, np.abs(a) ** 2)]
         if pairing is float:
@@ -757,6 +757,31 @@ def test_index_stride_hand_cases(spec, strides):
     for first in (1, 2, 3):
         _check_prefix_sums(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
         _check_block_fold(spec, [first, CHUNK - 1, CHUNK, CHUNK + 1])
+
+
+def test_bins_widen_when_the_lowest_index_comes_in_a_later_chunk(tmp_path, monkeypatch, capsys):
+    # ten head terms on e20 .. e29, then a step-1 tail from e1: in chunks of 7
+    # terms, e1 first comes in the second chunk, and the bins widen at their front
+    payload = {"kind": "pattern", "head": [{"index": 20 + i, "coeff": [1, i]} for i in range(10)],
+               "tail": [{"start_index": 1, "index_step": 1, "coeff": [0.5, 0]}]}
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(payload))
+    argvs = [["classify", "--input", str(path)], ["cross-gram", "--f", str(path), "--g", str(path)]]
+
+    def envelopes():
+        out = []
+        for argv in argvs:
+            assert cli.main([*argv, "--dim", "60"]) == 0, argv
+            out.append(capsys.readouterr().out)
+        return out
+
+    want = envelopes()
+    monkeypatch.setattr(operators, "TERM_CHUNK", 7)
+    spec = serialize.spec_from_json(payload)
+    assert next(operators._chunks(spec, 60))[0].min() == 20  # e1 comes later
+    _check_block_fold(spec, [7, 10, 11, 14, 60])
+    _check_prefix_sums(spec, [7, 10, 11, 14, 60])
+    assert envelopes() == want
 
 
 # ------------------------------------------------------------ envelope writer

@@ -138,7 +138,7 @@ def test_sweep_generates_each_rows_terms_only_when_it_folds_them(monkeypatch):
     folded = {spec: 0 for spec in counts}
     for spec, row, n, start in calls:
         assert counts[spec][row] <= start == folded[spec], (row, n, start)
-        assert n <= counts[spec][row + 1] and n - start <= diag.TERM_CHUNK, (row, n, start)
+        assert n <= counts[spec][row + 1] and n - start <= ops.TERM_CHUNK, (row, n, start)
         folded[spec] = n
     assert folded == {spec: c[-1] for spec, c in counts.items()}
 
@@ -160,7 +160,7 @@ def add_at_folds(monkeypatch):
 def test_sweep_folds_chunks_on_consecutive_indices_by_slice_add(add_at_folds):
     # only a chunk that reaches a head, or a side of more than one tail slot
     # or of a step-0 slot, goes through np.add.at
-    g_hs = [10, 90] + [diag.TERM_CHUNK] * 12 + [99900 - 12 * diag.TERM_CHUNK]
+    g_hs = [10, 90] + [ops.TERM_CHUNK] * 12 + [99900 - 12 * ops.TERM_CHUNK]
     for ex_id, chunks in (("ex-identity", []), ("ex-canonical", [10, 10]), ("ex-hs", g_hs)):
         add_at_folds.clear()
         diag.truncation_sweep(ex_id, (10, 100, 100000))
@@ -172,7 +172,7 @@ def test_block_reports_fold_chunks_on_consecutive_indices_by_slice_add(add_at_fo
     # np.add.at for f's and g's |c|^2, p and the term count, then _block_q
     # folds the 2-term bins of each chunk (two passes); ex-blocked's f takes
     # it only for its head chunk, and g's two slots for every chunk
-    chunk = diag.TERM_CHUNK
+    chunk = ops.TERM_CHUNK
     expected = (
         ("ex-identity", []),
         ("ex-canonical", [chunk] * 4 + [2, 0, 0] * 2),
