@@ -284,16 +284,22 @@ def _block_square(p: np.ndarray, terms: np.ndarray, q):
     ``TERM_CHUNK`` bins at a time (extremes are exact in any blocking); a Hermitian G
     has the eigenvalues Re p and 0."""
     herm, idem, ident, least, step = 0.0, 0.0, 0.0, np.inf, TERM_CHUNK
+    real = p.dtype == float and not np.ndim(q)  # q 0: one term per occupied bin
     for lo in range(0, len(p), step):
         pb, tb, qb = p[lo : lo + step], terms[lo : lo + step], q[lo : lo + step] if np.ndim(q) else q
         # in an orthonormal basis of a block that starts at conj(a), G is
         # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
         # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
-        im, x, rows = np.abs(pb.imag), np.abs(pb - 1.0), tb > 0
-        herm = max(herm, float((im + np.hypot(qb, im)).max()))
-        idem = max(idem, float((x * np.hypot(np.abs(pb), qb)).max()))
-        wide = (np.hypot(x + 1.0, qb) + np.hypot(x - 1.0, qb)) / 2.0  # blocks of 2+ terms
-        ident = max(ident, float(np.max(np.where(tb == 1, x, wide), where=rows, initial=0.0)))
+        x, rows = np.abs(pb - 1.0), tb > 0
+        if real:  # hypot(y, 0) is |y| exactly, Im p is 0, and no block is wide
+            idem = max(idem, float((x * np.abs(pb)).max()))
+            ident = max(ident, float(np.max(x, where=rows, initial=0.0)))
+        else:
+            im = np.abs(pb.imag)
+            herm = max(herm, float((im + np.hypot(qb, im)).max()))
+            idem = max(idem, float((x * np.hypot(np.abs(pb), qb)).max()))
+            wide = (np.hypot(x + 1.0, qb) + np.hypot(x - 1.0, qb)) / 2.0  # blocks of 2+ terms
+            ident = max(ident, float(np.max(np.where(tb == 1, x, wide), where=rows, initial=0.0)))
         least = min(least, float(np.min(pb.real, where=rows, initial=np.inf)))
     return herm, idem, ident, least
 

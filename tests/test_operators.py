@@ -261,3 +261,23 @@ def test_block_spectrum_reads_the_bins_a_chunk_at_a_time(monkeypatch):
             for step in (7, 128, 1 << 13):
                 monkeypatch.setattr(ops, "TERM_CHUNK", step)
                 assert ops._block_spectrum(f, g, full) == want, (n, full, step)
+
+
+def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit(monkeypatch):
+    # float64 p with q 0 (no bin of 2+ terms) skips the hypot and wide forms:
+    # herm 0, idem max |p - 1| |p|, ident max |p - 1| and least min p over the
+    # occupied bins; a q array of zeros takes the general form
+    rng = np.random.default_rng(29)
+    special = np.array([-0.0, 0.0, 1.0, -1.0, 1.0 + 2**-52, 1.0 - 2**-53, 2.0, 1e-300, -1e100])
+    for n in (1, 9, 200, 8193):
+        p = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        mask = rng.random(n) < 0.3
+        p[mask] = rng.choice(special, np.count_nonzero(mask))
+        terms = (rng.random(n) > 0.2).astype(np.int32)  # empty bins hold p = 0
+        p[terms == 0] = rng.choice([0.0, -0.0])
+        for step in (7, 1 << 13):
+            monkeypatch.setattr(ops, "TERM_CHUNK", step)
+            got, want = ops._block_square(p, terms, 0.0), ops._block_square(p, terms, np.zeros(n))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (n, step)
+    empty = ops._block_square(np.zeros(5), np.zeros(5, np.int32), 0.0)
+    assert empty == ops._block_square(np.zeros(5), np.zeros(5, np.int32), np.zeros(5)) == (0.0, 0.0, 0.0, np.inf)
