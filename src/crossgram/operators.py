@@ -142,8 +142,9 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
     return r
 
 
-# the most terms the block route generates and folds, and bins it reads, at a time: a
-# chunk (~0.2 MB of indices, coefficients and |c|^2) stays in cache, and bins set the peak
+# the most terms the block route generates and folds at a time: a chunk (~0.2 MB of
+# indices, coefficients and |c|^2) stays in cache, and so does the window of bins a fold
+# holds, four chunks' span, leaves of up to two chunks' bins read off it as they fill
 TERM_CHUNK = 1 << 13
 
 
@@ -160,18 +161,18 @@ def _chunks(spec, count: int, start: int = 0):
         yield *sequences.monomial_terms(spec, min(lo + TERM_CHUNK, count), start=lo), stride
 
 
-def _fold(sums: np.ndarray, idx: np.ndarray, weights, stride=None) -> None:
+def _fold(sums: np.ndarray, idx, weights, stride=None) -> None:
     """Add ``weights`` into the bins ``sums``, bin i holding index i, one term at a time, in term
     order, as ``np.bincount`` does: terms folded chunk by chunk give its bits for them all.  Given
-    the ``stride`` of evenly spaced ``idx``, one slice add: the indices are distinct, so each bin
-    takes the one addition ``np.add.at`` would make, and the bits are the same."""
+    the ``stride`` of evenly spaced ``idx``, one slice add from its first to its last index: the
+    indices are distinct, so each bin takes the one addition ``np.add.at`` would make."""
     if stride:
         sums[idx[0] : idx[-1] + 1 : stride] += weights
     else:
         np.add.at(sums, idx, weights)
 
 
-def _fold_pairing(p: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, stride=None) -> None:
+def _fold_pairing(p: np.ndarray, at, a: np.ndarray, b: np.ndarray, stride=None) -> None:
     """Fold into the diagonal p of T_f T_g*, p_i = sum a conj(b) over bin i's terms."""
     if p.dtype == float:  # two real sides
         return _fold(p, at, a * b, stride)
@@ -193,89 +194,155 @@ def _fold_q(sums: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, p=No
     _fold(sums, at, np.abs(b - a * toward) ** 2)
 
 
-def _block_fold(sources, dim: int, named, *, sums: bool = True, pairing=False):
-    """One pass over the chunks ``sources`` make for each side, side by side, into bins up to ``dim``,
-    widened at their front as chunks reach below them (bin j holds index base + j; bin 0 no term,
-    as numpy's pairwise sums need): each side's |c|^2 given ``sums``, and given ``pairing``, the
-    dtype of p (one index array), p and each bin's term count.  A side past the entry bounds is
-    refused through its ``named`` after the pass, f first.  Returns bins, base, (max, min) |c|s."""
-    dtypes = [float] * len(sources) * sums + ([pairing, np.int32] if pairing else [])
-    bins, base = [np.zeros(1, t) for t in dtypes], dim
-    faults = np.zeros((len(sources), 2), int)
-    moduli = [(0.0, np.inf)] * len(sources)
-    for chunk in itertools.zip_longest(*(make() for make in sources)):
-        faults += [linalg._faults(terms[1]) if terms else (0, 0) for terms in chunk]
-        if faults.any():  # a refused side folds nothing more
-            continue
-        low = min(int(terms[0].min()) for terms in chunk if terms)
-        for k, b in enumerate(bins if low <= base else ()):  # one array at a time
-            bins[k] = np.zeros(len(b) + base - low + 1, b.dtype)
-            bins[k][base - low + 1 :] = b
-        base = min(base, low - 1)
-        for k, terms in enumerate(chunk if sums else ()):
-            if terms:
-                mod = np.abs(terms[1])
-                moduli[k] = max(moduli[k][0], mod.max()), min(moduli[k][1], mod.min())
-                _fold(bins[k], terms[0] - base, mod**2, terms[2])
-        if pairing:  # f's stride is g's on one index array
-            (fi, a, stride), (_, b, _) = chunk
-            _fold_pairing(bins[-2], fi - base, a, b, stride)
-            _fold(bins[-1], fi - base, np.int32(1), stride)  # int32: add.at's fast path
-    for nm, fault in zip(named, faults.tolist()):
-        nm(linalg._refuse, *fault)
-    return bins, base, moduli
+
+class _Window:
+    """The bins of one fold, one array per dtype, for positions 0 .. total - 1 (position j holds
+    index base + j): those below ``khi``, a leaf past the last pinned one, are kept at j, and the
+    live ones lo .. hi - 1 follow them, at j - lo + khi; the bins below lo are dropped."""
+
+    def __init__(self, dtypes, pinned, total: int, base: int):
+        self.leaf, self.total, self.base = max(2 * TERM_CHUNK, 128), total, base
+        self.khi = self.lo = min(total, max(pinned, default=-self.leaf) + self.leaf)
+        self.bins = [np.zeros(0, t) for t in dtypes]
+        self._widen(4 * TERM_CHUNK, 0)
+
+    def _widen(self, cap: int, keep: int) -> None:
+        """Hold ``cap`` live bins, the ``keep`` last ones first, all arrays in one block, which
+        malloc keeps for the next fold."""
+        cap, old = min(self.total - self.khi, cap), self.bins
+        sizes = [(self.khi + cap) * b.itemsize for b in old]
+        block = np.zeros(sum(sizes), np.uint8)
+        self.bins = [block[end - size : end].view(b.dtype) for b, size, end in zip(old, sizes, itertools.accumulate(sizes))]
+        for b, o in zip(self.bins, old if len(old[0]) else ()):
+            b[: self.khi], b[self.khi : self.khi + keep] = o[: self.khi], o[len(o) - keep :]
+        self.hi = self.lo + cap
+
+    def at(self, idx: np.ndarray, stride, top: int):
+        """The places of the bins of indices ``idx`` (positions below ``top``); given a ``stride``,
+        those of its ends alone, which is all ``_fold`` reads, and which lie past lo."""
+        gap = self.lo - self.khi + self.base
+        if stride:
+            return int(idx[0]) - gap, int(idx[-1]) - gap
+        pos = idx - self.base if self.base else idx
+        if self.lo == self.khi or top <= self.khi:
+            return pos
+        return idx - gap if pos.min() >= self.khi else np.where(pos < self.khi, pos, idx - gap)
+
+    def view(self, k: int, lo: int, hi: int) -> np.ndarray:
+        """Bins lo .. hi - 1 of array k: those past hi, which no term has reached, are zero."""
+        start = lo if lo < self.khi else lo - self.lo + self.khi
+        got = self.bins[k][start : start + hi - lo]
+        return got if len(got) == hi - lo else np.concatenate((got, np.zeros(hi - lo - len(got), got.dtype)))
+
+    def reach(self, top: int, lo: int) -> None:
+        """Hold the positions lo .. top - 1 (top past hi): the live bins from lo move to the front,
+        widened to twice those positions if they must be."""
+        keep, self.lo = max(0, self.hi - lo), lo
+        if top - lo > len(self.bins[0]) - self.khi:
+            return self._widen(2 * (top - lo), keep)
+        for b in self.bins:
+            b[self.khi : self.khi + keep] = b[len(b) - keep :]
+            b[self.khi + keep :] = 0
+        self.hi = lo + len(self.bins[0]) - self.khi
 
 
-def _prefix_sums(spec, counts: list[int], sums: np.ndarray):
-    """Yield, for each of the nondecreasing ``counts``, ``sums`` of |c|^2 over that many first
-    terms of ``spec``, bin i holding index i, folding each count's new terms in term order.
-    The sweep's own fold: ``_block_fold``'s per-chunk fault and modulus passes would slow it."""
-    done = 0  # terms folded so far
-    for count in counts:
-        for idx, coeff, stride in _chunks(spec, count, done):
-            # for real values np.square is bit for bit |c|^2, in one pass
-            sq = np.square(coeff) if coeff.dtype == np.float64 else np.abs(coeff) ** 2
-            _fold(sums, idx, sq, stride)
-            done += len(idx)
-            del idx, coeff, sq  # not held while the other side or the next chunk is made
-        yield sums
+def _tree(lo: int, hi: int, leaf: int):
+    """Ask for the results of the leaves of bins lo .. hi - 1 in order (``yield (lo, hi)``), split
+    as numpy's pairwise sum of a float64 array splits them (at half, down to a multiple of 8),
+    and return them joined by the same tree: leaves of >= 128 bins give ``np.sum``'s bits."""
+    if hi - lo <= leaf:
+        return (yield lo, hi)
+    mid = lo + (hi - lo) // 2 // 8 * 8
+    return _join((yield from _tree(lo, mid, leaf)), (yield from _tree(mid, hi, leaf)))
 
 
-def _block_q(sources, p: np.ndarray, terms: np.ndarray, base: int):
-    """q of each bin of a pair on one index array (0 without bins of 2+ terms), from
-    two more passes over the chunks ``sources`` make."""
-    if not (terms > 1).any():
-        return 0.0
+def _join(a, b):
+    """Two leaf results joined: sum, max, least positive entry, rank, then maxima; a callable (a
+    leaf read at the end of its row) gives a callable."""
+    if callable(a) or callable(b):
+        return lambda: _join(*(x() if callable(x) else x for x in (a, b)))
+    return a[0] + b[0], max(a[1], b[1]), min(a[2], b[2]), a[3] + b[3], *map(max, a[4:], b[4:])
+
+
+def _slide(window: _Window, streams, rows, reduce):
+    """Yield row by row the joined leaf results of the bins that ``streams``, each (make, fold,
+    frontier, count), fold into ``window``: row (counts, n) reads bins 0 .. n - 1 once each stream
+    has folded its count, a chunk of ``make(start, stop)`` at a time, the least ``frontier(terms
+    folded)`` first.  ``reduce(lo, hi, end)`` reads a leaf (None: at the end of its row) once no
+    later term reaches it; a kept leaf, and any other left, at the end of its row."""
+    trees, (makes, folds, frontiers, ends) = [[_tree(0, n, window.leaf), None] for _, n in rows], zip(*streams)
+    pos, fronts = [0] * len(makes), [frontier(0) for frontier in frontiers]
+    for tree in trees:
+        tree[1] = next(tree[0])
+
+    def settle(tree, bound, end=False):
+        while tree[0] and tree[1][1] <= max(bound, window.khi):
+            lo, hi = tree[1]
+            got = reduce(lo, hi, end) if end or hi > window.khi else functools.partial(reduce, lo, hi, True)
+            if got is None:
+                return
+            try:
+                tree[1] = tree[0].send(got)
+            except StopIteration as joined:
+                tree[:] = None, joined.value
+
+    for tree, (counts, _) in zip(trees, rows):
+        chunks = [make(start, stop) for make, start, stop in zip(makes, pos, counts)]
+        while live := [k for k, stop in enumerate(counts) if pos[k] < stop]:
+            k = min(live, key=fronts.__getitem__)
+            chunk = next(chunks[k])
+            idx, _, stride = chunk[0]
+            top = int(idx[-1] if stride else idx.max()) - window.base + 1
+            if top > window.hi:  # read off the final leaves and drop the bins below the rest
+                for t in trees:
+                    settle(t, min(fronts))
+                window.reach(top, max(window.khi, min([top, *fronts] + [t[1][0] for t in trees if t[0]])))
+            folds[k](chunk, window.at(idx, stride, top))
+            pos[k] += len(idx)
+            fronts[k] = frontiers[k](pos[k]) if pos[k] < ends[k] else math.inf
+            del chunk, idx  # not held while the next chunk is made
+        settle(tree, math.inf, True)
+        yield tree[1]() if callable(tree[1]) else tree[1]
+
+
+def _block_q(window: _Window, chunks, at: int):
+    """q of each bin of ``window`` for a pair on one index array (p at ``at``, the term counts
+    next), from two more passes over ``chunks()``; every bin of 2+ terms is still held."""
+    p, terms = window.bins[at], window.bins[at + 1]
     alpha, r = np.zeros(len(p)), np.zeros(len(p))
     for sums in (alpha, r):
-        for (fi, a, _), (_, b, _) in zip(*(make() for make in sources)):
-            m = np.flatnonzero(terms[fi - base] > 1)
-            _fold_q(sums, fi[m] - base, a[m], b[m], *((p, alpha) if sums is r else ()))
+        for (fi, a, _), (_, b, _) in chunks():
+            m = np.flatnonzero((fi - window.base < window.khi) | (fi - window.base >= window.lo))
+            places = window.at(fi[m], None, window.total) if len(m) else m
+            m, places = m[terms[places] > 1], places[terms[places] > 1]
+            _fold_q(sums, places, a[m], b[m], *((p, alpha) if sums is r else ()))
     return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
 
 
-def _block_spectrum(f_sq: np.ndarray, g_sq: np.ndarray, full: int):
-    """op_norm, sigma_min and hs from two sides' bins of |c|^2 sums, whose products are
-    the blocks' squared singular values, read ``TERM_CHUNK`` (>= 128) bins at a time;
-    ``full`` is min(rows, cols)."""
-    total, top, least, rank = _spectrum_sums(f_sq, g_sq, 0, len(f_sq), max(TERM_CHUNK, 128))
-    return float(np.sqrt(top)), float(np.sqrt(least)) if rank == full else 0.0, float(np.sqrt(total))
+def _spectrum_leaf(sq: np.ndarray):
+    """Sum, max, least positive entry and number of positive entries of the products ``sq``."""
+    total, top, rank = np.add.reduce(sq), np.maximum.reduce(sq), np.count_nonzero(sq)
+    if rank < len(sq):  # the least positive entry is then the least one
+        np.putmask(sq, sq == 0.0, np.inf)
+    return total, top, np.minimum.reduce(sq), rank
 
 
 def _spectrum_sums(f_sq: np.ndarray, g_sq: np.ndarray, lo: int, hi: int, leaf: int):
-    """Sum, max, least positive entry and number of positive entries of f_sq * g_sq
-    over bins lo .. hi - 1, split as numpy's pairwise sum of a float64 array is (at
-    half, down to a multiple of 8): leaves of >= 128 bins give ``np.sum``'s bits."""
-    if hi - lo <= leaf:
-        sq = f_sq[lo:hi] * g_sq[lo:hi]
-        total, top, zero = np.add.reduce(sq), sq.max(), sq == 0.0
-        rank = len(sq) - np.count_nonzero(zero)
-        if rank < len(sq):  # the least positive entry is then the least one
-            np.putmask(sq, zero, np.inf)
-        return total, top, sq.min(), rank
-    mid = lo + (hi - lo) // 2 // 8 * 8
-    a, b = _spectrum_sums(f_sq, g_sq, lo, mid, leaf), _spectrum_sums(f_sq, g_sq, mid, hi, leaf)
-    return a[0] + b[0], max(a[1], b[1]), min(a[2], b[2]), a[3] + b[3]
+    """``_spectrum_leaf`` of f_sq * g_sq over bins lo .. hi - 1, leaf by leaf of ``_tree``."""
+    tree, got = _tree(lo, hi, leaf), None
+    try:
+        while True:
+            a, b = tree.send(got)
+            got = _spectrum_leaf(f_sq[a:b] * g_sq[a:b])
+    except StopIteration as joined:
+        return joined.value
+
+
+def _block_spectrum(sums, full: int):
+    """op_norm, sigma_min and hs from the ``_spectrum_sums`` of two sides' bins of |c|^2 sums, whose
+    products are the blocks' squared singular values; ``full`` is min(rows, cols)."""
+    total, top, least, rank = sums[:4]
+    return float(np.sqrt(top)), float(np.sqrt(least)) if rank == full else 0.0, float(np.sqrt(total))
 
 
 def _block_square(p: np.ndarray, terms: np.ndarray, q):
@@ -303,6 +370,73 @@ def _block_square(p: np.ndarray, terms: np.ndarray, q):
         least = min(least, float(np.min(pb.real, where=rows, initial=np.inf)))
     return herm, idem, ident, least
 
+def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, scale=(0, 0)):
+    """One pass of ``_block_reports`` over the chunks of ``sides``, or ``arrays`` (which have no
+    frontier), into a ``_Window`` (bin j holds index base + j; bin 0 no term, as numpy's pairwise
+    sums need): given ``cross``, each side's |c|^2 sums, 2**-2e scaled, and on one index array
+    (``shared``), p and each bin's term count.  Returns the joined leaf results of ``reduce`` and
+    each side's (max, min) |c|; a side past the entry bounds is refused through its ``named``
+    after the pass, f first."""
+    n, at = len(sides), len(sides) * cross
+    if arrays:  # a hybrid pair's whole term arrays, one chunk each
+        frontiers, base = [(lambda pos: 0, ())] * n, min(int(i.min()) for i, _, _ in arrays) - 1
+        sources = [functools.partial(iter, [(i, c, None)]) for i, c, _ in arrays]
+    else:  # a side of one chunk is generated once, and that chunk held for every pass
+        frontiers = [sequences._index_frontier(s, c) for s, c, _ in sides]
+        base = min(min((frontier(0), *pins)) for frontier, pins in frontiers) - 1
+        sources = [functools.partial(iter, list(_chunks(s, c))) if c <= TERM_CHUNK
+                   else functools.partial(_chunks, s, c) for s, c, _ in sides]
+    pairing = shared and (float if sides[0][0]._real and sides[1][0]._real else complex)
+    window = _Window([float] * at + [pairing, np.int32] * shared, [i - base for _, pins in frontiers for i in pins],
+                     sides[0][2] - base + 1, base)
+    faults, moduli = np.zeros((n, 2), int), [(0.0, np.inf)] * n
+
+    def fold(group, chunk, where):
+        faults[list(group)] += [linalg._faults(c) for _, c, _ in chunk]
+        if faults.any():  # a refused side folds nothing more
+            return
+        (_, a, stride), b = chunk[0], chunk[-1][1]
+        for k, (_, c, _) in zip(group, chunk if cross else ()):
+            mod = np.abs(c)
+            moduli[k] = max(moduli[k][0], mod.max()), min(moduli[k][1], mod.min())
+            _fold(window.bins[k], where, (np.ldexp(mod, -scale[k]) if scale[k] else mod) ** 2, stride)
+        if shared:  # f's stride is g's on one index array
+            _fold_pairing(window.bins[at], where, a, b, stride)
+            _fold(window.bins[at + 1], where, np.int32(1), stride)  # int32: add.at's fast path
+
+    def reduce(lo, hi, end):
+        """A leaf's spectrum sums, each side's max and negated min, then max|p - 1| and
+        ``_block_square``'s values, the least negated: all but the sums join by max."""
+        out, sq = [0.0, 0.0, np.inf, 0], [window.view(k, lo, hi) for k in range(len(window.bins))]
+        if faults.any():  # refused after the pass
+            return out
+        if at == 2:
+            out = [*_spectrum_leaf(np.ldexp(sq[0], 2 * scale[0]) * np.ldexp(sq[1], 2 * scale[1]))]
+        basis = slice(0 if lo or base else 1, None)  # bin 0 stands for index base, which no term reaches, unless base is 0
+        for v in sq[:at]:
+            out += [v[basis].max(), -v[basis].min()]
+        if shared:
+            p, t = sq[at : at + 2]
+            if duality:  # T_f T_g* - I is diagonal: p - 1 in the bins, -1 off them
+                out.append(np.abs(p[basis] - 1.0).max())
+            if cross:  # q of the blocks of 2+ terms, read at the end, from two more passes
+                wide = (t > 1).any()
+                if wide and not end:
+                    return None
+                if wide and len(window.bins) == at + 2:
+                    window.bins.append(_block_q(window, lambda: zip(*(make() for make in sources)), at))
+                herm, idem, ident, least = _block_square(p, t, window.view(at + 2, lo, hi) if wide else 0.0)
+                out += [herm, idem, ident, -least]
+        return out
+
+    groups = [(0, 1)] if shared else [(k,) for k in range(n)]
+    streams = [(lambda start, stop, g=g: zip(*(sources[k]() for k in g)), functools.partial(fold, g),
+                lambda pos, g=g: frontiers[g[0]][0](pos) - base, sides[g[0]][1]) for g in groups]
+    got = next(_slide(window, streams, [([s[3] for s in streams], window.total)], reduce))
+    for nm, fault in zip(named, faults.tolist()):
+        nm(linalg._refuse, *fault)
+    return got, moduli
+
 
 def _block_reports(sides, named, tol: float, cross: bool, duality: bool, arrays):
     """The numbers ``diagnostics.reports`` reads off the term shapes ``sides`` (f, or f and g) from
@@ -310,50 +444,43 @@ def _block_reports(sides, named, tol: float, cross: bool, duality: bool, arrays)
     completeness and (max, min) |c|, a pair's op_norm, sigma_min and hs, and on one index array
     ``_block_square``'s values; given ``duality``, on one index array, max|p - 1|; else None."""
     shared = not arrays and len(sides) == 2 and sides[0][1] == sides[1][1]
-    if arrays:  # a hybrid pair's whole term arrays, one chunk each
-        sources = [functools.partial(iter, [(i, c, None)]) for i, c, _ in arrays]
-    else:  # a side of one chunk is generated once, and that chunk held for every pass
-        sources = [functools.partial(iter, list(_chunks(s, n))) if n <= TERM_CHUNK
-                   else functools.partial(_chunks, s, n) for s, n, _ in sides]
-    pairing = shared and (float if sides[0][0]._real and sides[1][0]._real else complex)
-    bins, base, moduli = _block_fold(sources, sides[0][2], named, sums=cross, pairing=pairing)
-    # bin 0 stands for index base, a basis vector no term reaches, unless base is 0
-    basis, gap = slice(0 if base else 1, None), None
-    if duality and shared:  # T_f T_g* - I is diagonal: p - 1 in the bins, -1 off them
-        p, step = bins[-2][basis], TERM_CHUNK
-        gap = max(float(np.abs(p[lo : lo + step] - 1.0).max()) for lo in range(0, len(p), step))
+    got, moduli = _block_pass(sides, named, cross, duality, arrays, shared)
+    # |c|^2 underflows below |c| ~1e-154: a side whose largest |c| is under 2**-300 is
+    # folded again, in a second full pass, as |c| 2**-e, 2**e near it, an exact scaling
+    scale = [int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0 for top, _ in moduli]
+    sums = _block_pass(sides, named, cross, False, arrays, False, scale)[0] if any(scale) else got
+    gap = float(got[4 + 2 * len(sides) * cross]) if duality and shared else None
     if not cross:
         return None, None, None, gap
     classes = []
-    for k, (top, least) in enumerate(moduli):
-        # |c|^2 underflows below |c| ~1e-154: a side whose largest |c| is under 2**-300
-        # is folded again as |c| 2**-e, 2**e near it, an exact scaling
-        e = int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0
-        if e:
-            bins[k][:] = 0.0
-            for idx, c, stride in sources[k]():
-                _fold(bins[k], idx - base, np.ldexp(np.abs(c), -e) ** 2, stride)
-        hi, lo = float(bins[k][basis].max()), float(bins[k][basis].min())
+    for k, ((top, least), e) in enumerate(zip(moduli, scale)):
+        hi, lo = float(sums[4 + 2 * k]), -float(sums[5 + 2 * k])
         frame = FrameBounds(math.ldexp(lo, 2 * e), math.ldexp(hi, 2 * e), tol)
         # completeness is a ratio, so it is read before the shift
         classes.append((frame, np.sqrt(lo) > tol * np.sqrt(hi), top, least))
-        np.ldexp(bins[k], 2 * e, out=bins[k])
-    # each side's |c|^2 bins are dropped once the spectrum is read off them
-    spectrum = (_block_spectrum(bins.pop(0), bins.pop(0), min(n for _, n, _ in sides))
-                if sides[1:] else None)
-    block = _block_square(*bins, _block_q(sources, *bins, base)) if shared else None
-    return classes, spectrum, block, gap
+    spectrum = _block_spectrum(sums, min(n for _, n, _ in sides)) if sides[1:] else None
+    return classes, spectrum, (*got[-4:-1], -got[-1]) if shared else None, gap
 
 
 def _sweep_rows(shapes):
     """Yield dim, both counts, op_norm, sigma_min, hs and both Bessel bounds of each sweep row
     from the term shapes of its (f, g).  Term m does not depend on n and the counts grow with
-    n, so a row reads sums over a prefix of the terms, in bins over the largest truncation's
-    span; every registry role starts at e1, so a row's bins are the first dim + 1."""
-    # both sides' bins in one block, which malloc keeps for the next sweep rather
-    # than return and fault in again (2,221 minor faults per benchmark op, then 1)
-    bins = np.zeros((2, shapes[-1][0][2] + 1))
-    sums = [_prefix_sums(s[0], [row[k][1] for row in shapes], bins[k]) for k, s in enumerate(shapes[-1])]
-    for ((_, fc, dim), (_, gc, _)), f_all, g_all in zip(shapes, *sums):
-        f_sq, g_sq = f_all[: dim + 1], g_all[: dim + 1]
-        yield dim, fc, gc, *_block_spectrum(f_sq, g_sq, min(fc, gc)), float(f_sq.max()), float(g_sq.max())
+    n, so a row reads sums over a prefix of the terms, leaf by leaf off the one ``_Window`` that
+    ``_slide`` moves along (bin i holds index i); every registry role starts at e1, so a row's
+    bins are the first dim + 1."""
+    sides = [(spec, count, sequences._index_frontier(spec, count)) for spec, count, _ in shapes[-1]]
+    window = _Window([float, float], [i for *_, (_, pins) in sides for i in pins], shapes[-1][0][2] + 1, 0)
+
+    def fold(k, chunk, at):
+        _, c, stride = chunk[0]  # for real values np.square is bit for bit |c|^2, in one pass
+        _fold(window.bins[k], at, np.square(c) if c.dtype == np.float64 else np.abs(c) ** 2, stride)
+
+    def reduce(lo, hi, end):
+        f, g = window.view(0, lo, hi), window.view(1, lo, hi)
+        return *_spectrum_leaf(f * g), np.maximum.reduce(f), np.maximum.reduce(g)
+
+    streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), functools.partial(fold, k), frontier, count)
+               for k, (spec, count, (frontier, _)) in enumerate(sides)]
+    rows = [((fc, gc), dim + 1) for (_, fc, dim), (_, gc, _) in shapes]
+    for ((fc, gc), n), got in zip(rows, _slide(window, streams, rows, reduce)):
+        yield n - 1, fc, gc, *_block_spectrum(got, min(fc, gc)), float(got[4]), float(got[5])

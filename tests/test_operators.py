@@ -246,7 +246,7 @@ def test_chunked_add_at_fold_is_bincount_of_the_whole_array():
         assert got.tobytes() == want.tobytes(), chunk
 
 
-def test_block_spectrum_reads_the_bins_a_chunk_at_a_time(monkeypatch):
+def test_block_spectrum_reads_the_bins_a_chunk_at_a_time():
     # the whole-array formulas it replaced, on bins with empty and tiny entries
     rng = np.random.default_rng(28)
     for n in (1, 2, 200, 8193, 50_001):
@@ -258,9 +258,8 @@ def test_block_spectrum_reads_the_bins_a_chunk_at_a_time(monkeypatch):
             least = np.min(sq, where=sq > 0.0, initial=np.inf) if rank == full else 0.0
             want = (float(np.sqrt(sq.max())) if rank else 0.0, float(np.sqrt(least)),
                     float(np.sqrt(sq.sum())))
-            for step in (7, 128, 1 << 13):
-                monkeypatch.setattr(ops, "TERM_CHUNK", step)
-                assert ops._block_spectrum(f, g, full) == want, (n, full, step)
+            for leaf in (128, 1 << 13, 1 << 14):
+                assert ops._block_spectrum(ops._spectrum_sums(f, g, 0, n, leaf), full) == want, (n, full, leaf)
 
 
 def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit(monkeypatch):
@@ -281,3 +280,26 @@ def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit(monkeypatch)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (n, step)
     empty = ops._block_square(np.zeros(5), np.zeros(5, np.int32), 0.0)
     assert empty == ops._block_square(np.zeros(5), np.zeros(5, np.int32), np.zeros(5)) == (0.0, 0.0, 0.0, np.inf)
+
+
+def test_leaves_read_from_copies_join_to_the_pairwise_sum_bits():
+    # the sliding window reads each leaf off a copy of its bins, whenever the leaf is final,
+    # and _tree joins the leaf results as numpy's pairwise sum splits the bins: lengths up to
+    # 3e5 with ~10% empty bins give the bits of _spectrum_sums and of the whole-array sums
+    rng = np.random.default_rng(30)
+    for n in rng.integers(1, 3 * 10**5, 200):
+        f = rng.random(n) * (rng.random(n) > 0.1)
+        g = rng.random(n) * (rng.random(n) > 0.1)
+        leaf = int(rng.choice([128, 1 << 13, 1 << 14]))
+        tree, got = ops._tree(0, n, leaf), None
+        try:
+            while True:
+                lo, hi = tree.send(got)
+                got = ops._spectrum_leaf(f[lo:hi].copy() * g[lo:hi].copy())
+        except StopIteration as joined:
+            got = joined.value
+        sq = f * g
+        rank = np.count_nonzero(sq)
+        want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), rank)
+        assert [float(x) for x in got] == [float(x) for x in want], (n, leaf)
+        assert [float(x) for x in got] == [float(x) for x in ops._spectrum_sums(f, g, 0, n, leaf)], (n, leaf)

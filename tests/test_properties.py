@@ -682,38 +682,55 @@ def _check_stride(spec, start: int, n: int) -> None:
         np.testing.assert_array_equal(idx, idx[0] + stride * np.arange(n - start))
 
 
+def _reads(run) -> list:
+    """(array, first bin, bins) of every read the first windowed fold in ``run()`` makes of its
+    bins (a tiny-modulus side's second pass folds scaled bins)."""
+    view, reads = operators._Window.view, []
+
+    def spy(window, k, lo, hi):
+        got = view(window, k, lo, hi)
+        reads.append((window, k, lo, got.copy()))
+        return got
+
+    with mock.patch.object(operators._Window, "view", spy):
+        run()
+    return [read[1:] for read in reads if read[0] is reads[0][0]]
+
+
 def _check_prefix_sums(spec, counts: list[int]) -> None:
-    """The sweep's bins at each count are those of ``np.bincount`` over that many
-    first terms, byte for byte, whichever way each chunk was folded."""
+    """The bins a sweep row of ``spec`` against itself reads at each count are those of
+    ``np.bincount`` over that many first terms, byte for byte, whichever way each chunk was
+    folded and whenever the window read them."""
     idx, c = sequences.monomial_terms(spec, counts[-1])
-    sums = np.zeros(int(idx.max()) + 1)
-    for count, bins in zip(counts, operators._prefix_sums(spec, counts, sums), strict=True):
-        want = np.bincount(idx[:count], np.abs(c[:count]) ** 2, minlength=len(sums))
-        assert bins.tobytes() == want.tobytes(), count
+    for count in counts:
+        want = np.bincount(idx[:count], np.abs(c[:count]) ** 2)
+        shape = (spec, count, int(idx[:count].max()))
+        reads = _reads(lambda: list(operators._sweep_rows([[shape, shape]])))
+        assert {k for k, _, _ in reads} == {0, 1}, count
+        for k, lo, bins in reads:
+            assert bins.tobytes() == want[lo : lo + len(bins)].tobytes(), (count, k, lo)
 
 
 def _check_block_fold(spec, counts: list[int]) -> None:
-    """The block reports' bins of ``spec`` paired with itself at each count, both
-    sides' |c|^2, p and the term count, are those of ``np.bincount`` over that
-    many first terms, byte for byte, whichever way each chunk was folded."""
+    """The bins the block reports of ``spec`` paired with itself read at each count, both
+    sides' |c|^2, p and the term count, are those of ``np.bincount`` over that many first
+    terms, byte for byte, whichever way each chunk was folded."""
     idx, c = sequences.monomial_terms(spec, counts[-1])
-    pairing = float if spec._real else complex
     for count in counts:
         at, a = idx[:count], c[:count]
-        source = functools.partial(operators._chunks, spec, count)
-        bins, base, _ = operators._block_fold([source] * 2, int(at.max()), [diagnostics._call] * 2,
-                                              pairing=pairing)
-        f_sq, g_sq, p, terms = bins
-        folds = [(f_sq, np.abs(a) ** 2), (g_sq, np.abs(a) ** 2)]
-        if pairing is float:
-            folds.append((p, a * a))
-        else:  # the parts of p = sum a conj(a) as operators._fold_pairing forms them
-            folds += [(p.real, a.real * a.real + a.imag * a.imag), (p.imag, a.imag * a.real - a.real * a.imag)]
-        for k, (sums, weights) in enumerate(folds):
-            want = np.bincount(at - base, weights, len(sums))
-            assert sums.tobytes() == want.tobytes(), (count, k)
-        want = np.bincount(at - base, minlength=len(terms)).astype(np.int32)
-        assert terms.tobytes() == want.tobytes(), count
+        shape = (spec, count, int(at.max()))
+        base = int(at.min()) - 1
+        reads = _reads(lambda: operators._block_reports([shape, shape], [diagnostics._call] * 2, 1e-10, True, True, None))
+        sq = np.bincount(at - base, np.abs(a) ** 2)
+        p = np.bincount(at - base, a * a) if spec._real else np.zeros(len(sq), complex)
+        if not spec._real:  # the parts of p = sum a conj(a) as operators._fold_pairing forms them
+            p.real = np.bincount(at - base, a.real * a.real + a.imag * a.imag)
+            p.imag = np.bincount(at - base, a.imag * a.real - a.real * a.imag)
+        wants = [sq, sq, p, np.bincount(at - base).astype(np.int32)]
+        assert {k for k, _, _ in reads} >= {0, 1, 2, 3}, count
+        for k, lo, bins in reads:
+            if k < 4:  # not q
+                assert bins.tobytes() == wants[k][lo : lo + len(bins)].tobytes(), (count, k, lo)
 
 
 @given(monomial_specs, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=40))
@@ -782,6 +799,87 @@ def test_bins_widen_when_the_lowest_index_comes_in_a_later_chunk(tmp_path, monke
     _check_block_fold(spec, [7, 10, 11, 14, 60])
     _check_prefix_sums(spec, [7, 10, 11, 14, 60])
     assert envelopes() == want
+
+
+# ------------------------------------------------------------ sliding bins
+
+
+def _check_frontier(spec, n: int) -> None:
+    """No term at or after term m of the first ``n`` lands below ``frontier(m)`` but on a
+    pinned index, and the least index of those terms is ``min((frontier(0), *pinned))``."""
+    idx = sequences.monomial_terms(spec, n)[0]
+    frontier, pinned = sequences._index_frontier(spec, n)
+    assert min((frontier(0), *pinned)) == idx.min()
+    for m in range(n):
+        later = idx[m:]
+        assert np.all((later >= frontier(m)) | np.isin(later, pinned)), (m, frontier(m), pinned)
+
+
+@given(monomial_specs, st.integers(min_value=1, max_value=60))
+def test_index_frontier_bounds_every_later_term(spec, n):
+    _check_frontier(spec, n)
+
+
+def test_index_frontier_of_every_registry_role():
+    for ex_id in sequences.example_ids():
+        entry = sequences.example_entry(ex_id)
+        for spec, count in ((entry.f, entry.f_count(300)), (entry.g, entry.g_count(300))):
+            _check_frontier(spec, count)
+
+
+def _stuck(index_frontier):
+    """``index_frontier`` with frontiers that never move past the least index: the window
+    then holds the whole span and reads every leaf at the end, as a fold that does not slide."""
+    def stuck(spec, n):
+        frontier, pinned = index_frontier(spec, n)
+        least = frontier(0)
+        return (lambda start: least), pinned
+    return stuck
+
+
+def _window_numbers(f, g, counts: list[int]):
+    """The reports of f, and of the pair (f, g) at ``counts[-1]`` terms of f (a square pair with
+    duality when g has as many), and the sweep rows of the pair at each count."""
+    extents = [(count, max(sequences.monomial_extent(s, count)[1] for s in (f, g))) for count in counts]
+    n, dim = extents[-1]
+    m = n if g is f else max(1, n - 3)
+    reports = diagnostics.reports((f, n, dim), (g, m, dim), duality=m == n), diagnostics.reports((f, n, dim))
+    rows = list(operators._sweep_rows([[(f, c, d), (g, c, d)] for c, d in extents]))
+    return repr((reports, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_specs, monomial_specs, st.integers(min_value=1, max_value=30),
+       st.integers(min_value=300, max_value=1500), st.booleans())
+def test_sliding_bins_give_the_bits_of_the_whole_span(f, g, first, n, same):
+    # heads, step-0 slots (pinned bins) and tails of unequal steps, on one index array or on
+    # two, with chunks of 7 terms and leaves of 128 bins: the window slides many times
+    with mock.patch.object(operators, "TERM_CHUNK", 7):
+        g = f if same else g
+        want = _window_numbers(f, g, [first, n // 2, n])
+        with mock.patch.object(sequences, "_index_frontier", _stuck(sequences._index_frontier)):
+            assert _window_numbers(f, g, [first, n // 2, n]) == want
+
+
+def test_sliding_bins_slide_on_every_registry_pair():
+    # the window of each registry pair's sweep, and of the block reports of those pairs that
+    # take the block route at 1e5 (the others are hybrid), moves past bins it has read
+    for ex_id in sequences.example_ids():
+        lows = []
+        reach = operators._Window.reach
+
+        def spy(window, top, lo):
+            lows.append(lo)
+            return reach(window, top, lo)
+
+        shapes = [sequences.term_shape(sequences.SequenceSpec.paper_example(ex_id, r), 100000) for r in "fg"]
+        with mock.patch.object(operators._Window, "reach", spy):
+            diagnostics.truncation_sweep(ex_id, (10, 100000))
+            assert max(lows) > shapes[0][2] * 2 // 3, ex_id
+            lows.clear()
+            if ex_id in ("ex-identity", "ex-canonical", "ex-blocked"):
+                diagnostics.reports(*shapes, duality=shapes[0][1] == shapes[1][1])
+                assert max(lows) > shapes[0][2] * 2 // 3, ex_id
 
 
 # ------------------------------------------------------------ envelope writer
