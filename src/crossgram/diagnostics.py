@@ -36,9 +36,9 @@ MAX_BATTERY_WORK = 10**7
 MAX_BATTERY_DIM = 64
 
 # the sum of the truncations of one sweep: each row reads its block spectrum
-# off bins as wide as its index span, ~0.043 s per row near 1e7 terms, so the
-# slowest sweep the budget admits, 500 rows up to 1e7, took about 22 s (ex-hs
-# and ex-identity alike) on one core of a 2-core x86-64 machine
+# leaf by leaf over its index span, ~0.045 s per row near 1e7 terms, so the
+# slowest sweep the budget admits, 500 rows up to 1e7, took about 23 s (ex-hs)
+# on one core of a 2-core x86-64 machine
 MAX_SWEEP_WORK = 5 * 10**9
 
 # --------------------------------------------------------------------------

@@ -143,8 +143,8 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
 
 
 # the most terms the block route generates and folds at a time: a chunk (~0.2 MB of
-# indices, coefficients and |c|^2) stays in cache, and so does the window of bins a fold
-# holds, four chunks' span, leaves of up to two chunks' bins read off it as they fill
+# indices, coefficients and |c|^2) stays in cache, as does the window of bins a fold holds
+# (four chunks' span), whose leaves of up to two chunks' bins are read off once final
 TERM_CHUNK = 1 << 13
 
 

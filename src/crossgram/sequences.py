@@ -334,9 +334,9 @@ MAX_DENSE_ENTRIES = 1 << 24
 
 # The term budget (term count and index span) of monomial sequences read
 # without a matrix, and the only bound on the block route, whose terms stream
-# through in chunks: a real square pair on shared index arrays holds ~28 bytes
-# per index of its span (298 MB peak RSS for `example --id ex-identity --dim
-# 10000000`), the sweep ~16 (two arrays of per-index sums).
+# through in chunks into per-index bins that a window a few chunks wide holds:
+# it bounds time, not memory (`example --id ex-identity --dim 10000000` and
+# `sweep --dims 10,10000000` of every registry pair peak at ~31 MB of RSS).
 MAX_SWEEP_TRUNCATION = 10**7
 
 

@@ -2042,22 +2042,21 @@ def test_overflowing_real_geometric_specs_keep_their_refusals(tmp_path, capsys):
 
 
 def test_block_reports_to_a_million_terms_hold_only_their_bins(tmp_path, monkeypatch, capsys):
-    # the reports stream their terms into per-index bins and drop each array
-    # once its verdicts are read: one side's |c|^2 sums are 8 bytes per
-    # index, and a square pair on shared indices holds both sides' sums, the
-    # pairing p (float64 for real specs) and each bin's term count, 28
-    # (decimal megabytes below)
+    # the reports stream their terms into per-index bins held in a window a few
+    # chunks wide that slides along the span, each leaf of bins read off once
+    # no later term reaches it: the peak does not grow with the span (decimal
+    # megabytes below; a pair with blocks of 2+ terms also holds their q)
     monkeypatch.chdir(tmp_path)
     Path("inv.json").write_text(json.dumps(MONOMIAL_SPECS["inv.json"]))
     n = "1000000"
     pair = ["--f", "inv.json", "--g", "inv.json", "--dim", n]
     bounds = (
-        (["classify", "--input", "inv.json", "--dim", n], 16),
-        (["dual-check", *pair], 32),
-        (["cross-gram", *pair], 60),
-        (["example", "--id", "ex-identity", "--dim", n], 35),
-        (["example", "--id", "ex-canonical", "--dim", n], 60),
-        (["example", "--id", "ex-blocked", "--dim", n], 25),
+        (["classify", "--input", "inv.json", "--dim", n], 1),
+        (["dual-check", *pair], 1.5),
+        (["cross-gram", *pair], 2.5),
+        (["example", "--id", "ex-identity", "--dim", n], 2.5),
+        (["example", "--id", "ex-canonical", "--dim", n], 4),
+        (["example", "--id", "ex-blocked", "--dim", n], 2.5),
     )
     assert cli.main(["example", "--id", "ex-canonical", "--dim", "8"]) == 0  # lazy imports
     for argv, megabytes in bounds:
