@@ -718,7 +718,8 @@ def truncation_sweep(
         )
 
     # g's shape is f's with g's spec and count: one term_shape reads the extents of both
-    shapes = [(f, (*sequences._monomial(roles[1], n), f[2])) for n in ns for f in [sequences.term_shape(roles[0], n)]]
+    shapes = [(f, (*sequences._monomial(roles[1], n), f[2]))
+              for f, n in zip((sequences.term_shape(roles[0], n) for n in ns), ns)]
     rows = [SweepRow(n, *row) for n, row in zip(ns, operators._sweep_rows(shapes))]
     return ConvergenceTable(
         example_id=example_id,

@@ -194,7 +194,6 @@ def _fold_q(sums: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, p=No
     _fold(sums, at, np.abs(b - a * toward) ** 2)
 
 
-
 class _Window:
     """The bins of one fold, one array per dtype, for positions 0 .. total - 1 (position j holds
     index base + j): those below ``khi``, a leaf past the last pinned one, are kept at j, and the
@@ -206,20 +205,19 @@ class _Window:
         self.bins = [np.zeros(0, t) for t in dtypes]
         self._widen(4 * TERM_CHUNK, 0)
 
-    def _widen(self, cap: int, keep: int) -> None:
-        """Hold ``cap`` live bins, the ``keep`` last ones first, all arrays in one block, which
-        malloc keeps for the next fold."""
+    def _widen(self, cap: int, keep: int) -> None:  # all arrays in one block, which malloc keeps
         cap, old = min(self.total - self.khi, cap), self.bins
         sizes = [(self.khi + cap) * b.itemsize for b in old]
         block = np.zeros(sum(sizes), np.uint8)
-        self.bins = [block[end - size : end].view(b.dtype) for b, size, end in zip(old, sizes, itertools.accumulate(sizes))]
+        ends = itertools.accumulate(sizes)
+        self.bins = [block[end - size : end].view(b.dtype) for b, size, end in zip(old, sizes, ends)]
         for b, o in zip(self.bins, old if len(old[0]) else ()):
             b[: self.khi], b[self.khi : self.khi + keep] = o[: self.khi], o[len(o) - keep :]
         self.hi = self.lo + cap
 
     def at(self, idx: np.ndarray, stride, top: int):
-        """The places of the bins of indices ``idx`` (positions below ``top``); given a ``stride``,
-        those of its ends alone, which is all ``_fold`` reads, and which lie past lo."""
+        """The places of the bins of indices ``idx`` (positions below ``top``), of its ends alone
+        given a ``stride`` (all ``_fold`` reads; they lie past lo)."""
         gap = self.lo - self.khi + self.base
         if stride:
             return int(idx[0]) - gap, int(idx[-1]) - gap
@@ -235,8 +233,7 @@ class _Window:
         return got if len(got) == hi - lo else np.concatenate((got, np.zeros(hi - lo - len(got), got.dtype)))
 
     def reach(self, top: int, lo: int) -> None:
-        """Hold the positions lo .. top - 1 (top past hi): the live bins from lo move to the front,
-        widened to twice those positions if they must be."""
+        """Hold positions lo .. top - 1 (top past hi), widened to twice those if they must be."""
         keep, self.lo = max(0, self.hi - lo), lo
         if top - lo > len(self.bins[0]) - self.khi:
             return self._widen(2 * (top - lo), keep)
@@ -257,20 +254,19 @@ def _tree(lo: int, hi: int, leaf: int):
 
 
 def _join(a, b):
-    """Two leaf results joined: sum, max, least positive entry, rank, then maxima; a callable (a
-    leaf read at the end of its row) gives a callable."""
+    """Two results joined: sum, max, least positive, rank, then maxima; a callable, a callable."""
     if callable(a) or callable(b):
         return lambda: _join(*(x() if callable(x) else x for x in (a, b)))
     return a[0] + b[0], max(a[1], b[1]), min(a[2], b[2]), a[3] + b[3], *map(max, a[4:], b[4:])
 
 
 def _slide(window: _Window, streams, rows, reduce):
-    """Yield row by row the joined leaf results of the bins that ``streams``, each (make, fold,
-    frontier, count), fold into ``window``: row (counts, n) reads bins 0 .. n - 1 once each stream
-    has folded its count, a chunk of ``make(start, stop)`` at a time, the least ``frontier(terms
-    folded)`` first.  ``reduce(lo, hi, end)`` reads a leaf (None: at the end of its row) once no
-    later term reaches it; a kept leaf, and any other left, at the end of its row."""
-    trees, (makes, folds, frontiers, ends) = [[_tree(0, n, window.leaf), None] for _, n in rows], zip(*streams)
+    """Yield, for each row (counts, n) once every stream (make, fold, frontier, count) has folded
+    its count into ``window``, a chunk of ``make(start, stop)`` at a time, least ``frontier(terms
+    folded)`` first, the results ``reduce(lo, hi, end)`` reads off the leaves of bins 0 .. n - 1
+    (None: not before the row's end) once final, kept ones at the row's end, joined by ``_tree``."""
+    makes, folds, frontiers, ends = zip(*streams)
+    trees = [[_tree(0, n, window.leaf), None] for _, n in rows]
     pos, fronts = [0] * len(makes), [frontier(0) for frontier in frontiers]
     for tree in trees:
         tree[1] = next(tree[0])
@@ -286,18 +282,19 @@ def _slide(window: _Window, streams, rows, reduce):
             except StopIteration as joined:
                 tree[:] = None, joined.value
 
+    at, base = window.at, window.base
     for tree, (counts, _) in zip(trees, rows):
         chunks = [make(start, stop) for make, start, stop in zip(makes, pos, counts)]
         while live := [k for k, stop in enumerate(counts) if pos[k] < stop]:
             k = min(live, key=fronts.__getitem__)
             chunk = next(chunks[k])
             idx, _, stride = chunk[0]
-            top = int(idx[-1] if stride else idx.max()) - window.base + 1
+            top = int(idx[-1] if stride else idx.max()) - base + 1
             if top > window.hi:  # read off the final leaves and drop the bins below the rest
                 for t in trees:
                     settle(t, min(fronts))
                 window.reach(top, max(window.khi, min([top, *fronts] + [t[1][0] for t in trees if t[0]])))
-            folds[k](chunk, window.at(idx, stride, top))
+            folds[k](chunk, at(idx, stride, top))
             pos[k] += len(idx)
             fronts[k] = frontiers[k](pos[k]) if pos[k] < ends[k] else math.inf
             del chunk, idx  # not held while the next chunk is made
@@ -306,8 +303,8 @@ def _slide(window: _Window, streams, rows, reduce):
 
 
 def _block_q(window: _Window, chunks, at: int):
-    """q of each bin of ``window`` for a pair on one index array (p at ``at``, the term counts
-    next), from two more passes over ``chunks()``; every bin of 2+ terms is still held."""
+    """q of each bin of a pair on one index array (p at ``at``, the term counts next, every bin of
+    2+ terms still held), from two more passes over ``chunks()``."""
     p, terms = window.bins[at], window.bins[at + 1]
     alpha, r = np.zeros(len(p)), np.zeros(len(p))
     for sums in (alpha, r):
@@ -371,12 +368,11 @@ def _block_square(p: np.ndarray, terms: np.ndarray, q):
     return herm, idem, ident, least
 
 def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, scale=(0, 0)):
-    """One pass of ``_block_reports`` over the chunks of ``sides``, or ``arrays`` (which have no
-    frontier), into a ``_Window`` (bin j holds index base + j; bin 0 no term, as numpy's pairwise
-    sums need): given ``cross``, each side's |c|^2 sums, 2**-2e scaled, and on one index array
-    (``shared``), p and each bin's term count.  Returns the joined leaf results of ``reduce`` and
-    each side's (max, min) |c|; a side past the entry bounds is refused through its ``named``
-    after the pass, f first."""
+    """The joined leaf results of ``reduce`` and each side's (max, min) |c| from one pass over the
+    chunks of ``sides`` (or ``arrays``, with no frontier) into a ``_Window``, bin j holding index
+    base + j (bin 0 no term): given ``cross``, each side's |c|^2 sums, 2**-2e scaled, and on one
+    index array (``shared``) p and each bin's term count; ``named`` refuses a side past the entry
+    bounds after the pass, f first."""
     n, at = len(sides), len(sides) * cross
     if arrays:  # a hybrid pair's whole term arrays, one chunk each
         frontiers, base = [(lambda pos: 0, ())] * n, min(int(i.min()) for i, _, _ in arrays) - 1
@@ -387,8 +383,8 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
         sources = [functools.partial(iter, list(_chunks(s, c))) if c <= TERM_CHUNK
                    else functools.partial(_chunks, s, c) for s, c, _ in sides]
     pairing = shared and (float if sides[0][0]._real and sides[1][0]._real else complex)
-    window = _Window([float] * at + [pairing, np.int32] * shared, [i - base for _, pins in frontiers for i in pins],
-                     sides[0][2] - base + 1, base)
+    pinned = [i - base for _, pins in frontiers for i in pins]
+    window = _Window([float] * at + [pairing, np.int32] * shared, pinned, sides[0][2] - base + 1, base)
     faults, moduli = np.zeros((n, 2), int), [(0.0, np.inf)] * n
 
     def fold(group, chunk, where):
@@ -404,15 +400,15 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
             _fold_pairing(window.bins[at], where, a, b, stride)
             _fold(window.bins[at + 1], where, np.int32(1), stride)  # int32: add.at's fast path
 
-    def reduce(lo, hi, end):
-        """A leaf's spectrum sums, each side's max and negated min, then max|p - 1| and
-        ``_block_square``'s values, the least negated: all but the sums join by max."""
+    def reduce(lo, hi, end):  # spectrum sums, then each side's max and -min, max|p - 1|, _block_square's
+
         out, sq = [0.0, 0.0, np.inf, 0], [window.view(k, lo, hi) for k in range(len(window.bins))]
         if faults.any():  # refused after the pass
             return out
         if at == 2:
             out = [*_spectrum_leaf(np.ldexp(sq[0], 2 * scale[0]) * np.ldexp(sq[1], 2 * scale[1]))]
-        basis = slice(0 if lo or base else 1, None)  # bin 0 stands for index base, which no term reaches, unless base is 0
+        # bin 0 stands for index base, a basis vector no term reaches, unless base is 0
+        basis = slice(0 if lo or base else 1, None)
         for v in sq[:at]:
             out += [v[basis].max(), -v[basis].min()]
         if shared:
@@ -463,24 +459,22 @@ def _block_reports(sides, named, tol: float, cross: bool, duality: bool, arrays)
 
 
 def _sweep_rows(shapes):
-    """Yield dim, both counts, op_norm, sigma_min, hs and both Bessel bounds of each sweep row
-    from the term shapes of its (f, g).  Term m does not depend on n and the counts grow with
-    n, so a row reads sums over a prefix of the terms, leaf by leaf off the one ``_Window`` that
-    ``_slide`` moves along (bin i holds index i); every registry role starts at e1, so a row's
-    bins are the first dim + 1."""
+    """Yield dim, both counts, op_norm, sigma_min, hs and both Bessel bounds of each sweep row from
+    the term shapes of its (f, g): term m does not depend on n, so each row reads a prefix of the
+    terms off the one ``_Window`` that ``_slide`` moves along, its first dim + 1 bins (bin i holds
+    index i: every registry role starts at e1)."""
     sides = [(spec, count, sequences._index_frontier(spec, count)) for spec, count, _ in shapes[-1]]
     window = _Window([float, float], [i for *_, (_, pins) in sides for i in pins], shapes[-1][0][2] + 1, 0)
 
-    def fold(k, chunk, at):
-        _, c, stride = chunk[0]  # for real values np.square is bit for bit |c|^2, in one pass
+    def fold(k, chunk, at):  # for real values np.square is bit for bit |c|^2, in one pass
+        _, c, stride = chunk[0]
         _fold(window.bins[k], at, np.square(c) if c.dtype == np.float64 else np.abs(c) ** 2, stride)
 
     def reduce(lo, hi, end):
         f, g = window.view(0, lo, hi), window.view(1, lo, hi)
         return *_spectrum_leaf(f * g), np.maximum.reduce(f), np.maximum.reduce(g)
-
-    streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), functools.partial(fold, k), frontier, count)
-               for k, (spec, count, (frontier, _)) in enumerate(sides)]
+    streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), functools.partial(fold, k),
+                frontier, count) for k, (spec, count, (frontier, _)) in enumerate(sides)]
     rows = [((fc, gc), dim + 1) for (_, fc, dim), (_, gc, _) in shapes]
     for ((fc, gc), n), got in zip(rows, _slide(window, streams, rows, reduce)):
         yield n - 1, fc, gc, *_block_spectrum(got, min(fc, gc)), float(got[4]), float(got[5])

@@ -454,21 +454,21 @@ def _index_stride(spec: SequenceSpec, start: int) -> int | None:
 
 
 def _index_frontier(spec: SequenceSpec, n: int):
-    """``(frontier, pinned)`` of the first ``n`` terms of a scaled_basis or pattern spec: ``pinned``
-    holds the indices of its head terms and of its step-0 slots, and ``frontier(start)`` is the
-    least index that a term ``start`` .. can land on past those: the next term number for
-    scaled_basis, and for a pattern, the least next index of its slots with ``index_step`` >= 1.
-    Only terms among the first ``n`` count, so ``min((frontier(0), *pinned))`` is their least index."""
+    """``(frontier, pinned)`` of the first ``n`` terms of a scaled_basis or pattern spec: the indices
+    of its head terms and step-0 slots, and ``frontier(start)``, the least other index a term
+    ``start`` .. lands on: the next term number, or a pattern's least next index of a slot with
+    ``index_step`` >= 1.  ``min((frontier(0), *pinned))`` is the least index of those terms."""
     if spec.kind == "scaled_basis":
         return (lambda start: start + 1), ()
     h, slots = _tail_slots(spec.program, n)
-    steps, period = [(h + pos, slot) for pos, (slot, _, _) in enumerate(slots) if slot.index_step], len(slots) and len(spec.program.tail)
+    period, steps = len(spec.program.tail), [(h + pos, s) for pos, (s, _, _) in enumerate(slots) if s.index_step]
 
     def frontier(start: int) -> float:  # a slot's cycles before start, as _pattern_terms skips them
-        return min((s.start_index + max(0, -((first - start) // period)) * s.index_step for first, s in steps), default=math.inf)
+        ends = (s.start_index + max(0, -((first - start) // period)) * s.index_step for first, s in steps)
+        return min(ends, default=math.inf)
 
-    pinned = [t.index for t in spec.program.head[:h]] + [s.start_index for s, _, _ in slots if not s.index_step]
-    return frontier, tuple(pinned)
+    pinned = (*(t.index for t in spec.program.head[:h]), *(s.start_index for s, _, _ in slots if not s.index_step))
+    return frontier, pinned
 
 
 def _monomial(spec: SequenceSpec, n: int) -> tuple[SequenceSpec, int]:
