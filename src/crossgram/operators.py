@@ -367,6 +367,7 @@ def _block_square(p: np.ndarray, terms: np.ndarray, q):
         least = min(least, float(np.min(pb.real, where=rows, initial=np.inf)))
     return herm, idem, ident, least
 
+
 def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, scale=(0, 0)):
     """The joined leaf results of ``reduce`` and each side's (max, min) |c| from one pass over the
     chunks of ``sides`` (or ``arrays``, with no frontier) into a ``_Window``, bin j holding index
@@ -401,12 +402,12 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
             _fold(window.bins[at + 1], where, np.int32(1), stride)  # int32: add.at's fast path
 
     def reduce(lo, hi, end):  # spectrum sums, then each side's max and -min, max|p - 1|, _block_square's
-
         out, sq = [0.0, 0.0, np.inf, 0], [window.view(k, lo, hi) for k in range(len(window.bins))]
         if faults.any():  # refused after the pass
             return out
         if at == 2:
-            out = [*_spectrum_leaf(np.ldexp(sq[0], 2 * scale[0]) * np.ldexp(sq[1], 2 * scale[1]))]
+            f, g = (np.ldexp(v, 2 * e) if e else v for v, e in zip(sq, scale))
+            out = [*_spectrum_leaf(f * g)]
         # bin 0 stands for index base, a basis vector no term reaches, unless base is 0
         basis = slice(0 if lo or base else 1, None)
         for v in sq[:at]:
@@ -473,6 +474,7 @@ def _sweep_rows(shapes):
     def reduce(lo, hi, end):
         f, g = window.view(0, lo, hi), window.view(1, lo, hi)
         return *_spectrum_leaf(f * g), np.maximum.reduce(f), np.maximum.reduce(g)
+
     streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), functools.partial(fold, k),
                 frontier, count) for k, (spec, count, (frontier, _)) in enumerate(sides)]
     rows = [((fc, gc), dim + 1) for (_, fc, dim), (_, gc, _) in shapes]
