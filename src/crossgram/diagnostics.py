@@ -253,7 +253,8 @@ def check_pair_budgets(f, g, *, duality: bool = False, cross: bool = True) -> bo
     (fs, count, dim), (gs, g_count, g_dim) = f, g
     operators._check_pair(dim, g_dim, duality and (count, g_count))
     monomial = fs is not None and gs is not None
-    hybrid = monomial and count == g_count and not operators._same_indices(fs, gs, count)
+    hybrid = monomial and count == g_count and not sequences._same_indices(
+        fs, gs, count, operators.TERM_CHUNK)
     if hybrid or not monomial:  # the dense route
         if duality:
             sequences._check_dense(dim, dim, "dual-pair residual")

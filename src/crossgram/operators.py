@@ -144,13 +144,8 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
 
 # the most terms the block route generates and folds at a time: a chunk (~0.2 MB of
 # indices, coefficients and |c|^2) stays in cache, as does the window of bins a fold holds
-# (four chunks' span), whose leaves of up to two chunks' bins are read off once final
+# (four chunks' span), whose leaves of up to two chunks' bins are each read whole once final
 TERM_CHUNK = 1 << 13
-
-
-def _same_indices(f, g, n: int) -> bool:
-    """``sequences._same_indices`` of the first ``n`` terms, ``TERM_CHUNK`` at a time."""
-    return sequences._same_indices(f, g, n, TERM_CHUNK)
 
 
 def _chunks(spec, count: int, start: int = 0):
@@ -324,48 +319,28 @@ def _spectrum_leaf(sq: np.ndarray):
     return total, top, np.minimum.reduce(sq), rank
 
 
-def _spectrum_sums(f_sq: np.ndarray, g_sq: np.ndarray, lo: int, hi: int, leaf: int):
-    """``_spectrum_leaf`` of f_sq * g_sq over bins lo .. hi - 1, leaf by leaf of ``_tree``."""
-    tree, got = _tree(lo, hi, leaf), None
-    try:
-        while True:
-            a, b = tree.send(got)
-            got = _spectrum_leaf(f_sq[a:b] * g_sq[a:b])
-    except StopIteration as joined:
-        return joined.value
-
-
 def _block_spectrum(sums, full: int):
-    """op_norm, sigma_min and hs from the ``_spectrum_sums`` of two sides' bins of |c|^2 sums, whose
-    products are the blocks' squared singular values; ``full`` is min(rows, cols)."""
+    """op_norm, sigma_min and hs from the ``_spectrum_leaf`` results of two sides' bins of |c|^2 sums,
+    whose products are the blocks' squared singular values, joined by ``_tree``; ``full`` is
+    min(rows, cols)."""
     total, top, least, rank = sums[:4]
     return float(np.sqrt(top)), float(np.sqrt(least)) if rank == full else 0.0, float(np.sqrt(total))
 
 
 def _block_square(p: np.ndarray, terms: np.ndarray, q):
-    """||G - G*||, ||G^2 - G||, ||G - I|| and the least Re p over the occupied bins
-    of G on a shared index array, from p, the term count and q of each bin, read
-    ``TERM_CHUNK`` bins at a time (extremes are exact in any blocking); a Hermitian G
-    has the eigenvalues Re p and 0."""
-    herm, idem, ident, least, step = 0.0, 0.0, 0.0, np.inf, TERM_CHUNK
-    real = p.dtype == float and not np.ndim(q)  # q 0: one term per occupied bin
-    for lo in range(0, len(p), step):
-        pb, tb, qb = p[lo : lo + step], terms[lo : lo + step], q[lo : lo + step] if np.ndim(q) else q
-        # in an orthonormal basis of a block that starts at conj(a), G is
-        # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
-        # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
-        x, rows = np.abs(pb - 1.0), tb > 0
-        if real:  # hypot(y, 0) is |y| exactly, Im p is 0, and no block is wide
-            idem = max(idem, float((x * np.abs(pb)).max()))
-            ident = max(ident, float(np.max(x, where=rows, initial=0.0)))
-        else:
-            im = np.abs(pb.imag)
-            herm = max(herm, float((im + np.hypot(qb, im)).max()))
-            idem = max(idem, float((x * np.hypot(np.abs(pb), qb)).max()))
-            wide = (np.hypot(x + 1.0, qb) + np.hypot(x - 1.0, qb)) / 2.0  # blocks of 2+ terms
-            ident = max(ident, float(np.max(np.where(tb == 1, x, wide), where=rows, initial=0.0)))
-        least = min(least, float(np.min(pb.real, where=rows, initial=np.inf)))
-    return herm, idem, ident, least
+    """||G - G*||, ||G^2 - G||, ||G - I|| and the least Re p over the occupied bins of one leaf
+    of G on a shared index array, from p, the term count and q of each bin (extremes, which
+    ``_join`` takes over the leaves); a Hermitian G has the eigenvalues Re p and 0."""
+    # in an orthonormal basis of a block that starts at conj(a), G is
+    # [[p, 0], [q, 0]] and 0 elsewhere: G - G* is [[2i Im p, -q], [q, 0]],
+    # G^2 - G is (p - 1) G, and G - I is [[p - 1, 0], [q, -1]] plus -I
+    x, rows = np.abs(p - 1.0), terms > 0
+    least = float(np.min(p.real, where=rows, initial=np.inf))
+    if p.dtype == float and not np.ndim(q):  # q 0: hypot(y, 0) is |y| exactly, Im p is 0, no block is wide
+        return 0.0, float((x * np.abs(p)).max()), float(np.max(x, where=rows, initial=0.0)), least
+    im, wide = np.abs(p.imag), (np.hypot(x + 1.0, q) + np.hypot(x - 1.0, q)) / 2.0  # blocks of 2+ terms
+    return (float((im + np.hypot(q, im)).max()), float((x * np.hypot(np.abs(p), q)).max()),
+            float(np.max(np.where(terms == 1, x, wide), where=rows, initial=0.0)), least)
 
 
 def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, scale=(0, 0)):

@@ -182,6 +182,8 @@ def _columns_from(obj: Any, source: str):
             tuple(_complex(x, source, f"columns[{j}][{i}]") for i, x in enumerate(entries))
         )
     width = len(out[0])
+    if not width:
+        raise SpecFileError("column 0 has length 0, expected at least 1", source=source, field="columns")
     for j, col in enumerate(out):
         if len(col) != width:
             raise SpecFileError(

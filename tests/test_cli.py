@@ -426,6 +426,7 @@ _SPEC_TEXTS = {
     "no-kind": ('{"columns": [[[1, 0]]]}', "missing required key 'kind'"),
     "extra-key": ('{"kind": "explicit", "columns": [[[1, 0]]], "note": 1}', "unexpected keys"),
     "no-columns": ('{"kind": "explicit", "columns": []}', "columns must be nonempty"),
+    "empty-column": ('{"kind": "explicit", "columns": [[]]}', "columns: column 0 has length 0, expected at least 1"),
     "trailing-data": ('{"kind": "explicit", "columns": [[[1, 0]]]} []', "line 1, column 45: Extra"),
     "truncated": (
         '{"kind": "explicit",\n "columns": [[[1, 0], [0.5, ',

@@ -195,6 +195,17 @@ def test_hs_norm_equals_column_sum_oracle():
     assert hs >= np.linalg.norm(m, 2) - 1e-12
 
 
+def _tree_sums(f, g, leaf: int):
+    """``_spectrum_leaf`` of f * g on each leaf of ``_tree``, joined as the window joins them."""
+    tree, got = ops._tree(0, len(f), leaf), None
+    try:
+        while True:
+            lo, hi = tree.send(got)
+            got = ops._spectrum_leaf(f[lo:hi] * g[lo:hi])
+    except StopIteration as joined:
+        return joined.value
+
+
 # The block kernel reads numpy's own summation order in pieces.  These two
 # tests pin the numpy behaviour it relies on, so that a numpy build which sums
 # differently fails here by name rather than in an envelope digest.
@@ -202,10 +213,10 @@ def test_hs_norm_equals_column_sum_oracle():
 
 def test_chunked_pairwise_sum_is_np_sum_bit_for_bit():
     # np.sum of a contiguous float64 array splits n at n/2 rounded down to a
-    # multiple of 8 down to blocks of 128; _spectrum_sums splits the same way
-    # and reduces each leaf with np.add.reduce, so any leaf >= 128 gives its
-    # bits (leaves of 128, the deepest split, on the lengths up to 10**5,
-    # which keeps this test near a second)
+    # multiple of 8 down to blocks of 128; _tree splits the same way and
+    # _spectrum_leaf reduces each leaf with np.add.reduce, so any leaf >= 128
+    # gives its bits (leaves of 128, the deepest split, on the lengths up to
+    # 10**5, which keeps this test near a second)
     rng = np.random.default_rng(26)
     top = 3 * 10**6
     lengths = np.unique(np.exp(rng.uniform(0.0, np.log(top), 420)).astype(int))
@@ -218,7 +229,7 @@ def test_chunked_pairwise_sum_is_np_sum_bit_for_bit():
         sq = a * b
         want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), np.count_nonzero(sq))
         for leaf in leaves:
-            got = ops._spectrum_sums(a, b, 0, len(a), leaf)
+            got = _tree_sums(a, b, leaf)
             assert [float(x) for x in got] == [float(x) for x in want], (len(a), leaf)
 
     for n in lengths:
@@ -259,13 +270,15 @@ def test_block_spectrum_reads_the_bins_a_chunk_at_a_time():
             want = (float(np.sqrt(sq.max())) if rank else 0.0, float(np.sqrt(least)),
                     float(np.sqrt(sq.sum())))
             for leaf in (128, 1 << 13, 1 << 14):
-                assert ops._block_spectrum(ops._spectrum_sums(f, g, 0, n, leaf), full) == want, (n, full, leaf)
+                assert ops._block_spectrum(_tree_sums(f, g, leaf), full) == want, (n, full, leaf)
 
 
-def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit(monkeypatch):
+def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit():
     # float64 p with q 0 (no bin of 2+ terms) skips the hypot and wide forms:
     # herm 0, idem max |p - 1| |p|, ident max |p - 1| and least min p over the
-    # occupied bins; a q array of zeros takes the general form
+    # occupied bins; a q array of zeros takes the general form.  Each form read
+    # leaf by leaf and joined as _join joins them (maxima, then the least min)
+    # gives its bits on the whole arrays
     rng = np.random.default_rng(29)
     special = np.array([-0.0, 0.0, 1.0, -1.0, 1.0 + 2**-52, 1.0 - 2**-53, 2.0, 1e-300, -1e100])
     for n in (1, 9, 200, 8193):
@@ -274,10 +287,15 @@ def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit(monkeypatch)
         p[mask] = rng.choice(special, np.count_nonzero(mask))
         terms = (rng.random(n) > 0.2).astype(np.int32)  # empty bins hold p = 0
         p[terms == 0] = rng.choice([0.0, -0.0])
-        for step in (7, 1 << 13):
-            monkeypatch.setattr(ops, "TERM_CHUNK", step)
-            got, want = ops._block_square(p, terms, 0.0), ops._block_square(p, terms, np.zeros(n))
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (n, step)
+        got, want = ops._block_square(p, terms, 0.0), ops._block_square(p, terms, np.zeros(n))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), n
+        for q, whole in ((0.0, got), (np.zeros(n), want)):
+            for leaf in (7, 1 << 13):
+                parts = [ops._block_square(p[at], terms[at], q[at] if np.ndim(q) else q)
+                         for at in (slice(lo, lo + leaf) for lo in range(0, n, leaf))]
+                *tops, least = zip(*parts)
+                joined = (*map(max, tops), min(least))
+                assert np.array(joined).tobytes() == np.array(whole).tobytes(), (n, np.ndim(q), leaf)
     empty = ops._block_square(np.zeros(5), np.zeros(5, np.int32), 0.0)
     assert empty == ops._block_square(np.zeros(5), np.zeros(5, np.int32), np.zeros(5)) == (0.0, 0.0, 0.0, np.inf)
 
@@ -285,21 +303,14 @@ def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit(monkeypatch)
 def test_leaves_read_from_copies_join_to_the_pairwise_sum_bits():
     # the sliding window reads each leaf off a copy of its bins, whenever the leaf is final,
     # and _tree joins the leaf results as numpy's pairwise sum splits the bins: lengths up to
-    # 3e5 with ~10% empty bins give the bits of _spectrum_sums and of the whole-array sums
+    # 3e5 with ~10% empty bins give the bits of the whole-array sums
     rng = np.random.default_rng(30)
     for n in rng.integers(1, 3 * 10**5, 200):
         f = rng.random(n) * (rng.random(n) > 0.1)
         g = rng.random(n) * (rng.random(n) > 0.1)
         leaf = int(rng.choice([128, 1 << 13, 1 << 14]))
-        tree, got = ops._tree(0, n, leaf), None
-        try:
-            while True:
-                lo, hi = tree.send(got)
-                got = ops._spectrum_leaf(f[lo:hi].copy() * g[lo:hi].copy())
-        except StopIteration as joined:
-            got = joined.value
+        got = _tree_sums(f, g, leaf)
         sq = f * g
         rank = np.count_nonzero(sq)
         want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), rank)
         assert [float(x) for x in got] == [float(x) for x in want], (n, leaf)
-        assert [float(x) for x in got] == [float(x) for x in ops._spectrum_sums(f, g, 0, n, leaf)], (n, leaf)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crossgram import cli, diagnostics, operators, sequences, serialize
@@ -837,6 +837,9 @@ def _stuck(index_frontier):
     return stuck
 
 
+_BLOCKED = _pattern([], sequences.TailSlot(1, 1), sequences.TailSlot(1, 1))  # ex-blocked's g
+
+
 def _window_numbers(f, g, counts: list[int]):
     """The reports of f, and of the pair (f, g) at ``counts[-1]`` terms of f (a square pair with
     duality when g has as many), and the sweep rows of the pair at each count."""
@@ -851,9 +854,11 @@ def _window_numbers(f, g, counts: list[int]):
 @settings(max_examples=40, deadline=None)
 @given(monomial_specs, monomial_specs, st.integers(min_value=1, max_value=30),
        st.integers(min_value=300, max_value=1500), st.booleans())
+@example(_BLOCKED, _BLOCKED, 1, 600, True)
 def test_sliding_bins_give_the_bits_of_the_whole_span(f, g, first, n, same):
     # heads, step-0 slots (pinned bins) and tails of unequal steps, on one index array or on
-    # two, with chunks of 7 terms and leaves of 128 bins: the window slides many times
+    # two, with chunks of 7 terms and leaves of 128 bins: the window slides many times; a pair
+    # with two terms on each index (the example) holds its leaves until the end of the row
     with mock.patch.object(operators, "TERM_CHUNK", 7):
         g = f if same else g
         want = _window_numbers(f, g, [first, n // 2, n])
