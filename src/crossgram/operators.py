@@ -210,16 +210,17 @@ class _Window:
             b[: self.khi], b[self.khi : self.khi + keep] = o[: self.khi], o[len(o) - keep :]
         self.hi = self.lo + cap
 
-    def at(self, idx: np.ndarray, stride, top: int):
-        """The places of the bins of indices ``idx`` (positions below ``top``), of its ends alone
-        given a ``stride`` (all ``_fold`` reads; they lie past lo)."""
-        gap = self.lo - self.khi + self.base
-        if stride:
-            return int(idx[0]) - gap, int(idx[-1]) - gap
+    def at(self, idx: np.ndarray, top: int):
+        """The places of the bins of indices ``idx`` (positions below ``top``): a pinned position p < khi
+        keeps its place and a live one moves to p - lo + khi, in two passes once lo >= 2 khi (base 0)."""
         pos = idx - self.base if self.base else idx
         if self.lo == self.khi or top <= self.khi:
             return pos
-        return idx - gap if pos.min() >= self.khi else np.where(pos < self.khi, pos, idx - gap)
+        out = np.subtract(idx, self.lo - self.khi + self.base)
+        if self.lo < 2 * self.khi:
+            return np.maximum(out, np.minimum(pos, self.khi - 1), out=out)
+        u = out.view(np.uint64)  # p - lo + khi < 0 wraps past p, and a live place is below its position
+        return np.minimum(u, pos.view(np.uint64), out=u).view(np.int64)
 
     def view(self, k: int, lo: int, hi: int) -> np.ndarray:
         """Bins lo .. hi - 1 of array k: those past hi, which no term has reached, are zero."""
@@ -234,7 +235,7 @@ class _Window:
             return self._widen(2 * (top - lo), keep)
         for b in self.bins:
             b[self.khi : self.khi + keep] = b[len(b) - keep :]
-            b[self.khi + keep :] = 0
+            b[self.khi + keep : self.khi + self.total - lo] = 0  # no term reaches past total
         self.hi = lo + len(self.bins[0]) - self.khi
 
 
@@ -255,12 +256,13 @@ def _join(a, b):
     return a[0] + b[0], max(a[1], b[1]), min(a[2], b[2]), a[3] + b[3], *map(max, a[4:], b[4:])
 
 
-def _slide(window: _Window, streams, rows, reduce):
-    """Yield, for each row (counts, n) once every stream (make, fold, frontier, count) has folded
-    its count into ``window``, a chunk of ``make(start, stop)`` at a time, least ``frontier(terms
-    folded)`` first, the results ``reduce(lo, hi, end)`` reads off the leaves of bins 0 .. n - 1
-    (None: not before the row's end) once final, kept ones at the row's end, joined by ``_tree``."""
-    makes, folds, frontiers, ends = zip(*streams)
+def _slide(window: _Window, streams, rows, fold, reduce):
+    """Yield, for each row (counts, n) once every stream k (make, frontier, count, period) has folded
+    its count into ``window`` by ``fold(k, chunk, where)``, a chunk of ``make(start, stop)`` at a time,
+    least ``frontier(terms folded)`` first, the results ``reduce(lo, hi, end)`` reads off the leaves of
+    bins 0 .. n - 1 (None: not before the row's end) once final, kept ones at the row's end, joined by
+    ``_tree``; a chunk on no stride holds its greatest live index in its last ``period`` terms (0: all)."""
+    makes, frontiers, ends, periods = zip(*streams)
     trees = [[_tree(0, n, window.leaf), None] for _, n in rows]
     pos, fronts = [0] * len(makes), [frontier(0) for frontier in frontiers]
     for tree in trees:
@@ -277,21 +279,24 @@ def _slide(window: _Window, streams, rows, reduce):
             except StopIteration as joined:
                 tree[:] = None, joined.value
 
-    at, base = window.at, window.base
+    base = window.base
     for tree, (counts, _) in zip(trees, rows):
         chunks = [make(start, stop) for make, start, stop in zip(makes, pos, counts)]
-        while live := [k for k, stop in enumerate(counts) if pos[k] < stop]:
-            k = min(live, key=fronts.__getitem__)
+        due = [min(f, window.total) if p < c else math.inf for f, p, c in zip(fronts, pos, counts)]
+        while (least := min(due)) < math.inf:  # a stream due at inf is done with this row
+            k = due.index(least)
             chunk = next(chunks[k])
             idx, _, stride = chunk[0]
-            top = int(idx[-1] if stride else idx.max()) - base + 1
+            top = int(idx[-1] if stride else idx[-periods[k] :].max()) - base + 1
             if top > window.hi:  # read off the final leaves and drop the bins below the rest
                 for t in trees:
                     settle(t, min(fronts))
                 window.reach(top, max(window.khi, min([top, *fronts] + [t[1][0] for t in trees if t[0]])))
-            folds[k](chunk, at(idx, stride, top))
+            gap = window.lo - window.khi + base  # a live index's place is index - gap
+            fold(k, chunk, (int(idx[0]) - gap, top - 1 + base - gap) if stride else window.at(idx, top))
             pos[k] += len(idx)
             fronts[k] = frontiers[k](pos[k]) if pos[k] < ends[k] else math.inf
+            due[k] = min(fronts[k], window.total) if pos[k] < counts[k] else math.inf
             del chunk, idx  # not held while the next chunk is made
         settle(tree, math.inf, True)
         yield tree[1]() if callable(tree[1]) else tree[1]
@@ -305,17 +310,18 @@ def _block_q(window: _Window, chunks, at: int):
     for sums in (alpha, r):
         for (fi, a, _), (_, b, _) in chunks():
             m = np.flatnonzero((fi - window.base < window.khi) | (fi - window.base >= window.lo))
-            places = window.at(fi[m], None, window.total) if len(m) else m
+            places = window.at(fi[m], window.total) if len(m) else m
             m, places = m[terms[places] > 1], places[terms[places] > 1]
             _fold_q(sums, places, a[m], b[m], *((p, alpha) if sums is r else ()))
     return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
 
 
 def _spectrum_leaf(sq: np.ndarray):
-    """Sum, max, least positive entry and number of positive entries of the products ``sq``."""
-    total, top, rank = np.add.reduce(sq), np.maximum.reduce(sq), np.count_nonzero(sq)
+    """Sum, max, least positive entry and number of positive entries of the products ``sq`` >= 0."""
+    total, top, zero = np.add.reduce(sq), np.maximum.reduce(sq), sq == 0.0
+    rank = len(sq) - np.count_nonzero(zero)
     if rank < len(sq):  # the least positive entry is then the least one
-        np.putmask(sq, sq == 0.0, np.inf)
+        np.putmask(sq, zero, np.inf)
     return total, top, np.minimum.reduce(sq), rank
 
 
@@ -363,7 +369,8 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
     window = _Window([float] * at + [pairing, np.int32] * shared, pinned, sides[0][2] - base + 1, base)
     faults, moduli = np.zeros((n, 2), int), [(0.0, np.inf)] * n
 
-    def fold(group, chunk, where):
+    def fold(i, chunk, where):
+        group = groups[i]
         faults[list(group)] += [linalg._faults(c) for _, c, _ in chunk]
         if faults.any():  # a refused side folds nothing more
             return
@@ -402,9 +409,10 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
         return out
 
     groups = [(0, 1)] if shared else [(k,) for k in range(n)]
-    streams = [(lambda start, stop, g=g: zip(*(sources[k]() for k in g)), functools.partial(fold, g),
-                lambda pos, g=g: frontiers[g[0]][0](pos) - base, sides[g[0]][1]) for g in groups]
-    got = next(_slide(window, streams, [([s[3] for s in streams], window.total)], reduce))
+    streams = [(lambda start, stop, g=g: zip(*(sources[k]() for k in g)),
+                lambda pos, g=g: frontiers[g[0]][0](pos) - base, sides[g[0]][1],
+                0 if arrays else sequences._index_period(sides[g[0]][0])) for g in groups]
+    got = next(_slide(window, streams, [([s[2] for s in streams], window.total)], fold, reduce))
     for nm, fault in zip(named, faults.tolist()):
         nm(linalg._refuse, *fault)
     return got, moduli
@@ -442,16 +450,16 @@ def _sweep_rows(shapes):
     sides = [(spec, count, sequences._index_frontier(spec, count)) for spec, count, _ in shapes[-1]]
     window = _Window([float, float], [i for *_, (_, pins) in sides for i in pins], shapes[-1][0][2] + 1, 0)
 
-    def fold(k, chunk, at):  # for real values np.square is bit for bit |c|^2, in one pass
+    def fold(k, chunk, at):  # the sweep owns its chunks: c * c is bit for bit |c|^2 of a real c
         _, c, stride = chunk[0]
-        _fold(window.bins[k], at, np.square(c) if c.dtype == np.float64 else np.abs(c) ** 2, stride)
+        _fold(window.bins[k], at, np.multiply(c, c, out=c) if c.dtype == float else np.abs(c) ** 2, stride)
 
     def reduce(lo, hi, end):
         f, g = window.view(0, lo, hi), window.view(1, lo, hi)
         return *_spectrum_leaf(f * g), np.maximum.reduce(f), np.maximum.reduce(g)
 
-    streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), functools.partial(fold, k),
-                frontier, count) for k, (spec, count, (frontier, _)) in enumerate(sides)]
+    streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), frontier, count,
+                sequences._index_period(spec)) for spec, count, (frontier, _) in sides]
     rows = [((fc, gc), dim + 1) for (_, fc, dim), (_, gc, _) in shapes]
-    for ((fc, gc), n), got in zip(rows, _slide(window, streams, rows, reduce)):
+    for ((fc, gc), n), got in zip(rows, _slide(window, streams, rows, fold, reduce)):
         yield n - 1, fc, gc, *_block_spectrum(got, min(fc, gc)), float(got[4]), float(got[5])

@@ -453,6 +453,12 @@ def _index_stride(spec: SequenceSpec, start: int) -> int | None:
     return None
 
 
+def _index_period(spec: SequenceSpec) -> int:
+    """The tail period of a scaled_basis or pattern spec, at least 1: no slot's index decreases, so
+    the last period of a run of terms holds the greatest index of its tail terms."""
+    return spec.kind == "pattern" and len(spec.program.tail) or 1
+
+
 def _index_frontier(spec: SequenceSpec, n: int):
     """``(frontier, pinned)`` of the first ``n`` terms of a scaled_basis or pattern spec: the indices
     of its head terms and step-0 slots, and ``frontier(start)``, the least other index a term
@@ -560,13 +566,16 @@ def _pattern_terms(
         if skip == cycles:
             continue
         at = slice(first + skip * period - start, None, period)
-        if slot.index_step:  # exact in int64; np.arange(a, b, step) sizes its range in float
+        if slot.index_step > 1:  # exact in int64; np.arange(a, b, step) sizes its range in float
             steps = np.arange(skip, cycles, dtype=np.int64)
             steps *= slot.index_step
             steps += slot.start_index
-            idx[at] = steps
+        elif slot.index_step:  # in one pass: a length below 2**53 is exact as a float
+            steps = np.arange(slot.start_index + skip, slot.start_index + cycles, dtype=np.int64)
+        if period == 1 and not lead and slot.index_step:  # the slot's terms are the chunk's: no copy
+            idx = steps
         else:
-            idx[at] = slot.start_index
+            idx[at] = steps if slot.index_step else slot.start_index
         if slot.coeff_rule == "constant":
             coeff[at] = slot.coeff.real if real else slot.coeff
         elif slot.coeff_rule == "geometric":

@@ -225,21 +225,27 @@ def test_chunked_pairwise_sum_is_np_sum_bit_for_bit():
     f = rng.random(top) * rng.choice([0.0, 1.0, 1e-300, 1e300], top, p=[0.1, 0.8, 0.05, 0.05])
     g = rng.random(top) * rng.choice([0.0, 1.0], top, p=[0.1, 0.9])
 
-    def check(a, b, leaves):
+    def check(a, b, leaves):  # the rank is count_nonzero, least the least positive entry or inf
         sq = a * b
         want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), np.count_nonzero(sq))
         for leaf in leaves:
             got = _tree_sums(a, b, leaf)
-            assert [float(x) for x in got] == [float(x) for x in want], (len(a), leaf)
+            assert np.array(got, float).tobytes() == np.array(want, float).tobytes(), (len(a), leaf)
 
     for n in lengths:
         check(f[:n], g[:n], (128, 1 << 13, 1 << 16) if n <= 10**5 else (1 << 13, 1 << 16))
-    # a leaf of f and g above nearly always holds a zero: pin the leaves
-    # with no zero, and those of zeros only (least positive inf, rank 0)
+    # a leaf of f and g above nearly always holds a zero: pin the leaves with
+    # no zero, a zero in bin 0 alone, -0.0 entries, and zeros only (+0.0 or
+    # -0.0: least positive inf, rank 0), each also as a leaf of one entry
     positive = 1.0 + rng.random(65537)
-    for n in (127, 128, 129, 8193, 65537):
+    first, signed = positive.copy(), positive * rng.choice([-0.0, 1.0], 65537)
+    first[0] = 0.0
+    for n in (1, 127, 128, 129, 8193, 65537):
         check(positive[:n], positive[::-1][:n], (128, 1 << 13))
+        check(first[:n], positive[::-1][:n], (128, 1 << 13))
+        check(signed[:n], positive[:n], (128, 1 << 13))
         check(positive[:n], np.zeros(n), (128, 1 << 13))
+        check(-positive[:n], np.zeros(n), (128, 1 << 13))
 
 
 def test_chunked_add_at_fold_is_bincount_of_the_whole_array():

@@ -185,9 +185,32 @@ def test_block_reports_fold_chunks_on_consecutive_indices_by_slice_add(add_at_fo
     capsys.readouterr()
 
 
+def test_block_reports_write_into_no_chunk_a_later_pass_reads(monkeypatch):
+    # a side of at most TERM_CHUNK terms is generated once and its chunk held for every pass,
+    # and _block_q's two passes reread it: the sweep squares the chunks it owns in place, but
+    # no block-route fold may write into one, real or complex
+    chunks, held, block_q, passes = ops._chunks, [], ops._block_q, []
+
+    def spy(spec, count, start=0):
+        for chunk in chunks(spec, count, start):
+            held.append((chunk, [a.tobytes() for a in chunk[:2]]))
+            yield chunk
+
+    monkeypatch.setattr(ops, "_chunks", spy)
+    monkeypatch.setattr(ops, "_block_q", lambda *args: passes.append(args) or block_q(*args))
+    # e1 twice, then a step-1 tail from e1: the pair of a real and a complex side has a q
+    real, cplx = (SequenceSpec.pattern(sequences.PatternProgram(
+        (sequences.PatternTerm(1, c),), (sequences.TailSlot(1, 1, coeff=c),))) for c in (1.0, 0.3 - 0.7j))
+    for f, g in ((SequenceSpec.paper_example("ex-canonical", r) for r in "fg"), (real, cplx)):
+        diag.reports(term_shape(f, 300), term_shape(g, 300), duality=True)
+    assert len(passes) == 2 and {c.dtype.kind for (_, c, _), _ in held} == {"f", "c"}
+    for chunk, before in held:
+        assert [a.tobytes() for a in chunk[:2]] == before
+
+
 def test_square_is_the_modulus_squared_bit_for_bit():
-    # the sweep squares real coefficients with np.square in place of
-    # np.abs(c) ** 2, which must give the same bytes on every numpy build
+    # the sweep squares real coefficients in place, np.multiply(c, c, out=c), in
+    # place of np.abs(c) ** 2, which must give the same bytes on every numpy build
     tiny = np.nextafter(0.0, 1.0)
     edges = [0.0, tiny, 2.2250738585072014e-308 / 3, 1e-160, 1e-154, 1e-150, 0.1, 1.0, 3.7, 1e64]
     edges += [np.nextafter(x, np.inf) for x in edges]
@@ -196,6 +219,7 @@ def test_square_is_the_modulus_squared_bit_for_bit():
     c = np.concatenate([edges, np.negative(edges), spread])
     assert c.dtype == np.float64 and np.signbit(c).any()
     assert np.square(c).tobytes() == (np.abs(c) ** 2).tobytes()
+    assert np.multiply(c, c, out=c.copy()).tobytes() == (np.abs(c) ** 2).tobytes()
 
 
 def test_sweep_to_a_million_terms_is_linear_in_memory():
