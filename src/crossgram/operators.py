@@ -261,7 +261,7 @@ def _slide(window: _Window, streams, rows, fold, reduce):
     its count into ``window`` by ``fold(k, chunk, where)``, a chunk of ``make(start, stop)`` at a time,
     least ``frontier(terms folded)`` first, the results ``reduce(lo, hi, end)`` reads off the leaves of
     bins 0 .. n - 1 (None: not before the row's end) once final, kept ones at the row's end, joined by
-    ``_tree``; a chunk on no stride holds its greatest live index in its last ``period`` terms (0: all)."""
+    ``_tree``; a chunk on no stride holds its greatest live index in its last ``period`` terms."""
     makes, frontiers, ends, periods = zip(*streams)
     trees = [[_tree(0, n, window.leaf), None] for _, n in rows]
     pos, fronts = [0] * len(makes), [frontier(0) for frontier in frontiers]
@@ -349,21 +349,15 @@ def _block_square(p: np.ndarray, terms: np.ndarray, q):
             float(np.max(np.where(terms == 1, x, wide), where=rows, initial=0.0)), least)
 
 
-def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, scale=(0, 0)):
+def _block_pass(sides, sources, named, cross: bool, duality: bool, shared: bool, scale=(0, 0)):
     """The joined leaf results of ``reduce`` and each side's (max, min) |c| from one pass over the
-    chunks of ``sides`` (or ``arrays``, with no frontier) into a ``_Window``, bin j holding index
+    chunks of ``sides``, each side's from its ``sources()``, into a ``_Window``, bin j holding index
     base + j (bin 0 no term): given ``cross``, each side's |c|^2 sums, 2**-2e scaled, and on one
     index array (``shared``) p and each bin's term count; ``named`` refuses a side past the entry
     bounds after the pass, f first."""
     n, at = len(sides), len(sides) * cross
-    if arrays:  # a hybrid pair's whole term arrays, one chunk each
-        frontiers, base = [(lambda pos: 0, ())] * n, min(int(i.min()) for i, _, _ in arrays) - 1
-        sources = [functools.partial(iter, [(i, c, None)]) for i, c, _ in arrays]
-    else:  # a side of one chunk is generated once, and that chunk held for every pass
-        frontiers = [sequences._index_frontier(s, c) for s, c, _ in sides]
-        base = min(min((frontier(0), *pins)) for frontier, pins in frontiers) - 1
-        sources = [functools.partial(iter, list(_chunks(s, c))) if c <= TERM_CHUNK
-                   else functools.partial(_chunks, s, c) for s, c, _ in sides]
+    frontiers = [sequences._index_frontier(s, c) for s, c, _ in sides]
+    base = min(min((frontier(0), *pins)) for frontier, pins in frontiers) - 1
     pairing = shared and (float if sides[0][0]._real and sides[1][0]._real else complex)
     pinned = [i - base for _, pins in frontiers for i in pins]
     window = _Window([float] * at + [pairing, np.int32] * shared, pinned, sides[0][2] - base + 1, base)
@@ -411,7 +405,7 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
     groups = [(0, 1)] if shared else [(k,) for k in range(n)]
     streams = [(lambda start, stop, g=g: zip(*(sources[k]() for k in g)),
                 lambda pos, g=g: frontiers[g[0]][0](pos) - base, sides[g[0]][1],
-                0 if arrays else sequences._index_period(sides[g[0]][0])) for g in groups]
+                sequences._index_period(sides[g[0]][0])) for g in groups]
     got = next(_slide(window, streams, [([s[2] for s in streams], window.total)], fold, reduce))
     for nm, fault in zip(named, faults.tolist()):
         nm(linalg._refuse, *fault)
@@ -419,16 +413,20 @@ def _block_pass(sides, named, cross: bool, duality: bool, arrays, shared: bool, 
 
 
 def _block_reports(sides, named, tol: float, cross: bool, duality: bool, arrays):
-    """The numbers ``diagnostics.reports`` reads off the term shapes ``sides`` (f, or f and g) from
-    one pass (over ``arrays``, a hybrid pair's term arrays): given ``cross``, each side's frame bounds,
-    completeness and (max, min) |c|, a pair's op_norm, sigma_min and hs, and on one index array
-    ``_block_square``'s values; given ``duality``, on one index array, max|p - 1|; else None."""
+    """The numbers ``diagnostics.reports`` reads off the term shapes ``sides`` (f, or f and g), each
+    side's one source read by every pass: given ``cross``, each side's frame bounds, completeness and
+    (max, min) |c|, a pair's op_norm, sigma_min and hs, and on one index array ``_block_square``'s
+    values; given ``duality``, on one index array, max|p - 1|; else None.  A side of ``TERM_CHUNK``
+    terms or fewer, or a hybrid pair's term ``arrays``, is one chunk held; a longer one streams."""
     shared = not arrays and len(sides) == 2 and sides[0][1] == sides[1][1]
-    got, moduli = _block_pass(sides, named, cross, duality, arrays, shared)
+    sources = [functools.partial(iter, [(i, c, None)]) for i, c, _ in arrays or ()] or [
+        functools.partial(iter, [*_chunks(s, c)]) if c <= TERM_CHUNK else functools.partial(_chunks, s, c)
+        for s, c, _ in sides]
+    got, moduli = _block_pass(sides, sources, named, cross, duality, shared)
     # |c|^2 underflows below |c| ~1e-154: a side whose largest |c| is under 2**-300 is
     # folded again, in a second full pass, as |c| 2**-e, 2**e near it, an exact scaling
     scale = [int(np.frexp(top)[1]) if 0.0 < top < 2.0**-300 else 0 for top, _ in moduli]
-    sums = _block_pass(sides, named, cross, False, arrays, False, scale)[0] if any(scale) else got
+    sums = _block_pass(sides, sources, named, cross, False, False, scale)[0] if any(scale) else got
     gap = float(got[4 + 2 * len(sides) * cross]) if duality and shared else None
     if not cross:
         return None, None, None, gap

@@ -1291,6 +1291,10 @@ def test_each_monomial_side_is_shaped_and_generated_once(tmp_path, monkeypatch, 
         spy(diagnostics if name == "check_pair_budgets" else sequences, name)
     const = write_spec(tmp_path, "c.json", {"kind": "scaled_basis", "weight": {"rule": "constant"}})
     inv = write_spec(tmp_path, "inv.json", {"kind": "scaled_basis", "weight": {"rule": "inverse_index"}})
+    # |c|^2 underflows, so the block reports fold each side again: the same held chunk
+    tiny = write_spec(
+        tmp_path, "tiny.json", {"kind": "scaled_basis", "weight": {"rule": "constant", "value": [1e-200, 0]}}
+    )
     odd = write_spec(
         tmp_path, "odd.json", {"kind": "pattern", "head": [], "tail": [{"start_index": 1, "index_step": 2}]}
     )
@@ -1315,6 +1319,8 @@ def test_each_monomial_side_is_shaped_and_generated_once(tmp_path, monkeypatch, 
         (["classify", "--input", odd, "--dim", "8"], 1, 0, 1, 0),
         (["classify", "--input", role, "--dim", "8"], 1, 0, 2, 0),
         (["cross-gram", "--f", const, "--g", inv, "--dim", "8"], 2, 1, 2, 1),
+        (["classify", "--input", tiny, "--dim", "8"], 1, 0, 1, 0),
+        (["cross-gram", "--f", tiny, "--g", inv, "--dim", "8"], 2, 1, 2, 1),
         (["cross-gram", "--f", odd, "--g", odd, "--dim", "8"], 2, 1, 2, 1),
         (["cross-gram", "--f", const, "--g", swap, "--dim", "8"], 2, 1, 2, 1),
         (["cross-gram", "--f", *blocked[:1], "--g", *blocked[1:], "--dim", "8"], 2, 1, 4, 0),
