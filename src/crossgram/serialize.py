@@ -15,6 +15,7 @@ import json
 import os
 import re
 import tempfile
+from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
@@ -24,6 +25,7 @@ import numpy as np
 
 from .sequences import (
     _COEFF_RULES,
+    _KINDS,
     _ROLES,
     _WEIGHT_RULES,
     PatternProgram,
@@ -36,15 +38,6 @@ from .sequences import (
 )
 
 TOOL_NAME = "crossgram"
-
-_SPEC_KEYS = {
-    "explicit": {"kind", "columns"},
-    "scaled_basis": {"kind", "weight"},
-    "pattern": {"kind", "head", "tail"},
-    "paper_example": {"kind", "example", "role"},
-    "random_riesz": {"kind", "d", "dim", "seed"},
-    "random_frame": {"kind", "d", "dim", "n", "count", "seed"},
-}
 
 
 class SpecFileError(ValueError):
@@ -116,24 +109,6 @@ def _array(obj: Any, source: str, field: str) -> list:
     return obj
 
 
-def _get(obj: dict, key: str, source: str, field: str) -> Any:
-    if key not in obj:
-        raise SpecFileError(f"missing required key {key!r}", source=source, field=field)
-    return obj[key]
-
-
-def _sized(data: dict, short: str, long_: str, source: str) -> int:
-    """Integer stored under a short key with a long alias; exactly one allowed."""
-    present = [k for k in (short, long_) if k in data]
-    if len(present) == 2:
-        raise SpecFileError(
-            f"keys {short!r} and {long_!r} are aliases; give exactly one", source=source
-        )
-    if not present:
-        raise SpecFileError(f"missing required key {short!r} (alias {long_!r})", source=source)
-    return _integer(data[present[0]], source, present[0])
-
-
 def _block(cols: list) -> np.ndarray | None:
     """Equal-width explicit columns as one complex128 (count, dim) array, bit for
     bit what ``complex(re, im)`` gives; None for an entry other than an exact
@@ -167,128 +142,143 @@ def _as_array(cols: list) -> np.ndarray | None:
     return None
 
 
-def _columns_from(obj: Any, source: str):
+def _columns_from(obj: Any, source: str, field: str):
     """Explicit columns as ``_as_array`` lays them out, taken without a copy,
     or as the walker's tuples when the fast path declines them."""
-    cols = _array(obj, source, "columns")
+    cols = _array(obj, source, field)
     if (fast := _as_array(cols)) is not None:
         return fast
     if not cols:
-        raise SpecFileError("columns must be nonempty", source=source, field="columns")
+        raise SpecFileError("columns must be nonempty", source=source, field=field)
     out = []
     for j, col in enumerate(cols):
-        entries = _array(col, source, f"columns[{j}]")
+        entries = _array(col, source, f"{field}[{j}]")
         out.append(
-            tuple(_complex(x, source, f"columns[{j}][{i}]") for i, x in enumerate(entries))
+            tuple(_complex(x, source, f"{field}[{j}][{i}]") for i, x in enumerate(entries))
         )
     width = len(out[0])
     if not width:
-        raise SpecFileError("column 0 has length 0, expected at least 1", source=source, field="columns")
+        raise SpecFileError("column 0 has length 0, expected at least 1", source=source, field=field)
     for j, col in enumerate(out):
         if len(col) != width:
             raise SpecFileError(
                 f"column {j} has length {len(col)}, expected {width}",
                 source=source,
-                field="columns",
+                field=field,
             )
     return tuple(out)
 
 
-def _weight_from(obj: Any, source: str, field: str) -> WeightRule:
-    data = _object(obj, source, field)
-    rule = _string(
-        _get(data, "rule", source, field),
-        source,
-        f"{field}.rule",
-        allowed=_WEIGHT_RULES,
+def _alias(short: str, long_: str, a: int | None, b: int | None) -> int:
+    """Whichever of ``a`` (read under ``short``) and ``b`` (under its alias ``long_``) was
+    given: exactly one must be."""
+    if a is not None and b is not None:
+        raise ValueError(f"keys {short!r} and {long_!r} are aliases; give exactly one")
+    if a is None and b is None:
+        raise ValueError(f"missing required key {short!r} (alias {long_!r})")
+    return a if b is None else b
+
+
+def _each(read):
+    """A reader of an array whose items ``read`` reads, each named by its place."""
+    return lambda obj, source, field: tuple(
+        read(x, source, f"{field}[{i}]") for i, x in enumerate(_array(obj, source, field))
     )
-    value = complex(_complex(data["value"], source, f"{field}.value")) if "value" in data else 1.0
-    ratio = complex(_complex(data["ratio"], source, f"{field}.ratio")) if "ratio" in data else 0.5
-    values = None
-    if "values" in data:
-        arr = _array(data["values"], source, f"{field}.values")
-        values = tuple(_complex(x, source, f"{field}.values[{i}]") for i, x in enumerate(arr))
-    try:
-        return WeightRule(rule=rule, value=value, ratio=ratio, values=values)
-    except ValueError as exc:
-        raise SpecFileError(str(exc), source=source, field=field) from exc
 
 
-def _term_from(obj: Any, source: str, field: str) -> PatternTerm:
+def _read(obj: Any, source: str, field: str | None, name: str) -> Any:
+    """The object at ``field`` (None for the spec itself) built as ``_LAYOUTS[name]`` lays it
+    out: a key outside the layout is refused, then a missing required key; the rest are read
+    in order, and the constructor's ValueError names ``field``."""
+    keys, make = _LAYOUTS[name]
     data = _object(obj, source, field)
-    index = _integer(_get(data, "index", source, field), source, f"{field}.index")
-    coeff = _complex(data.get("coeff", [1.0, 0.0]), source, f"{field}.coeff")
-    try:
-        return PatternTerm(index=index, coeff=coeff)
-    except ValueError as exc:
-        raise SpecFileError(str(exc), source=source, field=field) from exc
-
-
-def _slot_from(obj: Any, source: str, field: str) -> TailSlot:
-    data = _object(obj, source, field)
-    start = _integer(_get(data, "start_index", source, field), source, f"{field}.start_index")
-    step = _integer(data.get("index_step", 0), source, f"{field}.index_step")
-    coeff = _complex(data.get("coeff", [1.0, 0.0]), source, f"{field}.coeff")
-    rule = _string(
-        data.get("coeff_rule", "constant"),
-        source,
-        f"{field}.coeff_rule",
-        allowed=_COEFF_RULES,
-    )
-    ratio = _complex(data.get("ratio", [1.0, 0.0]), source, f"{field}.ratio")
-    try:
-        return TailSlot(
-            start_index=start, index_step=step, coeff=coeff, coeff_rule=rule, ratio=ratio
+    if extra := data.keys() - keys:
+        what = name if field else f"kind {name!r}"
+        raise SpecFileError(
+            f"unexpected keys for {what}: {_echo(sorted(extra))}", source=source, field=field
         )
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in data:
+            raise SpecFileError(f"missing required key {key!r}", source=source, field=field)
+    values = {
+        key: read(data[key], source, f"{field}.{key}" if field else key) if key in data else default
+        for key, (read, default) in keys.items()
+    }
+    try:
+        return make(**values)
     except ValueError as exc:
         raise SpecFileError(str(exc), source=source, field=field) from exc
+
+
+# every object a spec file holds, by its kind or name: its keys in the order they are
+# read, each with its reader (obj, source, field) and its default or _REQUIRED, and the
+# constructor that takes the values read by key
+_REQUIRED = object()
+_INTEGER = (_integer, None)  # one of an alias pair, which _alias resolves
+_LAYOUTS = {
+    "explicit": ({"columns": (_columns_from, _REQUIRED)}, SequenceSpec.explicit),
+    "scaled_basis": (
+        {"weight": (partial(_read, name="weight"), _REQUIRED)},
+        SequenceSpec.scaled_basis,
+    ),
+    "pattern": (
+        {
+            "head": (_each(partial(_read, name="head term")), _REQUIRED),
+            "tail": (_each(partial(_read, name="tail slot")), _REQUIRED),
+        },
+        lambda head, tail: SequenceSpec.pattern(PatternProgram(head, tail)),
+    ),
+    "paper_example": (
+        {"example": (_string, _REQUIRED), "role": (partial(_string, allowed=_ROLES), _REQUIRED)},
+        SequenceSpec.paper_example,
+    ),
+    "random_riesz": (
+        {"d": _INTEGER, "dim": _INTEGER, "seed": (_integer, _REQUIRED)},
+        lambda d, dim, seed: SequenceSpec.random_riesz(_alias("d", "dim", d, dim), seed),
+    ),
+    "random_frame": (
+        {
+            "d": _INTEGER,
+            "dim": _INTEGER,
+            "n": _INTEGER,
+            "count": _INTEGER,
+            "seed": (_integer, _REQUIRED),
+        },
+        lambda d, dim, n, count, seed: SequenceSpec.random_frame(
+            _alias("d", "dim", d, dim), _alias("n", "count", n, count), seed
+        ),
+    ),
+    "weight": (
+        {
+            "rule": (partial(_string, allowed=_WEIGHT_RULES), _REQUIRED),
+            "value": (_complex, 1.0),
+            "ratio": (_complex, 0.5),
+            "values": (_each(_complex), None),
+        },
+        WeightRule,
+    ),
+    "head term": ({"index": (_integer, _REQUIRED), "coeff": (_complex, 1 + 0j)}, PatternTerm),
+    "tail slot": (
+        {
+            "start_index": (_integer, _REQUIRED),
+            "index_step": (_integer, 0),
+            "coeff": (_complex, 1 + 0j),
+            "coeff_rule": (partial(_string, allowed=_COEFF_RULES), "constant"),
+            "ratio": (_complex, 1 + 0j),
+        },
+        TailSlot,
+    ),
+}
 
 
 def spec_from_json(obj: Any, *, source: str = "<json>") -> SequenceSpec:
-    """Decode a sequence spec from parsed JSON, with field-level errors."""
-    data = _object(obj, source, None)
-    kind = _string(
-        _get(data, "kind", source, None),
-        source,
-        "kind",
-        allowed=tuple(_SPEC_KEYS),
-    )
-    extra = set(data) - _SPEC_KEYS[kind]
-    if extra:
-        raise SpecFileError(
-            f"unexpected keys for kind {kind!r}: {_echo(sorted(extra))}", source=source
-        )
-    try:
-        if kind == "explicit":
-            return SequenceSpec.explicit(_columns_from(_get(data, "columns", source, None), source))
-        if kind == "scaled_basis":
-            return SequenceSpec.scaled_basis(
-                _weight_from(_get(data, "weight", source, None), source, "weight")
-            )
-        if kind == "pattern":
-            head_arr = _array(_get(data, "head", source, None), source, "head")
-            tail_arr = _array(_get(data, "tail", source, None), source, "tail")
-            head = tuple(_term_from(t, source, f"head[{i}]") for i, t in enumerate(head_arr))
-            tail = tuple(_slot_from(s, source, f"tail[{i}]") for i, s in enumerate(tail_arr))
-            return SequenceSpec.pattern(PatternProgram(head=head, tail=tail))
-        if kind == "paper_example":
-            example = _string(_get(data, "example", source, None), source, "example")
-            role = _string(_get(data, "role", source, None), source, "role", allowed=_ROLES)
-            return SequenceSpec.paper_example(example, role)
-        if kind == "random_riesz":
-            return SequenceSpec.random_riesz(
-                dim=_sized(data, "d", "dim", source),
-                seed=_integer(_get(data, "seed", source, None), source, "seed"),
-            )
-        return SequenceSpec.random_frame(
-            dim=_sized(data, "d", "dim", source),
-            count=_sized(data, "n", "count", source),
-            seed=_integer(_get(data, "seed", source, None), source, "seed"),
-        )
-    except SpecFileError:
-        raise
-    except ValueError as exc:
-        raise SpecFileError(str(exc), source=source, field=None) from exc
+    """Decode a sequence spec from parsed JSON, with field-level errors: ``kind`` is read
+    here, and the other keys by that kind's layout."""
+    data = dict(_object(obj, source, None))
+    if "kind" not in data:
+        raise SpecFileError("missing required key 'kind'", source=source)
+    kind = _string(data.pop("kind"), source, "kind", allowed=_KINDS)
+    return _read(data, source, None, kind)
 
 
 _WS = "[ \t\n\r]*"  # JSON whitespace

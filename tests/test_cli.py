@@ -99,14 +99,50 @@ def test_load_sequence_file_rejects_bad_complex_encoding(tmp_path):
             "columns[0][0]",
             "float range",
         ),
+        # a key outside its object's layout, at every depth
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "constant", "valeu": [2, 0]}},
+            "weight",
+            r"unexpected keys for weight: \['valeu'\]$",
+        ),
+        (
+            {"kind": "pattern", "head": [{"index": 1, "cof": [2, 0]}], "tail": []},
+            "head[0]",
+            r"unexpected keys for head term: \['cof'\]$",
+        ),
+        (
+            {
+                "kind": "pattern",
+                "head": [],
+                "tail": [{"start_index": 1}, {"start_index": 2, "index_stp": 1}],
+            },
+            "tail[1]",
+            r"unexpected keys for tail slot: \['index_stp'\]$",
+        ),
     ],
-    ids=["object", "array", "integer", "string", "number", "re-im", "overflow"],
+    ids=["object", "array", "integer", "string", "number", "re-im", "overflow"]
+    + ["weight-key", "head-key", "tail-key"],
 )
 def test_spec_type_failures_name_their_field(payload, field, expected):
     with pytest.raises(SpecFileError, match=expected) as exc:
         serialize.spec_from_json(payload, source="<spec>")
     assert exc.value.field == field
     assert str(exc.value).startswith(f"<spec>: {field}: ")
+
+
+def test_a_misspelled_tail_slot_key_exits_2_naming_its_slot(tmp_path, capsys):
+    # read as the default step 0, "index_stp" would describe another sequence
+    path = write_spec(
+        tmp_path,
+        "typo.json",
+        {"kind": "pattern", "head": [], "tail": [{"start_index": 1, "index_stp": 1}]},
+    )
+    assert cli.main(["classify", "--input", path, "--dim", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"crossgram: error: {path}: tail[0]: unexpected keys for tail slot: ['index_stp']"
+    ]
 
 
 # a 3 x 2 explicit spec (two columns in C^3) whose entry columns[1][2] is
@@ -595,6 +631,40 @@ def test_schema_valid_specs_decode_to_their_constructors():
     ):
         jsonschema.validate(payload, schema)
         assert serialize.spec_from_json(payload, source="<memory>") == expected
+
+
+def test_the_schema_lays_out_each_object_as_the_decoder_reads_it():
+    schema = json.loads(
+        resources.files("crossgram").joinpath("schemas/sequence.schema.json").read_text()
+    )
+    defs, kinds = schema["$defs"], sequences._KINDS
+    items = defs["pattern"]["properties"]
+    objects = {kind: defs[kind] for kind in kinds}
+    objects["weight"] = defs["weight"]
+    objects["head term"], objects["tail slot"] = items["head"]["items"], items["tail"]["items"]
+    assert objects.keys() == serialize._LAYOUTS.keys()
+    for name, obj in objects.items():
+        keys, _ = serialize._LAYOUTS[name]
+        properties, required = set(obj["properties"]), set(obj.get("required", ()))
+        assert obj["additionalProperties"] is False, name
+        if name in kinds:  # spec_from_json reads kind and hands the rest to the layout
+            assert obj["properties"]["kind"] == {"const": name}
+            properties.remove("kind")
+            required.remove("kind")
+        # each alias pair is a oneOf of two required keys; the layout reads both as
+        # optional, and _alias requires exactly one of them
+        one_ofs = [c["oneOf"] for c in obj.get("allOf", ())] + [obj.get("oneOf", [])]
+        aliases = {key for one_of in one_ofs for c in one_of for key in c["required"]}
+        assert aliases == {"d", "dim", "n", "count"} & set(keys), name
+        assert all(keys[key][1] is None for key in aliases), name
+        assert properties == set(keys), name
+        assert required == {k for k, (_, d) in keys.items() if d is serialize._REQUIRED}, name
+    # a pattern may end at its head
+    head_only = {"kind": "pattern", "head": [{"index": 2}], "tail": []}
+    jsonschema.validate(head_only, schema)
+    assert serialize.spec_from_json(head_only) == SequenceSpec.pattern(
+        PatternProgram(head=(PatternTerm(2, 1.0),))
+    )
 
 
 # ----------------------------------------------------------------- classify
