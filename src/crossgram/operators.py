@@ -12,6 +12,7 @@ its entry points ``_block_reports`` and ``_sweep_rows`` return numbers, not bins
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -144,7 +145,8 @@ def _term_frame(fi: np.ndarray, gi: np.ndarray, a: np.ndarray, b: np.ndarray, di
 
 # the most terms the block route generates and folds at a time: a chunk (~0.2 MB of
 # indices, coefficients and |c|^2) stays in cache, as does the window of bins a fold holds
-# (four chunks' span), whose leaves of up to two chunks' bins are each read whole once final
+# (four chunks' span, and for each pinned index its node of at most a quarter chunk), whose
+# leaves of up to two chunks' bins are each read whole once final
 TERM_CHUNK = 1 << 13
 
 
@@ -190,29 +192,76 @@ def _fold_q(sums: np.ndarray, at: np.ndarray, a: np.ndarray, b: np.ndarray, p=No
 
 
 class _Window:
-    """The bins of one fold, one array per dtype, for positions 0 .. total - 1 (position j holds
-    index base + j): those below ``khi``, a leaf past the last pinned one, are kept at j, and the
-    live ones lo .. hi - 1 follow them, at j - lo + khi; the bins below lo are dropped."""
+    """The bins of one fold, one array per dtype, for positions 0 .. total - 1 (position j holds index
+    base + j) of rows of ``ns`` bins.  The kept ones, the ``_nodes`` of the pinned positions in each
+    row's tree, merged into ranges (start, end, shift) anywhere in the span, come first, at j - shift;
+    the live ones lo .. hi - 1 follow them, at j - lo + ksz.  A kept bin that is live sits at its live
+    place and is parked at its kept one while it is not; a bin below lo that is not kept is dropped.
+    A kept range from 0 ends at khi, and lo stays past it."""
 
-    def __init__(self, dtypes, pinned, total: int, base: int):
-        self.leaf, self.total, self.base = max(2 * TERM_CHUNK, 128), total, base
-        self.khi = self.lo = min(total, max(pinned, default=-self.leaf) + self.leaf)
+    def __init__(self, dtypes, pinned, ns, base: int):
+        self.leaf, self.node = max(2 * TERM_CHUNK, 128), max(TERM_CHUNK // 4, 128)
+        self.total, self.base, self.pins = max(ns), base, sorted(set(pinned))
+        spans = []
+        for lo, hi in sorted({node for n in set(ns) for node in _nodes(n, self.pins, self.node)}):
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([lo, hi])
+        self.kept, self.ksz = [], 0  # (start, end, shift) of each kept range
+        for lo, hi in spans:
+            self.kept.append((lo, hi, lo - self.ksz))
+            self.ksz += hi - lo
+        self.khi = self.lo = spans[0][1] if spans and not spans[0][0] else 0
+        self.others = len(spans) > (self.khi > 0)  # a kept range past 0
         self.bins = [np.zeros(0, t) for t in dtypes]
         self._widen(4 * TERM_CHUNK, 0)
 
     def _widen(self, cap: int, keep: int) -> None:  # all arrays in one block, which malloc keeps
         cap, old = min(self.total - self.khi, cap), self.bins
-        sizes = [(self.khi + cap) * b.itemsize for b in old]
+        sizes = [(self.ksz + cap) * b.itemsize for b in old]
         block = np.zeros(sum(sizes), np.uint8)
         ends = itertools.accumulate(sizes)
         self.bins = [block[end - size : end].view(b.dtype) for b, size, end in zip(old, sizes, ends)]
         for b, o in zip(self.bins, old if len(old[0]) else ()):
-            b[: self.khi], b[self.khi : self.khi + keep] = o[: self.khi], o[len(o) - keep :]
+            b[: self.ksz], b[self.ksz : self.ksz + keep] = o[: self.ksz], o[len(o) - keep :]
         self.hi = self.lo + cap
 
-    def at(self, idx: np.ndarray, top: int):
-        """The places of the bins of indices ``idx`` (positions below ``top``): a pinned position p < khi
-        keeps its place and a live one moves to p - lo + khi, in two passes once lo >= 2 khi (base 0)."""
+    def _move(self, lo: int, hi: int, park: bool) -> None:
+        """Copy the kept bins of positions lo .. hi - 1 from their live places to their kept ones
+        (``park``), or back."""
+        gap = self.lo - self.ksz
+        for start, end, shift in self.kept:
+            a, b = max(start, lo), min(end, hi)
+            for x in self.bins if a < b else ():
+                live, kept = x[a - gap : b - gap], x[a - shift : b - shift]
+                (kept if park else live)[:] = live if park else kept
+
+    def held(self, idx: np.ndarray) -> np.ndarray:
+        """Whether the bins of indices ``idx`` are held: live or past them, or kept."""
+        pos = idx - self.base
+        if not self.kept:
+            return pos >= self.lo
+        starts, ends, _ = zip(*self.kept)
+        at = np.searchsorted(starts, pos, "right") - 1  # the last kept range that starts at or below
+        return (pos >= self.lo) | (at >= 0) & (pos < np.take(ends, at))
+
+    def at(self, idx: np.ndarray, top: int, free: bool = False):
+        """The places of the bins of indices ``idx`` (live positions below ``top``; all live, given
+        ``free``, which none of them pins).  With no kept range past 0, a kept position p < khi keeps
+        its place and a live one moves to p - lo + khi, in two passes once lo >= 2 khi (base 0); else
+        each position off the live ones is looked up."""
+        if free and (self.lo > self.khi or not self.others):  # p - lo + ksz, in one pass
+            gap = self.lo - self.ksz + self.base
+            return np.subtract(idx, gap) if gap else idx
+        if self.others:
+            out = np.subtract(idx, self.lo - self.ksz + self.base)
+            away = (out < self.ksz) | (out >= len(self.bins[0]))
+            if away.any():
+                pos = idx[away] - self.base
+                starts, shifts = zip(*((start, shift) for start, _, shift in self.kept))
+                out[away] = pos - np.take(shifts, np.searchsorted(starts, pos, "right") - 1)
+            return out
         pos = idx - self.base if self.base else idx
         if self.lo == self.khi or top <= self.khi:
             return pos
@@ -223,30 +272,117 @@ class _Window:
         return np.minimum(u, pos.view(np.uint64), out=u).view(np.int64)
 
     def view(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """Bins lo .. hi - 1 of array k: those past hi, which no term has reached, are zero."""
-        start = lo if lo < self.khi else lo - self.lo + self.khi
-        got = self.bins[k][start : start + hi - lo]
-        return got if len(got) == hi - lo else np.concatenate((got, np.zeros(hi - lo - len(got), got.dtype)))
+        """Bins lo .. hi - 1 of array k: those held, and zeros for the others, which no term has
+        reached."""
+        bins, gap = self.bins[k], self.lo - self.ksz
+        if hi <= self.khi:
+            return bins[lo:hi]
+        if (self.lo <= lo or not (gap or self.others)) and hi <= self.hi:  # live, or kept from 0 and live
+            return bins[lo - gap : hi - gap]
+        got = np.zeros(hi - lo, bins.dtype)
+        for start, end, shift in (*self.kept, (self.lo, self.hi, gap)):  # a live bin last
+            a, b = max(start, lo), min(end, hi)
+            if a < b:
+                got[a - lo : b - lo] = bins[a - shift : b - shift]
+        return got
 
     def reach(self, top: int, lo: int) -> None:
-        """Hold positions lo .. top - 1 (top past hi), widened to twice those if they must be."""
-        keep, self.lo = max(0, self.hi - lo), lo
-        if top - lo > len(self.bins[0]) - self.khi:
-            return self._widen(2 * (top - lo), keep)
-        for b in self.bins:
-            b[self.khi : self.khi + keep] = b[len(b) - keep :]
-            b[self.khi + keep : self.khi + self.total - lo] = 0  # no term reaches past total
-        self.hi = lo + len(self.bins[0]) - self.khi
+        """Hold positions lo .. top - 1 (top past hi), widened to twice those if they must be: the
+        kept bins that leave the live ones are parked, and those that come into them unparked."""
+        if self.others:  # a kept bin past 0 may leave the live ones
+            self._move(self.lo, min(self.hi, lo), True)
+        keep, hi, self.lo = max(0, self.hi - lo), self.hi, lo
+        if top - lo > len(self.bins[0]) - self.ksz:
+            self._widen(2 * (top - lo), keep)
+        else:
+            for b in self.bins:
+                b[self.ksz : self.ksz + keep] = b[len(b) - keep :]
+                b[self.ksz + keep : self.ksz + self.total - lo] = 0  # no term reaches past total
+            self.hi = lo + len(self.bins[0]) - self.ksz
+        if self.others:
+            self._move(max(hi, lo), self.hi, False)
 
 
-def _tree(lo: int, hi: int, leaf: int):
-    """Ask for the results of the leaves of bins lo .. hi - 1 in order (``yield (lo, hi)``), split
-    as numpy's pairwise sum of a float64 array splits them (at half, down to a multiple of 8),
-    and return them joined by the same tree: leaves of >= 128 bins give ``np.sum``'s bits."""
-    if hi - lo <= leaf:
-        return (yield lo, hi)
-    mid = lo + (hi - lo) // 2 // 8 * 8
-    return _join((yield from _tree(lo, mid, leaf)), (yield from _tree(mid, hi, leaf)))
+def _mid(lo: int, hi: int) -> int:
+    """Where numpy's pairwise sum of a float64 array splits bins lo .. hi - 1 of more than 128: at
+    half, rounded down to a multiple of 8."""
+    return lo + (hi - lo) // 2 // 8 * 8
+
+
+def _nodes(n: int, pins, size: int) -> list:
+    """The least nodes of ``_tree(0, n)``'s split, of at most ``size`` bins, that hold the sorted
+    positions ``pins`` below n: one descent per node."""
+    got = []
+    for p in pins:
+        if p >= n:
+            break
+        if not got or p >= got[-1][1]:
+            lo, hi = 0, n
+            while hi - lo > size:
+                mid = _mid(lo, hi)
+                lo, hi = (lo, mid) if p < mid else (mid, hi)
+            got.append((lo, hi))
+    return got
+
+
+def _holds(pins, lo: int, hi: int) -> bool:
+    """Whether the sorted positions ``pins`` hold one of lo .. hi - 1."""
+    i = bisect.bisect_left(pins, lo)
+    return i < len(pins) and pins[i] < hi
+
+
+def _split(lo: int, hi: int, size: int, pins, nodes: list):
+    """Bins lo .. hi - 1 split as ``_tree`` splits them, down to the nodes of at most ``size`` bins
+    that hold one of the sorted positions ``pins``: (lo, hi), or a pair of splits; each node's
+    (hi, whether it holds one) is appended to ``nodes``, in order."""
+    held = _holds(pins, lo, hi)
+    if not held or hi - lo <= size:
+        nodes.append((hi, held))
+        return lo, hi
+    mid = _mid(lo, hi)
+    return _split(lo, mid, size, pins, nodes), _split(mid, hi, size, pins, nodes)
+
+
+def _added(split, sums):
+    """The sum of the nodes of ``split`` from their ``sums`` (an iterator, in order), added as the
+    pairwise tree adds them."""
+    return next(sums) if type(split[0]) is int else _added(split[0], sums) + _added(split[1], sums)
+
+
+def _leaf(split, parts):
+    """The result of a leaf ``split`` into nodes, from those of the runs of its nodes read in one go
+    (``parts``, in order, or callables for them: the sum of each node, or of the one, then the rest
+    of them all): the sums added as the pairwise tree adds them, the rest joined."""
+    parts = [part() if callable(part) else part for part in parts]
+    sums = (s for part in parts for s in (part[0] if type(part[0]) is list else (part[0],)))
+    return _added(split, sums), *functools.reduce(_join, [(0, *part[1:]) for part in parts])[1:]
+
+
+def _early(reduce, lo: int, hi: int, node: int, pins):
+    """The result of the leaf of bins lo .. hi - 1 before the row's end, split (``_split``) at the
+    nodes of at most ``node`` bins that hold one of ``pins``: ``reduce(cuts, end)`` reads each run
+    of its other nodes now, in one go, and each run of kept ones at the row's end; a callable for
+    it (``_leaf``), or None while ``reduce`` returns None."""
+    split, parts, at = _split(lo, hi, node, pins, nodes := []), [], lo
+    for kept, run in itertools.groupby(nodes, lambda x: x[1]):
+        cuts = (at, *(b for b, _ in run))
+        parts.append(functools.partial(reduce, cuts, True) if kept else reduce(cuts, False))
+        if parts[-1] is None:
+            return None
+        at = cuts[-1]
+    return functools.partial(_leaf, split, parts)
+
+
+def _tree(lo: int, hi: int, leaf: int, pins=()):
+    """Ask for the results of the leaves of bins lo .. hi - 1 in order and return them joined by the
+    tree numpy's pairwise sum of a float64 array splits them by (``_mid``), down to leaves of at
+    most ``leaf`` bins: ``yield (lo, hi), held`` takes a leaf's result, where
+    ``held`` tells whether it holds one of the sorted positions ``pins``.  A node of >= 128 bins
+    read whole gives ``np.sum``'s bits."""
+    if hi - lo > leaf:
+        mid = _mid(lo, hi)
+        return _join((yield from _tree(lo, mid, leaf, pins)), (yield from _tree(mid, hi, leaf, pins)))
+    return (yield (lo, hi), _holds(pins, lo, hi))
 
 
 def _join(a, b):
@@ -257,21 +393,33 @@ def _join(a, b):
 
 
 def _slide(window: _Window, streams, rows, fold, reduce):
-    """Yield, for each row (counts, n) once every stream k (make, frontier, count, period) has folded
-    its count into ``window`` by ``fold(k, chunk, where)``, a chunk of ``make(start, stop)`` at a time,
-    least ``frontier(terms folded)`` first, the results ``reduce(lo, hi, end)`` reads off the leaves of
-    bins 0 .. n - 1 (None: not before the row's end) once final, kept ones at the row's end, joined by
-    ``_tree``; a chunk on no stride holds its greatest live index in its last ``period`` terms."""
-    makes, frontiers, ends, periods = zip(*streams)
-    trees = [[_tree(0, n, window.leaf), None] for _, n in rows]
+    """Yield, for each row (counts, n) once every stream k (make, frontier, count, top) has folded its
+    count into ``window``, a chunk of ``make(start, stop)`` at a time, least ``frontier(terms folded)``
+    first, by ``fold(k, chunk, where, stride)`` (where: the first and last place of a chunk on a
+    ``stride``, else each term's place, ``_Window.at``), the results ``reduce(cuts, end)`` reads off
+    the leaves of bins 0 .. n - 1 (the sum of each node between ``cuts`` lo, .., hi, then the rest of
+    them all; None: not before the row's end), joined by ``_tree``.  A leaf is read once final, and
+    while a later term may land on a pinned bin in it, that bin's node waits for the row's end
+    (``_early``); ``top(idx, start)`` gives the greatest live index of a chunk on no stride, and
+    whether none of its indices is pinned."""
+    makes, frontiers, ends, tops = zip(*streams)
+    trees = [[_tree(0, n, window.leaf, window.pins), None] for _, n in rows]
     pos, fronts = [0] * len(makes), [frontier(0) for frontier in frontiers]
+    pinning = [True] * len(makes)  # whether a stream's later terms may land on a pinned index
     for tree in trees:
         tree[1] = next(tree[0])
 
     def settle(tree, bound, end=False):
-        while tree[0] and tree[1][1] <= max(bound, window.khi):
-            lo, hi = tree[1]
-            got = reduce(lo, hi, end) if end or hi > window.khi else functools.partial(reduce, lo, hi, True)
+        while tree[0]:
+            (lo, hi), held = tree[1]
+            got = None
+            if end or hi <= bound and not (held and any(pinning)):  # whole, which gives its nodes' bits
+                got = reduce((lo, hi), end)
+            if got is None and held and not end:  # its kept nodes at the row's end, the others once final
+                if hi - lo <= window.node:
+                    got = functools.partial(reduce, (lo, hi), True)
+                elif hi <= bound:
+                    got = _early(reduce, lo, hi, window.node, window.pins)
             if got is None:
                 return
             try:
@@ -287,13 +435,17 @@ def _slide(window: _Window, streams, rows, fold, reduce):
             k = due.index(least)
             chunk = next(chunks[k])
             idx, _, stride = chunk[0]
-            top = int(idx[-1] if stride else idx[-periods[k] :].max()) - base + 1
+            top, free = (idx[-1], True) if stride else tops[k](idx, pos[k])
+            top, pinning[k] = int(top) - base + 1, not free
             if top > window.hi:  # read off the final leaves and drop the bins below the rest
                 for t in trees:
                     settle(t, min(fronts))
-                window.reach(top, max(window.khi, min([top, *fronts] + [t[1][0] for t in trees if t[0]])))
-            gap = window.lo - window.khi + base  # a live index's place is index - gap
-            fold(k, chunk, (int(idx[0]) - gap, top - 1 + base - gap) if stride else window.at(idx, top))
+                window.reach(top, max(window.khi, min([top, *fronts] + [t[1][0][0] for t in trees if t[0]])))
+            gap = window.lo - window.ksz + base  # a live index's place is index - gap
+            if stride and (not window.others or idx[0] - gap >= window.ksz):  # places on one run
+                fold(k, chunk, (int(idx[0]) - gap, top - 1 + base - gap), stride)
+            else:
+                fold(k, chunk, window.at(idx, top, free), None)
             pos[k] += len(idx)
             fronts[k] = frontiers[k](pos[k]) if pos[k] < ends[k] else math.inf
             due[k] = min(fronts[k], window.total) if pos[k] < counts[k] else math.inf
@@ -309,16 +461,21 @@ def _block_q(window: _Window, chunks, at: int):
     alpha, r = np.zeros(len(p)), np.zeros(len(p))
     for sums in (alpha, r):
         for (fi, a, _), (_, b, _) in chunks():
-            m = np.flatnonzero((fi - window.base < window.khi) | (fi - window.base >= window.lo))
+            m = np.flatnonzero(window.held(fi))
             places = window.at(fi[m], window.total) if len(m) else m
             m, places = m[terms[places] > 1], places[terms[places] > 1]
             _fold_q(sums, places, a[m], b[m], *((p, alpha) if sums is r else ()))
     return np.sqrt(np.multiply(alpha, r, out=alpha), out=alpha)
 
 
-def _spectrum_leaf(sq: np.ndarray):
-    """Sum, max, least positive entry and number of positive entries of the products ``sq`` >= 0."""
-    total, top, zero = np.add.reduce(sq), np.maximum.reduce(sq), sq == 0.0
+def _spectrum_leaf(sq: np.ndarray, cuts=()):
+    """Sum, max, least positive entry and number of positive entries of the products ``sq`` >= 0,
+    the sum as one of each node, given its ``cuts`` lo, .., hi (``_tree``) past two."""
+    top, zero = np.maximum.reduce(sq), sq == 0.0
+    if len(cuts) > 2:
+        total = [np.add.reduce(sq[a - cuts[0] : b - cuts[0]]) for a, b in itertools.pairwise(cuts)]
+    else:
+        total = np.add.reduce(sq)
     rank = len(sq) - np.count_nonzero(zero)
     if rank < len(sq):  # the least positive entry is then the least one
         np.putmask(sq, zero, np.inf)
@@ -360,15 +517,15 @@ def _block_pass(sides, sources, named, cross: bool, duality: bool, shared: bool,
     base = min(min((frontier(0), *pins)) for frontier, pins in frontiers) - 1
     pairing = shared and (float if sides[0][0]._real and sides[1][0]._real else complex)
     pinned = [i - base for _, pins in frontiers for i in pins]
-    window = _Window([float] * at + [pairing, np.int32] * shared, pinned, sides[0][2] - base + 1, base)
+    window = _Window([float] * at + [pairing, np.int32] * shared, pinned, [sides[0][2] - base + 1], base)
     faults, moduli = np.zeros((n, 2), int), [(0.0, np.inf)] * n
 
-    def fold(i, chunk, where):
+    def fold(i, chunk, where, stride):
         group = groups[i]
         faults[list(group)] += [linalg._faults(c) for _, c, _ in chunk]
         if faults.any():  # a refused side folds nothing more
             return
-        (_, a, stride), b = chunk[0], chunk[-1][1]
+        a, b = chunk[0][1], chunk[-1][1]
         for k, (_, c, _) in zip(group, chunk if cross else ()):
             mod = np.abs(c)
             moduli[k] = max(moduli[k][0], mod.max()), min(moduli[k][1], mod.min())
@@ -377,13 +534,15 @@ def _block_pass(sides, sources, named, cross: bool, duality: bool, shared: bool,
             _fold_pairing(window.bins[at], where, a, b, stride)
             _fold(window.bins[at + 1], where, np.int32(1), stride)  # int32: add.at's fast path
 
-    def reduce(lo, hi, end):  # spectrum sums, then each side's max and -min, max|p - 1|, _block_square's
-        out, sq = [0.0, 0.0, np.inf, 0], [window.view(k, lo, hi) for k in range(len(window.bins))]
+    def reduce(cuts, end):  # spectrum sums, then each side's max and -min, max|p - 1|, _block_square's
+        lo, hi = cuts[0], cuts[-1]
+        out = [[0.0] * (len(cuts) - 1) if len(cuts) > 2 else 0.0, 0.0, np.inf, 0]
+        sq = [window.view(k, lo, hi) for k in range(len(window.bins))]
         if faults.any():  # refused after the pass
             return out
         if at == 2:
             f, g = (np.ldexp(v, 2 * e) if e else v for v, e in zip(sq, scale))
-            out = [*_spectrum_leaf(f * g)]
+            out = [*_spectrum_leaf(f * g, cuts)]
         # bin 0 stands for index base, a basis vector no term reaches, unless base is 0
         basis = slice(0 if lo or base else 1, None)
         for v in sq[:at]:
@@ -405,7 +564,7 @@ def _block_pass(sides, sources, named, cross: bool, duality: bool, shared: bool,
     groups = [(0, 1)] if shared else [(k,) for k in range(n)]
     streams = [(lambda start, stop, g=g: zip(*(sources[k]() for k in g)),
                 lambda pos, g=g: frontiers[g[0]][0](pos) - base, sides[g[0]][1],
-                sequences._index_period(sides[g[0]][0])) for g in groups]
+                sequences._index_top(sides[g[0]][0])) for g in groups]
     got = next(_slide(window, streams, [([s[2] for s in streams], window.total)], fold, reduce))
     for nm, fault in zip(named, faults.tolist()):
         nm(linalg._refuse, *fault)
@@ -446,18 +605,18 @@ def _sweep_rows(shapes):
     terms off the one ``_Window`` that ``_slide`` moves along, its first dim + 1 bins (bin i holds
     index i: every registry role starts at e1)."""
     sides = [(spec, count, sequences._index_frontier(spec, count)) for spec, count, _ in shapes[-1]]
-    window = _Window([float, float], [i for *_, (_, pins) in sides for i in pins], shapes[-1][0][2] + 1, 0)
+    rows = [((fc, gc), dim + 1) for (_, fc, dim), (_, gc, _) in shapes]
+    window = _Window([float, float], [i for *_, (_, pins) in sides for i in pins], [n for _, n in rows], 0)
 
-    def fold(k, chunk, at):  # the sweep owns its chunks: c * c is bit for bit |c|^2 of a real c
-        _, c, stride = chunk[0]
+    def fold(k, chunk, at, stride):  # the sweep owns its chunks: c * c is bit for bit |c|^2 of a real c
+        c = chunk[0][1]
         _fold(window.bins[k], at, np.multiply(c, c, out=c) if c.dtype == float else np.abs(c) ** 2, stride)
 
-    def reduce(lo, hi, end):
-        f, g = window.view(0, lo, hi), window.view(1, lo, hi)
-        return *_spectrum_leaf(f * g), np.maximum.reduce(f), np.maximum.reduce(g)
+    def reduce(cuts, end):
+        f, g = window.view(0, cuts[0], cuts[-1]), window.view(1, cuts[0], cuts[-1])
+        return *_spectrum_leaf(f * g, cuts), np.maximum.reduce(f), np.maximum.reduce(g)
 
     streams = [(lambda start, stop, s=spec: zip(_chunks(s, stop, start)), frontier, count,
-                sequences._index_period(spec)) for spec, count, (frontier, _) in sides]
-    rows = [((fc, gc), dim + 1) for (_, fc, dim), (_, gc, _) in shapes]
+                sequences._index_top(spec)) for spec, count, (frontier, _) in sides]
     for ((fc, gc), n), got in zip(rows, _slide(window, streams, rows, fold, reduce)):
         yield n - 1, fc, gc, *_block_spectrum(got, min(fc, gc)), float(got[4]), float(got[5])

@@ -453,10 +453,28 @@ def _index_stride(spec: SequenceSpec, start: int) -> int | None:
     return None
 
 
-def _index_period(spec: SequenceSpec) -> int:
-    """The tail period of a scaled_basis or pattern spec, at least 1: no slot's index decreases, so
-    the last period of a run of terms holds the greatest index of its tail terms."""
-    return spec.kind == "pattern" and len(spec.program.tail) or 1
+def _index_top(spec: SequenceSpec):
+    """``top(idx, start)``: the greatest of the indices ``idx`` of terms ``start`` .. of a scaled_basis
+    or pattern spec that no head term or step-0 slot pins (0 if none), and whether none is pinned.
+    No slot's index decreases, so the last period of the terms holds it, and their greatest index
+    is it unless that one is pinned."""
+    if spec.kind == "scaled_basis":
+        return lambda idx, start: (idx[-1], True)
+    h, tail = len(spec.program.head), spec.program.tail
+    if not any(s.index_step for s in tail):  # every term is pinned
+        return lambda idx, start: (0, False)
+    pinned = {t.index for t in spec.program.head} | {s.start_index for s in tail if not s.index_step}
+    live = all(s.index_step for s in tail)  # no step-0 slot, so no pinned term past the head
+
+    def top(idx, start: int):
+        if (got := idx[-len(tail) :].max()) not in pinned:
+            return got, live and start >= h
+        stop = start + len(idx)
+        last = range(max(start, h, stop - len(tail)), stop)
+        got = max((idx[k - start] for k in last if tail[(k - h) % len(tail)].index_step), default=0)
+        return got, False
+
+    return top
 
 
 def _index_frontier(spec: SequenceSpec, n: int):

@@ -188,9 +188,9 @@ def _each(read):
 
 def _read(obj: Any, source: str, field: str | None, name: str) -> Any:
     """The object at ``field`` (None for the spec itself) built as ``_LAYOUTS[name]`` lays it
-    out: a key outside the layout is refused, then a missing required key; the rest are read
-    in order, and the constructor's ValueError names ``field``."""
-    keys, make = _LAYOUTS[name]
+    out: a key outside the layout is refused, then a missing required key, then a key its rule
+    never reads; the rest are read in order, and the constructor's ValueError names ``field``."""
+    keys, make, *rules = _LAYOUTS[name]
     data = _object(obj, source, field)
     if extra := data.keys() - keys:
         what = name if field else f"kind {name!r}"
@@ -200,6 +200,12 @@ def _read(obj: Any, source: str, field: str | None, name: str) -> Any:
     for key, (_, default) in keys.items():
         if default is _REQUIRED and key not in data:
             raise SpecFileError(f"missing required key {key!r}", source=source, field=field)
+    for key, reads in rules:
+        read, default = keys[key]
+        rule = read(data[key], source, f"{field}.{key}") if key in data else default
+        if unread := data.keys() & set().union(*reads.values()) - set(reads[rule]):
+            message = f"unexpected keys for {key} {rule!r}: {_echo(sorted(unread))}"
+            raise SpecFileError(message, source=source, field=field)
     values = {
         key: read(data[key], source, f"{field}.{key}" if field else key) if key in data else default
         for key, (read, default) in keys.items()
@@ -211,8 +217,9 @@ def _read(obj: Any, source: str, field: str | None, name: str) -> Any:
 
 
 # every object a spec file holds, by its kind or name: its keys in the order they are
-# read, each with its reader (obj, source, field) and its default or _REQUIRED, and the
-# constructor that takes the values read by key
+# read, each with its reader (obj, source, field) and its default or _REQUIRED, the
+# constructor that takes the values read by key, and for an object with a rule, that key
+# and, by rule, which of the keys that only some rules read it reads
 _REQUIRED = object()
 _INTEGER = (_integer, None)  # one of an alias pair, which _alias resolves
 _LAYOUTS = {
@@ -256,6 +263,8 @@ _LAYOUTS = {
             "values": (_each(_complex), None),
         },
         WeightRule,
+        ("rule", {"inverse_index": (), "index": (), "constant": ("value",),
+                  "geometric": ("value", "ratio"), "table": ("values",)}),
     ),
     "head term": ({"index": (_integer, _REQUIRED), "coeff": (_complex, 1 + 0j)}, PatternTerm),
     "tail slot": (
@@ -267,6 +276,7 @@ _LAYOUTS = {
             "ratio": (_complex, 1 + 0j),
         },
         TailSlot,
+        ("coeff_rule", {"constant": (), "geometric": ("ratio",), "inverse_term": ()}),
     ),
 }
 

@@ -119,9 +119,39 @@ def test_load_sequence_file_rejects_bad_complex_encoding(tmp_path):
             "tail[1]",
             r"unexpected keys for tail slot: \['index_stp'\]$",
         ),
+        # a key that the object's rule never reads, which would change nothing
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "index", "ratio": [2, 0], "values": [[5, 0]]}},
+            "weight",
+            r"unexpected keys for rule 'index': \['ratio', 'values'\]$",
+        ),
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "inverse_index", "value": [2, 0]}},
+            "weight",
+            r"unexpected keys for rule 'inverse_index': \['value'\]$",
+        ),
+        (
+            {"kind": "scaled_basis", "weight": {"rule": "geometric", "values": [[1, 0]]}},
+            "weight",
+            r"unexpected keys for rule 'geometric': \['values'\]$",
+        ),
+        (
+            {"kind": "pattern", "head": [], "tail": [
+                {"start_index": 1, "coeff_rule": "inverse_term", "ratio": [0.5, 0]}]},
+            "tail[0]",
+            r"unexpected keys for coeff_rule 'inverse_term': \['ratio'\]$",
+        ),
+        (
+            {"kind": "pattern", "head": [], "tail": [
+                {"start_index": 1, "coeff_rule": "geometric", "ratio": [0.5, 0]},
+                {"start_index": 2, "ratio": [0.5, 0]}]},
+            "tail[1]",
+            r"unexpected keys for coeff_rule 'constant': \['ratio'\]$",
+        ),
     ],
     ids=["object", "array", "integer", "string", "number", "re-im", "overflow"]
-    + ["weight-key", "head-key", "tail-key"],
+    + ["weight-key", "head-key", "tail-key"]
+    + ["index-rule", "inverse-index-rule", "geometric-rule", "inverse-term-rule", "default-rule"],
 )
 def test_spec_type_failures_name_their_field(payload, field, expected):
     with pytest.raises(SpecFileError, match=expected) as exc:
@@ -644,7 +674,7 @@ def test_the_schema_lays_out_each_object_as_the_decoder_reads_it():
     objects["head term"], objects["tail slot"] = items["head"]["items"], items["tail"]["items"]
     assert objects.keys() == serialize._LAYOUTS.keys()
     for name, obj in objects.items():
-        keys, _ = serialize._LAYOUTS[name]
+        keys, *_ = serialize._LAYOUTS[name]
         properties, required = set(obj["properties"]), set(obj.get("required", ()))
         assert obj["additionalProperties"] is False, name
         if name in kinds:  # spec_from_json reads kind and hands the rest to the layout
@@ -653,12 +683,32 @@ def test_the_schema_lays_out_each_object_as_the_decoder_reads_it():
             required.remove("kind")
         # each alias pair is a oneOf of two required keys; the layout reads both as
         # optional, and _alias requires exactly one of them
-        one_ofs = [c["oneOf"] for c in obj.get("allOf", ())] + [obj.get("oneOf", [])]
+        one_ofs = [c["oneOf"] for c in obj.get("allOf", ()) if "oneOf" in c] + [obj.get("oneOf", [])]
         aliases = {key for one_of in one_ofs for c in one_of for key in c["required"]}
         assert aliases == {"d", "dim", "n", "count"} & set(keys), name
         assert all(keys[key][1] is None for key in aliases), name
         assert properties == set(keys), name
         assert required == {k for k, (_, d) in keys.items() if d is serialize._REQUIRED}, name
+    # an object with a rule refuses each key that its rule never reads, in the schema's if/then
+    # as in the layout: every such key under every rule, and under a slot's default rule
+    validator, samples = jsonschema.Draft202012Validator(schema), {"value": [2, 0], "ratio": [0.5, 0]}
+    wraps = {"weight": lambda o: {"kind": "scaled_basis", "weight": o},
+             "tail slot": lambda o: {"kind": "pattern", "head": [], "tail": [{"start_index": 1, **o}]}}
+    assert {name for name, layout in serialize._LAYOUTS.items() if len(layout) > 2} == wraps.keys()
+    for name, wrap in wraps.items():
+        keys, _, (key, reads) = serialize._LAYOUTS[name]
+        assert list(reads) == objects[name]["properties"][key]["enum"], name
+        default = keys[key][1]
+        for rule in [*reads, *([None] if default is not serialize._REQUIRED else [])]:
+            for extra in set().union(*reads.values()):
+                payload = wrap({**({} if rule is None else {key: rule}), extra: samples.get(extra, [[1, 0]])})
+                read = extra in reads[default if rule is None else rule]
+                assert validator.is_valid(payload) == read, (name, rule, extra)
+                if read:
+                    serialize.spec_from_json(payload)
+                else:
+                    with pytest.raises(SpecFileError, match=f"unexpected keys for {key} "):
+                        serialize.spec_from_json(payload)
     # a pattern may end at its head
     head_only = {"kind": "pattern", "head": [{"index": 2}], "tail": []}
     jsonschema.validate(head_only, schema)

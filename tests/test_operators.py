@@ -195,13 +195,18 @@ def test_hs_norm_equals_column_sum_oracle():
     assert hs >= np.linalg.norm(m, 2) - 1e-12
 
 
-def _tree_sums(f, g, leaf: int):
-    """``_spectrum_leaf`` of f * g on each leaf of ``_tree``, joined as the window joins them."""
-    tree, got = ops._tree(0, len(f), leaf), None
+def _tree_sums(f, g, leaf: int, pins=(), node: int = 128):
+    """``_spectrum_leaf`` of f * g on each leaf of ``_tree``, joined as the window joins them; a
+    leaf that holds one of the sorted ``pins`` is read as ``operators._early`` reads it before
+    the row's end, split at the nodes of at most ``node`` bins that hold them."""
+    def reduce(cuts, end):
+        return ops._spectrum_leaf(f[cuts[0] : cuts[-1]] * g[cuts[0] : cuts[-1]], cuts)
+
+    tree, got = ops._tree(0, len(f), leaf, pins), None
     try:
         while True:
-            lo, hi = tree.send(got)
-            got = ops._spectrum_leaf(f[lo:hi] * g[lo:hi])
+            (lo, hi), held = tree.send(got)
+            got = ops._early(reduce, lo, hi, node, pins)() if held else reduce((lo, hi), True)
     except StopIteration as joined:
         return joined.value
 
@@ -309,14 +314,16 @@ def test_block_square_with_scalar_q_is_the_general_form_bit_for_bit():
 def test_leaves_read_from_copies_join_to_the_pairwise_sum_bits():
     # the sliding window reads each leaf off a copy of its bins, whenever the leaf is final,
     # and _tree joins the leaf results as numpy's pairwise sum splits the bins: lengths up to
-    # 3e5 with ~10% empty bins give the bits of the whole-array sums
-    rng = np.random.default_rng(30)
+    # 3e5 with ~10% empty bins give the bits of the whole-array sums, and so do the leaves
+    # split at up to three pinned bins, their other nodes read in runs, each in one go
+    rng, pick = np.random.default_rng(30), np.random.default_rng(31)
     for n in rng.integers(1, 3 * 10**5, 200):
         f = rng.random(n) * (rng.random(n) > 0.1)
         g = rng.random(n) * (rng.random(n) > 0.1)
         leaf = int(rng.choice([128, 1 << 13, 1 << 14]))
-        got = _tree_sums(f, g, leaf)
+        pins = sorted({*pick.permutation([0, n - 1, *pick.integers(0, n, 3)])[: pick.integers(1, 4)].tolist()})
         sq = f * g
         rank = np.count_nonzero(sq)
         want = (np.sum(sq), sq.max(), np.min(sq, where=sq > 0.0, initial=np.inf), rank)
-        assert [float(x) for x in got] == [float(x) for x in want], (n, leaf)
+        for got in (_tree_sums(f, g, leaf), _tree_sums(f, g, leaf, pins, int(pick.choice([128, 1 << 11])))):
+            assert [float(x) for x in got] == [float(x) for x in want], (n, leaf, pins)

@@ -828,13 +828,19 @@ def test_index_frontier_of_every_registry_role():
 
 
 def _stuck(index_frontier):
-    """``index_frontier`` with frontiers that never move past the least index: the window
-    then holds the whole span and reads every leaf at the end, as a fold that does not slide."""
+    """``index_frontier`` with frontiers that never move past the least index and no pinned
+    index: with ``_reaching``, the window then holds the whole span live and reads every leaf
+    at the end, as a fold that neither slides nor keeps a node."""
     def stuck(spec, n):
         frontier, pinned = index_frontier(spec, n)
-        least = frontier(0)
-        return (lambda start: least), pinned
+        least = min((frontier(0), *pinned))
+        return (lambda start: least), ()
     return stuck
+
+
+def _reaching(spec):
+    """A chunk's top as ``sequences._index_top`` of a spec none of whose indices is pinned."""
+    return lambda idx, start: (idx.max(), False)
 
 
 _BLOCKED = _pattern([], sequences.TailSlot(1, 1), sequences.TailSlot(1, 1))  # ex-blocked's g
@@ -851,40 +857,108 @@ def _window_numbers(f, g, counts: list[int]):
     return repr((reports, rows))
 
 
+# a head term at the top of the span, over a tail from e1; a step-0 slot at e500, whose bins
+# the tail passes through
+_HIGH_HEAD = _pattern([(600, 2.0 - 1.0j)], sequences.TailSlot(1, 1, coeff=0.5))
+_HIGH_SLOT = _pattern([], sequences.TailSlot(500, 0, coeff=3.0), sequences.TailSlot(1, 1, coeff=0.5j))
+
+
 @settings(max_examples=40, deadline=None)
 @given(monomial_specs, monomial_specs, st.integers(min_value=1, max_value=30),
        st.integers(min_value=300, max_value=1500), st.booleans())
 @example(_BLOCKED, _BLOCKED, 1, 600, True)
+@example(_HIGH_HEAD, _BLOCKED, 1, 601, True)
+@example(_HIGH_HEAD, _HIGH_SLOT, 30, 601, False)
+@example(_HIGH_SLOT, _BLOCKED, 1, 1400, True)
+@example(_HIGH_SLOT, sequences.SequenceSpec.scaled_basis(sequences.WeightRule.index()), 7, 1400, False)
 def test_sliding_bins_give_the_bits_of_the_whole_span(f, g, first, n, same):
     # heads, step-0 slots (pinned bins) and tails of unequal steps, on one index array or on
     # two, with chunks of 7 terms and leaves of 128 bins: the window slides many times; a pair
-    # with two terms on each index (the example) holds its leaves until the end of the row
-    with mock.patch.object(operators, "TERM_CHUNK", 7):
-        g = f if same else g
-        want = _window_numbers(f, g, [first, n // 2, n])
-        with mock.patch.object(sequences, "_index_frontier", _stuck(sequences._index_frontier)):
-            assert _window_numbers(f, g, [first, n // 2, n]) == want
+    # with two terms on each index (the first example) holds its leaves until the end of the
+    # row.  With chunks of 128 terms a leaf of 256 bins is split down to the 128-bin node that
+    # holds a pinned bin, which alone waits for the row's end, high in the span or not
+    g = f if same else g
+    for chunk in (7, 128):
+        with mock.patch.object(operators, "TERM_CHUNK", chunk):
+            want = _window_numbers(f, g, [first, n // 2, n])
+            with mock.patch.object(sequences, "_index_frontier", _stuck(sequences._index_frontier)), \
+                    mock.patch.object(sequences, "_index_top", _reaching):
+                assert _window_numbers(f, g, [first, n // 2, n]) == want, chunk
+
+
+def _blocks(run) -> list:
+    """(bytes, bytes per bin) of each block a ``_Window`` carves its bins from in ``run()``."""
+    widen, got = operators._Window._widen, []
+
+    def spy(window, cap, keep):
+        widen(window, cap, keep)
+        got.append((sum(b.nbytes for b in window.bins), sum(b.itemsize for b in window.bins)))
+
+    with mock.patch.object(operators._Window, "_widen", spy):
+        run()
+    return got
+
+
+def _window_bins(pins: int) -> int:
+    """The most bins a window holds when no chunk spans more than its own count of indices:
+    four chunks' span live and, per pinned index, the nodes of at most a quarter chunk (128 bins
+    or more) that hold it in the rows' trees, all within two such nodes of it."""
+    return 4 * operators.TERM_CHUNK + pins * 2 * max(operators.TERM_CHUNK // 4, 128)
 
 
 def test_sliding_bins_slide_on_every_registry_pair():
     # the window of each registry pair's sweep, and of the block reports of those pairs that
-    # take the block route at 1e5 (the others are hybrid), moves past bins it has read
-    for ex_id in sequences.example_ids():
-        lows = []
-        reach = operators._Window.reach
-
-        def spy(window, top, lo):
-            lows.append(lo)
-            return reach(window, top, lo)
-
-        shapes = [sequences.term_shape(sequences.SequenceSpec.paper_example(ex_id, r), 100000) for r in "fg"]
-        with mock.patch.object(operators._Window, "reach", spy):
-            diagnostics.truncation_sweep(ex_id, (10, 100000))
-            assert max(lows) > shapes[0][2] * 2 // 3, ex_id
-            lows.clear()
+    # take the block route at 1e5 (the others are hybrid), never holds the span: with chunks of
+    # 512 terms its largest block stays within the bound, and the span is ten times that
+    with mock.patch.object(operators, "TERM_CHUNK", 512):
+        for ex_id in sequences.example_ids():
+            roles = [sequences.SequenceSpec.paper_example(ex_id, r) for r in "fg"]
+            shapes = [sequences.term_shape(role, 100000) for role in roles]
+            pins = sum(len(sequences._index_frontier(spec, count)[1]) for spec, count, _ in shapes)
+            assert shapes[0][2] >= 10 * _window_bins(pins), ex_id
+            runs = [lambda: diagnostics.truncation_sweep(ex_id, (10, 100000))]
             if ex_id in ("ex-identity", "ex-canonical", "ex-blocked"):
-                diagnostics.reports(*shapes, duality=shapes[0][1] == shapes[1][1])
-                assert max(lows) > shapes[0][2] * 2 // 3, ex_id
+                runs.append(lambda: diagnostics.reports(*shapes, duality=shapes[0][1] == shapes[1][1]))
+            for run in runs:
+                blocks = _blocks(run)
+                assert blocks and all(size <= width * _window_bins(pins) for size, width in blocks), (ex_id, blocks)
+
+
+unit_slots = st.builds(
+    sequences.TailSlot,
+    start_index=st.integers(min_value=1, max_value=6),
+    index_step=st.integers(min_value=0, max_value=1),
+    coeff=coeffs,
+    coeff_rule=st.sampled_from(["constant", "geometric", "inverse_term"]),
+    ratio=ratios,
+)
+unit_step_specs = st.one_of(
+    weight_rules.map(sequences.SequenceSpec.scaled_basis),
+    st.builds(
+        sequences.PatternProgram,
+        head=st.lists(st.builds(sequences.PatternTerm, st.integers(1, 6), coeffs), max_size=3),
+        tail=st.lists(unit_slots, min_size=1, max_size=3),
+    ).map(sequences.SequenceSpec.pattern),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(unit_step_specs, st.integers(min_value=2000, max_value=4000))
+@example(_pattern([(1, 1.0)], sequences.TailSlot(1, 1)), 3000)  # ex-canonical's f: a head on e1
+@example(_pattern([], sequences.TailSlot(1, 0, coeff=0.5), sequences.TailSlot(2, 1)), 3000)  # ex-hs's g
+@example(_pattern([(3000, 1.0)], sequences.TailSlot(1, 1)), 3000)  # a head term at the top of the span
+def test_a_window_holds_four_chunks_and_the_nodes_of_its_pins(spec, n):
+    # heads, step-0 slots and tails of steps 0 and 1, so that no chunk spans more indices than it
+    # has terms: with chunks of 256 terms (leaves of 512 bins), each block of the window of the
+    # block reports of the spec and of its sweep against itself stays within the bound
+    with mock.patch.object(operators, "TERM_CHUNK", 256):
+        shape = sequences.term_shape(spec, n)
+        pins = len(sequences._index_frontier(spec, n)[1])
+        extents = [(count, sequences.monomial_extent(spec, count)[1]) for count in (n // 3, n // 2, n)]
+        rows = [[(spec, count, dim), (spec, count, dim)] for count, dim in extents]
+        for run in (lambda: diagnostics.reports(shape), lambda: list(operators._sweep_rows(rows))):
+            blocks = _blocks(run)
+            assert blocks and all(size <= width * _window_bins(pins) for size, width in blocks), (blocks, pins)
 
 
 # ------------------------------------------------------------ envelope writer
